@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .benefit import ObjectiveParams, SelectionObject, index_object, pair_object, view_object, update_weight
+from .benefit import ObjectiveParams, SelectionObject, index_object, update_weight, view_object
 from .candidates import IndexCandidate, UsageMatrices, ViewCandidate
 from .catalog import SchemaCatalog
 from .costmodel import Configuration, CostContext
 from .errors import InvalidBudgetError, TooManyObjectsError, ValidationError
-from .selector import SelectionResult, greedy_core, incremental_size
+from .selector import SelectionResult, greedy_core, incremental_size, pair_objects
 
 EXHAUSTIVE_LIMIT = 20
 
@@ -44,22 +44,13 @@ def enumerate_exhaustive_objects(
     objects = [view_object(v) for v in views]
     objects += [index_object(i) for i in indexes if i.is_base()]
     seen_keys = set()
-    index_by_id = {i.id: i for i in indexes}
-    for i in indexes:
-        if not i.is_base():
-            key = (i.target, i.attribute)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                objects.append(index_object(i))
-    for vid_pos, vid in enumerate(matrices.view_ids):
-        view = next(v for v in views if v.id == vid)
-        for iid_pos, iid in enumerate(matrices.index_ids):
-            if matrices.view_index[vid_pos, iid_pos]:
-                pair = pair_object(view, index_by_id[iid], catalog)
-                key = (pair.index.target, pair.index.attribute)
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    objects.append(index_object(pair.index))
+    on_view = [i for i in indexes if not i.is_base()]
+    on_view += [pair.index for pair in pair_objects(views, indexes, matrices, catalog)]
+    for i in on_view:
+        key = (i.target, i.attribute)
+        if key not in seen_keys:
+            seen_keys.add(key)
+            objects.append(index_object(i))
     return objects
 
 
@@ -146,6 +137,7 @@ def isolated_select(
     catalog: SchemaCatalog,
     budget_bytes: int,
     params: ObjectiveParams,
+    ctx: CostContext | None = None,
 ) -> SelectionResult:
     """Greedy over a single structure family: views only, or base indexes only."""
     if kind == VIEWS_ONLY:
@@ -155,5 +147,5 @@ def isolated_select(
     else:
         raise ValidationError(f"unknown isolated strategy {kind!r}")
     return greedy_core(
-        queries, objects, views, indexes, matrices, catalog, budget_bytes, params
+        queries, objects, views, indexes, matrices, catalog, budget_bytes, params, ctx
     )

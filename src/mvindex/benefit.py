@@ -1,7 +1,10 @@
 """Interaction-aware benefit of adding a view or index, and the greedy objective.
 
 The benefit of an object is the workload cost reduction it causes divided
-by storage bytes: a density in blocks per byte.  When the object interacts
+by storage bytes: a density in blocks per byte.  The reduction is summed
+over the queries the object's members can touch only; every other query
+costs the same either way, so the integer reduction, and with it the
+density, equals the whole-workload difference.  When the object interacts
 with already-selected structures (an index related to selected views, or a
 view related to selected indexes), the denominator also counts those
 structures' sizes, which damps the density of piling more storage onto the
@@ -16,6 +19,7 @@ raw block count instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .candidates import IndexCandidate, UsageMatrices, ViewCandidate, make_view_index
@@ -35,8 +39,8 @@ class ObjectiveParams:
     mode: str = MODE_NORMALIZED
 
     def __post_init__(self):
-        if self.refresh_ratio < 0:
-            raise ValidationError("refresh_ratio must be >= 0")
+        if not math.isfinite(self.refresh_ratio) or self.refresh_ratio < 0:
+            raise ValidationError(f"refresh_ratio must be finite and >= 0, got {self.refresh_ratio}")
         if self.total_object_count < 1:
             raise ValidationError("total_object_count must be >= 1")
         if self.mode not in (MODE_NORMALIZED, MODE_LITERAL):
@@ -120,34 +124,63 @@ def pair_object(v: ViewCandidate, i: IndexCandidate, catalog: SchemaCatalog) -> 
     return SelectionObject(id=f"{v.id}+{i.id}", kind="pair", view=v, index=on_view)
 
 
+def related_views(i: IndexCandidate, matrices: UsageMatrices) -> list[str]:
+    """Views the index is defined on (the view-index matrix column)."""
+    if not i.is_base():
+        return [i.target]
+    if i.id not in matrices.index_ids:
+        return []
+    return [vid for vid in matrices.view_ids if matrices.vi(vid, i.id)]
+
+
+def related_indexes(v: ViewCandidate, matrices: UsageMatrices) -> list[str]:
+    """Base-index candidates defined on the view's attributes (the matrix row)."""
+    if v.id not in matrices.view_ids:
+        return []
+    return [iid for iid in matrices.base_index_ids if matrices.vi(v.id, iid)]
+
+
 def related_selected_views(
     i: IndexCandidate, config: Configuration, matrices: UsageMatrices
 ) -> list[str]:
-    """Selected views the index is defined on (the view-index matrix row)."""
-    if not i.is_base():
-        return [i.target] if i.target in config.views else []
-    if i.id not in matrices.index_ids:
-        return []
-    return [vid for vid in matrices.view_ids if matrices.vi(vid, i.id) and vid in config.views]
+    """Selected views the index is defined on."""
+    return [vid for vid in related_views(i, matrices) if vid in config.views]
 
 
 def related_selected_indexes(
     v: ViewCandidate, config: Configuration, matrices: UsageMatrices
 ) -> list[str]:
     """Selected base-index candidates defined on the view's attributes."""
-    if v.id not in matrices.view_ids:
-        return []
-    return [
-        iid
-        for iid in matrices.base_index_ids
-        if matrices.vi(v.id, iid) and iid in config.base_indexes
-    ]
+    return [iid for iid in related_indexes(v, matrices) if iid in config.base_indexes]
+
+
+def denominator_dependencies(obj: SelectionObject, matrices: UsageMatrices) -> list[str]:
+    """Members whose selection changes the object's benefit denominator."""
+    if obj.kind == "view":
+        return related_indexes(obj.view, matrices)
+    if obj.kind == "index":
+        return related_views(obj.index, matrices)
+    return []
 
 
 def _context(queries, matrices, catalog, views, indexes, ctx):
     if ctx is not None:
         return ctx
     return CostContext(queries, views, indexes, matrices, catalog)
+
+
+def touched_costs(ctx: CostContext, config: Configuration, members: Configuration) -> tuple[int, int]:
+    """Cost of the queries ``members`` touch, before and after adding them to ``config``.
+
+    Every other query keeps its cost, so ``before - after`` is exactly the
+    whole-workload cost reduction.
+    """
+    added = config.with_members(members.views, members.base_indexes, members.view_indexes)
+    before = after = 0
+    for q in ctx.queries_touching(members):
+        before += ctx.query_cost(q, config)[0]
+        after += ctx.query_cost(q, added)[0]
+    return before, after
 
 
 def index_benefit(
@@ -168,17 +201,7 @@ def index_benefit(
     still earn direct benefit on base tables; it scores zero only when it
     improves nothing.
     """
-    ctx = _context(queries, matrices, catalog, views, indexes, ctx)
-    if i.is_base():
-        added = config.with_members(base_indexes={i.id})
-    else:
-        added = config.with_members(view_indexes={(i.target, i.attribute)})
-    before = ctx.workload_total(config)
-    after = ctx.workload_total(added)
-    denom = object_size(i, catalog)
-    for vid in related_selected_views(i, config, matrices):
-        denom += object_size(ctx.views[vid], catalog)
-    return benefit_density(before, after, denom)
+    return object_benefit(index_object(i), queries, config, matrices, catalog, views, indexes, ctx)
 
 
 def view_benefit(
@@ -192,14 +215,7 @@ def view_benefit(
     ctx: CostContext | None = None,
 ) -> float:
     """Benefit density of adding one view; mirror image of index_benefit."""
-    ctx = _context(queries, matrices, catalog, views, indexes, ctx)
-    added = config.with_members(views={v.id})
-    before = ctx.workload_total(config)
-    after = ctx.workload_total(added)
-    denom = object_size(v, catalog)
-    for iid in related_selected_indexes(v, config, matrices):
-        denom += object_size(ctx.indexes[iid], catalog)
-    return benefit_density(before, after, denom)
+    return object_benefit(view_object(v), queries, config, matrices, catalog, views, indexes, ctx)
 
 
 def object_benefit(
@@ -214,13 +230,18 @@ def object_benefit(
 ) -> float:
     """Benefit density of any selection object; pairs use combined cost and size."""
     ctx = _context(queries, matrices, catalog, views, indexes, ctx)
+    before, after = touched_costs(ctx, config, obj.config_members())
     if obj.kind == "view":
-        return view_benefit(obj.view, queries, config, matrices, catalog, views, indexes, ctx)
-    if obj.kind == "index":
-        return index_benefit(obj.index, queries, config, matrices, catalog, views, indexes, ctx)
-    before = ctx.workload_total(config)
-    after = ctx.workload_total(obj.apply_to(config))
-    return benefit_density(before, after, obj.full_size(catalog))
+        denom = object_size(obj.view, catalog)
+        for iid in related_selected_indexes(obj.view, config, matrices):
+            denom += object_size(ctx.indexes[iid], catalog)
+    elif obj.kind == "index":
+        denom = object_size(obj.index, catalog)
+        for vid in related_selected_views(obj.index, config, matrices):
+            denom += object_size(ctx.views[vid], catalog)
+    else:
+        denom = obj.full_size(catalog)
+    return benefit_density(before, after, denom)
 
 
 def objective_value(

@@ -25,7 +25,7 @@ line declares an index candidate targeting a view instead of a base table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -243,15 +243,25 @@ class UsageMatrices:
     query_view: np.ndarray  # bool [n_queries, n_views]
     query_index: np.ndarray  # bool [n_queries, n_base_indexes]
     view_index: np.ndarray  # bool [n_views, n_indexes]
+    # id -> row/column position, built once per matrix set
+    _query_pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    _view_pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    _index_pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    _base_index_pos: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("query", "view", "index", "base_index"):
+            ids = getattr(self, f"{name}_ids")
+            object.__setattr__(self, f"_{name}_pos", {id_: k for k, id_ in enumerate(ids)})
 
     def qv(self, qid: str, vid: str) -> bool:
-        return bool(self.query_view[self.query_ids.index(qid), self.view_ids.index(vid)])
+        return bool(self.query_view[self._query_pos[qid], self._view_pos[vid]])
 
     def qi(self, qid: str, iid: str) -> bool:
-        return bool(self.query_index[self.query_ids.index(qid), self.base_index_ids.index(iid)])
+        return bool(self.query_index[self._query_pos[qid], self._base_index_pos[iid]])
 
     def vi(self, vid: str, iid: str) -> bool:
-        return bool(self.view_index[self.view_ids.index(vid), self.index_ids.index(iid)])
+        return bool(self.view_index[self._view_pos[vid], self._index_pos[iid]])
 
     def pair_count(self) -> int:
         return int(self.view_index.sum())
@@ -364,7 +374,7 @@ def load_candidates(
         elif head == "indexable":
             if current["indexable"] is None:
                 current["indexable"] = []
-            current["indexable"] += [_parse_attr(t, source, lineno) for t in tokens[1:]]
+            current["indexable"] += [(_parse_attr(t, source, lineno), lineno) for t in tokens[1:]]
         else:
             raise ParseError(f"unrecognized directive {tokens[0]!r}", source, lineno)
 
@@ -379,6 +389,14 @@ def load_candidates(
             raise ValidationError(f"view {blk['id']}: must join the fact table {fact!r}")
         for attr in blk["group_by"]:
             catalog.attribute(*attr)
+        indexable = blk["indexable"]
+        for attr, lineno in indexable or ():
+            if attr not in blk["group_by"]:
+                raise ParseError(
+                    f"view {blk['id']}: indexable {attr[0]}.{attr[1]} is not in its group_by",
+                    source,
+                    lineno,
+                )
         views.append(
             make_view(
                 blk["id"],
@@ -387,7 +405,7 @@ def load_candidates(
                 blk["group_by"],
                 blk["aggs"],
                 catalog,
-                indexable=blk["indexable"],
+                indexable=None if indexable is None else [attr for attr, _ in indexable],
             )
         )
 

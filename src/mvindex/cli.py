@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .baselines import (
@@ -73,6 +74,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args):
+    """Parse the inputs; build the objective parameters and the run's one CostContext.
+
+    Every selection and cost report of an invocation shares that context and
+    its memo of query costs.
+    """
     with open(args.schema, encoding="utf-8") as fh:
         catalog = load_catalog(fh.read(), args.schema)
     with open(args.workload, encoding="utf-8") as fh:
@@ -84,41 +90,55 @@ def _load_inputs(args):
         views = generate_view_candidates(workload, catalog)
         indexes = generate_index_candidates(workload, views, catalog, args.min_support)
     matrices = build_matrices(workload, views, indexes)
-    return catalog, workload, views, indexes, matrices
+    refresh = args.refresh_ratio if args.refresh_ratio is not None else workload.refresh_ratio
+    params = ObjectiveParams(
+        refresh_ratio=refresh,
+        total_object_count=max(1, len(views) + len(indexes)),
+        mode=args.objective,
+    )
+    ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
+    return catalog, views, indexes, matrices, params, ctx
 
 
-def _reference_space(queries, views, indexes, matrices, catalog, params) -> int:
+def _reference_space(queries, views, indexes, matrices, catalog, params, ctx) -> int:
     """Bytes used by an unconstrained simultaneous run; budget percentages and
     sweep fractions are relative to this."""
     objects = enumerate_objects(views, indexes, matrices, catalog)
     unconstrained = sum(o.full_size(catalog) for o in objects) + 1
-    result = greedy_select(queries, views, indexes, matrices, catalog, unconstrained, params)
+    result = greedy_select(queries, views, indexes, matrices, catalog, unconstrained, params, ctx)
     return result.used_bytes
 
 
-def _parse_budget(text: str, reference_space: int) -> int:
+def _parse_budget(text: str, reference_space) -> int:
+    """Bytes, or a finite percentage of ``reference_space()``, called only then."""
     text = text.strip()
-    if text.endswith("%"):
-        fraction = float(text[:-1]) / 100.0
-        return int(reference_space * fraction)
-    return int(text)
+    if not text.endswith("%"):
+        return int(text)
+    percent = float(text[:-1])
+    if not math.isfinite(percent):
+        raise ParseError(f"budget percentage {text!r} is not a finite number")
+    budget = reference_space() * (percent / 100.0)
+    if not math.isfinite(budget):
+        raise ParseError(f"budget percentage {text!r} gives a budget too large to represent")
+    return int(budget)
 
 
-def _run_strategy(mode, queries, views, indexes, matrices, catalog, budget, params):
+def _run_strategy(mode, queries, views, indexes, matrices, catalog, budget, params, ctx):
     if mode == "none":
-        empty = SelectionResult(
+        return SelectionResult(
             config=Configuration(), selected=[], used_bytes=0, iterations=[],
-            stop_reason="not_run",
+            stop_reason="not_run", final_cost=ctx.workload_total(Configuration()),
         )
-        ctx = CostContext(queries, views, indexes, matrices, catalog)
-        empty.final_cost = ctx.workload_total(Configuration())
-        return empty
     if mode == "simultaneous":
-        return greedy_select(queries, views, indexes, matrices, catalog, budget, params)
+        return greedy_select(queries, views, indexes, matrices, catalog, budget, params, ctx)
     if mode == "view-only":
-        return isolated_select(VIEWS_ONLY, queries, views, indexes, matrices, catalog, budget, params)
+        return isolated_select(
+            VIEWS_ONLY, queries, views, indexes, matrices, catalog, budget, params, ctx
+        )
     if mode == "index-only":
-        return isolated_select(INDEXES_ONLY, queries, views, indexes, matrices, catalog, budget, params)
+        return isolated_select(
+            INDEXES_ONLY, queries, views, indexes, matrices, catalog, budget, params, ctx
+        )
     raise AdvisorError(f"unhandled mode {mode!r}")
 
 
@@ -152,32 +172,23 @@ def _matrix_rows(matrix) -> list[list[int]]:
 
 def run_advise(args) -> tuple[str, int]:
     """Run one strategy and return (report text, exit code)."""
-    catalog, workload, views, indexes, matrices = _load_inputs(args)
-    queries = list(workload.queries)
-    refresh = args.refresh_ratio if args.refresh_ratio is not None else workload.refresh_ratio
-    n_objects = max(1, len(views) + len(indexes))
-    params = ObjectiveParams(
-        refresh_ratio=refresh, total_object_count=n_objects, mode=args.objective
-    )
+    catalog, views, indexes, matrices, params, ctx = _load_inputs(args)
+    queries = ctx.queries
 
     if args.budget is None:
         raise ParseError("--budget is required unless --sweep is given")
-    needs_reference = args.budget.strip().endswith("%")
-    reference = (
-        _reference_space(queries, views, indexes, matrices, catalog, params)
-        if needs_reference
-        else 0
+    budget = _parse_budget(
+        args.budget,
+        lambda: _reference_space(queries, views, indexes, matrices, catalog, params, ctx),
     )
-    budget = _parse_budget(args.budget, reference)
     if budget < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget}")
 
-    before = workload_cost(queries, Configuration(), matrices, catalog, views, indexes)
+    before = workload_cost(queries, Configuration(), matrices, catalog, views, indexes, ctx=ctx)
 
     if args.mode == "exhaustive":
         objects = enumerate_exhaustive_objects(views, indexes, matrices, catalog)
-        ex = exhaustive_select(queries, objects, matrices, catalog, budget, params,
-                               views=views, indexes=indexes)
+        ex = exhaustive_select(queries, objects, matrices, catalog, budget, params, ctx=ctx)
         result = SelectionResult(
             config=ex.config,
             selected=[],
@@ -189,17 +200,17 @@ def run_advise(args) -> tuple[str, int]:
         selected_ids = list(ex.selected_ids)
     else:
         result = _run_strategy(
-            args.mode, queries, views, indexes, matrices, catalog, budget, params
+            args.mode, queries, views, indexes, matrices, catalog, budget, params, ctx
         )
         selected_ids = result.selected_ids()
 
-    after = workload_cost(queries, result.config, matrices, catalog, views, indexes)
+    after = workload_cost(queries, result.config, matrices, catalog, views, indexes, ctx=ctx)
 
     report = {
         "cost_model": COST_MODEL_ID,
         "mode": args.mode,
         "objective": args.objective,
-        "refresh_ratio": refresh,
+        "refresh_ratio": params.refresh_ratio,
         "budget_bytes": budget,
         "candidates": {
             "views": [
@@ -304,13 +315,8 @@ def _format_text_report(report: dict) -> str:
 
 def run_sweep(args) -> tuple[str, int]:
     """Run every strategy at each budget fraction; returns CSV."""
-    catalog, workload, views, indexes, matrices = _load_inputs(args)
-    queries = list(workload.queries)
-    refresh = args.refresh_ratio if args.refresh_ratio is not None else workload.refresh_ratio
-    n_objects = max(1, len(views) + len(indexes))
-    params = ObjectiveParams(
-        refresh_ratio=refresh, total_object_count=n_objects, mode=args.objective
-    )
+    catalog, views, indexes, matrices, params, ctx = _load_inputs(args)
+    queries = ctx.queries
 
     fractions = []
     for tok in args.sweep.split(","):
@@ -319,7 +325,7 @@ def run_sweep(args) -> tuple[str, int]:
             raise ParseError(f"sweep fraction {tok!r} outside (0, 1]")
         fractions.append(f)
 
-    reference = _reference_space(queries, views, indexes, matrices, catalog, params)
+    reference = _reference_space(queries, views, indexes, matrices, catalog, params, ctx)
     rows = [SWEEP_HEADER]
     for fraction in fractions:
         budget = int(reference * fraction)
@@ -331,7 +337,7 @@ def run_sweep(args) -> tuple[str, int]:
                 "simultaneous": "simultaneous",
             }[strategy]
             result = _run_strategy(
-                mode, queries, views, indexes, matrices, catalog, budget, params
+                mode, queries, views, indexes, matrices, catalog, budget, params, ctx
             )
             objects = ";".join(result.selected_ids()) if result.selected else ""
             rows.append(

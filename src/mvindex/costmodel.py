@@ -31,20 +31,6 @@ COST_MODEL_ID = "blockscan-btree/1"
 DEFAULT_SELECTIVITY_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class CostModelParams:
-    """Storage-model knobs; block/fanout/rowid come from the catalog."""
-
-    block_size: int
-    btree_fanout: int
-    rowid_width: int
-    default_selectivity_floor: float = DEFAULT_SELECTIVITY_FLOOR
-
-    @classmethod
-    def from_catalog(cls, catalog: SchemaCatalog) -> "CostModelParams":
-        return cls(catalog.block_size, catalog.btree_fanout, catalog.rowid_width)
-
-
 def _ceil_div(a: int, d: int) -> int:
     return -(-a // d)
 
@@ -59,10 +45,6 @@ def selectivity(cardinality: int, floor: float = DEFAULT_SELECTIVITY_FLOOR) -> f
     if cardinality < 1:
         raise ValidationError("cardinality must be >= 1")
     return max(1.0 / cardinality, floor)
-
-
-def predicate_selectivity(pred, catalog: SchemaCatalog, floor: float = DEFAULT_SELECTIVITY_FLOOR) -> float:
-    return selectivity(catalog.attribute(pred.table, pred.attribute).cardinality, floor)
 
 
 def object_size(obj, catalog: SchemaCatalog) -> int:
@@ -114,15 +96,16 @@ class Configuration:
     base_indexes: frozenset[str] = frozenset()
     view_indexes: frozenset[tuple[str, tuple[str, str]]] = frozenset()
 
-    def contains_view(self, vid: str) -> bool:
-        return vid in self.views
-
     def with_members(self, views=(), base_indexes=(), view_indexes=()) -> "Configuration":
         return Configuration(
             views=self.views | frozenset(views),
             base_indexes=self.base_indexes | frozenset(base_indexes),
             view_indexes=self.view_indexes | frozenset(view_indexes),
         )
+
+    def names(self) -> tuple:
+        """Every member: view ids, base-index ids and (view id, attribute) keys."""
+        return (*self.views, *self.base_indexes, *self.view_indexes)
 
     def is_empty(self) -> bool:
         return not (self.views or self.base_indexes or self.view_indexes)
@@ -157,8 +140,8 @@ class _QueryPlanInfo:
 class CostContext:
     """Cost evaluator bound to one workload, candidate set and catalog.
 
-    Pure and immutable once built; the selector shares one instance across
-    all scoring passes.
+    Pure once built, apart from its memo of query costs, so one instance
+    serves every scoring pass and every selection run over the same inputs.
     """
 
     def __init__(
@@ -179,9 +162,11 @@ class CostContext:
         self._info: dict[str, _QueryPlanInfo] = {}
         self._relevant: dict[str, tuple] = {}
         self._cache: dict[str, dict] = {}
+        # member name -> positions of the queries whose _relevant sets hold it
+        self._touching: dict[object, list[int]] = {}
 
         base = [i for i in indexes if i.is_base()]
-        for q in queries:
+        for pos, q in enumerate(self.queries):
             tb = {t: table_blocks(catalog.table(t), catalog) for t in sorted(q.joined_tables)}
             divisors = {t: 1 for t in tb}
             all_div = 1
@@ -224,6 +209,9 @@ class CostContext:
                 frozenset(key for pairs in view_idx.values() for key, _ in pairs),
             )
             self._cache[q.id] = {}
+            for relevant in self._relevant[q.id]:
+                for name in relevant:
+                    self._touching.setdefault(name, []).append(pos)
 
     def _cache_key(self, qid: str, config: Configuration):
         rel_base, rel_views, rel_keys = self._relevant[qid]
@@ -232,6 +220,18 @@ class CostContext:
             config.views & rel_views,
             config.view_indexes & rel_keys,
         )
+
+    def queries_touching(self, members: Configuration) -> list[Query]:
+        """Queries whose cost can change when ``members`` join a configuration.
+
+        A query's cost depends only on the selected members in its relevant
+        sets, so every other query costs the same with or without ``members``.
+        Returned in workload order.
+        """
+        positions: set[int] = set()
+        for name in members.names():
+            positions.update(self._touching.get(name, ()))
+        return [self.queries[p] for p in sorted(positions)]
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
         """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label."""
@@ -280,10 +280,6 @@ class CostContext:
 
     def workload_total(self, config: Configuration) -> int:
         return sum(self.query_cost(q, config)[0] for q in self.queries)
-
-    def total_over(self, qids: list[str], config: Configuration) -> int:
-        by_id = {q.id: q for q in self.queries}
-        return sum(self.query_cost(by_id[qid], config)[0] for qid in qids)
 
 
 def query_cost(

@@ -7,9 +7,21 @@ on what is already selected, which is how view/index interactions steer
 the search.  Selection stops when no object scores positive, when the
 candidate space is exhausted, or when the budget is.
 
-Scoring is pure over an immutable configuration snapshot, so a parallel
-scoring pass would be legal; this implementation is sequential and its
-traces are the reference ordering any parallel variant must reproduce.
+Rescoring is incremental and exact.  An object's objective reads only
+the costs of the queries its members can touch (benefit sums the cost
+delta over those), whether its own members are selected, and whether its
+denominator dependencies are (the base indexes related to a view, the
+views related to an index).  A commit changes the cost of only the
+queries its own members touch.  So after each commit the loop rescores
+just the objects that share a touched query or a member with the
+committed one, or that list one of its members as a denominator
+dependency, and reuses the cached (objective, incremental size) of every
+other object.  Unlike lazy bounds in the style of CELF, this needs no
+submodularity: view/index interactions change denominators in both
+directions, and every score that can change is recomputed.  The per-step
+workload cost is kept as a running total over the committed object's
+touched queries.  Selections and traces are identical to rescoring every
+object at every step, which the tests check against such a loop.
 """
 
 from __future__ import annotations
@@ -19,9 +31,11 @@ from dataclasses import dataclass
 from .benefit import (
     ObjectiveParams,
     SelectionObject,
+    denominator_dependencies,
     index_object,
     objective_value,
     pair_object,
+    touched_costs,
     view_object,
 )
 from .candidates import IndexCandidate, UsageMatrices, ViewCandidate
@@ -76,13 +90,24 @@ def enumerate_objects(
     one pair per unit cell of the view-index matrix."""
     objects = [view_object(v) for v in views]
     objects += [index_object(i) for i in indexes]
+    return objects + pair_objects(views, indexes, matrices, catalog)
+
+
+def pair_objects(
+    views: list[ViewCandidate],
+    indexes: list[IndexCandidate],
+    matrices: UsageMatrices,
+    catalog: SchemaCatalog,
+) -> list[SelectionObject]:
+    """One view-index pair per unit cell of the view-index matrix, row by row."""
+    view_by_id = {v.id: v for v in views}
     index_by_id = {i.id: i for i in indexes}
-    for vid_pos, vid in enumerate(matrices.view_ids):
-        view = next(v for v in views if v.id == vid)
-        for iid_pos, iid in enumerate(matrices.index_ids):
-            if matrices.view_index[vid_pos, iid_pos]:
-                objects.append(pair_object(view, index_by_id[iid], catalog))
-    return objects
+    return [
+        pair_object(view_by_id[vid], index_by_id[iid], catalog)
+        for vid_pos, vid in enumerate(matrices.view_ids)
+        for iid_pos, iid in enumerate(matrices.index_ids)
+        if matrices.view_index[vid_pos, iid_pos]
+    ]
 
 
 def incremental_size(obj: SelectionObject, config: Configuration, catalog: SchemaCatalog) -> int:
@@ -135,11 +160,26 @@ def greedy_core(
     if ctx is None:
         ctx = CostContext(queries, views, indexes, matrices, catalog)
 
+    # What each object's score reads: the costs of its touched queries, the
+    # selection of its own members and of its denominator dependencies.
+    members = [o.config_members() for o in objects]
+    touched = [ctx.queries_touching(m) for m in members]
+    readers_of_name: dict[object, list[int]] = {}
+    readers_of_query: dict[str, list[int]] = {}
+    for pos, obj in enumerate(objects):
+        for name in (*members[pos].names(), *denominator_dependencies(obj, matrices)):
+            readers_of_name.setdefault(name, []).append(pos)
+        for q in touched[pos]:
+            readers_of_query.setdefault(q.id, []).append(pos)
+
     config = Configuration()
     selected: list[SelectedMember] = []
     iterations: list[IterationRecord] = []
     used = 0
-    remaining = list(objects)
+    remaining = list(range(len(objects)))
+    stale = set(remaining)
+    scores: dict[int, tuple[float, int]] = {}
+    total = ctx.workload_total(config)
     stop = None
     step = 0
 
@@ -147,39 +187,53 @@ def greedy_core(
         if budget_bytes - used <= 0:
             stop = STOP_BUDGET_EXHAUSTED
             break
-        remaining = [o for o in remaining if not o.fully_selected(config)]
         if not remaining:
             stop = STOP_CANDIDATES_EXHAUSTED
             break
 
         scored = []
-        for o in remaining:
-            value = objective_value(
-                o, queries, config, matrices, catalog, views, indexes, params, ctx
-            )
+        for pos in remaining:
+            o = objects[pos]
+            if pos in stale:
+                value = objective_value(
+                    o, queries, config, matrices, catalog, views, indexes, params, ctx
+                )
+                scores[pos] = (value, incremental_size(o, config, catalog))
+            value, inc = scores[pos]
             if value > 0.0:
-                scored.append((-value, incremental_size(o, config, catalog), o.id, o))
+                scored.append((-value, inc, o.id, pos))
+        stale.clear()
         if not scored:
             stop = STOP_NO_POSITIVE_OBJECTIVE
             break
-        scored.sort(key=lambda s: s[:3])
+        scored.sort()
 
         chosen = None
         skipped: list[str] = []
-        for neg_value, inc, oid, obj in scored:
+        for _, inc, oid, pos in scored:
             if inc <= budget_bytes - used:
-                chosen = (-neg_value, inc, obj)
+                chosen = pos
                 break
             skipped.append(oid)
         if chosen is None:
             stop = STOP_BUDGET_EXHAUSTED
             break
 
-        value, inc, obj = chosen
+        obj = objects[chosen]
+        value, inc = scores[chosen]
         selected.extend(_member_records(obj, config, catalog))
+        cost_before, cost_after = touched_costs(ctx, config, members[chosen])
+        total -= cost_before - cost_after
         config = obj.apply_to(config)
         used += inc
         step += 1
+        for q in touched[chosen]:
+            stale.update(readers_of_query[q.id])
+        for name in members[chosen].names():
+            stale.update(readers_of_name[name])
+        # only an object sharing a member with the commit can have become
+        # fully selected, and every such object is stale
+        remaining = [p for p in remaining if p not in stale or not objects[p].fully_selected(config)]
         iterations.append(
             IterationRecord(
                 step=step,
@@ -188,7 +242,7 @@ def greedy_core(
                 objective=value,
                 incremental_bytes=inc,
                 remaining_budget=budget_bytes - used,
-                workload_cost=ctx.workload_total(config),
+                workload_cost=total,
                 skipped_unaffordable=tuple(skipped),
             )
         )
@@ -199,7 +253,7 @@ def greedy_core(
         used_bytes=used,
         iterations=iterations,
         stop_reason=stop,
-        final_cost=ctx.workload_total(config),
+        final_cost=total,
     )
 
 
@@ -211,9 +265,10 @@ def greedy_select(
     catalog: SchemaCatalog,
     budget_bytes: int,
     params: ObjectiveParams,
+    ctx: CostContext | None = None,
 ) -> SelectionResult:
     """Simultaneous selection over views, indexes and view-index pairs."""
     objects = enumerate_objects(views, indexes, matrices, catalog)
     return greedy_core(
-        queries, objects, views, indexes, matrices, catalog, budget_bytes, params
+        queries, objects, views, indexes, matrices, catalog, budget_bytes, params, ctx
     )

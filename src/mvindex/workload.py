@@ -20,6 +20,7 @@ predicate; equality against a literal is a selection predicate.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -344,8 +345,8 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
         m = _HEADER_RE.match(stripped)
         if m:
             refresh_ratio = float(m.group(1))
-            if refresh_ratio < 0:
-                raise ValidationError("refresh_ratio must be >= 0")
+            if not math.isfinite(refresh_ratio) or refresh_ratio < 0:
+                raise ValidationError(f"refresh_ratio must be finite and >= 0, got {m.group(1)}")
             body_start = i + 1
         break
     # blank prefix keeps token line numbers aligned with the file

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvindex.benefit import (
     ObjectiveParams,
@@ -13,11 +15,11 @@ from mvindex.benefit import (
     view_benefit,
 )
 from mvindex.candidates import make_view_index
-from mvindex.costmodel import Configuration, object_size
+from mvindex.costmodel import Configuration, CostContext, object_size
 from mvindex.errors import ValidationError
 from mvindex.selector import enumerate_objects
 
-from util import random_instance
+from util import full_rescore_objective, random_config, random_instance, with_random_candidates
 
 
 def test_benefit_density_direct_substitution():
@@ -136,6 +138,9 @@ def test_update_weight():
 def test_objective_params_validation():
     with pytest.raises(ValidationError):
         ObjectiveParams(refresh_ratio=-0.1)
+    for ratio in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            ObjectiveParams(refresh_ratio=ratio)
     with pytest.raises(ValidationError):
         ObjectiveParams(total_object_count=0)
     with pytest.raises(ValidationError):
@@ -195,3 +200,30 @@ def test_pair_object_benefit_uses_combined_size(queries, views, indexes, matrice
     # q1: 47664 -> 4; combined storage of view and its index
     denom = 116_880 + 7305 * 14
     assert got == pytest.approx(47_660 / denom, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    mode=st.sampled_from(["normalized", "literal"]),
+    extra_candidates=st.booleans(),
+)
+def test_touched_query_objective_equals_whole_workload_objective(
+    seed, refresh, mode, extra_candidates
+):
+    inst = random_instance(seed=seed, max_queries=20)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    objects = enumerate_objects(inst.views, inst.indexes, inst.matrices, inst.catalog)
+    params = ObjectiveParams(refresh_ratio=refresh, total_object_count=len(objects), mode=mode)
+    ctx = CostContext(inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog)
+    config = random_config(random.Random(seed), inst)
+    for obj in objects:
+        got = objective_value(
+            obj, inst.queries, config, inst.matrices, inst.catalog, inst.views, inst.indexes,
+            params, ctx,
+        )
+        want = full_rescore_objective(obj, inst.queries, config, inst.matrices, inst.catalog,
+                                      params, ctx)
+        assert got == want

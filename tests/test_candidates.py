@@ -9,7 +9,7 @@ from mvindex.candidates import (
     usable_index,
     usable_view,
 )
-from mvindex.errors import UnknownNameError, ValidationError
+from mvindex.errors import ParseError, UnknownNameError, ValidationError
 from mvindex.workload import Workload
 
 
@@ -177,6 +177,15 @@ def test_load_candidates_rejects_bad_view_index(catalog):
     )
     with pytest.raises(ValidationError):
         load_candidates(text, catalog)
+
+
+def test_load_candidates_rejects_indexable_outside_group_by(catalog):
+    text = (
+        "view v1\n  tables sales, times\n  group_by sales.time_id\n"
+        "  indexable times.time_fiscal_year\n  agg sum(sales.amount_sold)\n"
+    )
+    with pytest.raises(ParseError, match="^c.cand: line 4: .*time_fiscal_year is not in its group_by"):
+        load_candidates(text, catalog, "c.cand")
 
 
 def test_dedicated_view_index_suppresses_base_pairing(workload, catalog):

@@ -139,3 +139,32 @@ def test_text_report_runs(fixture_args, capsys):
     out = capsys.readouterr().out
     assert "query-view matrix" in out
     assert "per-query cost" in out
+
+
+@pytest.mark.parametrize("budget", ["inf%", "-inf%", "nan%"])
+def test_non_finite_budget_percentage_exits_1(fixture_args, capsys, budget):
+    code = main(fixture_args + [f"--budget={budget}"])
+    assert code == 1
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_overflowing_budget_percentage_exits_1(fixture_args, capsys):
+    code = main(fixture_args + ["--budget=1e308%"])
+    assert code == 1
+    assert "too large to represent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_non_finite_refresh_ratio_exits_1(fixture_args, capsys, ratio):
+    code = main(fixture_args + ["--budget", "50%", "--refresh-ratio", ratio])
+    assert code == 1
+    assert "refresh_ratio must be finite" in capsys.readouterr().err
+
+
+def test_overflowing_refresh_ratio_header_exits_1(tmp_path, capsys):
+    workload = tmp_path / "overflow.workload"
+    workload.write_text("refresh_ratio = 1e400\n" + open(fixture_path(WORKLOAD_FILE)).read())
+    code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", str(workload),
+                 "--sweep", "0.5"])
+    assert code == 1
+    assert "refresh_ratio must be finite" in capsys.readouterr().err

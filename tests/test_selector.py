@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvindex.benefit import ObjectiveParams, objective_value
+from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
+from mvindex.benefit import ObjectiveParams, index_object, objective_value, view_object
+from mvindex.candidates import build_matrices, load_candidates
 from mvindex.costmodel import Configuration, CostContext, object_size
 from mvindex.errors import InvalidBudgetError
 from mvindex.selector import (
@@ -13,8 +17,9 @@ from mvindex.selector import (
     greedy_select,
     incremental_size,
 )
+from mvindex.workload import load_workload
 
-from util import log_uniform_budget, random_instance
+from util import full_rescore_greedy, log_uniform_budget, random_instance, with_random_candidates
 
 
 def _params(n_objects, refresh=0.0, mode="normalized"):
@@ -175,3 +180,71 @@ def test_random_instances_run_clean():
             STOP_CANDIDATES_EXHAUSTED,
             STOP_NO_POSITIVE_OBJECTIVE,
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    max_queries=st.integers(1, 24),
+    refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    mode=st.sampled_from(["normalized", "literal"]),
+    budget_seed=st.integers(0, 2**32 - 1),
+    extra_candidates=st.booleans(),
+)
+def test_incremental_greedy_matches_full_rescore(
+    seed, max_queries, refresh, mode, budget_seed, extra_candidates
+):
+    inst = random_instance(seed=seed, max_queries=max_queries)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    objects = enumerate_objects(inst.views, inst.indexes, inst.matrices, inst.catalog)
+    total = sum(o.full_size(inst.catalog) for o in objects) or 1
+    budget = log_uniform_budget(random.Random(budget_seed), total)
+    params = _params(len(inst.views) + len(inst.indexes), refresh=refresh, mode=mode)
+    args = (inst.views, inst.indexes, inst.matrices, inst.catalog, budget, params)
+    runs = [
+        (greedy_select(inst.queries, *args), objects),
+        (isolated_select(VIEWS_ONLY, inst.queries, *args), [view_object(v) for v in inst.views]),
+        (
+            isolated_select(INDEXES_ONLY, inst.queries, *args),
+            [index_object(i) for i in inst.indexes if i.is_base()],
+        ),
+    ]
+    for result, family in runs:
+        expected = full_rescore_greedy(inst.queries, family, *args)
+        assert result.iterations == expected.iterations
+        assert result.selected == expected.selected
+        assert result.used_bytes == expected.used_bytes
+        assert result.stop_reason == expected.stop_reason
+        assert result.final_cost == expected.final_cost
+
+
+def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
+    # v1 groups on sales.prod_id, which only qb uses, and qb cannot use v1:
+    # v1 and index i1 touch no common query, yet committing v1 grows i1's
+    # denominator, so i1 must be rescored before step 2 records its objective.
+    workload = load_workload(
+        "qa: select times.time_fiscal_year, sum(amount_sold) from sales, times"
+        " where sales.time_id = times.time_id group by times.time_fiscal_year;"
+        "qb: select products.prod_category, sum(amount_sold) from sales, products"
+        " where sales.prod_id = products.prod_id and sales.prod_id = 7"
+        " group by products.prod_category;",
+        catalog,
+    )
+    views, indexes = load_candidates(
+        "view v1\n  tables sales, times\n  join sales.time_id = times.time_id\n"
+        "  group_by times.time_fiscal_year, sales.prod_id\n  agg sum(sales.amount_sold)\n"
+        "index i1 on sales key prod_id\n",
+        catalog,
+    )
+    matrices = build_matrices(workload, views, indexes)
+    queries = list(workload.queries)
+    ctx = CostContext(queries, views, indexes, matrices, catalog)
+    assert not set(ctx.queries_touching(Configuration(views=frozenset({"v1"})))) & set(
+        ctx.queries_touching(Configuration(base_indexes=frozenset({"i1"})))
+    )
+    args = (views, indexes, matrices, catalog, 10**12, _params(2))
+    res = greedy_select(queries, *args)
+    assert [it.object_id for it in res.iterations] == ["v1", "i1"]
+    objects = enumerate_objects(views, indexes, matrices, catalog)
+    assert res.iterations == full_rescore_greedy(queries, objects, *args).iterations

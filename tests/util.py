@@ -13,10 +13,27 @@ from mvindex.candidates import (
     build_matrices,
     generate_index_candidates,
     generate_view_candidates,
+    make_base_index,
+    make_view,
     usable_view,
 )
+from mvindex.benefit import (
+    MODE_LITERAL,
+    related_selected_indexes,
+    related_selected_views,
+    update_weight,
+)
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, validate_catalog
-from mvindex.costmodel import Configuration
+from mvindex.costmodel import Configuration, CostContext, object_size
+from mvindex.selector import (
+    STOP_BUDGET_EXHAUSTED,
+    STOP_CANDIDATES_EXHAUSTED,
+    STOP_NO_POSITIVE_OBJECTIVE,
+    IterationRecord,
+    SelectionResult,
+    _member_records,
+    incremental_size,
+)
 from mvindex.workload import Predicate, Query, Workload
 
 
@@ -107,6 +124,34 @@ def random_instance(
     return Instance(catalog, workload, views, indexes, matrices)
 
 
+def with_random_candidates(inst: Instance, seed: int) -> Instance:
+    """The instance plus random views and base indexes that no query shaped.
+
+    Such candidates can share an attribute without sharing a query, and a
+    view may be usable by no query at all, which generated candidates never
+    produce.
+    """
+    rng = random.Random(seed)
+    catalog = inst.catalog
+    fact = catalog.fact_table
+    dims = [t for t in catalog.tables if t is not fact]
+    views = list(inst.views)
+    for k in range(rng.randint(1, 3)):
+        joined = rng.sample(dims, rng.randint(1, len(dims)))
+        pool = [(t.name, a.name) for t in (fact, *joined) for a in t.attributes]
+        group_by = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        join_pairs = [((fact.name, f"fk{t.name[3:]}"), (t.name, f"key{t.name[3:]}")) for t in joined]
+        tables = {fact.name, *(t.name for t in joined)}
+        aggregates = [("sum", (fact.name, "measure"))]
+        views.append(make_view(f"x{k}", tables, join_pairs, group_by, aggregates, catalog))
+    indexes = list(inst.indexes)
+    for k in range(rng.randint(1, 3)):
+        table = rng.choice(catalog.tables)
+        indexes.append(make_base_index(f"y{k}", (table.name, rng.choice(table.attributes).name), catalog))
+    matrices = build_matrices(inst.workload, views, indexes)
+    return Instance(catalog, inst.workload, views, indexes, matrices)
+
+
 def log_uniform_budget(rng: random.Random, total_bytes: int) -> int:
     hi = max(total_bytes * 2, 200)
     return int(math.exp(rng.uniform(math.log(100), math.log(hi))))
@@ -195,3 +240,96 @@ def random_config(rng: random.Random, inst: Instance) -> Configuration:
                 cand = next(i for i in inst.indexes if i.id == iid)
                 view_keys.add((vid, cand.attribute))
     return Configuration(views=views, base_indexes=base, view_indexes=frozenset(view_keys))
+
+
+def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx) -> float:
+    """The greedy objective from two whole-workload cost totals."""
+    before = ctx.workload_total(config)
+    after = ctx.workload_total(obj.apply_to(config))
+    if obj.kind == "view":
+        related = related_selected_indexes(obj.view, config, matrices)
+        denom = object_size(obj.view, catalog)
+        denom += sum(object_size(ctx.indexes[iid], catalog) for iid in related)
+    elif obj.kind == "index":
+        related = related_selected_views(obj.index, config, matrices)
+        denom = object_size(obj.index, catalog)
+        denom += sum(object_size(ctx.views[vid], catalog) for vid in related)
+    else:
+        denom = obj.full_size(catalog)
+    gain = (before - after) / max(denom, 1)
+    beta = update_weight(params, len(queries))
+    if beta == 0.0:
+        return gain
+    maintenance = obj.maintenance(catalog)
+    if params.mode == MODE_LITERAL:
+        return gain - beta * maintenance
+    return gain - beta * maintenance / max(obj.full_size(catalog), 1)
+
+
+def full_rescore_greedy(queries, objects, views, indexes, matrices, catalog, budget_bytes, params):
+    """Reference greedy loop: every step rescores every remaining object from scratch."""
+    ctx = CostContext(queries, views, indexes, matrices, catalog)
+    config = Configuration()
+    selected = []
+    iterations = []
+    used = 0
+    remaining = list(objects)
+    stop = None
+    step = 0
+
+    while True:
+        if budget_bytes - used <= 0:
+            stop = STOP_BUDGET_EXHAUSTED
+            break
+        remaining = [o for o in remaining if not o.fully_selected(config)]
+        if not remaining:
+            stop = STOP_CANDIDATES_EXHAUSTED
+            break
+
+        scored = []
+        for o in remaining:
+            value = full_rescore_objective(o, queries, config, matrices, catalog, params, ctx)
+            if value > 0.0:
+                scored.append((-value, incremental_size(o, config, catalog), o.id, o))
+        if not scored:
+            stop = STOP_NO_POSITIVE_OBJECTIVE
+            break
+        scored.sort(key=lambda s: s[:3])
+
+        chosen = None
+        skipped = []
+        for neg_value, inc, oid, obj in scored:
+            if inc <= budget_bytes - used:
+                chosen = (-neg_value, inc, obj)
+                break
+            skipped.append(oid)
+        if chosen is None:
+            stop = STOP_BUDGET_EXHAUSTED
+            break
+
+        value, inc, obj = chosen
+        selected.extend(_member_records(obj, config, catalog))
+        config = obj.apply_to(config)
+        used += inc
+        step += 1
+        iterations.append(
+            IterationRecord(
+                step=step,
+                object_id=obj.id,
+                kind=obj.kind,
+                objective=value,
+                incremental_bytes=inc,
+                remaining_budget=budget_bytes - used,
+                workload_cost=ctx.workload_total(config),
+                skipped_unaffordable=tuple(skipped),
+            )
+        )
+
+    return SelectionResult(
+        config=config,
+        selected=selected,
+        used_bytes=used,
+        iterations=iterations,
+        stop_reason=stop,
+        final_cost=ctx.workload_total(config),
+    )
