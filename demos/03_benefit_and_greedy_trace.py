@@ -1,9 +1,11 @@
 """Score candidates with the benefit density and watch the greedy loop work.
 
-The benefit of an object is blocks saved per byte stored.  The selector
-recomputes every remaining candidate's objective after each commit, so an
-index can become attractive only after its view is in place: that is the
-interaction the composite (view + index) objects make explicit.
+The benefit of an object is blocks saved per byte stored.  After each
+commit the selector rescores every object whose score the commit can
+change (those sharing a query or a member with it, or whose benefit
+denominator it grows), so an index can become attractive only after its
+view is in place: that is the interaction the composite (view + index)
+objects make explicit.  Every call takes the one CostContext built below.
 """
 
 from mvindex.benefit import ObjectiveParams, object_benefit
@@ -16,23 +18,19 @@ catalog = sales_star_catalog()
 workload = sales_star_workload(catalog)
 views, indexes = sales_star_candidates(catalog)
 matrices = build_matrices(workload, views, indexes)
-queries = list(workload.queries)
-ctx = CostContext(queries, views, indexes, matrices, catalog)
+ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
 
-base = workload_cost(queries, Configuration(), matrices, catalog, views, indexes)
+base = workload_cost(ctx, Configuration())
 print(f"workload cost with no structures: {base.total:,} blocks\n")
 
-objects = enumerate_objects(views, indexes, matrices, catalog)
+objects = enumerate_objects(ctx)
 print(f"candidate space: {len(objects)} objects "
       f"({len(views)} views, {len(indexes)} indexes, "
       f"{len(objects) - len(views) - len(indexes)} pairs)")
 
 print("\n=== top ten benefit densities against the empty configuration ===")
 scored = sorted(
-    (
-        (object_benefit(o, queries, Configuration(), matrices, catalog, views, indexes, ctx), o)
-        for o in objects
-    ),
+    ((object_benefit(o, Configuration(), ctx), o) for o in objects),
     key=lambda t: -t[0],
 )[:10]
 for gain, o in scored:
@@ -45,7 +43,7 @@ print("\nNote i8 alone scores far below v1+i8: on base tables the fiscal-year "
 
 params = ObjectiveParams(refresh_ratio=0.0, total_object_count=len(views) + len(indexes))
 budget = sum(o.full_size(catalog) for o in objects) + 1
-result = greedy_select(queries, views, indexes, matrices, catalog, budget, params)
+result = greedy_select(ctx, budget, params)
 
 print("\n=== greedy trace, unconstrained budget ===")
 print(f"{'step':>4} {'object':<10} {'objective':>12} {'added bytes':>14} {'cost after':>12}")
@@ -57,7 +55,7 @@ print(f"final cost {result.final_cost:,} blocks "
       f"({base.total / result.final_cost:.1f}x cheaper), "
       f"storage {result.used_bytes / 2**20:,.1f} MB")
 
-after = workload_cost(queries, result.config, matrices, catalog, views, indexes)
+after = workload_cost(ctx, result.config)
 print("\nper-query rewritings:")
 for qid in after.per_query_cost:
     print(f"  {qid}: {base.per_query_cost[qid]:>8,} -> {after.per_query_cost[qid]:>8,}  "

@@ -19,31 +19,27 @@ workload = sales_star_workload(catalog)
 views = generate_view_candidates(workload, catalog)
 indexes = generate_index_candidates(workload, views, catalog, min_support=1)
 matrices = build_matrices(workload, views, indexes)
-queries = list(workload.queries)
+ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
 params = ObjectiveParams(refresh_ratio=0.0, total_object_count=len(views) + len(indexes))
 
 print(f"scaled warehouse: fact table {catalog.fact_table.row_count:,} rows")
 print(f"generated candidates: {len(views)} views, {len(indexes)} indexes\n")
 
-objects = enumerate_objects(views, indexes, matrices, catalog)
-unconstrained = greedy_select(
-    queries, views, indexes, matrices, catalog,
-    sum(o.full_size(catalog) for o in objects) + 1, params,
-)
+objects = enumerate_objects(ctx)
+unconstrained = greedy_select(ctx, sum(o.full_size(catalog) for o in objects) + 1, params)
 reference = unconstrained.used_bytes
 print(f"unconstrained simultaneous run uses {reference:,} B; "
       "budgets below are fractions of that\n")
 
-ctx = CostContext(queries, views, indexes, matrices, catalog)
 base_cost = ctx.workload_total(Configuration())
 
 fractions = [0.01, 0.05, 0.1, 0.25, 0.5, 1.0]
 print(f"{'fraction':>8} {'none':>10} {'views':>10} {'indexes':>10} {'simultaneous':>13}")
 for fraction in fractions:
     budget = int(reference * fraction)
-    only_v = isolated_select(VIEWS_ONLY, queries, views, indexes, matrices, catalog, budget, params)
-    only_i = isolated_select(INDEXES_ONLY, queries, views, indexes, matrices, catalog, budget, params)
-    sim = greedy_select(queries, views, indexes, matrices, catalog, budget, params)
+    only_v = isolated_select(VIEWS_ONLY, ctx, budget, params)
+    only_i = isolated_select(INDEXES_ONLY, ctx, budget, params)
+    sim = greedy_select(ctx, budget, params)
     print(f"{fraction:>8} {base_cost:>10,} {only_v.final_cost:>10,} "
           f"{only_i.final_cost:>10,} {sim.final_cost:>13,}")
 

@@ -36,10 +36,9 @@ from .costmodel import (
 from .benefit import (
     ObjectiveParams,
     SelectionObject,
-    index_benefit,
+    object_benefit,
     objective_value,
     update_weight,
-    view_benefit,
 )
 from .selector import (
     SelectionResult,

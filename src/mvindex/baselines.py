@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .benefit import ObjectiveParams, SelectionObject, index_object, update_weight, view_object
-from .candidates import IndexCandidate, UsageMatrices, ViewCandidate
-from .catalog import SchemaCatalog
 from .costmodel import Configuration, CostContext
 from .errors import InvalidBudgetError, TooManyObjectsError, ValidationError
 from .selector import SelectionResult, greedy_core, incremental_size, pair_objects
@@ -34,18 +32,13 @@ class ExhaustiveResult:
     objective: float  # cost plus weighted maintenance
 
 
-def enumerate_exhaustive_objects(
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-) -> list[SelectionObject]:
+def enumerate_exhaustive_objects(ctx: CostContext) -> list[SelectionObject]:
     """Singleton objects only; on-view indexes appear once per view-index cell."""
-    objects = [view_object(v) for v in views]
-    objects += [index_object(i) for i in indexes if i.is_base()]
+    objects = [view_object(v) for v in ctx.views.values()]
+    objects += [index_object(i) for i in ctx.indexes.values() if i.is_base()]
     seen_keys = set()
-    on_view = [i for i in indexes if not i.is_base()]
-    on_view += [pair.index for pair in pair_objects(views, indexes, matrices, catalog)]
+    on_view = [i for i in ctx.indexes.values() if not i.is_base()]
+    on_view += [pair.index for pair in pair_objects(ctx)]
     for i in on_view:
         key = (i.target, i.attribute)
         if key not in seen_keys:
@@ -55,17 +48,16 @@ def enumerate_exhaustive_objects(
 
 
 def exhaustive_select(
-    queries,
+    ctx: CostContext,
     objects: list[SelectionObject],
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
     budget_bytes: int,
     params: ObjectiveParams,
-    views: list[ViewCandidate] | None = None,
-    indexes: list[IndexCandidate] | None = None,
-    ctx: CostContext | None = None,
 ) -> ExhaustiveResult:
-    """Best feasible subset by brute force; refuses more than 20 objects."""
+    """Best feasible subset of ``objects`` by brute force, costed with ``ctx``.
+
+    The objects are singletons drawn from the context's candidates, such as
+    ``enumerate_exhaustive_objects(ctx)``; refuses more than 20 of them.
+    """
     n = len(objects)
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
@@ -74,15 +66,9 @@ def exhaustive_select(
     for o in objects:
         if o.kind == "pair":
             raise ValidationError("exhaustive enumeration expects singleton objects")
-    if ctx is None:
-        views = views if views is not None else [o.view for o in objects if o.kind == "view"]
-        if indexes is None:
-            indexes = [o.index for o in objects if o.kind == "index"]
-        ctx = CostContext(queries, views, indexes, matrices, catalog)
-
-    sizes = [incremental_size(o, Configuration(), catalog) for o in objects]
-    maint = [o.maintenance(catalog) for o in objects]
-    beta = update_weight(params, len(queries))
+    sizes = [incremental_size(o, Configuration(), ctx.catalog) for o in objects]
+    maint = [o.maintenance(ctx.catalog) for o in objects]
+    beta = update_weight(params, len(ctx.queries))
 
     best = None
     for mask in range(2**n):
@@ -129,23 +115,13 @@ def exhaustive_select(
 
 
 def isolated_select(
-    kind: str,
-    queries,
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-    budget_bytes: int,
-    params: ObjectiveParams,
-    ctx: CostContext | None = None,
+    kind: str, ctx: CostContext, budget_bytes: int, params: ObjectiveParams
 ) -> SelectionResult:
     """Greedy over a single structure family: views only, or base indexes only."""
     if kind == VIEWS_ONLY:
-        objects = [view_object(v) for v in views]
+        objects = [view_object(v) for v in ctx.views.values()]
     elif kind == INDEXES_ONLY:
-        objects = [index_object(i) for i in indexes if i.is_base()]
+        objects = [index_object(i) for i in ctx.indexes.values() if i.is_base()]
     else:
         raise ValidationError(f"unknown isolated strategy {kind!r}")
-    return greedy_core(
-        queries, objects, views, indexes, matrices, catalog, budget_bytes, params, ctx
-    )
+    return greedy_core(ctx, objects, budget_bytes, params)

@@ -26,7 +26,6 @@ from .candidates import IndexCandidate, UsageMatrices, ViewCandidate, make_view_
 from .catalog import SchemaCatalog
 from .costmodel import Configuration, CostContext, maintenance_cost, object_size
 from .errors import ValidationError
-from .workload import Query
 
 MODE_NORMALIZED = "normalized"
 MODE_LITERAL = "literal"
@@ -163,12 +162,6 @@ def denominator_dependencies(obj: SelectionObject, matrices: UsageMatrices) -> l
     return []
 
 
-def _context(queries, matrices, catalog, views, indexes, ctx):
-    if ctx is not None:
-        return ctx
-    return CostContext(queries, views, indexes, matrices, catalog)
-
-
 def touched_costs(ctx: CostContext, config: Configuration, members: Configuration) -> tuple[int, int]:
     """Cost of the queries ``members`` touch, before and after adding them to ``config``.
 
@@ -183,61 +176,24 @@ def touched_costs(ctx: CostContext, config: Configuration, members: Configuratio
     return before, after
 
 
-def index_benefit(
-    i: IndexCandidate,
-    queries: list[Query],
-    config: Configuration,
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    ctx: CostContext | None = None,
-) -> float:
-    """Benefit density of adding one index to the configuration.
+def object_benefit(obj: SelectionObject, config: Configuration, ctx: CostContext) -> float:
+    """Benefit density of adding one object to the configuration.
 
-    With no related selected view the density is cost saved over the
-    index's own size.  With related selected views their sizes join the
-    denominator.  An index whose only related views are unselected can
-    still earn direct benefit on base tables; it scores zero only when it
-    improves nothing.
+    A view or index with no related selected structure divides the cost it
+    saves by its own size; related selected indexes (of a view) or views
+    (of an index) join the denominator.  An index whose only related views
+    are unselected can still earn direct benefit on base tables; it scores
+    zero only when it improves nothing.  Pairs use their combined size.
     """
-    return object_benefit(index_object(i), queries, config, matrices, catalog, views, indexes, ctx)
-
-
-def view_benefit(
-    v: ViewCandidate,
-    queries: list[Query],
-    config: Configuration,
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    ctx: CostContext | None = None,
-) -> float:
-    """Benefit density of adding one view; mirror image of index_benefit."""
-    return object_benefit(view_object(v), queries, config, matrices, catalog, views, indexes, ctx)
-
-
-def object_benefit(
-    obj: SelectionObject,
-    queries: list[Query],
-    config: Configuration,
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    ctx: CostContext | None = None,
-) -> float:
-    """Benefit density of any selection object; pairs use combined cost and size."""
-    ctx = _context(queries, matrices, catalog, views, indexes, ctx)
+    catalog = ctx.catalog
     before, after = touched_costs(ctx, config, obj.config_members())
     if obj.kind == "view":
         denom = object_size(obj.view, catalog)
-        for iid in related_selected_indexes(obj.view, config, matrices):
+        for iid in related_selected_indexes(obj.view, config, ctx.matrices):
             denom += object_size(ctx.indexes[iid], catalog)
     elif obj.kind == "index":
         denom = object_size(obj.index, catalog)
-        for vid in related_selected_views(obj.index, config, matrices):
+        for vid in related_selected_views(obj.index, config, ctx.matrices):
             denom += object_size(ctx.views[vid], catalog)
     else:
         denom = obj.full_size(catalog)
@@ -245,23 +201,14 @@ def object_benefit(
 
 
 def objective_value(
-    obj: SelectionObject,
-    queries: list[Query],
-    config: Configuration,
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    params: ObjectiveParams,
-    ctx: CostContext | None = None,
+    obj: SelectionObject, config: Configuration, ctx: CostContext, params: ObjectiveParams
 ) -> float:
     """Benefit minus the maintenance penalty, in the configured mode."""
-    ctx = _context(queries, matrices, catalog, views, indexes, ctx)
-    gain = object_benefit(obj, queries, config, matrices, catalog, views, indexes, ctx)
-    beta = update_weight(params, len(queries))
+    gain = object_benefit(obj, config, ctx)
+    beta = update_weight(params, len(ctx.queries))
     if beta == 0.0:
         return gain
-    maintenance = obj.maintenance(catalog)
+    maintenance = obj.maintenance(ctx.catalog)
     if params.mode == MODE_LITERAL:
         return gain - beta * maintenance
-    return gain - beta * maintenance / max(obj.full_size(catalog), 1)
+    return gain - beta * maintenance / max(obj.full_size(ctx.catalog), 1)

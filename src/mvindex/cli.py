@@ -31,7 +31,13 @@ from .errors import AdvisorError, InvalidBudgetError, ParseError
 from .selector import SelectionResult, enumerate_objects, greedy_select
 from .workload import load_workload
 
-SWEEP_STRATEGIES = ("none", "views", "indexes", "simultaneous")
+# sweep strategy column -> --mode it runs
+SWEEP_STRATEGIES = {
+    "none": "none",
+    "views": "view-only",
+    "indexes": "index-only",
+    "simultaneous": "simultaneous",
+}
 SWEEP_HEADER = "budget_fraction,strategy,total_cost_blocks,used_bytes,objects"
 
 
@@ -74,10 +80,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args):
-    """Parse the inputs; build the objective parameters and the run's one CostContext.
+    """Parse the inputs; return the objective parameters and the run's one CostContext.
 
-    Every selection and cost report of an invocation shares that context and
-    its memo of query costs.
+    The context holds the queries, candidates, usage matrices and catalog.
+    Every selection and cost report of an invocation reads them from it and
+    shares its memo of query costs.
     """
     with open(args.schema, encoding="utf-8") as fh:
         catalog = load_catalog(fh.read(), args.schema)
@@ -97,24 +104,25 @@ def _load_inputs(args):
         mode=args.objective,
     )
     ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
-    return catalog, views, indexes, matrices, params, ctx
+    return params, ctx
 
 
-def _reference_space(queries, views, indexes, matrices, catalog, params, ctx) -> int:
+def _reference_space(ctx: CostContext, params: ObjectiveParams) -> int:
     """Bytes used by an unconstrained simultaneous run; budget percentages and
     sweep fractions are relative to this."""
-    objects = enumerate_objects(views, indexes, matrices, catalog)
-    unconstrained = sum(o.full_size(catalog) for o in objects) + 1
-    result = greedy_select(queries, views, indexes, matrices, catalog, unconstrained, params, ctx)
-    return result.used_bytes
+    unconstrained = sum(o.full_size(ctx.catalog) for o in enumerate_objects(ctx)) + 1
+    return greedy_select(ctx, unconstrained, params).used_bytes
 
 
 def _parse_budget(text: str, reference_space) -> int:
     """Bytes, or a finite percentage of ``reference_space()``, called only then."""
     text = text.strip()
-    if not text.endswith("%"):
-        return int(text)
-    percent = float(text[:-1])
+    try:
+        if not text.endswith("%"):
+            return int(text)
+        percent = float(text[:-1])
+    except ValueError:
+        raise ParseError(f"--budget takes a byte count or a percentage N%, got {text!r}") from None
     if not math.isfinite(percent):
         raise ParseError(f"budget percentage {text!r} is not a finite number")
     budget = reference_space() * (percent / 100.0)
@@ -123,22 +131,31 @@ def _parse_budget(text: str, reference_space) -> int:
     return int(budget)
 
 
-def _run_strategy(mode, queries, views, indexes, matrices, catalog, budget, params, ctx):
+def _parse_sweep(text: str) -> list[float]:
+    fractions = []
+    for tok in text.split(","):
+        try:
+            f = float(tok)
+        except ValueError:
+            f = math.nan  # rejected below like any fraction outside (0, 1]
+        if not 0.0 < f <= 1.0:
+            raise ParseError(f"--sweep takes comma-separated fractions in (0, 1], got {tok!r}")
+        fractions.append(f)
+    return fractions
+
+
+def _run_strategy(mode: str, ctx: CostContext, budget: int, params: ObjectiveParams):
     if mode == "none":
         return SelectionResult(
             config=Configuration(), selected=[], used_bytes=0, iterations=[],
             stop_reason="not_run", final_cost=ctx.workload_total(Configuration()),
         )
     if mode == "simultaneous":
-        return greedy_select(queries, views, indexes, matrices, catalog, budget, params, ctx)
+        return greedy_select(ctx, budget, params)
     if mode == "view-only":
-        return isolated_select(
-            VIEWS_ONLY, queries, views, indexes, matrices, catalog, budget, params, ctx
-        )
+        return isolated_select(VIEWS_ONLY, ctx, budget, params)
     if mode == "index-only":
-        return isolated_select(
-            INDEXES_ONLY, queries, views, indexes, matrices, catalog, budget, params, ctx
-        )
+        return isolated_select(INDEXES_ONLY, ctx, budget, params)
     raise AdvisorError(f"unhandled mode {mode!r}")
 
 
@@ -172,23 +189,19 @@ def _matrix_rows(matrix) -> list[list[int]]:
 
 def run_advise(args) -> tuple[str, int]:
     """Run one strategy and return (report text, exit code)."""
-    catalog, views, indexes, matrices, params, ctx = _load_inputs(args)
-    queries = ctx.queries
+    params, ctx = _load_inputs(args)
+    catalog, matrices = ctx.catalog, ctx.matrices
 
     if args.budget is None:
         raise ParseError("--budget is required unless --sweep is given")
-    budget = _parse_budget(
-        args.budget,
-        lambda: _reference_space(queries, views, indexes, matrices, catalog, params, ctx),
-    )
+    budget = _parse_budget(args.budget, lambda: _reference_space(ctx, params))
     if budget < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget}")
 
-    before = workload_cost(queries, Configuration(), matrices, catalog, views, indexes, ctx=ctx)
+    before = workload_cost(ctx, Configuration())
 
     if args.mode == "exhaustive":
-        objects = enumerate_exhaustive_objects(views, indexes, matrices, catalog)
-        ex = exhaustive_select(queries, objects, matrices, catalog, budget, params, ctx=ctx)
+        ex = exhaustive_select(ctx, enumerate_exhaustive_objects(ctx), budget, params)
         result = SelectionResult(
             config=ex.config,
             selected=[],
@@ -199,12 +212,10 @@ def run_advise(args) -> tuple[str, int]:
         )
         selected_ids = list(ex.selected_ids)
     else:
-        result = _run_strategy(
-            args.mode, queries, views, indexes, matrices, catalog, budget, params, ctx
-        )
+        result = _run_strategy(args.mode, ctx, budget, params)
         selected_ids = result.selected_ids()
 
-    after = workload_cost(queries, result.config, matrices, catalog, views, indexes, ctx=ctx)
+    after = workload_cost(ctx, result.config)
 
     report = {
         "cost_model": COST_MODEL_ID,
@@ -222,7 +233,7 @@ def run_advise(args) -> tuple[str, int]:
                     "rows": v.row_count,
                     "bytes": object_size(v, catalog),
                 }
-                for v in views
+                for v in ctx.views.values()
             ],
             "indexes": [
                 {
@@ -231,7 +242,7 @@ def run_advise(args) -> tuple[str, int]:
                     "attribute": f"{i.attribute[0]}.{i.attribute[1]}",
                     "bytes": object_size(i, catalog),
                 }
-                for i in indexes
+                for i in ctx.indexes.values()
             ],
         },
         "matrices": {
@@ -315,30 +326,15 @@ def _format_text_report(report: dict) -> str:
 
 def run_sweep(args) -> tuple[str, int]:
     """Run every strategy at each budget fraction; returns CSV."""
-    catalog, views, indexes, matrices, params, ctx = _load_inputs(args)
-    queries = ctx.queries
+    params, ctx = _load_inputs(args)
+    fractions = _parse_sweep(args.sweep)
 
-    fractions = []
-    for tok in args.sweep.split(","):
-        f = float(tok)
-        if not 0.0 < f <= 1.0:
-            raise ParseError(f"sweep fraction {tok!r} outside (0, 1]")
-        fractions.append(f)
-
-    reference = _reference_space(queries, views, indexes, matrices, catalog, params, ctx)
+    reference = _reference_space(ctx, params)
     rows = [SWEEP_HEADER]
     for fraction in fractions:
         budget = int(reference * fraction)
-        for strategy in SWEEP_STRATEGIES:
-            mode = {
-                "none": "none",
-                "views": "view-only",
-                "indexes": "index-only",
-                "simultaneous": "simultaneous",
-            }[strategy]
-            result = _run_strategy(
-                mode, queries, views, indexes, matrices, catalog, budget, params, ctx
-            )
+        for strategy, mode in SWEEP_STRATEGIES.items():
+            result = _run_strategy(mode, ctx, budget, params)
             objects = ";".join(result.selected_ids()) if result.selected else ""
             rows.append(
                 f"{fraction},{strategy},{result.final_cost},{result.used_bytes},{objects}"

@@ -35,16 +35,15 @@ def _ceil_div(a: int, d: int) -> int:
     return -(-a // d)
 
 
-def _divisor_cap(floor: float) -> int:
-    # selectivity 1/d floored at `floor` means d capped at 1/floor
-    return max(1, int(1.0 / floor))
+# selectivity 1/d floored at the selectivity floor means d capped at its inverse
+_DIVISOR_CAP = max(1, int(1.0 / DEFAULT_SELECTIVITY_FLOOR))
 
 
-def selectivity(cardinality: int, floor: float = DEFAULT_SELECTIVITY_FLOOR) -> float:
+def selectivity(cardinality: int) -> float:
     """Uniform-distribution selectivity of an equality predicate: 1/cardinality."""
     if cardinality < 1:
         raise ValidationError("cardinality must be >= 1")
-    return max(1.0 / cardinality, floor)
+    return max(1.0 / cardinality, DEFAULT_SELECTIVITY_FLOOR)
 
 
 def object_size(obj, catalog: SchemaCatalog) -> int:
@@ -142,6 +141,9 @@ class CostContext:
 
     Pure once built, apart from its memo of query costs, so one instance
     serves every scoring pass and every selection run over the same inputs.
+    It also carries those inputs (``queries``, ``views`` and ``indexes`` by
+    id, ``matrices``, ``catalog``), so it is the one handle that scoring,
+    selection and reporting take.
     """
 
     def __init__(
@@ -151,14 +153,12 @@ class CostContext:
         indexes: list[IndexCandidate],
         matrices: UsageMatrices,
         catalog: SchemaCatalog,
-        floor: float = DEFAULT_SELECTIVITY_FLOOR,
     ):
         self.catalog = catalog
+        self.matrices = matrices
         self.queries = list(queries)
         self.views = {v.id: v for v in views}
         self.indexes = {i.id: i for i in indexes}
-        self.floor = floor
-        cap = _divisor_cap(floor)
         self._info: dict[str, _QueryPlanInfo] = {}
         self._relevant: dict[str, tuple] = {}
         self._cache: dict[str, dict] = {}
@@ -172,8 +172,8 @@ class CostContext:
             all_div = 1
             for p in q.predicates:
                 card = catalog.attribute(p.table, p.attribute).cardinality
-                divisors[p.table] = min(divisors[p.table] * card, cap)
-                all_div = min(all_div * card, cap)
+                divisors[p.table] = min(divisors[p.table] * card, _DIVISOR_CAP)
+                all_div = min(all_div * card, _DIVISOR_CAP)
 
             usable_base: dict[str, list[tuple[str, int]]] = {}
             for i in base:
@@ -282,36 +282,11 @@ class CostContext:
         return sum(self.query_cost(q, config)[0] for q in self.queries)
 
 
-def query_cost(
-    q: Query,
-    config: Configuration,
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    floor: float = DEFAULT_SELECTIVITY_FLOOR,
-) -> tuple[int, str]:
-    """One-off form of CostContext.query_cost for a single query."""
-    ctx = CostContext([q], views, indexes, matrices, catalog, floor)
-    return ctx.query_cost(q, config)
-
-
-def workload_cost(
-    queries: list[Query],
-    config: Configuration,
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    floor: float = DEFAULT_SELECTIVITY_FLOOR,
-    ctx: CostContext | None = None,
-) -> CostReport:
-    """Cost report over the whole workload; deterministic, summed in query order."""
-    if ctx is None:
-        ctx = CostContext(queries, views, indexes, matrices, catalog, floor)
+def workload_cost(ctx: CostContext, config: Configuration) -> CostReport:
+    """Cost report over the context's workload; deterministic, summed in query order."""
     per_query: dict[str, int] = {}
     rewriting: dict[str, str] = {}
-    for q in queries:
+    for q in ctx.queries:
         cost, label = ctx.query_cost(q, config)
         per_query[q.id] = cost
         rewriting[q.id] = label

@@ -38,7 +38,6 @@ from .benefit import (
     touched_costs,
     view_object,
 )
-from .candidates import IndexCandidate, UsageMatrices, ViewCandidate
 from .catalog import SchemaCatalog
 from .costmodel import Configuration, CostContext, object_size
 from .errors import InvalidBudgetError
@@ -80,30 +79,19 @@ class SelectionResult:
         return [m.id for m in self.selected]
 
 
-def enumerate_objects(
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-) -> list[SelectionObject]:
+def enumerate_objects(ctx: CostContext) -> list[SelectionObject]:
     """All scorable objects: view singletons, index singletons, then
     one pair per unit cell of the view-index matrix."""
-    objects = [view_object(v) for v in views]
-    objects += [index_object(i) for i in indexes]
-    return objects + pair_objects(views, indexes, matrices, catalog)
+    objects = [view_object(v) for v in ctx.views.values()]
+    objects += [index_object(i) for i in ctx.indexes.values()]
+    return objects + pair_objects(ctx)
 
 
-def pair_objects(
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-) -> list[SelectionObject]:
+def pair_objects(ctx: CostContext) -> list[SelectionObject]:
     """One view-index pair per unit cell of the view-index matrix, row by row."""
-    view_by_id = {v.id: v for v in views}
-    index_by_id = {i.id: i for i in indexes}
+    matrices = ctx.matrices
     return [
-        pair_object(view_by_id[vid], index_by_id[iid], catalog)
+        pair_object(ctx.views[vid], ctx.indexes[iid], ctx.catalog)
         for vid_pos, vid in enumerate(matrices.view_ids)
         for iid_pos, iid in enumerate(matrices.index_ids)
         if matrices.view_index[vid_pos, iid_pos]
@@ -144,21 +132,15 @@ def _member_records(obj: SelectionObject, config: Configuration, catalog: Schema
 
 
 def greedy_core(
-    queries,
+    ctx: CostContext,
     objects: list[SelectionObject],
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
     budget_bytes: int,
     params: ObjectiveParams,
-    ctx: CostContext | None = None,
 ) -> SelectionResult:
     """Greedy loop over an explicit object list (isolated strategies reuse it)."""
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
-    if ctx is None:
-        ctx = CostContext(queries, views, indexes, matrices, catalog)
+    catalog = ctx.catalog
 
     # What each object's score reads: the costs of its touched queries, the
     # selection of its own members and of its denominator dependencies.
@@ -167,7 +149,7 @@ def greedy_core(
     readers_of_name: dict[object, list[int]] = {}
     readers_of_query: dict[str, list[int]] = {}
     for pos, obj in enumerate(objects):
-        for name in (*members[pos].names(), *denominator_dependencies(obj, matrices)):
+        for name in (*members[pos].names(), *denominator_dependencies(obj, ctx.matrices)):
             readers_of_name.setdefault(name, []).append(pos)
         for q in touched[pos]:
             readers_of_query.setdefault(q.id, []).append(pos)
@@ -195,9 +177,7 @@ def greedy_core(
         for pos in remaining:
             o = objects[pos]
             if pos in stale:
-                value = objective_value(
-                    o, queries, config, matrices, catalog, views, indexes, params, ctx
-                )
+                value = objective_value(o, config, ctx, params)
                 scores[pos] = (value, incremental_size(o, config, catalog))
             value, inc = scores[pos]
             if value > 0.0:
@@ -257,18 +237,6 @@ def greedy_core(
     )
 
 
-def greedy_select(
-    queries,
-    views: list[ViewCandidate],
-    indexes: list[IndexCandidate],
-    matrices: UsageMatrices,
-    catalog: SchemaCatalog,
-    budget_bytes: int,
-    params: ObjectiveParams,
-    ctx: CostContext | None = None,
-) -> SelectionResult:
+def greedy_select(ctx: CostContext, budget_bytes: int, params: ObjectiveParams) -> SelectionResult:
     """Simultaneous selection over views, indexes and view-index pairs."""
-    objects = enumerate_objects(views, indexes, matrices, catalog)
-    return greedy_core(
-        queries, objects, views, indexes, matrices, catalog, budget_bytes, params, ctx
-    )
+    return greedy_core(ctx, enumerate_objects(ctx), budget_bytes, params)

@@ -1,6 +1,7 @@
 import pytest
 
 from mvindex.candidates import build_matrices
+from mvindex.costmodel import CostContext
 from mvindex.fixtures import sales_star_candidates, sales_star_catalog, sales_star_workload
 
 
@@ -37,3 +38,8 @@ def matrices(workload, views, indexes):
 @pytest.fixture(scope="session")
 def queries(workload):
     return list(workload.queries)
+
+
+@pytest.fixture(scope="session")
+def ctx(queries, views, indexes, matrices, catalog):
+    return CostContext(queries, views, indexes, matrices, catalog)

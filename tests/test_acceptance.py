@@ -122,16 +122,15 @@ def test_criterion_2_budget_safety():
     runs = 0
     for seed in range(1000):
         inst = random_instance(seed=seed, max_tables=6, max_queries=12)
-        objects = enumerate_objects(inst.views, inst.indexes, inst.matrices, inst.catalog)
+        ctx = inst.context()
+        objects = enumerate_objects(ctx)
         total = sum(o.full_size(inst.catalog) for o in objects) or 1
         budget = log_uniform_budget(rng, total)
         params = ObjectiveParams(
             refresh_ratio=rng.choice([0.0, 0.3]),
             total_object_count=max(1, len(inst.views) + len(inst.indexes)),
         )
-        res = greedy_select(
-            inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog, budget, params
-        )
+        res = greedy_select(ctx, budget, params)
         runs += 1
         if res.used_bytes > budget:
             violations += 1
@@ -157,9 +156,8 @@ def test_criterion_3_oracle_equivalence():
     while checked < 200:
         seed += 1
         inst = random_instance(seed=90_000 + seed, max_tables=4, max_queries=5)
-        objects = enumerate_exhaustive_objects(
-            inst.views, inst.indexes, inst.matrices, inst.catalog
-        )
+        ctx = inst.context()
+        objects = enumerate_exhaustive_objects(ctx)
         if not objects or len(objects) > 12:
             continue
         params = ObjectiveParams(
@@ -168,13 +166,8 @@ def test_criterion_3_oracle_equivalence():
         )
         total = sum(o.full_size(inst.catalog) for o in objects) or 1
         budget = rng.randint(1, total)
-        greedy = greedy_select(
-            inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog, budget, params
-        )
-        exact = exhaustive_select(
-            inst.queries, objects, inst.matrices, inst.catalog, budget, params,
-            views=inst.views, indexes=inst.indexes,
-        )
+        greedy = greedy_select(ctx, budget, params)
+        exact = exhaustive_select(ctx, objects, budget, params)
         if exact.total_cost > greedy.final_cost:
             worse += 1
         checked += 1
@@ -188,19 +181,14 @@ def test_criterion_3_oracle_equivalence():
     for fseed in range(13):
         for n_dims in (2, 3, 4, 5):
             inst = _uniform_instance(seed=100 * fseed + n_dims, n_dims=n_dims)
+            ctx = inst.context()
             objects = [view_object(v) for v in inst.views]
             size = objects[0].full_size(inst.catalog)
             params = ObjectiveParams(refresh_ratio=0.0, total_object_count=len(objects))
             for m in (1, n_dims):
                 budget = m * size
-                greedy = greedy_select(
-                    inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog,
-                    budget, params,
-                )
-                exact = exhaustive_select(
-                    inst.queries, objects, inst.matrices, inst.catalog, budget, params,
-                    views=inst.views, indexes=inst.indexes,
-                )
+                greedy = greedy_select(ctx, budget, params)
+                exact = exhaustive_select(ctx, objects, budget, params)
                 family_runs += 1
                 if greedy.final_cost != exact.total_cost:
                     mismatches += 1
@@ -282,14 +270,13 @@ def test_criterion_5_objective_semantics():
     views, indexes = sales_star_candidates(catalog)
     matrices = build_matrices(workload, views, indexes)
     queries = list(workload.queries)
-    objects = enumerate_objects(views, indexes, matrices, catalog)
+    ctx = CostContext(queries, views, indexes, matrices, catalog)
+    objects = enumerate_objects(ctx)
     n_objects = len(views) + len(indexes)
 
     zero = ObjectiveParams(refresh_ratio=0.0, total_object_count=n_objects)
-    ctx = CostContext(queries, views, indexes, matrices, catalog)
     exact = all(
-        objective_value(o, queries, Configuration(), matrices, catalog, views, indexes, zero, ctx)
-        == object_benefit(o, queries, Configuration(), matrices, catalog, views, indexes, ctx)
+        objective_value(o, Configuration(), ctx, zero) == object_benefit(o, Configuration(), ctx)
         for o in objects
     )
 
@@ -297,7 +284,7 @@ def test_criterion_5_objective_semantics():
     # F <= 0  <=>  ratio >= benefit * size * |O| / (|Q| * maintenance)
     threshold = 0.0
     for o in objects:
-        gain = object_benefit(o, queries, Configuration(), matrices, catalog, views, indexes, ctx)
+        gain = object_benefit(o, Configuration(), ctx)
         if gain <= 0:
             continue
         maintenance = o.maintenance(catalog)
@@ -306,11 +293,11 @@ def test_criterion_5_objective_semantics():
         threshold = max(threshold, ratio)
 
     over = ObjectiveParams(refresh_ratio=threshold * 1.01, total_object_count=n_objects)
-    res = greedy_select(queries, views, indexes, matrices, catalog, 10**12, over)
+    res = greedy_select(ctx, 10**12, over)
     stopped = res.config.is_empty() and res.stop_reason == STOP_NO_POSITIVE_OBJECTIVE
 
     under = ObjectiveParams(refresh_ratio=threshold * 0.99, total_object_count=n_objects)
-    res_under = greedy_select(queries, views, indexes, matrices, catalog, 10**12, under)
+    res_under = greedy_select(ctx, 10**12, under)
     still_selects = not res_under.config.is_empty()
 
     ok = exact and stopped and still_selects
@@ -338,7 +325,7 @@ def test_criterion_6_cost_model_oracle():
         random_instance(seed=7000 + k, max_tables=5, max_queries=8) for k in range(19)
     ]
     for inst in instances:
-        ctx = CostContext(inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog)
+        ctx = inst.context()
         for _ in range(5):
             cfg = random_config(rng, inst)
             q = rng.choice(inst.queries)
@@ -349,9 +336,7 @@ def test_criterion_6_cost_model_oracle():
                 mismatches += 1
         # the workload-level sum must equal the per-query enumeration too
         cfg = random_config(rng, inst)
-        report = workload_cost(
-            inst.queries, cfg, inst.matrices, inst.catalog, inst.views, inst.indexes
-        )
+        report = workload_cost(ctx, cfg)
         brute_total = sum(
             brute_force_query_cost(q, cfg, inst.views, inst.indexes, inst.catalog)
             for q in inst.queries

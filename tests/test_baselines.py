@@ -24,9 +24,8 @@ def _params(n):
     return ObjectiveParams(refresh_ratio=0.0, total_object_count=max(1, n))
 
 
-def test_exhaustive_empty_objects(queries, matrices, catalog, views, indexes):
-    res = exhaustive_select(queries, [], matrices, catalog, 10**9, _params(1),
-                            views=views, indexes=indexes)
+def test_exhaustive_empty_objects(ctx):
+    res = exhaustive_select(ctx, [], 10**9, _params(1))
     assert res.selected_ids == ()
     assert res.total_cost == 384_325
 
@@ -37,10 +36,7 @@ def test_exhaustive_guard():
     while len(objects) < 21:
         objects = objects + objects
     with pytest.raises(TooManyObjectsError):
-        exhaustive_select(
-            inst.queries, objects[:21], inst.matrices, inst.catalog, 10**9, _params(21),
-            views=inst.views, indexes=inst.indexes,
-        )
+        exhaustive_select(inst.context(), objects[:21], 10**9, _params(21))
 
 
 def test_exhaustive_three_object_knapsack():
@@ -51,17 +47,14 @@ def test_exhaustive_three_object_knapsack():
     size = objects[0].full_size(inst.catalog)
     assert all(o.full_size(inst.catalog) == size for o in objects)
 
-    ctx = CostContext(inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog)
+    ctx = inst.context()
     savings = {}
     base = ctx.workload_total(Configuration())
     for o in objects:
         savings[o.id] = base - ctx.workload_total(o.apply_to(Configuration()))
     keep = sorted(savings, key=lambda k: (-savings[k], k))[:2]
 
-    res = exhaustive_select(
-        inst.queries, objects, inst.matrices, inst.catalog, 2 * size, _params(3),
-        views=inst.views, indexes=inst.indexes,
-    )
+    res = exhaustive_select(ctx, objects, 2 * size, _params(3))
     assert sorted(res.selected_ids) == sorted(keep)
 
 
@@ -126,19 +119,14 @@ def test_greedy_matches_exhaustive_on_uniform_family():
     for seed in range(12):
         n_dims = 2 + seed % 4
         inst = _uniform_instance(seed=seed, n_dims=n_dims)
+        ctx = inst.context()
         objects = [view_object(v) for v in inst.views]
         size = objects[0].full_size(inst.catalog)
         params = _params(len(objects))
         for m in range(1, n_dims + 1):
             budget = m * size
-            greedy = greedy_select(
-                inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog,
-                budget, params,
-            )
-            exact = exhaustive_select(
-                inst.queries, objects, inst.matrices, inst.catalog, budget, params,
-                views=inst.views, indexes=inst.indexes,
-            )
+            greedy = greedy_select(ctx, budget, params)
+            exact = exhaustive_select(ctx, objects, budget, params)
             assert greedy.final_cost == exact.total_cost
 
 
@@ -146,22 +134,16 @@ def test_exhaustive_never_worse_than_greedy_random():
     checked = 0
     for seed in range(60):
         inst = random_instance(seed=5000 + seed, max_tables=5, max_queries=8)
-        objects = enumerate_exhaustive_objects(
-            inst.views, inst.indexes, inst.matrices, inst.catalog
-        )
+        ctx = inst.context()
+        objects = enumerate_exhaustive_objects(ctx)
         if len(objects) > 12:
             continue
         params = _params(len(inst.views) + len(inst.indexes))
         total = sum(o.full_size(inst.catalog) for o in objects) or 1
         rng = random.Random(seed)
         budget = rng.randint(1, total)
-        greedy = greedy_select(
-            inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog, budget, params
-        )
-        exact = exhaustive_select(
-            inst.queries, objects, inst.matrices, inst.catalog, budget, params,
-            views=inst.views, indexes=inst.indexes,
-        )
+        greedy = greedy_select(ctx, budget, params)
+        exact = exhaustive_select(ctx, objects, budget, params)
         assert exact.total_cost <= greedy.final_cost
         assert exact.used_bytes <= budget
         checked += 1
@@ -169,28 +151,27 @@ def test_exhaustive_never_worse_than_greedy_random():
 
 
 def test_isolated_views_only_empty(queries, indexes, matrices, catalog):
-    res = isolated_select(VIEWS_ONLY, queries, [], indexes, matrices, catalog, 10**9, _params(12))
+    ctx = CostContext(queries, [], indexes, matrices, catalog)
+    res = isolated_select(VIEWS_ONLY, ctx, 10**9, _params(12))
     assert res.config.is_empty()
 
 
-def test_isolated_indexes_only_never_composite(queries, views, indexes, matrices, catalog):
-    res = isolated_select(
-        INDEXES_ONLY, queries, views, indexes, matrices, catalog, 10**12, _params(19)
-    )
+def test_isolated_indexes_only_never_composite(ctx):
+    res = isolated_select(INDEXES_ONLY, ctx, 10**12, _params(19))
     assert not res.config.views
     assert not res.config.view_indexes
     for it in res.iterations:
         assert it.kind == "index"
 
 
-def test_simultaneous_beats_isolated_at_full_budget(queries, views, indexes, matrices, catalog):
+def test_simultaneous_beats_isolated_at_full_budget(catalog, ctx):
     from mvindex.selector import enumerate_objects
 
-    objects = enumerate_objects(views, indexes, matrices, catalog)
+    objects = enumerate_objects(ctx)
     budget = sum(o.full_size(catalog) for o in objects) + 1
     params = _params(19)
-    sim = greedy_select(queries, views, indexes, matrices, catalog, budget, params)
-    only_v = isolated_select(VIEWS_ONLY, queries, views, indexes, matrices, catalog, budget, params)
-    only_i = isolated_select(INDEXES_ONLY, queries, views, indexes, matrices, catalog, budget, params)
+    sim = greedy_select(ctx, budget, params)
+    only_v = isolated_select(VIEWS_ONLY, ctx, budget, params)
+    only_i = isolated_select(INDEXES_ONLY, ctx, budget, params)
     assert sim.final_cost <= only_v.final_cost
     assert sim.final_cost <= only_i.final_cost

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from mvindex.benefit import (
     ObjectiveParams,
     benefit_density,
-    index_benefit,
+    index_object,
     object_benefit,
     objective_value,
     pair_object,
     update_weight,
-    view_benefit,
+    view_object,
 )
 from mvindex.candidates import make_view_index
-from mvindex.costmodel import Configuration, CostContext, object_size
+from mvindex.costmodel import Configuration, object_size
 from mvindex.errors import ValidationError
 from mvindex.selector import enumerate_objects
 
@@ -32,54 +32,54 @@ def test_benefit_density_zero_size_floor():
     assert benefit_density(10, 4, 0) == 6.0
 
 
-def test_view_benefit_first_branch(queries, views, indexes, matrices, catalog):
+def test_view_benefit_first_branch(views, ctx):
     v1 = views[0]
-    got = view_benefit(v1, queries, Configuration(), matrices, catalog, views, indexes)
+    got = object_benefit(view_object(v1), Configuration(), ctx)
     # only q1 improves: (47664 - 15) saved blocks over the view's 116880 bytes
     assert got == pytest.approx(47_649 / 116_880, rel=1e-12)
 
 
-def test_view_benefit_zero_when_unused(queries, views, indexes, matrices, catalog):
+def test_view_benefit_zero_when_unused(views, ctx):
     v5 = next(v for v in views if v.id == "v5")
-    assert view_benefit(v5, queries, Configuration(), matrices, catalog, views, indexes) == 0.0
+    assert object_benefit(view_object(v5), Configuration(), ctx) == 0.0
 
 
-def test_index_benefit_zero_when_useless(queries, views, indexes, matrices, catalog):
+def test_index_benefit_zero_when_useless(catalog, ctx):
     # an index that helps nothing scores exactly zero
     from mvindex.candidates import make_base_index
 
     useless = make_base_index("ix", ("sales", "amount_sold"), catalog)
-    got = index_benefit(useless, queries, Configuration(), matrices, catalog, views, indexes)
+    got = object_benefit(index_object(useless), Configuration(), ctx)
     assert got == 0.0
 
 
-def test_index_benefit_second_branch_base_candidate(queries, views, indexes, matrices, catalog):
+def test_index_benefit_second_branch_base_candidate(indexes, ctx):
     # i8 relates to selected v1, but as a base index it no longer improves
     # anything once v1 answers q1: zero saved blocks over a heavier denominator
     i8 = next(i for i in indexes if i.id == "i8")
     cfg = Configuration(views=frozenset({"v1"}))
-    got = index_benefit(i8, queries, cfg, matrices, catalog, views, indexes)
+    got = object_benefit(index_object(i8), cfg, ctx)
     assert got == 0.0
 
 
-def test_index_benefit_second_branch_on_view(queries, views, indexes, matrices, catalog):
+def test_index_benefit_second_branch_on_view(views, catalog, ctx):
     # the physical index on v1: q1 falls 15 -> 4, denominator counts v1 too
     v1 = views[0]
     on_view = make_view_index("i8@v1", v1, ("times", "time_fiscal_year"), catalog)
     cfg = Configuration(views=frozenset({"v1"}))
-    got = index_benefit(on_view, queries, cfg, matrices, catalog, views, indexes)
+    got = object_benefit(index_object(on_view), cfg, ctx)
     denom = 7305 * 14 + 116_880
     assert got == pytest.approx(11 / denom, rel=1e-12)
 
 
-def test_index_benefit_unselected_view_scores_zero(queries, views, indexes, matrices, catalog):
+def test_index_benefit_unselected_view_scores_zero(views, catalog, ctx):
     v1 = views[0]
     on_view = make_view_index("i8@v1", v1, ("times", "time_fiscal_year"), catalog)
-    got = index_benefit(on_view, queries, Configuration(), matrices, catalog, views, indexes)
+    got = object_benefit(index_object(on_view), Configuration(), ctx)
     assert got == 0.0
 
 
-def test_view_benefit_second_branch_denominator(queries, views, indexes, matrices, catalog):
+def test_view_benefit_second_branch_denominator(views, indexes, catalog, ctx):
     # with base i8 already selected, adding v1 divides by both sizes
     i8 = next(i for i in indexes if i.id == "i8")
     v1 = views[0]
@@ -87,23 +87,23 @@ def test_view_benefit_second_branch_denominator(queries, views, indexes, matrice
     # with the index, q1 costs 47638 + (1 + ceil(26/5)) = 47645
     saved = 47_645 - 15
     denom = object_size(v1, catalog) + object_size(i8, catalog)
-    got = view_benefit(v1, queries, cfg, matrices, catalog, views, indexes)
+    got = object_benefit(view_object(v1), cfg, ctx)
     assert got == pytest.approx(saved / denom, rel=1e-12)
     assert denom == 116_880 + 1461 * 14
 
 
-def test_second_branch_reduces_to_first_when_unrelated(queries, views, indexes, matrices, catalog):
+def test_second_branch_reduces_to_first_when_unrelated(indexes, ctx):
     # selecting an unrelated view must not change an index's score
     i4 = next(i for i in indexes if i.id == "i4")
-    plain = index_benefit(i4, queries, Configuration(), matrices, catalog, views, indexes)
+    plain = object_benefit(index_object(i4), Configuration(), ctx)
     cfg = Configuration(views=frozenset({"v1"}))  # VI[v1][i4] = 0
-    related = index_benefit(i4, queries, cfg, matrices, catalog, views, indexes)
+    related = object_benefit(index_object(i4), cfg, ctx)
     assert plain == related > 0.0
 
 
-def test_benefit_never_negative(queries, views, indexes, matrices, catalog):
+def test_benefit_never_negative(views, indexes, ctx):
     rng = random.Random(2)
-    objects = enumerate_objects(views, indexes, matrices, catalog)
+    objects = enumerate_objects(ctx)
     for _ in range(10):
         cfg = Configuration(
             views=frozenset(v.id for v in views if rng.random() < 0.3),
@@ -112,20 +112,18 @@ def test_benefit_never_negative(queries, views, indexes, matrices, catalog):
         for o in objects:
             if o.fully_selected(cfg):
                 continue
-            assert (
-                object_benefit(o, queries, cfg, matrices, catalog, views, indexes) >= 0.0
-            )
+            assert object_benefit(o, cfg, ctx) >= 0.0
 
 
-def test_size_scaling_inverts_first_branch(queries, views, indexes, matrices, catalog, monkeypatch):
+def test_size_scaling_inverts_first_branch(views, ctx, monkeypatch):
     v1 = views[0]
-    base = view_benefit(v1, queries, Configuration(), matrices, catalog, views, indexes)
+    base = object_benefit(view_object(v1), Configuration(), ctx)
 
     import mvindex.benefit as benefit_mod
 
     real_size = benefit_mod.object_size
     monkeypatch.setattr(benefit_mod, "object_size", lambda o, c: 3 * real_size(o, c))
-    scaled = view_benefit(v1, queries, Configuration(), matrices, catalog, views, indexes)
+    scaled = object_benefit(view_object(v1), Configuration(), ctx)
     assert scaled == pytest.approx(base / 3, rel=1e-12)
 
 
@@ -147,29 +145,27 @@ def test_objective_params_validation():
         ObjectiveParams(mode="bogus")
 
 
-def test_objective_equals_benefit_without_refresh(queries, views, indexes, matrices, catalog):
+def test_objective_equals_benefit_without_refresh(ctx):
     params = ObjectiveParams(refresh_ratio=0.0, total_object_count=19)
-    objects = enumerate_objects(views, indexes, matrices, catalog)
+    objects = enumerate_objects(ctx)
     cfg = Configuration()
     for o in objects:
-        gain = object_benefit(o, queries, cfg, matrices, catalog, views, indexes)
-        value = objective_value(o, queries, cfg, matrices, catalog, views, indexes, params)
+        gain = object_benefit(o, cfg, ctx)
+        value = objective_value(o, cfg, ctx, params)
         assert value == gain
 
 
-def test_objective_modes_penalize(queries, views, indexes, matrices, catalog):
+def test_objective_modes_penalize(queries, views, catalog, ctx):
     v1 = views[0]
-    obj = enumerate_objects(views, indexes, matrices, catalog)[0]
+    obj = enumerate_objects(ctx)[0]
     assert obj.view is v1
-    gain = object_benefit(obj, queries, Configuration(), matrices, catalog, views, indexes)
+    gain = object_benefit(obj, Configuration(), ctx)
     for mode in ("normalized", "literal"):
         params = ObjectiveParams(refresh_ratio=0.5, total_object_count=19, mode=mode)
-        value = objective_value(
-            obj, queries, Configuration(), matrices, catalog, views, indexes, params
-        )
+        value = objective_value(obj, Configuration(), ctx, params)
         assert value < gain
     lit = objective_value(
-        obj, queries, Configuration(), matrices, catalog, views, indexes,
+        obj, Configuration(), ctx,
         ObjectiveParams(refresh_ratio=0.5, total_object_count=19, mode="literal"),
     )
     beta = update_weight(ObjectiveParams(refresh_ratio=0.5, total_object_count=19), len(queries))
@@ -177,26 +173,20 @@ def test_objective_modes_penalize(queries, views, indexes, matrices, catalog):
 
 
 def test_argmax_stable_under_refresh_zero():
-    inst = random_instance(seed=42, max_tables=5, max_queries=8)
-    objects = enumerate_objects(inst.views, inst.indexes, inst.matrices, inst.catalog)
+    ctx = random_instance(seed=42, max_tables=5, max_queries=8).context()
+    objects = enumerate_objects(ctx)
     params = ObjectiveParams(refresh_ratio=0.0, total_object_count=max(1, len(objects)))
     cfg = Configuration()
-    scored_f = [
-        objective_value(o, inst.queries, cfg, inst.matrices, inst.catalog, inst.views, inst.indexes, params)
-        for o in objects
-    ]
-    scored_b = [
-        object_benefit(o, inst.queries, cfg, inst.matrices, inst.catalog, inst.views, inst.indexes)
-        for o in objects
-    ]
+    scored_f = [objective_value(o, cfg, ctx, params) for o in objects]
+    scored_b = [object_benefit(o, cfg, ctx) for o in objects]
     assert scored_f == scored_b
 
 
-def test_pair_object_benefit_uses_combined_size(queries, views, indexes, matrices, catalog):
+def test_pair_object_benefit_uses_combined_size(views, indexes, catalog, ctx):
     v1 = views[0]
     i8 = next(i for i in indexes if i.id == "i8")
     pair = pair_object(v1, i8, catalog)
-    got = object_benefit(pair, queries, Configuration(), matrices, catalog, views, indexes)
+    got = object_benefit(pair, Configuration(), ctx)
     # q1: 47664 -> 4; combined storage of view and its index
     denom = 116_880 + 7305 * 14
     assert got == pytest.approx(47_660 / denom, rel=1e-12)
@@ -215,15 +205,12 @@ def test_touched_query_objective_equals_whole_workload_objective(
     inst = random_instance(seed=seed, max_queries=20)
     if extra_candidates:
         inst = with_random_candidates(inst, seed)
-    objects = enumerate_objects(inst.views, inst.indexes, inst.matrices, inst.catalog)
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
     params = ObjectiveParams(refresh_ratio=refresh, total_object_count=len(objects), mode=mode)
-    ctx = CostContext(inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog)
     config = random_config(random.Random(seed), inst)
     for obj in objects:
-        got = objective_value(
-            obj, inst.queries, config, inst.matrices, inst.catalog, inst.views, inst.indexes,
-            params, ctx,
-        )
+        got = objective_value(obj, config, ctx, params)
         want = full_rescore_objective(obj, inst.queries, config, inst.matrices, inst.catalog,
                                       params, ctx)
         assert got == want

@@ -133,6 +133,20 @@ def test_sweep_fraction_validation(fixture_args, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("budget", ["1e20", "5%%"])
+def test_malformed_budget_exits_1(fixture_args, capsys, budget):
+    code = main(fixture_args + ["--budget", budget])
+    assert code == 1
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", ["abc", "0.5,,1"])
+def test_malformed_sweep_exits_1(fixture_args, capsys, sweep):
+    code = main(fixture_args + ["--sweep", sweep])
+    assert code == 1
+    assert "--sweep" in capsys.readouterr().err
+
+
 def test_text_report_runs(fixture_args, capsys):
     code = main(fixture_args + ["--budget", "100%", "--trace"])
     assert code == 0

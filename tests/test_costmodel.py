@@ -99,19 +99,13 @@ def test_maintenance_view_exceeds_fact_index_when_larger(catalog):
     assert maintenance_cost(big_view, catalog) > maintenance_cost(fact_index, catalog)
 
 
-def _ctx(queries, views, indexes, matrices, catalog):
-    return CostContext(queries, views, indexes, matrices, catalog)
-
-
-def test_query_cost_base(queries, views, indexes, matrices, catalog):
-    ctx = _ctx(queries, views, indexes, matrices, catalog)
+def test_query_cost_base(queries, ctx):
     cost, label = ctx.query_cost(queries[0], Configuration())
     assert cost == 47_638 + 26
     assert label == "base"
 
 
-def test_query_cost_view(queries, views, indexes, matrices, catalog):
-    ctx = _ctx(queries, views, indexes, matrices, catalog)
+def test_query_cost_view(queries, ctx):
     cfg = Configuration(views=frozenset({"v1"}))
     cost, label = ctx.query_cost(queries[0], cfg)
     assert cost == 15
@@ -119,8 +113,7 @@ def test_query_cost_view(queries, views, indexes, matrices, catalog):
     assert cost < 47_664
 
 
-def test_query_cost_view_plus_index(queries, views, indexes, matrices, catalog):
-    ctx = _ctx(queries, views, indexes, matrices, catalog)
+def test_query_cost_view_plus_index(queries, ctx):
     cfg = Configuration(
         views=frozenset({"v1"}),
         view_indexes=frozenset({("v1", ("times", "time_fiscal_year"))}),
@@ -132,8 +125,7 @@ def test_query_cost_view_plus_index(queries, views, indexes, matrices, catalog):
     assert cost <= 15
 
 
-def test_query_cost_base_index(queries, views, indexes, matrices, catalog):
-    ctx = _ctx(queries, views, indexes, matrices, catalog)
+def test_query_cost_base_index(queries, ctx):
     cfg = Configuration(base_indexes=frozenset({"i4"}))
     q3 = queries[2]
     cost, label = ctx.query_cost(q3, cfg)
@@ -142,8 +134,8 @@ def test_query_cost_base_index(queries, views, indexes, matrices, catalog):
     assert label == "base+indexes(i4)"
 
 
-def test_workload_cost_base_total(queries, views, indexes, matrices, catalog):
-    report = workload_cost(queries, Configuration(), matrices, catalog, views, indexes)
+def test_workload_cost_base_total(ctx):
+    report = workload_cost(ctx, Configuration())
     expected = {
         "q1": 47_638 + 26,
         "q2": 47_638 + 292 + 6,
@@ -159,13 +151,12 @@ def test_workload_cost_base_total(queries, views, indexes, matrices, catalog):
 
 
 def test_workload_cost_empty_workload(matrices, catalog, views, indexes):
-    report = workload_cost([], Configuration(), matrices, catalog, views, indexes)
+    report = workload_cost(CostContext([], views, indexes, matrices, catalog), Configuration())
     assert report.total == 0
 
 
-def test_cost_monotone_in_config(queries, views, indexes, matrices, catalog):
+def test_cost_monotone_in_config(queries, views, indexes, ctx):
     rng = random.Random(11)
-    ctx = _ctx(queries, views, indexes, matrices, catalog)
     for _ in range(50):
         views_sel = frozenset(v.id for v in views if rng.random() < 0.5)
         base_sel = frozenset(i.id for i in indexes if rng.random() < 0.5)
@@ -178,8 +169,7 @@ def test_cost_monotone_in_config(queries, views, indexes, matrices, catalog):
             assert ctx.query_cost(q, grown)[0] <= ctx.query_cost(q, small)[0]
 
 
-def test_query_cost_at_least_one_block(queries, views, indexes, matrices, catalog):
-    ctx = _ctx(queries, views, indexes, matrices, catalog)
+def test_query_cost_at_least_one_block(queries, views, indexes, ctx):
     cfg = Configuration(
         views=frozenset(v.id for v in views),
         base_indexes=frozenset(i.id for i in indexes),
@@ -188,12 +178,11 @@ def test_query_cost_at_least_one_block(queries, views, indexes, matrices, catalo
         assert ctx.query_cost(q, cfg)[0] >= 1
 
 
-def test_view_index_never_worse_when_selective(catalog, queries, views, indexes, matrices):
+def test_view_index_never_worse_when_selective(catalog, queries, views, ctx):
     # descent + matching fraction beats a view scan whenever
     # selectivity <= 1 - height/view_blocks
     from mvindex.catalog import blocks, btree_height
 
-    ctx = _ctx(queries, views, indexes, matrices, catalog)
     q1 = queries[0]
     v1 = next(v for v in views if v.id == "v1")
     vblocks = blocks(v1.row_count, v1.row_width, catalog)
@@ -207,9 +196,8 @@ def test_view_index_never_worse_when_selective(catalog, queries, views, indexes,
     assert ctx.query_cost(q1, with_both)[0] <= ctx.query_cost(q1, with_view)[0]
 
 
-def test_against_brute_force_oracle_fixture(queries, views, indexes, matrices, catalog):
+def test_against_brute_force_oracle_fixture(queries, views, indexes, matrices, catalog, ctx):
     rng = random.Random(5)
-    ctx = _ctx(queries, views, indexes, matrices, catalog)
     from util import Instance
 
     inst = Instance(catalog, None, views, indexes, matrices)
@@ -224,7 +212,7 @@ def test_against_brute_force_oracle_random_instances():
     rng = random.Random(99)
     for trial in range(30):
         inst = random_instance(seed=1000 + trial, max_tables=5, max_queries=6)
-        ctx = CostContext(inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog)
+        ctx = inst.context()
         for _ in range(5):
             cfg = random_config(rng, inst)
             for q in inst.queries:

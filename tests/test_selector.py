@@ -26,8 +26,8 @@ def _params(n_objects, refresh=0.0, mode="normalized"):
     return ObjectiveParams(refresh_ratio=refresh, total_object_count=max(1, n_objects), mode=mode)
 
 
-def test_enumerate_counts_fixture(views, indexes, matrices, catalog):
-    objects = enumerate_objects(views, indexes, matrices, catalog)
+def test_enumerate_counts_fixture(ctx):
+    objects = enumerate_objects(ctx)
     singles = [o for o in objects if o.kind in ("view", "index")]
     pairs = [o for o in objects if o.kind == "pair"]
     assert len(singles) == 19
@@ -40,7 +40,7 @@ def test_enumerate_no_pairs_without_vi(workload, views, catalog):
     from mvindex.candidates import build_matrices
 
     m = build_matrices(workload, views, [])
-    objects = enumerate_objects(views, [], m, catalog)
+    objects = enumerate_objects(CostContext(list(workload.queries), views, [], m, catalog))
     assert all(o.kind == "view" for o in objects)
     assert len(objects) == len(views)
 
@@ -51,13 +51,13 @@ def test_enumerate_one_view_one_index(workload, views, indexes, catalog):
     v1 = [v for v in views if v.id == "v1"]
     i8 = [i for i in indexes if i.id == "i8"]
     m = build_matrices(workload, v1, i8)
-    objects = enumerate_objects(v1, i8, m, catalog)
+    objects = enumerate_objects(CostContext(list(workload.queries), v1, i8, m, catalog))
     assert [o.kind for o in objects] == ["view", "index", "pair"]
     assert len(objects) == 3
 
 
-def test_incremental_size(views, indexes, matrices, catalog):
-    objects = enumerate_objects(views, indexes, matrices, catalog)
+def test_incremental_size(views, catalog, ctx):
+    objects = enumerate_objects(ctx)
     pair = next(o for o in objects if o.id == "v1+i8")
     empty = Configuration()
     full = pair.full_size(catalog)
@@ -71,54 +71,46 @@ def test_incremental_size(views, indexes, matrices, catalog):
     assert incremental_size(single, empty, catalog) == object_size(views[0], catalog)
 
 
-def test_zero_budget(queries, views, indexes, matrices, catalog):
-    res = greedy_select(queries, views, indexes, matrices, catalog, 0, _params(19))
+def test_zero_budget(ctx):
+    res = greedy_select(ctx, 0, _params(19))
     assert res.config.is_empty()
     assert res.used_bytes == 0
     assert res.stop_reason == STOP_BUDGET_EXHAUSTED
 
 
-def test_negative_budget_rejected(queries, views, indexes, matrices, catalog):
+def test_negative_budget_rejected(ctx):
     with pytest.raises(InvalidBudgetError):
-        greedy_select(queries, views, indexes, matrices, catalog, -1, _params(19))
+        greedy_select(ctx, -1, _params(19))
 
 
-def test_huge_refresh_ratio_selects_nothing(queries, views, indexes, matrices, catalog):
-    res = greedy_select(
-        queries, views, indexes, matrices, catalog, 10**12, _params(19, refresh=1e9)
-    )
+def test_huge_refresh_ratio_selects_nothing(ctx):
+    res = greedy_select(ctx, 10**12, _params(19, refresh=1e9))
     assert res.config.is_empty()
     assert res.stop_reason == STOP_NO_POSITIVE_OBJECTIVE
 
 
-def test_budget_skip_picks_next_best(queries, views, indexes, matrices, catalog):
+def test_budget_skip_picks_next_best(ctx):
     # v1 (116880 B) is the best object but does not fit; the selector must
     # fall back to something affordable instead of stopping
-    res = greedy_select(queries, views, indexes, matrices, catalog, 50_000, _params(19))
+    res = greedy_select(ctx, 50_000, _params(19))
     assert res.used_bytes <= 50_000
     assert res.selected, "expected an affordable object to be chosen"
     assert "v1" not in res.config.views
     assert res.iterations[0].skipped_unaffordable
 
 
-def test_trace_objectives_match_public_function(queries, views, indexes, matrices, catalog):
+def test_trace_objectives_match_public_function(ctx):
     params = _params(19)
     budget = 10**12
-    res = greedy_select(queries, views, indexes, matrices, catalog, budget, params)
+    res = greedy_select(ctx, budget, params)
     assert res.iterations
 
     # replay: each recorded objective is the maximum over remaining objects
-    objects = enumerate_objects(views, indexes, matrices, catalog)
-    ctx = CostContext(queries, views, indexes, matrices, catalog)
+    objects = enumerate_objects(ctx)
     config = Configuration()
     for it in res.iterations:
         remaining = [o for o in objects if not o.fully_selected(config)]
-        scores = {
-            o.id: objective_value(
-                o, queries, config, matrices, catalog, views, indexes, params, ctx
-            )
-            for o in remaining
-        }
+        scores = {o.id: objective_value(o, config, ctx, params) for o in remaining}
         assert scores[it.object_id] == pytest.approx(it.objective, rel=1e-12)
         assert it.objective == pytest.approx(max(scores.values()), rel=1e-12)
         chosen = next(o for o in remaining if o.id == it.object_id)
@@ -126,36 +118,36 @@ def test_trace_objectives_match_public_function(queries, views, indexes, matrice
     assert config == res.config
 
 
-def test_costs_decrease_along_trace(queries, views, indexes, matrices, catalog):
-    res = greedy_select(queries, views, indexes, matrices, catalog, 10**12, _params(19))
+def test_costs_decrease_along_trace(ctx):
+    res = greedy_select(ctx, 10**12, _params(19))
     costs = [it.workload_cost for it in res.iterations]
     assert all(a >= b for a, b in zip(costs, costs[1:]))
     assert costs[-1] == res.final_cost
 
 
-def test_budget_safety_fixture(queries, views, indexes, matrices, catalog):
+def test_budget_safety_fixture(catalog, ctx):
     rng = random.Random(123)
-    objects = enumerate_objects(views, indexes, matrices, catalog)
+    objects = enumerate_objects(ctx)
     total = sum(o.full_size(catalog) for o in objects)
     for _ in range(25):
         budget = log_uniform_budget(rng, total)
-        res = greedy_select(queries, views, indexes, matrices, catalog, budget, _params(19))
+        res = greedy_select(ctx, budget, _params(19))
         assert res.used_bytes <= budget
         assert sum(m.bytes for m in res.selected) == res.used_bytes
 
 
-def test_view_index_dependency_fixture(queries, views, indexes, matrices, catalog):
+def test_view_index_dependency_fixture(ctx):
     rng = random.Random(321)
     for _ in range(20):
         budget = log_uniform_budget(rng, 10**9)
-        res = greedy_select(queries, views, indexes, matrices, catalog, budget, _params(19))
+        res = greedy_select(ctx, budget, _params(19))
         for vid, _attr in res.config.view_indexes:
             assert vid in res.config.views
 
 
-def test_determinism(queries, views, indexes, matrices, catalog):
-    a = greedy_select(queries, views, indexes, matrices, catalog, 10**9, _params(19))
-    b = greedy_select(queries, views, indexes, matrices, catalog, 10**9, _params(19))
+def test_determinism(ctx):
+    a = greedy_select(ctx, 10**9, _params(19))
+    b = greedy_select(ctx, 10**9, _params(19))
     assert a.config == b.config
     assert a.iterations == b.iterations
     assert a.selected == b.selected
@@ -165,13 +157,12 @@ def test_random_instances_run_clean():
     rng = random.Random(77)
     for trial in range(40):
         inst = random_instance(seed=trial)
-        objects = enumerate_objects(inst.views, inst.indexes, inst.matrices, inst.catalog)
+        ctx = inst.context()
+        objects = enumerate_objects(ctx)
         total = sum(o.full_size(inst.catalog) for o in objects) or 1
         budget = log_uniform_budget(rng, total)
         params = _params(len(inst.views) + len(inst.indexes), refresh=rng.choice([0.0, 0.5]))
-        res = greedy_select(
-            inst.queries, inst.views, inst.indexes, inst.matrices, inst.catalog, budget, params
-        )
+        res = greedy_select(ctx, budget, params)
         assert res.used_bytes <= budget
         for vid, _attr in res.config.view_indexes:
             assert vid in res.config.views
@@ -197,16 +188,17 @@ def test_incremental_greedy_matches_full_rescore(
     inst = random_instance(seed=seed, max_queries=max_queries)
     if extra_candidates:
         inst = with_random_candidates(inst, seed)
-    objects = enumerate_objects(inst.views, inst.indexes, inst.matrices, inst.catalog)
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
     total = sum(o.full_size(inst.catalog) for o in objects) or 1
     budget = log_uniform_budget(random.Random(budget_seed), total)
     params = _params(len(inst.views) + len(inst.indexes), refresh=refresh, mode=mode)
     args = (inst.views, inst.indexes, inst.matrices, inst.catalog, budget, params)
     runs = [
-        (greedy_select(inst.queries, *args), objects),
-        (isolated_select(VIEWS_ONLY, inst.queries, *args), [view_object(v) for v in inst.views]),
+        (greedy_select(ctx, budget, params), objects),
+        (isolated_select(VIEWS_ONLY, ctx, budget, params), [view_object(v) for v in inst.views]),
         (
-            isolated_select(INDEXES_ONLY, inst.queries, *args),
+            isolated_select(INDEXES_ONLY, ctx, budget, params),
             [index_object(i) for i in inst.indexes if i.is_base()],
         ),
     ]
@@ -244,7 +236,7 @@ def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
         ctx.queries_touching(Configuration(base_indexes=frozenset({"i1"})))
     )
     args = (views, indexes, matrices, catalog, 10**12, _params(2))
-    res = greedy_select(queries, *args)
+    res = greedy_select(ctx, 10**12, _params(2))
     assert [it.object_id for it in res.iterations] == ["v1", "i1"]
-    objects = enumerate_objects(views, indexes, matrices, catalog)
+    objects = enumerate_objects(ctx)
     assert res.iterations == full_rescore_greedy(queries, objects, *args).iterations

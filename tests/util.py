@@ -49,6 +49,9 @@ class Instance:
     def queries(self):
         return list(self.workload.queries)
 
+    def context(self) -> CostContext:
+        return CostContext(self.queries, self.views, self.indexes, self.matrices, self.catalog)
+
 
 def random_instance(
     seed: int,
