@@ -29,6 +29,7 @@ from .costmodel import (
     CostContext,
     CostReport,
     maintenance_cost,
+    member_key,
     object_size,
     selectivity,
     workload_cost,

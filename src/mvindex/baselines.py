@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .benefit import ObjectiveParams, SelectionObject, index_object, update_weight, view_object
-from .costmodel import Configuration, CostContext
+from .costmodel import Configuration, CostContext, member_key
 from .errors import InvalidBudgetError, TooManyObjectsError, ValidationError
 from .selector import SelectionResult, greedy_core, incremental_size, pair_objects
 
@@ -40,11 +40,19 @@ def enumerate_exhaustive_objects(ctx: CostContext) -> list[SelectionObject]:
     on_view = [i for i in ctx.indexes.values() if not i.is_base()]
     on_view += [pair.index for pair in pair_objects(ctx)]
     for i in on_view:
-        key = (i.target, i.attribute)
+        key = member_key(i)
         if key not in seen_keys:
             seen_keys.add(key)
             objects.append(index_object(i))
     return objects
+
+
+def check_exhaustive_limit(objects: list[SelectionObject]) -> None:
+    """Refuse a brute force over more than EXHAUSTIVE_LIMIT objects."""
+    if len(objects) > EXHAUSTIVE_LIMIT:
+        raise TooManyObjectsError(
+            f"{len(objects)} objects exceed the exhaustive limit of {EXHAUSTIVE_LIMIT}"
+        )
 
 
 def exhaustive_select(
@@ -61,8 +69,7 @@ def exhaustive_select(
     n = len(objects)
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
-    if n > EXHAUSTIVE_LIMIT:
-        raise TooManyObjectsError(f"{n} objects exceed the exhaustive limit of {EXHAUSTIVE_LIMIT}")
+    check_exhaustive_limit(objects)
     for o in objects:
         if o.kind == "pair":
             raise ValidationError("exhaustive enumeration expects singleton objects")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .candidates import IndexCandidate, UsageMatrices, ViewCandidate, make_view_index
 from .catalog import SchemaCatalog
-from .costmodel import Configuration, CostContext, maintenance_cost, object_size
+from .costmodel import Configuration, CostContext, maintenance_cost, member_key, object_size
 from .errors import ValidationError
 
 MODE_NORMALIZED = "normalized"
@@ -76,26 +76,13 @@ class SelectionObject:
             yield self.index
 
     def config_members(self) -> Configuration:
-        views = {self.view.id} if self.view is not None else set()
-        base, vidx = set(), set()
-        if self.index is not None:
-            if self.index.is_base():
-                base.add(self.index.id)
-            else:
-                vidx.add((self.index.target, self.index.attribute))
-        return Configuration(frozenset(views), frozenset(base), frozenset(vidx))
+        return frozenset(member_key(m) for m in self.members())
 
     def fully_selected(self, config: Configuration) -> bool:
-        m = self.config_members()
-        return (
-            m.views <= config.views
-            and m.base_indexes <= config.base_indexes
-            and m.view_indexes <= config.view_indexes
-        )
+        return self.config_members() <= config
 
     def apply_to(self, config: Configuration) -> Configuration:
-        m = self.config_members()
-        return config.with_members(m.views, m.base_indexes, m.view_indexes)
+        return config | self.config_members()
 
     def full_size(self, catalog: SchemaCatalog) -> int:
         return sum(object_size(member, catalog) for member in self.members())
@@ -139,26 +126,13 @@ def related_indexes(v: ViewCandidate, matrices: UsageMatrices) -> list[str]:
     return [iid for iid in matrices.base_index_ids if matrices.vi(v.id, iid)]
 
 
-def related_selected_views(
-    i: IndexCandidate, config: Configuration, matrices: UsageMatrices
-) -> list[str]:
-    """Selected views the index is defined on."""
-    return [vid for vid in related_views(i, matrices) if vid in config.views]
-
-
-def related_selected_indexes(
-    v: ViewCandidate, config: Configuration, matrices: UsageMatrices
-) -> list[str]:
-    """Selected base-index candidates defined on the view's attributes."""
-    return [iid for iid in related_indexes(v, matrices) if iid in config.base_indexes]
-
-
-def denominator_dependencies(obj: SelectionObject, matrices: UsageMatrices) -> list[str]:
-    """Members whose selection changes the object's benefit denominator."""
+def denominator_dependencies(obj: SelectionObject, ctx: CostContext) -> list:
+    """Candidates whose selection adds their size to the object's benefit
+    denominator: the related indexes of a view, the related views of an index."""
     if obj.kind == "view":
-        return related_indexes(obj.view, matrices)
+        return [ctx.indexes[iid] for iid in related_indexes(obj.view, ctx.matrices)]
     if obj.kind == "index":
-        return related_views(obj.index, matrices)
+        return [ctx.views[vid] for vid in related_views(obj.index, ctx.matrices)]
     return []
 
 
@@ -168,7 +142,7 @@ def touched_costs(ctx: CostContext, config: Configuration, members: Configuratio
     Every other query keeps its cost, so ``before - after`` is exactly the
     whole-workload cost reduction.
     """
-    added = config.with_members(members.views, members.base_indexes, members.view_indexes)
+    added = config | members
     before = after = 0
     for q in ctx.queries_touching(members):
         before += ctx.query_cost(q, config)[0]
@@ -185,18 +159,12 @@ def object_benefit(obj: SelectionObject, config: Configuration, ctx: CostContext
     are unselected can still earn direct benefit on base tables; it scores
     zero only when it improves nothing.  Pairs use their combined size.
     """
-    catalog = ctx.catalog
     before, after = touched_costs(ctx, config, obj.config_members())
-    if obj.kind == "view":
-        denom = object_size(obj.view, catalog)
-        for iid in related_selected_indexes(obj.view, config, ctx.matrices):
-            denom += object_size(ctx.indexes[iid], catalog)
-    elif obj.kind == "index":
-        denom = object_size(obj.index, catalog)
-        for vid in related_selected_views(obj.index, config, ctx.matrices):
-            denom += object_size(ctx.views[vid], catalog)
-    else:
-        denom = obj.full_size(catalog)
+    denom = obj.full_size(ctx.catalog) + sum(
+        object_size(dep, ctx.catalog)
+        for dep in denominator_dependencies(obj, ctx)
+        if member_key(dep) in config
+    )
     return benefit_density(before, after, denom)
 
 

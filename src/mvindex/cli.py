@@ -14,6 +14,7 @@ import sys
 from .baselines import (
     INDEXES_ONLY,
     VIEWS_ONLY,
+    check_exhaustive_limit,
     enumerate_exhaustive_objects,
     exhaustive_select,
     isolated_select,
@@ -58,7 +59,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True, help="catalog file")
     p.add_argument("--workload", required=True, help="workload file")
     p.add_argument("--candidates", help="optional fixed candidates file")
-    p.add_argument(
+    budget_or_sweep = p.add_mutually_exclusive_group()
+    budget_or_sweep.add_argument(
         "--budget",
         help="storage budget: bytes, or N%% of the space an unconstrained run uses",
     )
@@ -72,7 +74,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-support", type=int, default=1,
                    help="attribute support threshold for generated index candidates")
     p.add_argument("--objective", choices=["normalized", "literal"], default="normalized")
-    p.add_argument("--sweep", help="comma-separated budget fractions in (0,1]")
+    budget_or_sweep.add_argument("--sweep", help="comma-separated budget fractions in (0,1]")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--trace", action="store_true", help="include per-iteration trace")
@@ -115,17 +117,21 @@ def _reference_space(ctx: CostContext, params: ObjectiveParams) -> int:
 
 
 def _parse_budget(text: str, reference_space) -> int:
-    """Bytes, or a finite percentage of ``reference_space()``, called only then."""
+    """Bytes, or a finite percentage of ``reference_space()``, called only for a
+    percentage that is at least 0."""
     text = text.strip()
+    is_percent = text.endswith("%")
     try:
-        if not text.endswith("%"):
-            return int(text)
-        percent = float(text[:-1])
+        value = float(text[:-1]) if is_percent else int(text)
     except ValueError:
         raise ParseError(f"--budget takes a byte count or a percentage N%, got {text!r}") from None
-    if not math.isfinite(percent):
+    if not math.isfinite(value):
         raise ParseError(f"budget percentage {text!r} is not a finite number")
-    budget = reference_space() * (percent / 100.0)
+    if value < 0:
+        raise InvalidBudgetError(f"budget must be >= 0, got {text!r}")
+    if not is_percent:
+        return value
+    budget = reference_space() * (value / 100.0)
     if not math.isfinite(budget):
         raise ParseError(f"budget percentage {text!r} gives a budget too large to represent")
     return int(budget)
@@ -194,14 +200,15 @@ def run_advise(args) -> tuple[str, int]:
 
     if args.budget is None:
         raise ParseError("--budget is required unless --sweep is given")
+    if args.mode == "exhaustive":
+        exhaustive_objects = enumerate_exhaustive_objects(ctx)
+        check_exhaustive_limit(exhaustive_objects)
     budget = _parse_budget(args.budget, lambda: _reference_space(ctx, params))
-    if budget < 0:
-        raise InvalidBudgetError(f"budget must be >= 0, got {budget}")
 
     before = workload_cost(ctx, Configuration())
 
     if args.mode == "exhaustive":
-        ex = exhaustive_select(ctx, enumerate_exhaustive_objects(ctx), budget, params)
+        ex = exhaustive_select(ctx, exhaustive_objects, budget, params)
         result = SelectionResult(
             config=ex.config,
             selected=[],

@@ -14,6 +14,11 @@ its applicable rewritings:
 Joins beyond the scans themselves are not costed, so the workload cost is
 the sum of independent per-query minima.  All block arithmetic is integer
 (ceiling divisions), which keeps runs bit-identical across platforms.
+
+A configuration is one frozenset of member keys (``member_key``): view and
+base-index ids, and ``(view id, attribute)`` for on-view indexes.  A
+rewriting only asks whether a key is selected, so view and index ids must
+differ.
 """
 
 from __future__ import annotations
@@ -83,34 +88,15 @@ def maintenance_cost(obj, catalog: SchemaCatalog) -> int:
     raise ValidationError(f"cannot cost object of type {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A set of selected objects: views, base indexes and on-view indexes.
-
-    On-view indexes are keyed by (view id, attribute); a configuration
-    never holds one without its view.
-    """
-
-    views: frozenset[str] = frozenset()
-    base_indexes: frozenset[str] = frozenset()
-    view_indexes: frozenset[tuple[str, tuple[str, str]]] = frozenset()
-
-    def with_members(self, views=(), base_indexes=(), view_indexes=()) -> "Configuration":
-        return Configuration(
-            views=self.views | frozenset(views),
-            base_indexes=self.base_indexes | frozenset(base_indexes),
-            view_indexes=self.view_indexes | frozenset(view_indexes),
-        )
-
-    def names(self) -> tuple:
-        """Every member: view ids, base-index ids and (view id, attribute) keys."""
-        return (*self.views, *self.base_indexes, *self.view_indexes)
-
-    def is_empty(self) -> bool:
-        return not (self.views or self.base_indexes or self.view_indexes)
+Configuration = frozenset  # of member keys, see member_key
 
 
-EMPTY_CONFIG = Configuration()
+def member_key(obj):
+    """Configuration key of a candidate: its id, or (view id, attribute) for an
+    on-view index, which is one member however it was named."""
+    if isinstance(obj, IndexCandidate) and not obj.is_base():
+        return (obj.target, obj.attribute)
+    return obj.id
 
 
 @dataclass(frozen=True)
@@ -160,10 +146,15 @@ class CostContext:
         self.views = {v.id: v for v in views}
         self.indexes = {i.id: i for i in indexes}
         self._info: dict[str, _QueryPlanInfo] = {}
-        self._relevant: dict[str, tuple] = {}
+        # query id -> the member keys its cost can read
+        self._relevant: dict[str, frozenset] = {}
         self._cache: dict[str, dict] = {}
-        # member name -> positions of the queries whose _relevant sets hold it
+        # member key -> positions of the queries whose _relevant sets hold it
         self._touching: dict[object, list[int]] = {}
+
+        clash = sorted(self.views.keys() & self.indexes.keys())
+        if clash:
+            raise ValidationError(f"view and index ids must differ, both use {clash[0]!r}")
 
         base = [i for i in indexes if i.is_base()]
         for pos, q in enumerate(self.queries):
@@ -203,23 +194,14 @@ class CostContext:
                 usable_views=usable_views,
                 usable_view_indexes=view_idx,
             )
-            self._relevant[q.id] = (
-                frozenset(iid for pairs in usable_base.values() for iid, _ in pairs),
-                frozenset(vid for vid, _ in usable_views),
-                frozenset(key for pairs in view_idx.values() for key, _ in pairs),
+            self._relevant[q.id] = relevant = frozenset(
+                [iid for pairs in usable_base.values() for iid, _ in pairs]
+                + [vid for vid, _ in usable_views]
+                + [key for pairs in view_idx.values() for key, _ in pairs]
             )
             self._cache[q.id] = {}
-            for relevant in self._relevant[q.id]:
-                for name in relevant:
-                    self._touching.setdefault(name, []).append(pos)
-
-    def _cache_key(self, qid: str, config: Configuration):
-        rel_base, rel_views, rel_keys = self._relevant[qid]
-        return (
-            config.base_indexes & rel_base,
-            config.views & rel_views,
-            config.view_indexes & rel_keys,
-        )
+            for key in relevant:
+                self._touching.setdefault(key, []).append(pos)
 
     def queries_touching(self, members: Configuration) -> list[Query]:
         """Queries whose cost can change when ``members`` join a configuration.
@@ -229,13 +211,13 @@ class CostContext:
         Returned in workload order.
         """
         positions: set[int] = set()
-        for name in members.names():
-            positions.update(self._touching.get(name, ()))
+        for key in members:
+            positions.update(self._touching.get(key, ()))
         return [self.queries[p] for p in sorted(positions)]
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
         """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label."""
-        key = self._cache_key(q.id, config)
+        key = self._relevant[q.id] & config
         hit = self._cache[q.id].get(key)
         if hit is not None:
             return hit
@@ -252,7 +234,7 @@ class CostContext:
             best = b
             best_iid = None
             for iid, height in info.usable_base.get(t, ()):
-                if iid in config.base_indexes:
+                if iid in config:
                     alt = height + _ceil_div(b, info.table_divisor[t]) if b else 0
                     if alt < best:
                         best = alt
@@ -265,13 +247,13 @@ class CostContext:
         best_label = "base+indexes(" + ",".join(indexed_tables) + ")" if indexed_tables else "base"
 
         for vid, vblocks in info.usable_views:
-            if vid not in config.views:
+            if vid not in config:
                 continue
             if vblocks < best_cost:
                 best_cost = vblocks
                 best_label = f"view {vid}"
             for key, height in info.usable_view_indexes[vid]:
-                if key in config.view_indexes:
+                if key in config:
                     alt = height + _ceil_div(vblocks, info.all_divisor) if vblocks else 0
                     if alt < best_cost:
                         best_cost = alt

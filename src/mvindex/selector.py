@@ -39,7 +39,7 @@ from .benefit import (
     view_object,
 )
 from .catalog import SchemaCatalog
-from .costmodel import Configuration, CostContext, object_size
+from .costmodel import Configuration, CostContext, member_key, object_size
 from .errors import InvalidBudgetError
 
 STOP_NO_POSITIVE_OBJECTIVE = "no_positive_objective"
@@ -100,35 +100,20 @@ def pair_objects(ctx: CostContext) -> list[SelectionObject]:
 
 def incremental_size(obj: SelectionObject, config: Configuration, catalog: SchemaCatalog) -> int:
     """Bytes a commit would add: members already selected contribute nothing."""
-    total = 0
-    members = obj.config_members()
-    for vid in members.views:
-        if vid not in config.views:
-            total += object_size(obj.view, catalog)
-    for iid in members.base_indexes:
-        if iid not in config.base_indexes:
-            total += object_size(obj.index, catalog)
-    for key in members.view_indexes:
-        if key not in config.view_indexes:
-            total += object_size(obj.index, catalog)
-    return total
+    return sum(object_size(m, catalog) for m in obj.members() if member_key(m) not in config)
 
 
 def _member_records(obj: SelectionObject, config: Configuration, catalog: SchemaCatalog):
-    records = []
-    members = obj.config_members()
-    for vid in sorted(members.views):
-        if vid not in config.views:
-            records.append(SelectedMember(vid, "view", object_size(obj.view, catalog)))
-    for iid in sorted(members.base_indexes):
-        if iid not in config.base_indexes:
-            records.append(SelectedMember(iid, "base_index", object_size(obj.index, catalog)))
-    for key in sorted(members.view_indexes):
-        if key not in config.view_indexes:
-            records.append(
-                SelectedMember(obj.index.id, "view_index", object_size(obj.index, catalog))
-            )
-    return records
+    """The members a commit adds, view first."""
+    return [
+        SelectedMember(
+            m.id,
+            "view" if m is obj.view else "base_index" if m.is_base() else "view_index",
+            object_size(m, catalog),
+        )
+        for m in obj.members()
+        if member_key(m) not in config
+    ]
 
 
 def greedy_core(
@@ -146,11 +131,12 @@ def greedy_core(
     # selection of its own members and of its denominator dependencies.
     members = [o.config_members() for o in objects]
     touched = [ctx.queries_touching(m) for m in members]
-    readers_of_name: dict[object, list[int]] = {}
+    readers_of_key: dict[object, list[int]] = {}
     readers_of_query: dict[str, list[int]] = {}
     for pos, obj in enumerate(objects):
-        for name in (*members[pos].names(), *denominator_dependencies(obj, ctx.matrices)):
-            readers_of_name.setdefault(name, []).append(pos)
+        deps = [member_key(d) for d in denominator_dependencies(obj, ctx)]
+        for key in (*members[pos], *deps):
+            readers_of_key.setdefault(key, []).append(pos)
         for q in touched[pos]:
             readers_of_query.setdefault(q.id, []).append(pos)
 
@@ -209,8 +195,8 @@ def greedy_core(
         step += 1
         for q in touched[chosen]:
             stale.update(readers_of_query[q.id])
-        for name in members[chosen].names():
-            stale.update(readers_of_name[name])
+        for key in members[chosen]:
+            stale.update(readers_of_key[key])
         # only an object sharing a member with the commit can have become
         # fully selected, and every such object is stale
         remaining = [p for p in remaining if p not in stale or not objects[p].fully_selected(config)]

@@ -57,7 +57,7 @@ def test_index_benefit_second_branch_base_candidate(indexes, ctx):
     # i8 relates to selected v1, but as a base index it no longer improves
     # anything once v1 answers q1: zero saved blocks over a heavier denominator
     i8 = next(i for i in indexes if i.id == "i8")
-    cfg = Configuration(views=frozenset({"v1"}))
+    cfg = Configuration({"v1"})
     got = object_benefit(index_object(i8), cfg, ctx)
     assert got == 0.0
 
@@ -66,7 +66,7 @@ def test_index_benefit_second_branch_on_view(views, catalog, ctx):
     # the physical index on v1: q1 falls 15 -> 4, denominator counts v1 too
     v1 = views[0]
     on_view = make_view_index("i8@v1", v1, ("times", "time_fiscal_year"), catalog)
-    cfg = Configuration(views=frozenset({"v1"}))
+    cfg = Configuration({"v1"})
     got = object_benefit(index_object(on_view), cfg, ctx)
     denom = 7305 * 14 + 116_880
     assert got == pytest.approx(11 / denom, rel=1e-12)
@@ -83,7 +83,7 @@ def test_view_benefit_second_branch_denominator(views, indexes, catalog, ctx):
     # with base i8 already selected, adding v1 divides by both sizes
     i8 = next(i for i in indexes if i.id == "i8")
     v1 = views[0]
-    cfg = Configuration(base_indexes=frozenset({"i8"}))
+    cfg = Configuration({"i8"})
     # with the index, q1 costs 47638 + (1 + ceil(26/5)) = 47645
     saved = 47_645 - 15
     denom = object_size(v1, catalog) + object_size(i8, catalog)
@@ -96,7 +96,7 @@ def test_second_branch_reduces_to_first_when_unrelated(indexes, ctx):
     # selecting an unrelated view must not change an index's score
     i4 = next(i for i in indexes if i.id == "i4")
     plain = object_benefit(index_object(i4), Configuration(), ctx)
-    cfg = Configuration(views=frozenset({"v1"}))  # VI[v1][i4] = 0
+    cfg = Configuration({"v1"})  # VI[v1][i4] = 0
     related = object_benefit(index_object(i4), cfg, ctx)
     assert plain == related > 0.0
 
@@ -106,8 +106,8 @@ def test_benefit_never_negative(views, indexes, ctx):
     objects = enumerate_objects(ctx)
     for _ in range(10):
         cfg = Configuration(
-            views=frozenset(v.id for v in views if rng.random() < 0.3),
-            base_indexes=frozenset(i.id for i in indexes if rng.random() < 0.3),
+            {v.id for v in views if rng.random() < 0.3}
+            | {i.id for i in indexes if rng.random() < 0.3}
         )
         for o in objects:
             if o.fully_selected(cfg):

@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -98,8 +100,13 @@ def test_exhaustive_mode_small_candidates(tmp_path, capsys):
     assert report["costs"]["after"]["total"] < report["costs"]["before"]["total"]
 
 
-def test_exhaustive_mode_too_many_objects(fixture_args, capsys):
-    code = main(fixture_args + ["--budget", "1000", "--mode", "exhaustive"])
+@pytest.mark.parametrize("budget", ["1000", "50%"])
+def test_exhaustive_mode_too_many_objects(fixture_args, capsys, monkeypatch, budget):
+    def no_reference_run(*args):
+        raise AssertionError("the object limit must be checked before the reference run")
+
+    monkeypatch.setattr("mvindex.cli.greedy_select", no_reference_run)
+    code = main(fixture_args + ["--budget", budget, "--mode", "exhaustive"])
     assert code == 1
     assert "exceed" in capsys.readouterr().err
 
@@ -182,3 +189,38 @@ def test_overflowing_refresh_ratio_header_exits_1(tmp_path, capsys):
                  "--sweep", "0.5"])
     assert code == 1
     assert "refresh_ratio must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["-1%", "-0.5%"])
+def test_negative_budget_percentage_exits_2_before_reference_run(
+    fixture_args, capsys, monkeypatch, budget
+):
+    def no_reference_run(*args):
+        raise AssertionError("the reference run must not start for a negative budget")
+
+    monkeypatch.setattr("mvindex.cli.greedy_select", no_reference_run)
+    code = main(fixture_args + [f"--budget={budget}"])
+    assert code == 2
+    assert repr(budget) in capsys.readouterr().err
+
+
+def test_sweep_with_budget_exits_1(fixture_args, capsys):
+    code = main(fixture_args + ["--sweep", "0.5", "--budget", "0%"])
+    assert code == 1
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_console_script_runs_on_fixture(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["mvindex"] == "mvindex.cli:main"
+    module, func = scripts["mvindex"].split(":")
+    entry = getattr(importlib.import_module(module), func)
+    code = entry([
+        "--schema", fixture_path(CATALOG_FILE),
+        "--workload", fixture_path(WORKLOAD_FILE),
+        "--budget", "50%",
+    ])
+    assert code == 0
+    assert "selected objects" in capsys.readouterr().out

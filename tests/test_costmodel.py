@@ -106,7 +106,7 @@ def test_query_cost_base(queries, ctx):
 
 
 def test_query_cost_view(queries, ctx):
-    cfg = Configuration(views=frozenset({"v1"}))
+    cfg = Configuration({"v1"})
     cost, label = ctx.query_cost(queries[0], cfg)
     assert cost == 15
     assert label == "view v1"
@@ -114,10 +114,7 @@ def test_query_cost_view(queries, ctx):
 
 
 def test_query_cost_view_plus_index(queries, ctx):
-    cfg = Configuration(
-        views=frozenset({"v1"}),
-        view_indexes=frozenset({("v1", ("times", "time_fiscal_year"))}),
-    )
+    cfg = Configuration({"v1", ("v1", ("times", "time_fiscal_year"))})
     cost, label = ctx.query_cost(queries[0], cfg)
     # descent height 1 for cardinality 5, then a fifth of the view's 15 blocks
     assert cost == 1 + 3
@@ -126,7 +123,7 @@ def test_query_cost_view_plus_index(queries, ctx):
 
 
 def test_query_cost_base_index(queries, ctx):
-    cfg = Configuration(base_indexes=frozenset({"i4"}))
+    cfg = Configuration({"i4"})
     q3 = queries[2]
     cost, label = ctx.query_cost(q3, cfg)
     # customers accessed through the marital-status index: 1 + ceil(855/4)
@@ -160,20 +157,16 @@ def test_cost_monotone_in_config(queries, views, indexes, ctx):
     for _ in range(50):
         views_sel = frozenset(v.id for v in views if rng.random() < 0.5)
         base_sel = frozenset(i.id for i in indexes if rng.random() < 0.5)
-        small = Configuration(views=views_sel, base_indexes=base_sel)
-        grown = small.with_members(
-            views={v.id for v in views if rng.random() < 0.5},
-            base_indexes={i.id for i in indexes if rng.random() < 0.5},
-        )
+        small = Configuration(views_sel | base_sel)
+        grown = small | {v.id for v in views if rng.random() < 0.5} | {
+            i.id for i in indexes if rng.random() < 0.5
+        }
         for q in queries:
             assert ctx.query_cost(q, grown)[0] <= ctx.query_cost(q, small)[0]
 
 
 def test_query_cost_at_least_one_block(queries, views, indexes, ctx):
-    cfg = Configuration(
-        views=frozenset(v.id for v in views),
-        base_indexes=frozenset(i.id for i in indexes),
-    )
+    cfg = Configuration({v.id for v in views} | {i.id for i in indexes})
     for q in queries:
         assert ctx.query_cost(q, cfg)[0] >= 1
 
@@ -189,10 +182,8 @@ def test_view_index_never_worse_when_selective(catalog, queries, views, ctx):
     card = catalog.attribute("times", "time_fiscal_year").cardinality
     height = btree_height(card, catalog)
     assert 1.0 / card <= 1 - height / vblocks
-    with_view = Configuration(views=frozenset({"v1"}))
-    with_both = with_view.with_members(
-        view_indexes={("v1", ("times", "time_fiscal_year"))}
-    )
+    with_view = Configuration({"v1"})
+    with_both = with_view | {("v1", ("times", "time_fiscal_year"))}
     assert ctx.query_cost(q1, with_both)[0] <= ctx.query_cost(q1, with_view)[0]
 
 
@@ -218,3 +209,10 @@ def test_against_brute_force_oracle_random_instances():
             for q in inst.queries:
                 expected = brute_force_query_cost(q, cfg, inst.views, inst.indexes, inst.catalog)
                 assert ctx.query_cost(q, cfg)[0] == expected
+
+
+def test_context_rejects_view_and_index_sharing_an_id(queries, views, indexes, matrices, catalog):
+    # one configuration key set holds both families, so an id may name only one
+    clash = make_base_index(views[0].id, ("times", "time_fiscal_year"), catalog)
+    with pytest.raises(ValidationError, match=repr(views[0].id)):
+        CostContext(queries, views, [*indexes, clash], matrices, catalog)

@@ -9,6 +9,7 @@ from mvindex.benefit import ObjectiveParams, index_object, objective_value, view
 from mvindex.candidates import build_matrices, load_candidates
 from mvindex.costmodel import Configuration, CostContext, object_size
 from mvindex.errors import InvalidBudgetError
+from mvindex.fixtures import CANDIDATES_FILE, fixture_text
 from mvindex.selector import (
     STOP_BUDGET_EXHAUSTED,
     STOP_CANDIDATES_EXHAUSTED,
@@ -62,7 +63,7 @@ def test_incremental_size(views, catalog, ctx):
     empty = Configuration()
     full = pair.full_size(catalog)
     assert incremental_size(pair, empty, catalog) == full
-    with_view = Configuration(views=frozenset({"v1"}))
+    with_view = Configuration({"v1"})
     assert incremental_size(pair, with_view, catalog) == object_size(pair.index, catalog)
     both = pair.apply_to(empty)
     assert incremental_size(pair, both, catalog) == 0
@@ -73,7 +74,7 @@ def test_incremental_size(views, catalog, ctx):
 
 def test_zero_budget(ctx):
     res = greedy_select(ctx, 0, _params(19))
-    assert res.config.is_empty()
+    assert not res.config
     assert res.used_bytes == 0
     assert res.stop_reason == STOP_BUDGET_EXHAUSTED
 
@@ -85,7 +86,7 @@ def test_negative_budget_rejected(ctx):
 
 def test_huge_refresh_ratio_selects_nothing(ctx):
     res = greedy_select(ctx, 10**12, _params(19, refresh=1e9))
-    assert res.config.is_empty()
+    assert not res.config
     assert res.stop_reason == STOP_NO_POSITIVE_OBJECTIVE
 
 
@@ -95,7 +96,7 @@ def test_budget_skip_picks_next_best(ctx):
     res = greedy_select(ctx, 50_000, _params(19))
     assert res.used_bytes <= 50_000
     assert res.selected, "expected an affordable object to be chosen"
-    assert "v1" not in res.config.views
+    assert "v1" not in res.config
     assert res.iterations[0].skipped_unaffordable
 
 
@@ -141,8 +142,9 @@ def test_view_index_dependency_fixture(ctx):
     for _ in range(20):
         budget = log_uniform_budget(rng, 10**9)
         res = greedy_select(ctx, budget, _params(19))
-        for vid, _attr in res.config.view_indexes:
-            assert vid in res.config.views
+        for key in res.config:
+            if isinstance(key, tuple):
+                assert key[0] in res.config
 
 
 def test_determinism(ctx):
@@ -164,8 +166,9 @@ def test_random_instances_run_clean():
         params = _params(len(inst.views) + len(inst.indexes), refresh=rng.choice([0.0, 0.5]))
         res = greedy_select(ctx, budget, params)
         assert res.used_bytes <= budget
-        for vid, _attr in res.config.view_indexes:
-            assert vid in res.config.views
+        for key in res.config:
+            if isinstance(key, tuple):
+                assert key[0] in res.config
         assert res.stop_reason in (
             STOP_BUDGET_EXHAUSTED,
             STOP_CANDIDATES_EXHAUSTED,
@@ -211,6 +214,45 @@ def test_incremental_greedy_matches_full_rescore(
         assert result.final_cost == expected.final_cost
 
 
+def _candidate_file_parts(text):
+    """The view blocks and index lines of a candidates file, comments dropped."""
+    blocks, index_lines = [], []
+    for line in text.splitlines():
+        if not line.split("#", 1)[0].strip():
+            continue
+        if line.startswith("index "):
+            index_lines.append(line)
+        elif line.startswith("view "):
+            blocks.append([line])
+        else:
+            blocks[-1].append(line)
+    return ["\n".join(b) for b in blocks], index_lines
+
+
+_FIXTURE_BLOCKS, _FIXTURE_INDEX_LINES = _candidate_file_parts(fixture_text(CANDIDATES_FILE))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    blocks=st.permutations(_FIXTURE_BLOCKS),
+    index_lines=st.permutations(_FIXTURE_INDEX_LINES),
+    budget=st.one_of(st.integers(0, 2_000_000), st.just(10**12)),
+    refresh=st.sampled_from([0.0, 0.5]),
+)
+def test_greedy_ignores_candidate_file_order(workload, catalog, blocks, index_lines, budget, refresh):
+    def run(view_blocks, lines):
+        text = "\n\n".join(view_blocks) + "\n\n" + "\n".join(lines) + "\n"
+        views, indexes = load_candidates(text, catalog)
+        matrices = build_matrices(workload, views, indexes)
+        ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
+        return greedy_select(ctx, budget, _params(len(views) + len(indexes), refresh=refresh))
+
+    expected = run(_FIXTURE_BLOCKS, _FIXTURE_INDEX_LINES)
+    permuted = run(blocks, index_lines)
+    assert permuted.selected_ids() == expected.selected_ids()
+    assert permuted.iterations == expected.iterations
+
+
 def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
     # v1 groups on sales.prod_id, which only qb uses, and qb cannot use v1:
     # v1 and index i1 touch no common query, yet committing v1 grows i1's
@@ -232,8 +274,8 @@ def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
     matrices = build_matrices(workload, views, indexes)
     queries = list(workload.queries)
     ctx = CostContext(queries, views, indexes, matrices, catalog)
-    assert not set(ctx.queries_touching(Configuration(views=frozenset({"v1"})))) & set(
-        ctx.queries_touching(Configuration(base_indexes=frozenset({"i1"})))
+    assert not set(ctx.queries_touching(Configuration({"v1"}))) & set(
+        ctx.queries_touching(Configuration({"i1"}))
     )
     args = (views, indexes, matrices, catalog, 10**12, _params(2))
     res = greedy_select(ctx, 10**12, _params(2))

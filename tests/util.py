@@ -17,12 +17,7 @@ from mvindex.candidates import (
     make_view,
     usable_view,
 )
-from mvindex.benefit import (
-    MODE_LITERAL,
-    related_selected_indexes,
-    related_selected_views,
-    update_weight,
-)
+from mvindex.benefit import MODE_LITERAL, related_indexes, related_views, update_weight
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, validate_catalog
 from mvindex.costmodel import Configuration, CostContext, object_size
 from mvindex.selector import (
@@ -201,7 +196,7 @@ def brute_force_query_cost(
         divisor = min(divisor, 10**9)
         options = [b]
         for i in indexes:
-            if not i.is_base() or i.id not in config.base_indexes:
+            if not i.is_base() or i.id not in config:
                 continue
             if i.target != t or i.attribute not in q_attrs:
                 continue
@@ -217,11 +212,11 @@ def brute_force_query_cost(
     all_divisor = min(all_divisor, 10**9)
 
     for v in views:
-        if v.id not in config.views or not usable_view(q, v):
+        if v.id not in config or not usable_view(q, v):
             continue
         vb = nblocks(v.row_count, v.row_width)
         alternatives.append(vb)
-        for vid, attr in config.view_indexes:
+        for vid, attr in (key for key in config if isinstance(key, tuple)):
             if vid != v.id or attr not in q_attrs or attr not in v.indexable_attrs():
                 continue
             card = catalog.attribute(*attr).cardinality
@@ -242,7 +237,7 @@ def random_config(rng: random.Random, inst: Instance) -> Configuration:
             if inst.matrices.view_index[vpos, ipos] and rng.random() < 0.3:
                 cand = next(i for i in inst.indexes if i.id == iid)
                 view_keys.add((vid, cand.attribute))
-    return Configuration(views=views, base_indexes=base, view_indexes=frozenset(view_keys))
+    return Configuration(views | base | view_keys)
 
 
 def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx) -> float:
@@ -250,11 +245,11 @@ def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx)
     before = ctx.workload_total(config)
     after = ctx.workload_total(obj.apply_to(config))
     if obj.kind == "view":
-        related = related_selected_indexes(obj.view, config, matrices)
+        related = [iid for iid in related_indexes(obj.view, matrices) if iid in config]
         denom = object_size(obj.view, catalog)
         denom += sum(object_size(ctx.indexes[iid], catalog) for iid in related)
     elif obj.kind == "index":
-        related = related_selected_views(obj.index, config, matrices)
+        related = [vid for vid in related_views(obj.index, matrices) if vid in config]
         denom = object_size(obj.index, catalog)
         denom += sum(object_size(ctx.views[vid], catalog) for vid in related)
     else:
