@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .candidates import IndexCandidate, UsageMatrices, ViewCandidate, make_view_index
+from .candidates import IndexCandidate, ViewCandidate, make_view_index
 from .catalog import SchemaCatalog
 from .costmodel import Configuration, CostContext, maintenance_cost, member_key, object_size
 from .errors import ValidationError
@@ -110,29 +110,17 @@ def pair_object(v: ViewCandidate, i: IndexCandidate, catalog: SchemaCatalog) -> 
     return SelectionObject(id=f"{v.id}+{i.id}", kind="pair", view=v, index=on_view)
 
 
-def related_views(i: IndexCandidate, matrices: UsageMatrices) -> list[str]:
-    """Views the index is defined on (the view-index matrix column)."""
-    if not i.is_base():
-        return [i.target]
-    if i.id not in matrices.index_ids:
-        return []
-    return [vid for vid in matrices.view_ids if matrices.vi(vid, i.id)]
-
-
-def related_indexes(v: ViewCandidate, matrices: UsageMatrices) -> list[str]:
-    """Base-index candidates defined on the view's attributes (the matrix row)."""
-    if v.id not in matrices.view_ids:
-        return []
-    return [iid for iid in matrices.base_index_ids if matrices.vi(v.id, iid)]
-
-
 def denominator_dependencies(obj: SelectionObject, ctx: CostContext) -> list:
     """Candidates whose selection adds their size to the object's benefit
-    denominator: the related indexes of a view, the related views of an index."""
+    denominator: the base indexes a view pairs with, the views a base index
+    pairs with (both read from the view-index matrix), the view an on-view
+    index is built on."""
     if obj.kind == "view":
-        return [ctx.indexes[iid] for iid in related_indexes(obj.view, ctx.matrices)]
+        return ctx.paired.get(obj.view.id, [])
     if obj.kind == "index":
-        return [ctx.views[vid] for vid in related_views(obj.index, ctx.matrices)]
+        if not obj.index.is_base():
+            return [ctx.views[obj.index.target]]
+        return ctx.paired.get(obj.index.id, [])
     return []
 
 

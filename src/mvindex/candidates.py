@@ -182,17 +182,15 @@ def generate_index_candidates(
         if len(support[attr]) >= min_support:
             candidates.append(make_base_index(f"i{len(candidates) + 1}", attr, catalog))
 
-    for view in views:
-        used = frozenset()
-        for q in workload.queries:
-            if usable_view(q, view):
-                used |= q.filter_group_attrs()
+    used = [set() for _ in views]  # per view: attributes its usable queries filter or group on
+    for q, cols in zip(workload.queries, _query_view_rows(workload.queries, views)):
+        attrs = q.filter_group_attrs()
+        for c in cols:
+            used[c] |= attrs
+    for view, view_used in zip(views, used):
+        indexable = view.indexable_attrs()
         for attr in view.group_by:
-            if (
-                attr in used
-                and attr in view.indexable_attrs()
-                and len(support.get(attr, ())) >= min_support
-            ):
+            if attr in view_used and attr in indexable and len(support.get(attr, ())) >= min_support:
                 candidates.append(
                     make_view_index(f"i{len(candidates) + 1}", view, attr, catalog)
                 )
@@ -207,14 +205,21 @@ def usable_view(q: Query, v: ViewCandidate) -> bool:
     query's group-by and predicate attributes to appear in the view's
     group-by, and the query's aggregates to be carried by the view.
     """
-    if not q.joined_tables <= v.joined_tables:
-        return False
-    gb = v.group_by_set()
-    if not frozenset(q.group_by) <= gb:
-        return False
-    if not q.predicate_attrs() <= gb:
-        return False
-    return set(q.aggregates) <= set(v.aggregates)
+    return bool(_query_view_rows([q], [v])[0])
+
+
+def _query_view_rows(queries, views) -> list[list[int]]:
+    """Per query, the positions of the views it can use (``usable_view``),
+    testing sets built once per query and once per view."""
+    offers = [(v.joined_tables, v.group_by_set(), frozenset(v.aggregates)) for v in views]
+    rows = []
+    for q in queries:
+        tables, attrs, aggs = q.joined_tables, q.filter_group_attrs(), frozenset(q.aggregates)
+        rows.append(
+            [c for c, (v_tables, v_attrs, v_aggs) in enumerate(offers)
+             if tables <= v_tables and attrs <= v_attrs and aggs <= v_aggs]
+        )
+    return rows
 
 
 def usable_index(q: Query, i: IndexCandidate) -> bool:
@@ -225,7 +230,24 @@ def usable_index(q: Query, i: IndexCandidate) -> bool:
     """
     if not i.is_base():
         raise ValidationError(f"usable_index expects a base-table index, got {i.id} on {i.target}")
-    return i.attribute in q.filter_group_attrs() and i.target in q.joined_tables
+    return bool(_query_index_rows([q], [i])[0])
+
+
+def _query_index_rows(queries, base: list[IndexCandidate]) -> list[list[int]]:
+    """Per query, the positions of the base indexes it can use (``usable_index``),
+    looked up by the attributes the query filters or groups on."""
+    columns: dict[Attr, list[tuple[int, str]]] = {}
+    for c, i in enumerate(base):
+        columns.setdefault(i.attribute, []).append((c, i.target))
+    return [
+        [
+            c
+            for attr in q.filter_group_attrs()
+            for c, table in columns.get(attr, ())
+            if table in q.joined_tables
+        ]
+        for q in queries
+    ]
 
 
 @dataclass(frozen=True)
@@ -244,27 +266,49 @@ class UsageMatrices:
     query_index: np.ndarray  # bool [n_queries, n_base_indexes]
     view_index: np.ndarray  # bool [n_views, n_indexes]
     # id -> row/column position, built once per matrix set
-    _query_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     _view_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     _index_pos: dict[str, int] = field(init=False, repr=False, compare=False)
-    _base_index_pos: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("query", "view", "index", "base_index"):
+        for name in ("view", "index"):
             ids = getattr(self, f"{name}_ids")
             object.__setattr__(self, f"_{name}_pos", {id_: k for k, id_ in enumerate(ids)})
-
-    def qv(self, qid: str, vid: str) -> bool:
-        return bool(self.query_view[self._query_pos[qid], self._view_pos[vid]])
-
-    def qi(self, qid: str, iid: str) -> bool:
-        return bool(self.query_index[self._query_pos[qid], self._base_index_pos[iid]])
 
     def vi(self, vid: str, iid: str) -> bool:
         return bool(self.view_index[self._view_pos[vid], self._index_pos[iid]])
 
+    def usable_views(self) -> dict[str, list[str]]:
+        """Query id -> ids of the views the query can use: the query-view rows."""
+        return _row_cells(self.query_view, self.query_ids, self.view_ids)
+
+    def usable_base_indexes(self) -> dict[str, list[str]]:
+        """Query id -> ids of the base indexes the query can use: the query-index rows."""
+        return _row_cells(self.query_index, self.query_ids, self.base_index_ids)
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """(view id, index id) of every unit cell of the view-index matrix, row by row."""
+        cells = _row_cells(self.view_index, self.view_ids, self.index_ids)
+        return [(vid, iid) for vid, iids in cells.items() for iid in iids]
+
     def pair_count(self) -> int:
         return int(self.view_index.sum())
+
+
+def _row_cells(matrix: np.ndarray, row_ids, col_ids) -> dict[str, list[str]]:
+    """Row id -> the column ids of the row's unit cells, from one pass over the matrix."""
+    cells: dict[str, list[str]] = {rid: [] for rid in row_ids}
+    rows, cols = np.nonzero(matrix)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        cells[row_ids[r]].append(col_ids[c])
+    return cells
+
+
+def _bool_matrix(rows: list[list[int]], n_cols: int) -> np.ndarray:
+    """Boolean matrix whose row r is True exactly at the columns ``rows[r]`` lists."""
+    matrix = np.zeros((len(rows), n_cols), dtype=bool)
+    cell_rows = [r for r, cols in enumerate(rows) for _ in cols]
+    matrix[cell_rows, [c for cols in rows for c in cols]] = True
+    return matrix
 
 
 def build_matrices(
@@ -279,36 +323,38 @@ def build_matrices(
     group-by attributes contain its attribute, unless a view-targeted
     candidate for the same (view, attribute) already exists (avoids
     enumerating the same physical on-view index twice).
+
+    Each matrix is filled in one step from per-row lists of its True
+    columns; query-view rows test sets built once per query and per view,
+    the other rows look their columns up by attribute or by view.
     """
     queries = workload.queries
     base = [i for i in indexes if i.is_base()]
-    qv = np.zeros((len(queries), len(views)), dtype=bool)
-    qi = np.zeros((len(queries), len(base)), dtype=bool)
-    vi = np.zeros((len(views), len(indexes)), dtype=bool)
 
-    for r, q in enumerate(queries):
-        for c, v in enumerate(views):
-            qv[r, c] = usable_view(q, v)
-        for c, i in enumerate(base):
-            qi[r, c] = usable_index(q, i)
-
+    base_by_attr: dict[Attr, list[int]] = {}
+    on_view: dict[str, list[int]] = {}
+    for c, i in enumerate(indexes):
+        if i.is_base():
+            base_by_attr.setdefault(i.attribute, []).append(c)
+        else:
+            on_view.setdefault(i.target, []).append(c)
     dedicated = {(i.target, i.attribute) for i in indexes if not i.is_base()}
-    for r, v in enumerate(views):
-        indexable = v.indexable_attrs()
-        for c, i in enumerate(indexes):
-            if i.is_base():
-                vi[r, c] = i.attribute in indexable and (v.id, i.attribute) not in dedicated
-            else:
-                vi[r, c] = i.target == v.id
+    vi_rows = []
+    for v in views:
+        cols = list(on_view.get(v.id, ()))
+        for attr in v.indexable_attrs():
+            if (v.id, attr) not in dedicated:
+                cols += base_by_attr.get(attr, ())
+        vi_rows.append(cols)
 
     return UsageMatrices(
         query_ids=tuple(q.id for q in queries),
         view_ids=tuple(v.id for v in views),
         index_ids=tuple(i.id for i in indexes),
         base_index_ids=tuple(i.id for i in base),
-        query_view=qv,
-        query_index=qi,
-        view_index=vi,
+        query_view=_bool_matrix(_query_view_rows(queries, views), len(views)),
+        query_index=_bool_matrix(_query_index_rows(queries, base), len(base)),
+        view_index=_bool_matrix(vi_rows, len(indexes)),
     )
 
 
@@ -340,6 +386,8 @@ def load_candidates(
         if not line:
             continue
         tokens = line.replace(",", " ").split()
+        if not tokens:
+            raise ParseError("a line of commas holds no directive", source, lineno)
         head = tokens[0].lower()
         if head == "view":
             if len(tokens) != 2:

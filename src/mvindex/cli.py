@@ -7,7 +7,6 @@ Reports are byte-identical across runs with identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -29,6 +28,7 @@ from .candidates import (
 from .catalog import load_catalog
 from .costmodel import COST_MODEL_ID, Configuration, CostContext, object_size, workload_cost
 from .errors import AdvisorError, InvalidBudgetError, ParseError
+from .jsonfmt import format_json
 from .selector import SelectionResult, enumerate_objects, greedy_select
 from .workload import load_workload
 
@@ -92,6 +92,8 @@ def _load_inputs(args):
         catalog = load_catalog(fh.read(), args.schema)
     with open(args.workload, encoding="utf-8") as fh:
         workload = load_workload(fh.read(), catalog, args.workload)
+    if not workload.queries:
+        raise ParseError("the workload holds no statements", args.workload)
     if args.candidates:
         with open(args.candidates, encoding="utf-8") as fh:
             views, indexes = load_candidates(fh.read(), catalog, args.candidates)
@@ -190,7 +192,7 @@ def _selection_payload(result: SelectionResult, trace: bool) -> dict:
 
 
 def _matrix_rows(matrix) -> list[list[int]]:
-    return [[int(x) for x in row] for row in matrix]
+    return matrix.astype(int).tolist()
 
 
 def run_advise(args) -> tuple[str, int]:
@@ -272,7 +274,7 @@ def run_advise(args) -> tuple[str, int]:
     }
 
     if args.format == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n", 0
+        return format_json(report) + "\n", 0
     return _format_text_report(report), 0
 
 

@@ -129,7 +129,8 @@ class CostContext:
     serves every scoring pass and every selection run over the same inputs.
     It also carries those inputs (``queries``, ``views`` and ``indexes`` by
     id, ``matrices``, ``catalog``), so it is the one handle that scoring,
-    selection and reporting take.
+    selection and reporting take.  The build reads each usage matrix once:
+    the query rows for the per-query plans, the view-index cells for ``paired``.
     """
 
     def __init__(
@@ -156,9 +157,27 @@ class CostContext:
         if clash:
             raise ValidationError(f"view and index ids must differ, both use {clash[0]!r}")
 
-        base = [i for i in indexes if i.is_base()]
+        # per-candidate facts, read below once per query that can use the
+        # candidate; matrix ids this context leaves out are skipped
+        base_access = {
+            i.id: (i.target, btree_height(catalog.attribute(*i.attribute).cardinality, catalog))
+            for i in indexes
+            if i.is_base()
+        }
+        view_access = {
+            v.id: (
+                blocks_of(v.row_count, v.row_width, catalog),
+                [
+                    (attr, (v.id, attr), btree_height(catalog.attribute(*attr).cardinality, catalog))
+                    for attr in sorted(v.indexable_attrs())
+                ],
+            )
+            for v in views
+        }
+        blocks_of_table = {t.name: table_blocks(t, catalog) for t in catalog.tables}
+        views_of, base_indexes_of = matrices.usable_views(), matrices.usable_base_indexes()
         for pos, q in enumerate(self.queries):
-            tb = {t: table_blocks(catalog.table(t), catalog) for t in sorted(q.joined_tables)}
+            tb = {t: blocks_of_table[t] for t in sorted(q.joined_tables)}
             divisors = {t: 1 for t in tb}
             all_div = 1
             for p in q.predicates:
@@ -167,24 +186,20 @@ class CostContext:
                 all_div = min(all_div * card, _DIVISOR_CAP)
 
             usable_base: dict[str, list[tuple[str, int]]] = {}
-            for i in base:
-                if matrices.qi(q.id, i.id):
-                    card = catalog.attribute(*i.attribute).cardinality
-                    usable_base.setdefault(i.target, []).append((i.id, btree_height(card, catalog)))
+            for iid in base_indexes_of[q.id]:
+                if iid in base_access:
+                    target, height = base_access[iid]
+                    usable_base.setdefault(target, []).append((iid, height))
 
             usable_views = []
             view_idx: dict[str, list] = {}
             q_attrs = q.filter_group_attrs()
-            for v in views:
-                if not matrices.qv(q.id, v.id):
+            for vid in views_of[q.id]:
+                if vid not in view_access:
                     continue
-                usable_views.append((v.id, blocks_of(v.row_count, v.row_width, catalog)))
-                usable = []
-                for attr in sorted(v.indexable_attrs()):
-                    if attr in q_attrs:
-                        card = catalog.attribute(*attr).cardinality
-                        usable.append(((v.id, attr), btree_height(card, catalog)))
-                view_idx[v.id] = usable
+                vblocks, on_view = view_access[vid]
+                usable_views.append((vid, vblocks))
+                view_idx[vid] = [(key, height) for attr, key, height in on_view if attr in q_attrs]
 
             self._info[q.id] = _QueryPlanInfo(
                 table_blocks=tb,
@@ -202,6 +217,15 @@ class CostContext:
             self._cache[q.id] = {}
             for key in relevant:
                 self._touching.setdefault(key, []).append(pos)
+
+        # candidate id -> the candidates it pairs with in the view-index
+        # matrix: a view's base indexes, a base index's views
+        self.paired: dict[str, list] = {}
+        for vid, iid in matrices.pairs():
+            v, i = self.views.get(vid), self.indexes.get(iid)
+            if v is not None and i is not None and i.is_base():
+                self.paired.setdefault(vid, []).append(i)
+                self.paired.setdefault(iid, []).append(v)
 
     def queries_touching(self, members: Configuration) -> list[Query]:
         """Queries whose cost can change when ``members`` join a configuration.

@@ -89,12 +89,9 @@ def enumerate_objects(ctx: CostContext) -> list[SelectionObject]:
 
 def pair_objects(ctx: CostContext) -> list[SelectionObject]:
     """One view-index pair per unit cell of the view-index matrix, row by row."""
-    matrices = ctx.matrices
     return [
         pair_object(ctx.views[vid], ctx.indexes[iid], ctx.catalog)
-        for vid_pos, vid in enumerate(matrices.view_ids)
-        for iid_pos, iid in enumerate(matrices.index_ids)
-        if matrices.view_index[vid_pos, iid_pos]
+        for vid, iid in ctx.matrices.pairs()
     ]
 
 

@@ -1,8 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from mvindex.candidates import build_matrices
 from mvindex.costmodel import CostContext
 from mvindex.fixtures import sales_star_candidates, sales_star_catalog, sales_star_workload
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
+# example database, so a property that fails in CI fails the same way locally.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

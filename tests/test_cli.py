@@ -3,9 +3,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvindex.cli import main
+from mvindex.cli import main, make_parser, run_advise
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
+from mvindex.jsonfmt import format_json
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +227,74 @@ def test_console_script_runs_on_fixture(capsys):
     ])
     assert code == 0
     assert "selected objects" in capsys.readouterr().out
+
+
+def test_comma_only_candidates_line_exits_1(tmp_path, capsys):
+    lines = Path(fixture_path(CANDIDATES_FILE)).read_text().splitlines()
+    at = next(n for n, line in enumerate(lines) if line.strip().startswith("tables"))
+    lines.insert(at, " ,")
+    cand_file = tmp_path / "commas.candidates"
+    cand_file.write_text("\n".join(lines) + "\n")
+    code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
+                 "--candidates", str(cand_file), "--budget", "50%"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{cand_file}: line {at + 1}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["", "# comments only\n\n# and blank lines\n",
+                                  "refresh_ratio = 1\n"])
+def test_workload_without_statements_exits_1(tmp_path, capsys, text):
+    workload = tmp_path / "empty.workload"
+    workload.write_text(text)
+    code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", str(workload),
+                 "--budget", "0", "--format", "json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{workload}: the workload holds no statements" in captured.err
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    percent=st.one_of(st.floats(0, 150), st.integers(0, 100)),
+    with_candidates=st.booleans(),
+    mode=st.sampled_from(["simultaneous", "view-only", "index-only"]),
+)
+def test_percentage_budget_selects_as_its_byte_count(percent, with_candidates, mode):
+    argv = ["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
+            "--mode", mode, "--format", "json"]
+    if with_candidates:
+        argv += ["--candidates", fixture_path(CANDIDATES_FILE)]
+    parser = make_parser()
+    by_percent = json.loads(run_advise(parser.parse_args(argv + ["--budget", f"{percent}%"]))[0])
+    budget = str(by_percent["budget_bytes"])
+    by_bytes = json.loads(run_advise(parser.parse_args(argv + ["--budget", budget]))[0])
+    assert by_bytes["budget_bytes"] == by_percent["budget_bytes"]
+    assert by_bytes["selection"] == by_percent["selection"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+        | st.lists(st.integers() | st.booleans())
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=json_values)
+def test_format_json_equals_indented_sorted_json_dumps(value):
+    assert format_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_report_equals_indented_sorted_json_dumps(fixture_args, capsys):
+    code = main(fixture_args + ["--budget", "50%", "--format", "json", "--trace"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

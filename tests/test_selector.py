@@ -282,3 +282,41 @@ def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
     assert [it.object_id for it in res.iterations] == ["v1", "i1"]
     objects = enumerate_objects(ctx)
     assert res.iterations == full_rescore_greedy(queries, objects, *args).iterations
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    max_queries=st.integers(1, 24),
+    refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    mode=st.sampled_from(["normalized", "literal"]),
+    extra_candidates=st.booleans(),
+    headroom=st.one_of(st.just(0), st.integers(1, 10**3), st.integers(1, 10**12)),
+)
+def test_budget_at_or_above_unconstrained_use_selects_the_same(
+    seed, max_queries, refresh, mode, extra_candidates, headroom
+):
+    inst = random_instance(seed=seed, max_queries=max_queries)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    ctx = inst.context()
+    params = _params(len(inst.views) + len(inst.indexes), refresh=refresh, mode=mode)
+    unconstrained = sum(o.full_size(inst.catalog) for o in enumerate_objects(ctx)) + 1
+    free = greedy_select(ctx, unconstrained, params)
+    budget = free.used_bytes + headroom
+    res = greedy_select(ctx, budget, params)
+
+    def steps(result):
+        return [
+            (it.object_id, it.kind, it.objective, it.incremental_bytes, it.workload_cost,
+             it.skipped_unaffordable)
+            for it in result.iterations
+        ]
+
+    assert res.selected_ids() == free.selected_ids()
+    assert res.config == free.config
+    assert steps(res) == steps(free)
+    assert res.used_bytes == free.used_bytes
+    assert res.final_cost == free.final_cost
+    if headroom:
+        assert res.stop_reason == free.stop_reason

@@ -17,7 +17,7 @@ from mvindex.candidates import (
     make_view,
     usable_view,
 )
-from mvindex.benefit import MODE_LITERAL, related_indexes, related_views, update_weight
+from mvindex.benefit import MODE_LITERAL, update_weight
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, validate_catalog
 from mvindex.costmodel import Configuration, CostContext, object_size
 from mvindex.selector import (
@@ -238,6 +238,22 @@ def random_config(rng: random.Random, inst: Instance) -> Configuration:
                 cand = next(i for i in inst.indexes if i.id == iid)
                 view_keys.add((vid, cand.attribute))
     return Configuration(views | base | view_keys)
+
+
+def related_views(i: IndexCandidate, matrices: UsageMatrices) -> list[str]:
+    """Views the index is defined on, read cell by cell from the view-index matrix."""
+    if not i.is_base():
+        return [i.target]
+    if i.id not in matrices.index_ids:
+        return []
+    return [vid for vid in matrices.view_ids if matrices.vi(vid, i.id)]
+
+
+def related_indexes(v: ViewCandidate, matrices: UsageMatrices) -> list[str]:
+    """Base-index candidates defined on the view's attributes, read cell by cell."""
+    if v.id not in matrices.view_ids:
+        return []
+    return [iid for iid in matrices.base_index_ids if matrices.vi(v.id, iid)]
 
 
 def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx) -> float:
