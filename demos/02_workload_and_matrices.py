@@ -6,8 +6,6 @@ built on which views.  Everything downstream (benefits, the greedy loop)
 reads interactions from here.
 """
 
-import numpy as np
-
 from mvindex.candidates import build_matrices
 from mvindex.fixtures import sales_star_candidates, sales_star_catalog, sales_star_workload
 from mvindex.workload import format_query
@@ -33,7 +31,7 @@ matrices = build_matrices(workload, views, indexes)
 def show(name, matrix, rows, cols):
     print(f"\n{name}  (rows: {', '.join(rows)})")
     print(f"      cols: {', '.join(cols)}")
-    for rid, row in zip(rows, matrix.astype(int)):
+    for rid, row in zip(rows, matrix):
         print(f"  {rid:>3} " + " ".join(str(x) for x in row))
 
 
@@ -41,8 +39,8 @@ show("query-view matrix", matrices.query_view, matrices.query_ids, matrices.view
 show("query-index matrix", matrices.query_index, matrices.query_ids, matrices.base_index_ids)
 show("view-index matrix", matrices.view_index, matrices.view_ids, matrices.index_ids)
 
-print(f"\n{int(matrices.view_index.sum())} view-index pairings "
+print(f"\n{matrices.pair_count()} view-index pairings "
       f"-> that many composite objects join the candidate space.")
 print("row sums of the query-view matrix:",
-      np.asarray(matrices.query_view.sum(axis=1)).tolist(),
+      [sum(row) for row in matrices.query_view],
       "(every query here has exactly one usable view except q8, which has two)")

@@ -26,8 +26,7 @@ line declares an index candidate targeting a view instead of a base table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import compress
 
 from .catalog import SchemaCatalog
 from .errors import ParseError, UnknownNameError, ValidationError
@@ -252,8 +251,9 @@ def _query_index_rows(queries, base: list[IndexCandidate]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class UsageMatrices:
-    """The query-view, query-index and view-index boolean matrices.
+    """The query-view, query-index and view-index usage matrices.
 
+    Each matrix is a tuple of row tuples holding the ints 0 and 1.
     ``query_index`` covers base-table candidates only; ``view_index``
     covers the full candidate list.  Rows/columns follow the id lists.
     """
@@ -262,9 +262,9 @@ class UsageMatrices:
     view_ids: tuple[str, ...]
     index_ids: tuple[str, ...]  # all index candidates
     base_index_ids: tuple[str, ...]
-    query_view: np.ndarray  # bool [n_queries, n_views]
-    query_index: np.ndarray  # bool [n_queries, n_base_indexes]
-    view_index: np.ndarray  # bool [n_views, n_indexes]
+    query_view: tuple[tuple[int, ...], ...]  # [n_queries][n_views]
+    query_index: tuple[tuple[int, ...], ...]  # [n_queries][n_base_indexes]
+    view_index: tuple[tuple[int, ...], ...]  # [n_views][n_indexes]
     # id -> row/column position, built once per matrix set
     _view_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     _index_pos: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -275,7 +275,7 @@ class UsageMatrices:
             object.__setattr__(self, f"_{name}_pos", {id_: k for k, id_ in enumerate(ids)})
 
     def vi(self, vid: str, iid: str) -> bool:
-        return bool(self.view_index[self._view_pos[vid], self._index_pos[iid]])
+        return bool(self.view_index[self._view_pos[vid]][self._index_pos[iid]])
 
     def usable_views(self) -> dict[str, list[str]]:
         """Query id -> ids of the views the query can use: the query-view rows."""
@@ -287,28 +287,30 @@ class UsageMatrices:
 
     def pairs(self) -> list[tuple[str, str]]:
         """(view id, index id) of every unit cell of the view-index matrix, row by row."""
-        cells = _row_cells(self.view_index, self.view_ids, self.index_ids)
-        return [(vid, iid) for vid, iids in cells.items() for iid in iids]
+        return [
+            (vid, iid)
+            for vid, row in zip(self.view_ids, self.view_index)
+            for iid in compress(self.index_ids, row)
+        ]
 
     def pair_count(self) -> int:
-        return int(self.view_index.sum())
+        return sum(map(sum, self.view_index))
 
 
-def _row_cells(matrix: np.ndarray, row_ids, col_ids) -> dict[str, list[str]]:
-    """Row id -> the column ids of the row's unit cells, from one pass over the matrix."""
-    cells: dict[str, list[str]] = {rid: [] for rid in row_ids}
-    rows, cols = np.nonzero(matrix)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        cells[row_ids[r]].append(col_ids[c])
-    return cells
+def _row_cells(matrix, row_ids, col_ids) -> dict[str, list[str]]:
+    """Row id -> the column ids of the row's unit cells."""
+    return {rid: list(compress(col_ids, row)) for rid, row in zip(row_ids, matrix)}
 
 
-def _bool_matrix(rows: list[list[int]], n_cols: int) -> np.ndarray:
-    """Boolean matrix whose row r is True exactly at the columns ``rows[r]`` lists."""
-    matrix = np.zeros((len(rows), n_cols), dtype=bool)
-    cell_rows = [r for r, cols in enumerate(rows) for _ in cols]
-    matrix[cell_rows, [c for cols in rows for c in cols]] = True
-    return matrix
+def _unit_rows(rows: list[list[int]], n_cols: int) -> tuple[tuple[int, ...], ...]:
+    """0/1 rows, row r holding 1 exactly at the columns ``rows[r]`` lists."""
+    filled = []
+    for cols in rows:
+        row = [0] * n_cols
+        for c in cols:
+            row[c] = 1
+        filled.append(tuple(row))
+    return tuple(filled)
 
 
 def build_matrices(
@@ -324,8 +326,8 @@ def build_matrices(
     candidate for the same (view, attribute) already exists (avoids
     enumerating the same physical on-view index twice).
 
-    Each matrix is filled in one step from per-row lists of its True
-    columns; query-view rows test sets built once per query and per view,
+    Each matrix is filled from per-row lists of its unit columns;
+    query-view rows test sets built once per query and per view,
     the other rows look their columns up by attribute or by view.
     """
     queries = workload.queries
@@ -352,9 +354,9 @@ def build_matrices(
         view_ids=tuple(v.id for v in views),
         index_ids=tuple(i.id for i in indexes),
         base_index_ids=tuple(i.id for i in base),
-        query_view=_bool_matrix(_query_view_rows(queries, views), len(views)),
-        query_index=_bool_matrix(_query_index_rows(queries, base), len(base)),
-        view_index=_bool_matrix(vi_rows, len(indexes)),
+        query_view=_unit_rows(_query_view_rows(queries, views), len(views)),
+        query_index=_unit_rows(_query_index_rows(queries, base), len(base)),
+        view_index=_unit_rows(vi_rows, len(indexes)),
     )
 
 

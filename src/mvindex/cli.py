@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 
 from .baselines import (
     INDEXES_ONLY,
@@ -40,6 +41,9 @@ SWEEP_STRATEGIES = {
     "simultaneous": "simultaneous",
 }
 SWEEP_HEADER = "budget_fraction,strategy,total_cost_blocks,used_bytes,objects"
+# options a sweep sets for itself (every strategy, CSV, no trace) -> their
+# defaults; giving one with --sweep is a usage error, even at its default
+SWEEP_FIXED = {"mode": "simultaneous", "format": "text", "trace": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,6 +52,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        given = [f"--{name}" for name in SWEEP_FIXED if getattr(ns, name) is not None]
+        if ns.sweep is not None and given:
+            self.error(f"argument --sweep: not allowed with {', '.join(given)}")
+        for name, default in SWEEP_FIXED.items():
+            if getattr(ns, name) is None:
+                setattr(ns, name, default)
+        return ns
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -67,7 +81,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode",
         choices=["simultaneous", "view-only", "index-only", "exhaustive", "none"],
-        default="simultaneous",
+        help="strategy to run (default: simultaneous)",
     )
     p.add_argument("--refresh-ratio", type=float, default=None,
                    help="refresh-to-query ratio (default: workload header or 0)")
@@ -76,8 +90,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["normalized", "literal"], default="normalized")
     budget_or_sweep.add_argument("--sweep", help="comma-separated budget fractions in (0,1]")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--trace", action="store_true", help="include per-iteration trace")
+    p.add_argument("--format", choices=["text", "json"], help="report format (default: text)")
+    p.add_argument("--trace", action="store_true", default=None,
+                   help="include per-iteration trace")
     return p
 
 
@@ -191,10 +206,6 @@ def _selection_payload(result: SelectionResult, trace: bool) -> dict:
     return payload
 
 
-def _matrix_rows(matrix) -> list[list[int]]:
-    return matrix.astype(int).tolist()
-
-
 def run_advise(args) -> tuple[str, int]:
     """Run one strategy and return (report text, exit code)."""
     params, ctx = _load_inputs(args)
@@ -258,9 +269,9 @@ def run_advise(args) -> tuple[str, int]:
             "query_ids": list(matrices.query_ids),
             "view_ids": list(matrices.view_ids),
             "index_ids": list(matrices.index_ids),
-            "query_view": _matrix_rows(matrices.query_view),
-            "query_index": _matrix_rows(matrices.query_index),
-            "view_index": _matrix_rows(matrices.view_index),
+            "query_view": matrices.query_view,
+            "query_index": matrices.query_index,
+            "view_index": matrices.view_index,
         },
         "selection": {**_selection_payload(result, args.trace), "objects": selected_ids},
         "costs": {
@@ -358,21 +369,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.sweep:
-            text, code = run_sweep(args)
-        else:
-            text, code = run_advise(args)
+        # the output is opened before any selection, so a bad --out fails at once
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            text, code = run_sweep(args) if args.sweep is not None else run_advise(args)
+            out.write(text)
     except InvalidBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AdvisorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -84,66 +84,57 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+(?:\.\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<punct>[(),.;=:])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"select", "from", "where", "and", "group", "by", "sum"}
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str, source: str) -> list[_Token]:
+def _tokenize(text: str, source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of every token, from one pass.  Punctuation is
+    told apart by its text alone: no other kind of token can read ``;`` or
+    ``(``.  Line and column are computed from the offset only for an error."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", source, line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok, line, col))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
+        if kind == "bad":
+            raise ParseError(
+                f"unexpected character {m.group()!r}", source, *_line_column(text, m.start())
+            )
+        if kind != "ws" and kind != "comment":
+            tokens.append((kind, m.group(), m.start()))
     return tokens
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
     """Recursive-descent parser over the token stream of one statement."""
 
-    def __init__(self, tokens: list[_Token], source: str):
-        self.tokens = tokens
+    def __init__(self, tokens: list[tuple[str, str, int]], source: str, text: str):
+        # an end token at the last token's offset (None for an empty statement)
+        # matches nothing, so the parser never reads past the list
+        self.tokens = tokens + [("end", "", tokens[-1][2] if tokens else None)]
         self.pos = 0
         self.source = source
+        self.text = text  # the tokenized text, for error positions
 
     def _error(self, message: str):
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            raise ParseError(message, self.source, t.line, t.column)
-        if self.tokens:
-            t = self.tokens[-1]
-            raise ParseError(message + " (at end of statement)", self.source, t.line, t.column)
-        raise ParseError(message + " (empty statement)", self.source)
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        kind, _, off = self.tokens[self.pos]
+        if off is None:
+            raise ParseError(message + " (empty statement)", self.source)
+        if kind == "end":
+            message += " (at end of statement)"
+        raise ParseError(message, self.source, *_line_column(self.text, off))
 
     def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "name" and t.text.lower() == word
+        kind, text, _ = self.tokens[self.pos]
+        return kind == "name" and text.lower() == word
 
     def expect_keyword(self, word: str) -> None:
         if not self.at_keyword(word):
@@ -151,23 +142,21 @@ class _Parser:
         self.pos += 1
 
     def expect_punct(self, ch: str) -> None:
-        t = self.peek()
-        if t is None or t.kind != "punct" or t.text != ch:
+        if not self.at_punct(ch):
             self._error(f"expected {ch!r}")
         self.pos += 1
 
     def at_punct(self, ch: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "punct" and t.text == ch
+        return self.tokens[self.pos][1] == ch
 
     def name(self) -> str:
-        t = self.peek()
-        if t is None or t.kind != "name":
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "name":
             self._error("expected identifier")
-        if t.text.lower() in _KEYWORDS:
-            self._error(f"unexpected keyword {t.text!r}")
+        if text.lower() in _KEYWORDS:
+            self._error(f"unexpected keyword {text!r}")
         self.pos += 1
-        return t.text.lower()
+        return text.lower()
 
     def qattr(self) -> Attr:
         table = self.name()
@@ -178,15 +167,8 @@ class _Parser:
     def parse_statement(self) -> dict:
         label = None
         # optional "name :" statement label
-        t = self.peek()
-        if (
-            t is not None
-            and t.kind == "name"
-            and t.text.lower() != "select"
-            and self.pos + 1 < len(self.tokens)
-            and self.tokens[self.pos + 1].kind == "punct"
-            and self.tokens[self.pos + 1].text == ":"
-        ):
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "name" and text.lower() != "select" and self.tokens[self.pos + 1][1] == ":":
             label = self.name()
             self.pos += 1
 
@@ -219,15 +201,13 @@ class _Parser:
         while True:
             left = self.qattr()
             self.expect_punct("=")
-            t = self.peek()
-            if t is None:
-                self._error("expected attribute or literal after '='")
-            if t.kind == "name":
+            kind, text, _ = self.tokens[self.pos]
+            if kind == "name":
                 right = self.qattr()
                 joins.append((left, right))
-            elif t.kind in ("number", "string"):
+            elif kind in ("number", "string"):
                 self.pos += 1
-                predicates.append((left, t.text))
+                predicates.append((left, text))
             else:
                 self._error("expected attribute or literal after '='")
             if self.at_keyword("and"):
@@ -244,7 +224,7 @@ class _Parser:
                 self.pos += 1
                 group_by.append(self.qattr())
 
-        if self.peek() is not None:
+        if self.tokens[self.pos][0] != "end":
             self._error("trailing input after statement")
 
         return {
@@ -324,9 +304,8 @@ def _resolve(parsed: dict, catalog: SchemaCatalog, qid: str) -> Query:
 
 def parse_query(text: str, catalog: SchemaCatalog, qid: str = "q1", source: str = "<query>") -> Query:
     """Parse a single statement into a validated Query."""
-    tokens = _tokenize(text, source)
-    tokens = [t for t in tokens if not (t.kind == "punct" and t.text == ";")]
-    parsed = _Parser(tokens, source).parse_statement()
+    tokens = [t for t in _tokenize(text, source) if t[1] != ";"]
+    parsed = _Parser(tokens, source, text).parse_statement()
     return _resolve(parsed, catalog, parsed["label"] or qid)
 
 
@@ -352,10 +331,9 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
     # blank prefix keeps token line numbers aligned with the file
     body = ("\n" * body_start) + "\n".join(lines[body_start:])
 
-    tokens = _tokenize(body, source)
-    statements: list[list[_Token]] = [[]]
-    for t in tokens:
-        if t.kind == "punct" and t.text == ";":
+    statements: list[list[tuple[str, str, int]]] = [[]]
+    for t in _tokenize(body, source):
+        if t[1] == ";":
             statements.append([])
         else:
             statements[-1].append(t)
@@ -365,7 +343,7 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
     seen_ids = set()
     for i, stmt_tokens in enumerate(statements, start=1):
         try:
-            parsed = _Parser(stmt_tokens, source).parse_statement()
+            parsed = _Parser(stmt_tokens, source, body).parse_statement()
             query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
         except (ParseError, UnknownNameError, ValidationError) as exc:
             raise type(exc)(f"statement {i}: {exc}") from None

@@ -93,16 +93,17 @@ def test_criterion_1_matrix_reproduction():
     qv_ok = np.array_equal(matrices.query_view, REFERENCE_QV)
     vi_ok = np.array_equal(matrices.view_index, REFERENCE_VI)
 
+    query_index = np.asarray(matrices.query_index)
     q5_row = matrices.query_ids.index("q5")
     mask = np.ones(len(matrices.query_ids), dtype=bool)
     mask[q5_row] = False
-    qi_other_ok = np.array_equal(matrices.query_index[mask], REFERENCE_QI[mask])
-    matching_cells = int((matrices.query_index == REFERENCE_QI).sum())
+    qi_other_ok = np.array_equal(query_index[mask], REFERENCE_QI[mask])
+    matching_cells = int((query_index == REFERENCE_QI).sum())
 
     deviations = [
         (matrices.base_index_ids[c])
         for c in range(len(matrices.base_index_ids))
-        if matrices.query_index[q5_row, c] != REFERENCE_QI[q5_row, c]
+        if query_index[q5_row, c] != REFERENCE_QI[q5_row, c]
     ]
 
     ok = qv_ok and vi_ok and qi_other_ok and matching_cells >= 84 and elapsed < 1.0

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,3 +301,39 @@ def test_json_report_equals_indented_sorted_json_dumps(fixture_args, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_imports_without_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mvindex.cli, sys; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_unwritable_out_exits_1_before_selection(fixture_args, capsys, monkeypatch, tmp_path):
+    def no_selection(*args):
+        raise AssertionError("the output must be opened before any selection")
+
+    monkeypatch.setattr("mvindex.cli.greedy_select", no_selection)
+    code = main(fixture_args + ["--budget", "50%", "--out", str(tmp_path / "missing" / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--mode", "simultaneous"], ["--mode", "exhaustive"], ["--format", "text"],
+     ["--format", "json"], ["--trace"]],
+    ids=lambda extra: "=".join(extra),
+)
+def test_sweep_rejects_options_it_ignores(fixture_args, capsys, extra):
+    code = main(fixture_args + ["--sweep", "1"] + extra)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"not allowed with {extra[0]}" in captured.err

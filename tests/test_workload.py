@@ -1,6 +1,11 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvindex.errors import ParseError, UnknownNameError, ValidationError
+from mvindex.fixtures import WORKLOAD_FILE, fixture_text
 from mvindex.workload import format_query, format_workload, load_workload, parse_query
 
 
@@ -153,3 +158,55 @@ def test_keywords_case_insensitive(catalog):
         catalog,
     )
     assert q.group_by == (("sales", "time_id"),)
+
+
+def _code_offsets(text):
+    """Offsets of ``text`` where an inserted character lands outside every
+    comment and string literal, and the ``;`` offsets outside them."""
+    inside, semicolons = set(), []
+    k = 0
+    while k < len(text):
+        if text[k] in "#'":
+            end = text.find("\n" if text[k] == "#" else "'", k + 1)
+            end = len(text) if end < 0 else end + (text[k] == "'")
+            inside.update(range(k + 1, end))
+            k = end
+            continue
+        if text[k] == ";":
+            semicolons.append(k)
+        k += 1
+    return [k for k in range(len(text) + 1) if k not in inside], semicolons
+
+
+def _line_column(text, offset):
+    before = text[:offset]
+    return before.count("\n") + 1, len(before.split("\n")[-1]) + 1
+
+
+_FIXTURE_TEXT = fixture_text(WORKLOAD_FILE)
+_CODE_OFFSETS, _SEMICOLONS = _code_offsets(_FIXTURE_TEXT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(offset=st.sampled_from(_CODE_OFFSETS), ch=st.sampled_from("@$!?"))
+def test_unexpected_character_names_its_line_and_column(catalog, offset, ch):
+    text = _FIXTURE_TEXT[:offset] + ch + _FIXTURE_TEXT[offset:]
+    line, column = _line_column(text, offset)
+    with pytest.raises(ParseError) as err:
+        load_workload(text, catalog, WORKLOAD_FILE)
+    assert str(err.value) == f"{WORKLOAD_FILE}: line {line}, column {column}: unexpected character '{ch}'"
+
+
+@pytest.mark.parametrize(
+    "offset", [m.start() for m in re.finditer(r"\bfrom\b", _FIXTURE_TEXT) if m.start() in _CODE_OFFSETS]
+)
+def test_misspelt_keyword_names_its_statement_line_and_column(catalog, offset):
+    text = _FIXTURE_TEXT[:offset] + "form" + _FIXTURE_TEXT[offset + 4:]
+    statement = 1 + sum(1 for k in _SEMICOLONS if k < offset)
+    line, column = _line_column(text, offset)
+    with pytest.raises(ParseError) as err:
+        load_workload(text, catalog, WORKLOAD_FILE)
+    assert str(err.value) == (
+        f"statement {statement}: {WORKLOAD_FILE}: line {line}, column {column}: "
+        "expected keyword 'from'"
+    )

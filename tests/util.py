@@ -234,7 +234,7 @@ def random_config(rng: random.Random, inst: Instance) -> Configuration:
         if vid not in views:
             continue
         for ipos, iid in enumerate(inst.matrices.index_ids):
-            if inst.matrices.view_index[vpos, ipos] and rng.random() < 0.3:
+            if inst.matrices.view_index[vpos][ipos] and rng.random() < 0.3:
                 cand = next(i for i in inst.indexes if i.id == iid)
                 view_keys.add((vid, cand.attribute))
     return Configuration(views | base | view_keys)
