@@ -35,14 +35,14 @@ scored = sorted(
 )[:10]
 for gain, o in scored:
     print(f"  {o.id:<10} {o.kind:<6} {gain:12.6g} blocks/byte  "
-          f"({o.full_size(catalog):,} B)")
+          f"({o.size:,} B)")
 
 print("\nNote i8 alone scores far below v1+i8: on base tables the fiscal-year "
       "index shaves a 26-block dimension, but on the view it carves up the "
       "only copy of the data the query still touches.")
 
 params = ObjectiveParams(refresh_ratio=0.0, total_object_count=len(views) + len(indexes))
-budget = sum(o.full_size(catalog) for o in objects) + 1
+budget = sum(o.size for o in objects) + 1
 result = greedy_select(ctx, budget, params)
 
 print("\n=== greedy trace, unconstrained budget ===")

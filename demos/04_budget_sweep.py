@@ -26,7 +26,7 @@ print(f"scaled warehouse: fact table {catalog.fact_table.row_count:,} rows")
 print(f"generated candidates: {len(views)} views, {len(indexes)} indexes\n")
 
 objects = enumerate_objects(ctx)
-unconstrained = greedy_select(ctx, sum(o.full_size(catalog) for o in objects) + 1, params)
+unconstrained = greedy_select(ctx, sum(o.size for o in objects) + 1, params)
 reference = unconstrained.used_bytes
 print(f"unconstrained simultaneous run uses {reference:,} B; "
       "budgets below are fractions of that\n")

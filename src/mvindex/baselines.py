@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .benefit import ObjectiveParams, SelectionObject, index_object, update_weight, view_object
-from .costmodel import Configuration, CostContext, member_key
+from .costmodel import Configuration, CostContext
 from .errors import InvalidBudgetError, TooManyObjectsError, ValidationError
-from .selector import SelectionResult, greedy_core, incremental_size, pair_objects
+from .selector import SelectionResult, enumerate_objects, greedy_core
 
 EXHAUSTIVE_LIMIT = 20
 
@@ -33,17 +33,16 @@ class ExhaustiveResult:
 
 
 def enumerate_exhaustive_objects(ctx: CostContext) -> list[SelectionObject]:
-    """Singleton objects only; on-view indexes appear once per view-index cell."""
-    objects = [view_object(v) for v in ctx.views.values()]
-    objects += [index_object(i) for i in ctx.indexes.values() if i.is_base()]
-    seen_keys = set()
-    on_view = [i for i in ctx.indexes.values() if not i.is_base()]
-    on_view += [pair.index for pair in pair_objects(ctx)]
-    for i in on_view:
-        key = member_key(i)
-        if key not in seen_keys:
-            seen_keys.add(key)
-            objects.append(index_object(i))
+    """Singleton objects only: ``enumerate_objects(ctx)`` with each pair
+    replaced by its on-view index, keeping the first object per key set, so
+    each physical on-view index appears once."""
+    objects, seen = [], set()
+    for o in enumerate_objects(ctx):
+        if o.kind == "pair":
+            o = index_object(o.index, ctx)
+        if o.keys not in seen:
+            seen.add(o.keys)
+            objects.append(o)
     return objects
 
 
@@ -73,8 +72,8 @@ def exhaustive_select(
     for o in objects:
         if o.kind == "pair":
             raise ValidationError("exhaustive enumeration expects singleton objects")
-    sizes = [incremental_size(o, Configuration(), ctx.catalog) for o in objects]
-    maint = [o.maintenance(ctx.catalog) for o in objects]
+    sizes = [o.size for o in objects]
+    maint = [o.maintenance for o in objects]
     beta = update_weight(params, len(ctx.queries))
 
     best = None
@@ -103,7 +102,7 @@ def exhaustive_select(
         if not ok:
             continue
         for o in chosen:
-            config = o.apply_to(config)
+            config = config | o.keys
         cost = ctx.workload_total(config)
         objective = cost + beta * sum(maint[b] for b in members)
         ids = tuple(sorted(o.id for o in chosen))
@@ -126,9 +125,9 @@ def isolated_select(
 ) -> SelectionResult:
     """Greedy over a single structure family: views only, or base indexes only."""
     if kind == VIEWS_ONLY:
-        objects = [view_object(v) for v in ctx.views.values()]
+        objects = [view_object(v, ctx) for v in ctx.views.values()]
     elif kind == INDEXES_ONLY:
-        objects = [index_object(i) for i in ctx.indexes.values() if i.is_base()]
+        objects = [index_object(i, ctx) for i in ctx.indexes.values() if i.is_base()]
     else:
         raise ValidationError(f"unknown isolated strategy {kind!r}")
     return greedy_core(ctx, objects, budget_bytes, params)

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 from .candidates import IndexCandidate, ViewCandidate, make_view_index
-from .catalog import SchemaCatalog
 from .costmodel import Configuration, CostContext, maintenance_cost, member_key, object_size
 from .errors import ValidationError
+from .workload import Query
 
 MODE_NORMALIZED = "normalized"
 MODE_LITERAL = "literal"
@@ -60,14 +60,27 @@ def benefit_density(cost_before: int, cost_after: int, denominator_bytes: int) -
 class SelectionObject:
     """One scorable unit: a view, an index, or a view paired with an index on it.
 
-    ``view_index_key`` identifies the physical on-view index; pairs carry
-    both the view and that index.
+    A pair carries the view and the physical index on it.  The facts a score
+    reads never change during a run, so they are set once, from the run's
+    context, when the object is built: the member ``keys``, ``size`` and
+    ``maintenance`` of all members, ``parts`` (key, bytes) per member, view
+    first, and the queries the keys can touch (``touched``).  ``deps`` holds
+    (key, bytes) per candidate whose selection adds its size to the benefit
+    denominator: the base indexes a view pairs with and the views a base
+    index pairs with (read from the view-index matrix), the view an on-view
+    index is built on.  Pairs have none.
     """
 
     id: str
     kind: str  # "view" | "index" | "pair"
-    view: ViewCandidate | None = None
-    index: IndexCandidate | None = None
+    view: ViewCandidate | None
+    index: IndexCandidate | None
+    keys: Configuration
+    size: int
+    maintenance: int
+    parts: tuple[tuple[object, int], ...]
+    deps: tuple[tuple[object, int], ...]
+    touched: tuple[Query, ...]
 
     def members(self):
         if self.view is not None:
@@ -75,64 +88,60 @@ class SelectionObject:
         if self.index is not None:
             yield self.index
 
-    def config_members(self) -> Configuration:
-        return frozenset(member_key(m) for m in self.members())
 
-    def fully_selected(self, config: Configuration) -> bool:
-        return self.config_members() <= config
+def _object(oid: str, kind: str, view, index, ctx: CostContext) -> SelectionObject:
+    catalog = ctx.catalog
+    members = [m for m in (view, index) if m is not None]
+    parts = tuple((member_key(m), object_size(m, catalog)) for m in members)
+    keys = frozenset(key for key, _ in parts)
+    if kind == "pair":
+        deps = []
+    elif kind == "index" and not index.is_base():
+        deps = [ctx.views[index.target]]
+    else:  # a view's base indexes, or a base index's views
+        deps = ctx.paired.get(oid, [])
+    return SelectionObject(
+        id=oid,
+        kind=kind,
+        view=view,
+        index=index,
+        keys=keys,
+        size=sum(b for _, b in parts),
+        maintenance=sum(maintenance_cost(m, catalog) for m in members),
+        parts=parts,
+        deps=tuple((member_key(d), object_size(d, catalog)) for d in deps),
+        touched=tuple(ctx.queries_touching(keys)),
+    )
 
-    def apply_to(self, config: Configuration) -> Configuration:
-        return config | self.config_members()
 
-    def full_size(self, catalog: SchemaCatalog) -> int:
-        return sum(object_size(member, catalog) for member in self.members())
-
-    def maintenance(self, catalog: SchemaCatalog) -> int:
-        return sum(maintenance_cost(member, catalog) for member in self.members())
+def view_object(v: ViewCandidate, ctx: CostContext) -> SelectionObject:
+    return _object(v.id, "view", v, None, ctx)
 
 
-def view_object(v: ViewCandidate) -> SelectionObject:
-    return SelectionObject(id=v.id, kind="view", view=v)
+def index_object(i: IndexCandidate, ctx: CostContext) -> SelectionObject:
+    return _object(i.id, "index", None, i, ctx)
 
 
-def index_object(i: IndexCandidate) -> SelectionObject:
-    return SelectionObject(id=i.id, kind="index", index=i)
-
-
-def pair_object(v: ViewCandidate, i: IndexCandidate, catalog: SchemaCatalog) -> SelectionObject:
+def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> SelectionObject:
     """View plus an index built on it; a base candidate is re-targeted onto the view."""
     if i.is_base():
-        on_view = make_view_index(f"{i.id}@{v.id}", v, i.attribute, catalog)
+        on_view = make_view_index(f"{i.id}@{v.id}", v, i.attribute, ctx.catalog)
     else:
         if i.target != v.id:
             raise ValidationError(f"index {i.id} targets {i.target}, not view {v.id}")
         on_view = i
-    return SelectionObject(id=f"{v.id}+{i.id}", kind="pair", view=v, index=on_view)
+    return _object(f"{v.id}+{i.id}", "pair", v, on_view, ctx)
 
 
-def denominator_dependencies(obj: SelectionObject, ctx: CostContext) -> list:
-    """Candidates whose selection adds their size to the object's benefit
-    denominator: the base indexes a view pairs with, the views a base index
-    pairs with (both read from the view-index matrix), the view an on-view
-    index is built on."""
-    if obj.kind == "view":
-        return ctx.paired.get(obj.view.id, [])
-    if obj.kind == "index":
-        if not obj.index.is_base():
-            return [ctx.views[obj.index.target]]
-        return ctx.paired.get(obj.index.id, [])
-    return []
-
-
-def touched_costs(ctx: CostContext, config: Configuration, members: Configuration) -> tuple[int, int]:
-    """Cost of the queries ``members`` touch, before and after adding them to ``config``.
+def touched_costs(ctx: CostContext, config: Configuration, obj: SelectionObject) -> tuple[int, int]:
+    """Cost of the queries ``obj`` touches, before and after adding its keys to ``config``.
 
     Every other query keeps its cost, so ``before - after`` is exactly the
     whole-workload cost reduction.
     """
-    added = config | members
+    added = config | obj.keys
     before = after = 0
-    for q in ctx.queries_touching(members):
+    for q in obj.touched:
         before += ctx.query_cost(q, config)[0]
         after += ctx.query_cost(q, added)[0]
     return before, after
@@ -147,12 +156,8 @@ def object_benefit(obj: SelectionObject, config: Configuration, ctx: CostContext
     are unselected can still earn direct benefit on base tables; it scores
     zero only when it improves nothing.  Pairs use their combined size.
     """
-    before, after = touched_costs(ctx, config, obj.config_members())
-    denom = obj.full_size(ctx.catalog) + sum(
-        object_size(dep, ctx.catalog)
-        for dep in denominator_dependencies(obj, ctx)
-        if member_key(dep) in config
-    )
+    before, after = touched_costs(ctx, config, obj)
+    denom = obj.size + sum(b for key, b in obj.deps if key in config)
     return benefit_density(before, after, denom)
 
 
@@ -164,7 +169,6 @@ def objective_value(
     beta = update_weight(params, len(ctx.queries))
     if beta == 0.0:
         return gain
-    maintenance = obj.maintenance(ctx.catalog)
     if params.mode == MODE_LITERAL:
-        return gain - beta * maintenance
-    return gain - beta * maintenance / max(obj.full_size(ctx.catalog), 1)
+        return gain - beta * obj.maintenance
+    return gain - beta * obj.maintenance / max(obj.size, 1)

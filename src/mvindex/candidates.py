@@ -82,10 +82,8 @@ def view_stats(group_by: tuple[Attr, ...], aggregates, catalog: SchemaCatalog) -
     width = 0
     for table, attr in group_by:
         stats = catalog.attribute(table, attr)
-        prod = min(prod * stats.cardinality, fact_rows) if fact_rows > 0 else 0
+        prod = min(prod * stats.cardinality, fact_rows)
         width += stats.width
-    if fact_rows == 0:
-        prod = 0
     width += 8 * len(aggregates)
     return min(prod, fact_rows), width
 
@@ -162,8 +160,14 @@ def generate_index_candidates(
 
     Base tables: one candidate per attribute used in at least ``min_support``
     queries' predicates or group-by lists.  Views: one candidate per
-    indexable group-by attribute that some matched query filters or groups
-    on.  Ordering follows first occurrence in the workload, then view order.
+    indexable group-by attribute with that support.  Ordering follows first
+    occurrence in the workload, then view order.
+
+    ``views`` must come from ``generate_view_candidates`` over the same
+    workload.  Then every group-by attribute of a view is one that some
+    query able to use the view filters or groups on: it comes from a member
+    query, which can use its own merged view, and any query that can use
+    the view filters and groups only on the view's group-by attributes.
     """
     if min_support < 1:
         raise ValidationError("min_support must be >= 1")
@@ -181,15 +185,10 @@ def generate_index_candidates(
         if len(support[attr]) >= min_support:
             candidates.append(make_base_index(f"i{len(candidates) + 1}", attr, catalog))
 
-    used = [set() for _ in views]  # per view: attributes its usable queries filter or group on
-    for q, cols in zip(workload.queries, _query_view_rows(workload.queries, views)):
-        attrs = q.filter_group_attrs()
-        for c in cols:
-            used[c] |= attrs
-    for view, view_used in zip(views, used):
+    for view in views:
         indexable = view.indexable_attrs()
         for attr in view.group_by:
-            if attr in view_used and attr in indexable and len(support.get(attr, ())) >= min_support:
+            if attr in indexable and len(support.get(attr, ())) >= min_support:
                 candidates.append(
                     make_view_index(f"i{len(candidates) + 1}", view, attr, catalog)
                 )

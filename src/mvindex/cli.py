@@ -129,7 +129,7 @@ def _load_inputs(args):
 def _reference_space(ctx: CostContext, params: ObjectiveParams) -> int:
     """Bytes used by an unconstrained simultaneous run; budget percentages and
     sweep fractions are relative to this."""
-    unconstrained = sum(o.full_size(ctx.catalog) for o in enumerate_objects(ctx)) + 1
+    unconstrained = sum(o.size for o in enumerate_objects(ctx)) + 1
     return greedy_select(ctx, unconstrained, params).used_bytes
 
 

@@ -83,8 +83,7 @@ def maintenance_cost(obj, catalog: SchemaCatalog) -> int:
             target = table_blocks(catalog.table(obj.target), catalog)
         else:
             target = blocks_of(obj.on_view.row_count, obj.on_view.row_width, catalog)
-        size = object_size(obj, catalog)
-        return target + _ceil_div(size, catalog.block_size) if size else target
+        return target + _ceil_div(object_size(obj, catalog), catalog.block_size)
     raise ValidationError(f"cannot cost object of type {type(obj).__name__}")
 
 

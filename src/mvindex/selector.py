@@ -31,15 +31,13 @@ from dataclasses import dataclass
 from .benefit import (
     ObjectiveParams,
     SelectionObject,
-    denominator_dependencies,
     index_object,
     objective_value,
     pair_object,
     touched_costs,
     view_object,
 )
-from .catalog import SchemaCatalog
-from .costmodel import Configuration, CostContext, member_key, object_size
+from .costmodel import Configuration, CostContext
 from .errors import InvalidBudgetError
 
 STOP_NO_POSITIVE_OBJECTIVE = "no_positive_objective"
@@ -82,34 +80,26 @@ class SelectionResult:
 def enumerate_objects(ctx: CostContext) -> list[SelectionObject]:
     """All scorable objects: view singletons, index singletons, then
     one pair per unit cell of the view-index matrix."""
-    objects = [view_object(v) for v in ctx.views.values()]
-    objects += [index_object(i) for i in ctx.indexes.values()]
-    return objects + pair_objects(ctx)
-
-
-def pair_objects(ctx: CostContext) -> list[SelectionObject]:
-    """One view-index pair per unit cell of the view-index matrix, row by row."""
-    return [
-        pair_object(ctx.views[vid], ctx.indexes[iid], ctx.catalog)
-        for vid, iid in ctx.matrices.pairs()
+    objects = [view_object(v, ctx) for v in ctx.views.values()]
+    objects += [index_object(i, ctx) for i in ctx.indexes.values()]
+    return objects + [
+        pair_object(ctx.views[vid], ctx.indexes[iid], ctx) for vid, iid in ctx.matrices.pairs()
     ]
 
 
-def incremental_size(obj: SelectionObject, config: Configuration, catalog: SchemaCatalog) -> int:
+def incremental_size(obj: SelectionObject, config: Configuration) -> int:
     """Bytes a commit would add: members already selected contribute nothing."""
-    return sum(object_size(m, catalog) for m in obj.members() if member_key(m) not in config)
+    return sum(b for key, b in obj.parts if key not in config)
 
 
-def _member_records(obj: SelectionObject, config: Configuration, catalog: SchemaCatalog):
+def _member_records(obj: SelectionObject, config: Configuration):
     """The members a commit adds, view first."""
     return [
         SelectedMember(
-            m.id,
-            "view" if m is obj.view else "base_index" if m.is_base() else "view_index",
-            object_size(m, catalog),
+            m.id, "view" if m is obj.view else "base_index" if m.is_base() else "view_index", b
         )
-        for m in obj.members()
-        if member_key(m) not in config
+        for m, (key, b) in zip(obj.members(), obj.parts)
+        if key not in config
     ]
 
 
@@ -122,19 +112,15 @@ def greedy_core(
     """Greedy loop over an explicit object list (isolated strategies reuse it)."""
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
-    catalog = ctx.catalog
 
     # What each object's score reads: the costs of its touched queries, the
     # selection of its own members and of its denominator dependencies.
-    members = [o.config_members() for o in objects]
-    touched = [ctx.queries_touching(m) for m in members]
     readers_of_key: dict[object, list[int]] = {}
     readers_of_query: dict[str, list[int]] = {}
     for pos, obj in enumerate(objects):
-        deps = [member_key(d) for d in denominator_dependencies(obj, ctx)]
-        for key in (*members[pos], *deps):
+        for key in (*obj.keys, *(k for k, _ in obj.deps)):
             readers_of_key.setdefault(key, []).append(pos)
-        for q in touched[pos]:
+        for q in obj.touched:
             readers_of_query.setdefault(q.id, []).append(pos)
 
     config = Configuration()
@@ -161,7 +147,7 @@ def greedy_core(
             o = objects[pos]
             if pos in stale:
                 value = objective_value(o, config, ctx, params)
-                scores[pos] = (value, incremental_size(o, config, catalog))
+                scores[pos] = (value, incremental_size(o, config))
             value, inc = scores[pos]
             if value > 0.0:
                 scored.append((-value, inc, o.id, pos))
@@ -184,19 +170,19 @@ def greedy_core(
 
         obj = objects[chosen]
         value, inc = scores[chosen]
-        selected.extend(_member_records(obj, config, catalog))
-        cost_before, cost_after = touched_costs(ctx, config, members[chosen])
+        selected.extend(_member_records(obj, config))
+        cost_before, cost_after = touched_costs(ctx, config, obj)
         total -= cost_before - cost_after
-        config = obj.apply_to(config)
+        config = config | obj.keys
         used += inc
         step += 1
-        for q in touched[chosen]:
+        for q in obj.touched:
             stale.update(readers_of_query[q.id])
-        for key in members[chosen]:
+        for key in obj.keys:
             stale.update(readers_of_key[key])
         # only an object sharing a member with the commit can have become
         # fully selected, and every such object is stale
-        remaining = [p for p in remaining if p not in stale or not objects[p].fully_selected(config)]
+        remaining = [p for p in remaining if p not in stale or not objects[p].keys <= config]
         iterations.append(
             IterationRecord(
                 step=step,

@@ -57,9 +57,6 @@ class Query:
         """Attributes the query filters or groups on; drives index usability."""
         return frozenset(p.attr for p in self.predicates) | frozenset(self.group_by)
 
-    def predicate_attrs(self) -> frozenset[Attr]:
-        return frozenset(p.attr for p in self.predicates)
-
 
 @dataclass(frozen=True)
 class Workload:
@@ -323,7 +320,12 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
             continue
         m = _HEADER_RE.match(stripped)
         if m:
-            refresh_ratio = float(m.group(1))
+            try:
+                refresh_ratio = float(m.group(1))
+            except ValueError:
+                raise ParseError(
+                    f"refresh_ratio takes a real number, got {m.group(1)!r}", source, i + 1
+                ) from None
             if not math.isfinite(refresh_ratio) or refresh_ratio < 0:
                 raise ValidationError(f"refresh_ratio must be finite and >= 0, got {m.group(1)}")
             body_start = i + 1

@@ -125,7 +125,7 @@ def test_criterion_2_budget_safety():
         inst = random_instance(seed=seed, max_tables=6, max_queries=12)
         ctx = inst.context()
         objects = enumerate_objects(ctx)
-        total = sum(o.full_size(inst.catalog) for o in objects) or 1
+        total = sum(o.size for o in objects) or 1
         budget = log_uniform_budget(rng, total)
         params = ObjectiveParams(
             refresh_ratio=rng.choice([0.0, 0.3]),
@@ -165,7 +165,7 @@ def test_criterion_3_oracle_equivalence():
             refresh_ratio=0.0,
             total_object_count=max(1, len(inst.views) + len(inst.indexes)),
         )
-        total = sum(o.full_size(inst.catalog) for o in objects) or 1
+        total = sum(o.size for o in objects) or 1
         budget = rng.randint(1, total)
         greedy = greedy_select(ctx, budget, params)
         exact = exhaustive_select(ctx, objects, budget, params)
@@ -183,8 +183,8 @@ def test_criterion_3_oracle_equivalence():
         for n_dims in (2, 3, 4, 5):
             inst = _uniform_instance(seed=100 * fseed + n_dims, n_dims=n_dims)
             ctx = inst.context()
-            objects = [view_object(v) for v in inst.views]
-            size = objects[0].full_size(inst.catalog)
+            objects = [view_object(v, ctx) for v in inst.views]
+            size = objects[0].size
             params = ObjectiveParams(refresh_ratio=0.0, total_object_count=len(objects))
             for m in (1, n_dims):
                 budget = m * size
@@ -287,8 +287,8 @@ def test_criterion_5_objective_semantics():
         gain = object_benefit(o, Configuration(), ctx)
         if gain <= 0:
             continue
-        maintenance = o.maintenance(catalog)
-        size = max(o.full_size(catalog), 1)
+        maintenance = o.maintenance
+        size = max(o.size, 1)
         ratio = gain * size * n_objects / (len(queries) * maintenance)
         threshold = max(threshold, ratio)
 

@@ -32,7 +32,7 @@ def test_exhaustive_empty_objects(ctx):
 
 def test_exhaustive_guard():
     inst = random_instance(seed=8, max_tables=6, max_queries=12)
-    objects = [view_object(v) for v in inst.views]
+    objects = [view_object(v, inst.context()) for v in inst.views]
     while len(objects) < 21:
         objects = objects + objects
     with pytest.raises(TooManyObjectsError):
@@ -43,15 +43,15 @@ def test_exhaustive_three_object_knapsack():
     """Three non-interacting equal-size objects, budget for two: the oracle
     keeps the two with the larger savings."""
     inst = _uniform_instance(seed=1, n_dims=3)
-    objects = [view_object(v) for v in inst.views]
-    size = objects[0].full_size(inst.catalog)
-    assert all(o.full_size(inst.catalog) == size for o in objects)
-
     ctx = inst.context()
+    objects = [view_object(v, ctx) for v in inst.views]
+    size = objects[0].size
+    assert all(o.size == size for o in objects)
+
     savings = {}
     base = ctx.workload_total(Configuration())
     for o in objects:
-        savings[o.id] = base - ctx.workload_total(o.apply_to(Configuration()))
+        savings[o.id] = base - ctx.workload_total(Configuration() | o.keys)
     keep = sorted(savings, key=lambda k: (-savings[k], k))[:2]
 
     res = exhaustive_select(ctx, objects, 2 * size, _params(3))
@@ -111,7 +111,8 @@ def _uniform_instance(seed: int, n_dims: int):
 
 def test_uniform_family_views_identical_size():
     inst = _uniform_instance(seed=3, n_dims=4)
-    sizes = {view_object(v).full_size(inst.catalog) for v in inst.views}
+    ctx = inst.context()
+    sizes = {view_object(v, ctx).size for v in inst.views}
     assert len(sizes) == 1
 
 
@@ -120,8 +121,8 @@ def test_greedy_matches_exhaustive_on_uniform_family():
         n_dims = 2 + seed % 4
         inst = _uniform_instance(seed=seed, n_dims=n_dims)
         ctx = inst.context()
-        objects = [view_object(v) for v in inst.views]
-        size = objects[0].full_size(inst.catalog)
+        objects = [view_object(v, ctx) for v in inst.views]
+        size = objects[0].size
         params = _params(len(objects))
         for m in range(1, n_dims + 1):
             budget = m * size
@@ -139,7 +140,7 @@ def test_exhaustive_never_worse_than_greedy_random():
         if len(objects) > 12:
             continue
         params = _params(len(inst.views) + len(inst.indexes))
-        total = sum(o.full_size(inst.catalog) for o in objects) or 1
+        total = sum(o.size for o in objects) or 1
         rng = random.Random(seed)
         budget = rng.randint(1, total)
         greedy = greedy_select(ctx, budget, params)
@@ -167,7 +168,7 @@ def test_simultaneous_beats_isolated_at_full_budget(catalog, ctx):
     from mvindex.selector import enumerate_objects
 
     objects = enumerate_objects(ctx)
-    budget = sum(o.full_size(catalog) for o in objects) + 1
+    budget = sum(o.size for o in objects) + 1
     params = _params(19)
     sim = greedy_select(ctx, budget, params)
     only_v = isolated_select(VIEWS_ONLY, ctx, budget, params)

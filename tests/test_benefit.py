@@ -34,14 +34,14 @@ def test_benefit_density_zero_size_floor():
 
 def test_view_benefit_first_branch(views, ctx):
     v1 = views[0]
-    got = object_benefit(view_object(v1), Configuration(), ctx)
+    got = object_benefit(view_object(v1, ctx), Configuration(), ctx)
     # only q1 improves: (47664 - 15) saved blocks over the view's 116880 bytes
     assert got == pytest.approx(47_649 / 116_880, rel=1e-12)
 
 
 def test_view_benefit_zero_when_unused(views, ctx):
     v5 = next(v for v in views if v.id == "v5")
-    assert object_benefit(view_object(v5), Configuration(), ctx) == 0.0
+    assert object_benefit(view_object(v5, ctx), Configuration(), ctx) == 0.0
 
 
 def test_index_benefit_zero_when_useless(catalog, ctx):
@@ -49,7 +49,7 @@ def test_index_benefit_zero_when_useless(catalog, ctx):
     from mvindex.candidates import make_base_index
 
     useless = make_base_index("ix", ("sales", "amount_sold"), catalog)
-    got = object_benefit(index_object(useless), Configuration(), ctx)
+    got = object_benefit(index_object(useless, ctx), Configuration(), ctx)
     assert got == 0.0
 
 
@@ -58,7 +58,7 @@ def test_index_benefit_second_branch_base_candidate(indexes, ctx):
     # anything once v1 answers q1: zero saved blocks over a heavier denominator
     i8 = next(i for i in indexes if i.id == "i8")
     cfg = Configuration({"v1"})
-    got = object_benefit(index_object(i8), cfg, ctx)
+    got = object_benefit(index_object(i8, ctx), cfg, ctx)
     assert got == 0.0
 
 
@@ -67,7 +67,7 @@ def test_index_benefit_second_branch_on_view(views, catalog, ctx):
     v1 = views[0]
     on_view = make_view_index("i8@v1", v1, ("times", "time_fiscal_year"), catalog)
     cfg = Configuration({"v1"})
-    got = object_benefit(index_object(on_view), cfg, ctx)
+    got = object_benefit(index_object(on_view, ctx), cfg, ctx)
     denom = 7305 * 14 + 116_880
     assert got == pytest.approx(11 / denom, rel=1e-12)
 
@@ -75,7 +75,7 @@ def test_index_benefit_second_branch_on_view(views, catalog, ctx):
 def test_index_benefit_unselected_view_scores_zero(views, catalog, ctx):
     v1 = views[0]
     on_view = make_view_index("i8@v1", v1, ("times", "time_fiscal_year"), catalog)
-    got = object_benefit(index_object(on_view), Configuration(), ctx)
+    got = object_benefit(index_object(on_view, ctx), Configuration(), ctx)
     assert got == 0.0
 
 
@@ -87,7 +87,7 @@ def test_view_benefit_second_branch_denominator(views, indexes, catalog, ctx):
     # with the index, q1 costs 47638 + (1 + ceil(26/5)) = 47645
     saved = 47_645 - 15
     denom = object_size(v1, catalog) + object_size(i8, catalog)
-    got = object_benefit(view_object(v1), cfg, ctx)
+    got = object_benefit(view_object(v1, ctx), cfg, ctx)
     assert got == pytest.approx(saved / denom, rel=1e-12)
     assert denom == 116_880 + 1461 * 14
 
@@ -95,9 +95,9 @@ def test_view_benefit_second_branch_denominator(views, indexes, catalog, ctx):
 def test_second_branch_reduces_to_first_when_unrelated(indexes, ctx):
     # selecting an unrelated view must not change an index's score
     i4 = next(i for i in indexes if i.id == "i4")
-    plain = object_benefit(index_object(i4), Configuration(), ctx)
+    plain = object_benefit(index_object(i4, ctx), Configuration(), ctx)
     cfg = Configuration({"v1"})  # VI[v1][i4] = 0
-    related = object_benefit(index_object(i4), cfg, ctx)
+    related = object_benefit(index_object(i4, ctx), cfg, ctx)
     assert plain == related > 0.0
 
 
@@ -110,20 +110,20 @@ def test_benefit_never_negative(views, indexes, ctx):
             | {i.id for i in indexes if rng.random() < 0.3}
         )
         for o in objects:
-            if o.fully_selected(cfg):
+            if o.keys <= cfg:
                 continue
             assert object_benefit(o, cfg, ctx) >= 0.0
 
 
 def test_size_scaling_inverts_first_branch(views, ctx, monkeypatch):
     v1 = views[0]
-    base = object_benefit(view_object(v1), Configuration(), ctx)
+    base = object_benefit(view_object(v1, ctx), Configuration(), ctx)
 
     import mvindex.benefit as benefit_mod
 
     real_size = benefit_mod.object_size
     monkeypatch.setattr(benefit_mod, "object_size", lambda o, c: 3 * real_size(o, c))
-    scaled = object_benefit(view_object(v1), Configuration(), ctx)
+    scaled = object_benefit(view_object(v1, ctx), Configuration(), ctx)
     assert scaled == pytest.approx(base / 3, rel=1e-12)
 
 
@@ -169,7 +169,7 @@ def test_objective_modes_penalize(queries, views, catalog, ctx):
         ObjectiveParams(refresh_ratio=0.5, total_object_count=19, mode="literal"),
     )
     beta = update_weight(ObjectiveParams(refresh_ratio=0.5, total_object_count=19), len(queries))
-    assert lit == pytest.approx(gain - beta * obj.maintenance(catalog), rel=1e-12)
+    assert lit == pytest.approx(gain - beta * obj.maintenance, rel=1e-12)
 
 
 def test_argmax_stable_under_refresh_zero():
@@ -185,7 +185,7 @@ def test_argmax_stable_under_refresh_zero():
 def test_pair_object_benefit_uses_combined_size(views, indexes, catalog, ctx):
     v1 = views[0]
     i8 = next(i for i in indexes if i.id == "i8")
-    pair = pair_object(v1, i8, catalog)
+    pair = pair_object(v1, i8, ctx)
     got = object_benefit(pair, Configuration(), ctx)
     # q1: 47664 -> 4; combined storage of view and its index
     denom = 116_880 + 7305 * 14

@@ -12,6 +12,8 @@ from mvindex.candidates import (
 from mvindex.errors import ParseError, UnknownNameError, ValidationError
 from mvindex.workload import Workload
 
+from util import random_instance
+
 
 def _single_query_workload(workload, qid):
     return Workload(queries=(workload.query(qid),), refresh_ratio=0.0)
@@ -98,6 +100,20 @@ def test_generated_view_usable_by_its_group(workload, catalog):
         own = [v for v in views if v.joined_tables == q.joined_tables]
         assert len(own) == 1
         assert usable_view(q, own[0])
+
+
+@pytest.mark.parametrize("seed", [None, *range(60)])
+def test_generated_view_group_by_is_what_its_usable_queries_filter_or_group_on(
+    workload, catalog, seed
+):
+    # generate_index_candidates relies on this to offer an on-view index
+    # for every indexable group-by attribute without a query-view pass
+    if seed is not None:
+        inst = random_instance(seed)
+        workload, catalog = inst.workload, inst.catalog
+    for v in generate_view_candidates(workload, catalog):
+        attrs = [q.filter_group_attrs() for q in workload.queries if usable_view(q, v)]
+        assert frozenset().union(*attrs) == v.group_by_set()
 
 
 def test_usable_index_fixture_cases(workload, indexes):

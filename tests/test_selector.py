@@ -61,15 +61,15 @@ def test_incremental_size(views, catalog, ctx):
     objects = enumerate_objects(ctx)
     pair = next(o for o in objects if o.id == "v1+i8")
     empty = Configuration()
-    full = pair.full_size(catalog)
-    assert incremental_size(pair, empty, catalog) == full
+    full = pair.size
+    assert incremental_size(pair, empty) == full
     with_view = Configuration({"v1"})
-    assert incremental_size(pair, with_view, catalog) == object_size(pair.index, catalog)
-    both = pair.apply_to(empty)
-    assert incremental_size(pair, both, catalog) == 0
+    assert incremental_size(pair, with_view) == object_size(pair.index, catalog)
+    both = empty | pair.keys
+    assert incremental_size(pair, both) == 0
 
     single = next(o for o in objects if o.id == "v1")
-    assert incremental_size(single, empty, catalog) == object_size(views[0], catalog)
+    assert incremental_size(single, empty) == object_size(views[0], catalog)
 
 
 def test_zero_budget(ctx):
@@ -110,12 +110,12 @@ def test_trace_objectives_match_public_function(ctx):
     objects = enumerate_objects(ctx)
     config = Configuration()
     for it in res.iterations:
-        remaining = [o for o in objects if not o.fully_selected(config)]
+        remaining = [o for o in objects if not o.keys <= config]
         scores = {o.id: objective_value(o, config, ctx, params) for o in remaining}
         assert scores[it.object_id] == pytest.approx(it.objective, rel=1e-12)
         assert it.objective == pytest.approx(max(scores.values()), rel=1e-12)
         chosen = next(o for o in remaining if o.id == it.object_id)
-        config = chosen.apply_to(config)
+        config = config | chosen.keys
     assert config == res.config
 
 
@@ -129,7 +129,7 @@ def test_costs_decrease_along_trace(ctx):
 def test_budget_safety_fixture(catalog, ctx):
     rng = random.Random(123)
     objects = enumerate_objects(ctx)
-    total = sum(o.full_size(catalog) for o in objects)
+    total = sum(o.size for o in objects)
     for _ in range(25):
         budget = log_uniform_budget(rng, total)
         res = greedy_select(ctx, budget, _params(19))
@@ -161,7 +161,7 @@ def test_random_instances_run_clean():
         inst = random_instance(seed=trial)
         ctx = inst.context()
         objects = enumerate_objects(ctx)
-        total = sum(o.full_size(inst.catalog) for o in objects) or 1
+        total = sum(o.size for o in objects) or 1
         budget = log_uniform_budget(rng, total)
         params = _params(len(inst.views) + len(inst.indexes), refresh=rng.choice([0.0, 0.5]))
         res = greedy_select(ctx, budget, params)
@@ -193,16 +193,16 @@ def test_incremental_greedy_matches_full_rescore(
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
     objects = enumerate_objects(ctx)
-    total = sum(o.full_size(inst.catalog) for o in objects) or 1
+    total = sum(o.size for o in objects) or 1
     budget = log_uniform_budget(random.Random(budget_seed), total)
     params = _params(len(inst.views) + len(inst.indexes), refresh=refresh, mode=mode)
     args = (inst.views, inst.indexes, inst.matrices, inst.catalog, budget, params)
     runs = [
         (greedy_select(ctx, budget, params), objects),
-        (isolated_select(VIEWS_ONLY, ctx, budget, params), [view_object(v) for v in inst.views]),
+        (isolated_select(VIEWS_ONLY, ctx, budget, params), [view_object(v, ctx) for v in inst.views]),
         (
             isolated_select(INDEXES_ONLY, ctx, budget, params),
-            [index_object(i) for i in inst.indexes if i.is_base()],
+            [index_object(i, ctx) for i in inst.indexes if i.is_base()],
         ),
     ]
     for result, family in runs:
@@ -301,7 +301,7 @@ def test_budget_at_or_above_unconstrained_use_selects_the_same(
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
     params = _params(len(inst.views) + len(inst.indexes), refresh=refresh, mode=mode)
-    unconstrained = sum(o.full_size(inst.catalog) for o in enumerate_objects(ctx)) + 1
+    unconstrained = sum(o.size for o in enumerate_objects(ctx)) + 1
     free = greedy_select(ctx, unconstrained, params)
     budget = free.used_bytes + headroom
     res = greedy_select(ctx, budget, params)

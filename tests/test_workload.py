@@ -128,6 +128,13 @@ def test_refresh_ratio_header(catalog):
         load_workload("refresh_ratio = -1\n", catalog)
 
 
+@pytest.mark.parametrize("value", ["1.2.3", "e", "-"])
+def test_malformed_refresh_ratio_names_its_source_and_line(catalog, value):
+    with pytest.raises(ParseError) as err:
+        load_workload(f"# header\nrefresh_ratio = {value}\n", catalog, "w.workload")
+    assert str(err.value) == f"w.workload: line 2: refresh_ratio takes a real number, got {value!r}"
+
+
 def test_duplicate_query_ids_rejected(catalog):
     stmt = (
         "q1: select sales.time_id, sum(amount_sold) from sales, times "
@@ -167,10 +174,12 @@ def _code_offsets(text):
     k = 0
     while k < len(text):
         if text[k] in "#'":
+            # inside runs up to and including the newline that ends a
+            # comment, or the quote that closes a string
             end = text.find("\n" if text[k] == "#" else "'", k + 1)
-            end = len(text) if end < 0 else end + (text[k] == "'")
-            inside.update(range(k + 1, end))
-            k = end
+            end = len(text) if end < 0 else end
+            inside.update(range(k + 1, end + 1))
+            k = end + 1
             continue
         if text[k] == ";":
             semicolons.append(k)

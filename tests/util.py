@@ -19,7 +19,7 @@ from mvindex.candidates import (
 )
 from mvindex.benefit import MODE_LITERAL, update_weight
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, validate_catalog
-from mvindex.costmodel import Configuration, CostContext, object_size
+from mvindex.costmodel import Configuration, CostContext, maintenance_cost, member_key, object_size
 from mvindex.selector import (
     STOP_BUDGET_EXHAUSTED,
     STOP_CANDIDATES_EXHAUSTED,
@@ -257,9 +257,12 @@ def related_indexes(v: ViewCandidate, matrices: UsageMatrices) -> list[str]:
 
 
 def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx) -> float:
-    """The greedy objective from two whole-workload cost totals."""
+    """The greedy objective from two whole-workload cost totals, with the
+    object's keys, sizes and maintenance recomputed from its candidates."""
+    members = [m for m in (obj.view, obj.index) if m is not None]
+    size = sum(object_size(m, catalog) for m in members)
     before = ctx.workload_total(config)
-    after = ctx.workload_total(obj.apply_to(config))
+    after = ctx.workload_total(config | {member_key(m) for m in members})
     if obj.kind == "view":
         related = [iid for iid in related_indexes(obj.view, matrices) if iid in config]
         denom = object_size(obj.view, catalog)
@@ -269,15 +272,15 @@ def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx)
         denom = object_size(obj.index, catalog)
         denom += sum(object_size(ctx.views[vid], catalog) for vid in related)
     else:
-        denom = obj.full_size(catalog)
+        denom = size
     gain = (before - after) / max(denom, 1)
     beta = update_weight(params, len(queries))
     if beta == 0.0:
         return gain
-    maintenance = obj.maintenance(catalog)
+    maintenance = sum(maintenance_cost(m, catalog) for m in members)
     if params.mode == MODE_LITERAL:
         return gain - beta * maintenance
-    return gain - beta * maintenance / max(obj.full_size(catalog), 1)
+    return gain - beta * maintenance / max(size, 1)
 
 
 def full_rescore_greedy(queries, objects, views, indexes, matrices, catalog, budget_bytes, params):
@@ -295,7 +298,7 @@ def full_rescore_greedy(queries, objects, views, indexes, matrices, catalog, bud
         if budget_bytes - used <= 0:
             stop = STOP_BUDGET_EXHAUSTED
             break
-        remaining = [o for o in remaining if not o.fully_selected(config)]
+        remaining = [o for o in remaining if not o.keys <= config]
         if not remaining:
             stop = STOP_CANDIDATES_EXHAUSTED
             break
@@ -304,7 +307,7 @@ def full_rescore_greedy(queries, objects, views, indexes, matrices, catalog, bud
         for o in remaining:
             value = full_rescore_objective(o, queries, config, matrices, catalog, params, ctx)
             if value > 0.0:
-                scored.append((-value, incremental_size(o, config, catalog), o.id, o))
+                scored.append((-value, incremental_size(o, config), o.id, o))
         if not scored:
             stop = STOP_NO_POSITIVE_OBJECTIVE
             break
@@ -322,8 +325,8 @@ def full_rescore_greedy(queries, objects, views, indexes, matrices, catalog, bud
             break
 
         value, inc, obj = chosen
-        selected.extend(_member_records(obj, config, catalog))
-        config = obj.apply_to(config)
+        selected.extend(_member_records(obj, config))
+        config = config | obj.keys
         used += inc
         step += 1
         iterations.append(
