@@ -21,6 +21,11 @@ EXHAUSTIVE_LIMIT = 20
 
 VIEWS_ONLY = "views_only"
 INDEXES_ONLY = "indexes_only"
+# isolated strategy -> whether an object belongs to its family
+_FAMILIES = {
+    VIEWS_ONLY: lambda o: o.kind == "view",
+    INDEXES_ONLY: lambda o: o.kind == "index" and o.index.is_base(),
+}
 
 
 @dataclass(frozen=True)
@@ -121,13 +126,23 @@ def exhaustive_select(
 
 
 def isolated_select(
-    kind: str, ctx: CostContext, budget_bytes: int, params: ObjectiveParams
+    kind: str,
+    ctx: CostContext,
+    budget_bytes: int,
+    params: ObjectiveParams,
+    objects: list[SelectionObject] | None = None,
+    resume: SelectionResult | None = None,
 ) -> SelectionResult:
-    """Greedy over a single structure family: views only, or base indexes only."""
-    if kind == VIEWS_ONLY:
-        objects = [view_object(v, ctx) for v in ctx.views.values()]
-    elif kind == INDEXES_ONLY:
-        objects = [index_object(i, ctx) for i in ctx.indexes.values() if i.is_base()]
-    else:
+    """Greedy over a single structure family: views only, or base indexes only.
+
+    The family is drawn from ``objects``, such as ``enumerate_objects(ctx)``;
+    unless given, only the context's views and base indexes are built.
+    ``resume`` is an earlier run of the same family, see ``greedy_core``.
+    """
+    in_family = _FAMILIES.get(kind)
+    if in_family is None:
         raise ValidationError(f"unknown isolated strategy {kind!r}")
-    return greedy_core(ctx, objects, budget_bytes, params)
+    if objects is None:
+        objects = [view_object(v, ctx) for v in ctx.views.values()]
+        objects += [index_object(i, ctx) for i in ctx.indexes.values() if i.is_base()]
+    return greedy_core(ctx, [o for o in objects if in_family(o)], budget_bytes, params, resume)

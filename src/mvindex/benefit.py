@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .candidates import IndexCandidate, ViewCandidate, make_view_index
-from .costmodel import Configuration, CostContext, maintenance_cost, member_key, object_size
+from .costmodel import Configuration, CostContext
 from .errors import ValidationError
 from .workload import Query
 
@@ -90,9 +90,8 @@ class SelectionObject:
 
 
 def _object(oid: str, kind: str, view, index, ctx: CostContext) -> SelectionObject:
-    catalog = ctx.catalog
-    members = [m for m in (view, index) if m is not None]
-    parts = tuple((member_key(m), object_size(m, catalog)) for m in members)
+    facts = [ctx.member_facts(m) for m in (view, index) if m is not None]
+    parts = tuple((key, b) for key, b, _ in facts)
     keys = frozenset(key for key, _ in parts)
     if kind == "pair":
         deps = []
@@ -107,9 +106,9 @@ def _object(oid: str, kind: str, view, index, ctx: CostContext) -> SelectionObje
         index=index,
         keys=keys,
         size=sum(b for _, b in parts),
-        maintenance=sum(maintenance_cost(m, catalog) for m in members),
+        maintenance=sum(m for _, _, m in facts),
         parts=parts,
-        deps=tuple((member_key(d), object_size(d, catalog)) for d in deps),
+        deps=tuple(ctx.member_facts(d)[:2] for d in deps),
         touched=tuple(ctx.queries_touching(keys)),
     )
 

@@ -7,6 +7,7 @@ Reports are byte-identical across runs with identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import nullcontext
@@ -126,11 +127,12 @@ def _load_inputs(args):
     return params, ctx
 
 
-def _reference_space(ctx: CostContext, params: ObjectiveParams) -> int:
-    """Bytes used by an unconstrained simultaneous run; budget percentages and
-    sweep fractions are relative to this."""
-    unconstrained = sum(o.size for o in enumerate_objects(ctx)) + 1
-    return greedy_select(ctx, unconstrained, params).used_bytes
+def _reference_space(ctx: CostContext, params: ObjectiveParams, objects: list) -> SelectionResult:
+    """The unconstrained simultaneous run over ``objects``: budget percentages
+    and sweep fractions are relative to its used bytes, and the budgeted
+    simultaneous runs resume from it."""
+    unconstrained = sum(o.size for o in objects) + 1
+    return greedy_select(ctx, unconstrained, params, objects)
 
 
 def _parse_budget(text: str, reference_space) -> int:
@@ -167,18 +169,28 @@ def _parse_sweep(text: str) -> list[float]:
     return fractions
 
 
-def _run_strategy(mode: str, ctx: CostContext, budget: int, params: ObjectiveParams):
-    if mode == "none":
-        return SelectionResult(
-            config=Configuration(), selected=[], used_bytes=0, iterations=[],
-            stop_reason="not_run", final_cost=ctx.workload_total(Configuration()),
-        )
+def _no_selection(ctx: CostContext) -> SelectionResult:
+    return SelectionResult(
+        config=Configuration(), selected=[], used_bytes=0, iterations=[],
+        stop_reason="not_run", final_cost=ctx.workload_total(Configuration()),
+    )
+
+
+def _run_strategy(
+    mode: str,
+    ctx: CostContext,
+    objects: list,
+    budget: int,
+    params: ObjectiveParams,
+    resume: SelectionResult | None,
+) -> SelectionResult:
+    """One greedy strategy over ``objects``, resuming from an earlier run of it."""
     if mode == "simultaneous":
-        return greedy_select(ctx, budget, params)
+        return greedy_select(ctx, budget, params, objects, resume)
     if mode == "view-only":
-        return isolated_select(VIEWS_ONLY, ctx, budget, params)
+        return isolated_select(VIEWS_ONLY, ctx, budget, params, objects, resume)
     if mode == "index-only":
-        return isolated_select(INDEXES_ONLY, ctx, budget, params)
+        return isolated_select(INDEXES_ONLY, ctx, budget, params, objects, resume)
     raise AdvisorError(f"unhandled mode {mode!r}")
 
 
@@ -216,7 +228,15 @@ def run_advise(args) -> tuple[str, int]:
     if args.mode == "exhaustive":
         exhaustive_objects = enumerate_exhaustive_objects(ctx)
         check_exhaustive_limit(exhaustive_objects)
-    budget = _parse_budget(args.budget, lambda: _reference_space(ctx, params))
+    objects = functools.cache(lambda: enumerate_objects(ctx))  # built once, if at all
+    reference = None
+
+    def reference_space():
+        nonlocal reference
+        reference = _reference_space(ctx, params, objects())
+        return reference.used_bytes
+
+    budget = _parse_budget(args.budget, reference_space)
 
     before = workload_cost(ctx, Configuration())
 
@@ -232,7 +252,11 @@ def run_advise(args) -> tuple[str, int]:
         )
         selected_ids = list(ex.selected_ids)
     else:
-        result = _run_strategy(args.mode, ctx, budget, params)
+        if args.mode == "none":
+            result = _no_selection(ctx)
+        else:
+            resume = reference if args.mode == "simultaneous" else None
+            result = _run_strategy(args.mode, ctx, objects(), budget, params, resume)
         selected_ids = result.selected_ids()
 
     after = workload_cost(ctx, result.config)
@@ -286,10 +310,12 @@ def run_advise(args) -> tuple[str, int]:
 
     if args.format == "json":
         return format_json(report) + "\n", 0
-    return _format_text_report(report), 0
+    return _format_text_report(report, matrices.base_index_ids), 0
 
 
-def _format_text_report(report: dict) -> str:
+def _format_text_report(report: dict, base_index_ids) -> str:
+    """The report as text.  ``base_index_ids`` head the query-index columns:
+    that matrix holds the base indexes only, the report's ``index_ids`` all."""
     lines = []
     add = lines.append
     add(f"cost model      {report['cost_model']}")
@@ -310,7 +336,7 @@ def _format_text_report(report: dict) -> str:
     add("query-view matrix (rows: " + ",".join(m["query_ids"]) + "; cols: " + ",".join(m["view_ids"]) + ")")
     for row in m["query_view"]:
         add("  " + " ".join(str(x) for x in row))
-    add("query-index matrix (cols: " + ",".join(m["index_ids"]) + ")")
+    add("query-index matrix (cols: " + ",".join(base_index_ids) + ")")
     for row in m["query_index"]:
         add("  " + " ".join(str(x) for x in row))
     add("view-index matrix")
@@ -345,20 +371,31 @@ def _format_text_report(report: dict) -> str:
 
 
 def run_sweep(args) -> tuple[str, int]:
-    """Run every strategy at each budget fraction; returns CSV."""
+    """Run every strategy at each budget fraction; returns CSV.
+
+    The fractions run from the largest down, each strategy resuming from its
+    own run at the next larger fraction (the simultaneous one first from the
+    reference run); the rows keep the order the fractions were given in.
+    """
     params, ctx = _load_inputs(args)
     fractions = _parse_sweep(args.sweep)
 
-    reference = _reference_space(ctx, params)
+    objects = enumerate_objects(ctx)
+    reference = _reference_space(ctx, params, objects)
+    last = {"none": _no_selection(ctx), "simultaneous": reference}
+    results = {}
+    for fraction in sorted(set(fractions), reverse=True):
+        budget = int(reference.used_bytes * fraction)
+        for mode in SWEEP_STRATEGIES.values():
+            if mode != "none":
+                last[mode] = _run_strategy(mode, ctx, objects, budget, params, last.get(mode))
+            results[fraction, mode] = last[mode]
     rows = [SWEEP_HEADER]
     for fraction in fractions:
-        budget = int(reference * fraction)
         for strategy, mode in SWEEP_STRATEGIES.items():
-            result = _run_strategy(mode, ctx, budget, params)
-            objects = ";".join(result.selected_ids()) if result.selected else ""
-            rows.append(
-                f"{fraction},{strategy},{result.final_cost},{result.used_bytes},{objects}"
-            )
+            result = results[fraction, mode]
+            ids = ";".join(result.selected_ids()) if result.selected else ""
+            rows.append(f"{fraction},{strategy},{result.final_cost},{result.used_bytes},{ids}")
     return "\n".join(rows) + "\n", 0
 
 

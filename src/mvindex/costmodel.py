@@ -151,6 +151,8 @@ class CostContext:
         self._cache: dict[str, dict] = {}
         # member key -> positions of the queries whose _relevant sets hold it
         self._touching: dict[object, list[int]] = {}
+        # member key -> (key, bytes, maintenance blocks), see member_facts
+        self._facts: dict[object, tuple[object, int, int]] = {}
 
         clash = sorted(self.views.keys() & self.indexes.keys())
         if clash:
@@ -225,6 +227,21 @@ class CostContext:
             if v is not None and i is not None and i.is_base():
                 self.paired.setdefault(vid, []).append(i)
                 self.paired.setdefault(iid, []).append(v)
+
+    def member_facts(self, member) -> tuple[object, int, int]:
+        """``(member_key, object_size, maintenance_cost)`` of a candidate,
+        computed once per key.
+
+        A view or base index is in many selection objects (its singleton, its
+        pairs, the dependencies of the candidates it pairs with), and every
+        member with one key has the same facts.
+        """
+        key = member_key(member)
+        facts = self._facts.get(key)
+        if facts is None:
+            facts = (key, object_size(member, self.catalog), maintenance_cost(member, self.catalog))
+            self._facts[key] = facts
+        return facts
 
     def queries_touching(self, members: Configuration) -> list[Query]:
         """Queries whose cost can change when ``members`` join a configuration.

@@ -22,11 +22,24 @@ directions, and every score that can change is recomputed.  The per-step
 workload cost is kept as a running total over the committed object's
 touched queries.  Selections and traces are identical to rescoring every
 object at every step, which the tests check against such a loop.
+
+A run can resume from an earlier run over the same objects under an equal
+or larger budget B' >= B.  Both runs rank the same state and commit the
+same object, with the same skipped ids, at every step up to the first one
+where the earlier run's commit no longer fits in what is left of B (or
+nothing is left): the ids the earlier run skipped did not fit in
+``B' - used``, so they do not fit in the smaller ``B - used`` either, and
+the objective never reads the budget.  So the resumed run copies those
+steps (with ``remaining_budget`` recomputed for B), rebuilds the
+configuration, the used bytes and the running cost from them, scores
+every object not yet fully selected, and continues the loop from there.
+Budget percentages and sweeps resume from the unconstrained run they are
+measured against, and each sweep fraction from the next larger one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .benefit import (
     ObjectiveParams,
@@ -38,7 +51,7 @@ from .benefit import (
     view_object,
 )
 from .costmodel import Configuration, CostContext
-from .errors import InvalidBudgetError
+from .errors import InvalidBudgetError, ValidationError
 
 STOP_NO_POSITIVE_OBJECTIVE = "no_positive_objective"
 STOP_CANDIDATES_EXHAUSTED = "candidates_exhausted"
@@ -103,13 +116,40 @@ def _member_records(obj: SelectionObject, config: Configuration):
     ]
 
 
+def _shared_steps(
+    resume: SelectionResult | None, objects: list[SelectionObject], budget_bytes: int
+):
+    """The leading steps of ``resume`` that a run at ``budget_bytes`` takes
+    too, each with its object: those taken while budget is left and the
+    step's commit still fits.  Refuses an earlier run under a smaller budget."""
+    if resume is None or not resume.iterations:
+        return
+    first = resume.iterations[0]
+    if budget_bytes > first.remaining_budget + first.incremental_bytes:
+        raise ValidationError("a run resumes only from a run under an equal or larger budget")
+    by_id = {o.id: o for o in objects}
+    if len(by_id) < len(objects):
+        return  # pair ids join two ids with "+" and can repeat: no step is replayed
+    used = 0
+    for it in resume.iterations:
+        if budget_bytes - used <= 0 or it.incremental_bytes > budget_bytes - used:
+            return
+        used += it.incremental_bytes
+        yield it, by_id[it.object_id]
+
+
 def greedy_core(
     ctx: CostContext,
     objects: list[SelectionObject],
     budget_bytes: int,
     params: ObjectiveParams,
+    resume: SelectionResult | None = None,
 ) -> SelectionResult:
-    """Greedy loop over an explicit object list (isolated strategies reuse it)."""
+    """Greedy loop over an explicit object list (isolated strategies reuse it).
+
+    ``resume`` is an earlier run over the same ``objects`` under an equal or
+    larger budget; the steps both runs share are replayed from it.
+    """
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
 
@@ -127,12 +167,18 @@ def greedy_core(
     selected: list[SelectedMember] = []
     iterations: list[IterationRecord] = []
     used = 0
-    remaining = list(range(len(objects)))
+    for it, obj in _shared_steps(resume, objects, budget_bytes):
+        selected.extend(_member_records(obj, config))
+        config = config | obj.keys
+        used += it.incremental_bytes
+        iterations.append(replace(it, remaining_budget=budget_bytes - used))
+    total = iterations[-1].workload_cost if iterations else ctx.workload_total(config)
+    # objects not yet fully selected; after a replay all are scored afresh
+    remaining = [pos for pos, o in enumerate(objects) if not o.keys <= config]
     stale = set(remaining)
     scores: dict[int, tuple[float, int]] = {}
-    total = ctx.workload_total(config)
     stop = None
-    step = 0
+    step = len(iterations)
 
     while True:
         if budget_bytes - used <= 0:
@@ -206,6 +252,18 @@ def greedy_core(
     )
 
 
-def greedy_select(ctx: CostContext, budget_bytes: int, params: ObjectiveParams) -> SelectionResult:
-    """Simultaneous selection over views, indexes and view-index pairs."""
-    return greedy_core(ctx, enumerate_objects(ctx), budget_bytes, params)
+def greedy_select(
+    ctx: CostContext,
+    budget_bytes: int,
+    params: ObjectiveParams,
+    objects: list[SelectionObject] | None = None,
+    resume: SelectionResult | None = None,
+) -> SelectionResult:
+    """Simultaneous selection over views, indexes and view-index pairs.
+
+    ``objects`` is ``enumerate_objects(ctx)``, built here unless given;
+    ``resume`` is an earlier run over that list, see ``greedy_core``.
+    """
+    if objects is None:
+        objects = enumerate_objects(ctx)
+    return greedy_core(ctx, objects, budget_bytes, params, resume)

@@ -15,7 +15,7 @@ from mvindex.benefit import (
     view_object,
 )
 from mvindex.candidates import make_view_index
-from mvindex.costmodel import Configuration, object_size
+from mvindex.costmodel import Configuration, CostContext, object_size
 from mvindex.errors import ValidationError
 from mvindex.selector import enumerate_objects
 
@@ -115,16 +115,21 @@ def test_benefit_never_negative(views, indexes, ctx):
             assert object_benefit(o, cfg, ctx) >= 0.0
 
 
-def test_size_scaling_inverts_first_branch(views, ctx, monkeypatch):
+def test_size_scaling_inverts_first_branch(queries, views, indexes, matrices, catalog, monkeypatch):
     v1 = views[0]
-    base = object_benefit(view_object(v1, ctx), Configuration(), ctx)
 
-    import mvindex.benefit as benefit_mod
+    def benefit():
+        # a fresh context each time: member sizes are computed once per context
+        ctx = CostContext(queries, views, indexes, matrices, catalog)
+        return object_benefit(view_object(v1, ctx), Configuration(), ctx)
 
-    real_size = benefit_mod.object_size
-    monkeypatch.setattr(benefit_mod, "object_size", lambda o, c: 3 * real_size(o, c))
-    scaled = object_benefit(view_object(v1, ctx), Configuration(), ctx)
-    assert scaled == pytest.approx(base / 3, rel=1e-12)
+    base = benefit()
+
+    import mvindex.costmodel as costmodel_mod
+
+    real_size = costmodel_mod.object_size
+    monkeypatch.setattr(costmodel_mod, "object_size", lambda o, c: 3 * real_size(o, c))
+    assert benefit() == pytest.approx(base / 3, rel=1e-12)
 
 
 def test_update_weight():

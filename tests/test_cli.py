@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -9,8 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvindex.cli import main, make_parser, run_advise
+from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
+from mvindex.benefit import ObjectiveParams
+from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
+from mvindex.costmodel import Configuration
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
+from mvindex.selector import enumerate_objects, greedy_select
 from mvindex.jsonfmt import format_json
 
 
@@ -337,3 +342,88 @@ def test_sweep_rejects_options_it_ignores(fixture_args, capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"not allowed with {extra[0]}" in captured.err
+
+
+# SHA-256 of bundled-fixture outputs, recorded before budgeted runs resumed
+# from the reference run; "fixture" adds the bundled candidates file
+PINNED_OUTPUTS = {
+    ("fixture", "--budget", "25%", "--format", "json", "--trace"):
+        "e8aa4bd4aee2cb1f2c7a68ebcd3f7e2398bce38a34971a5ca7792590edac4904",
+    ("fixture", "--budget", "50%", "--format", "json", "--trace"):
+        "1520fd8446e559c079bc544b7e329279467d8051d32f652a38f0f81685721a88",
+    ("fixture", "--budget", "100%", "--format", "json", "--trace"):
+        "b16bb4d3338f317fd8a3aba6f4c47481dba48521d1af260ae2ecaee762a4b1b7",
+    ("generated", "--budget", "25%", "--format", "json", "--trace"):
+        "0bb2276fe7569c182792301cc956c42d6c19169c5177d28615952a919f799016",
+    ("generated", "--budget", "50%", "--format", "json", "--trace"):
+        "7c44a1fc34678d8e06143a47259fcc565f4c1363df2ae1a60674f71c633a8bc7",
+    ("generated", "--budget", "100%", "--format", "json", "--trace"):
+        "c48dde291ce7130328babe087e268a4dc38d98ba5d1b4738bece81755500e9c0",
+    ("fixture", "--sweep", "0.05,0.25,0.5,1.0", "--refresh-ratio", "0"):
+        "f2bed2c2594d1738dd24cb3c499a69db8478ae9e5c01dac6f117345690f15e09",
+    ("fixture", "--sweep", "0.05,0.25,0.5,1.0", "--refresh-ratio", "2"):
+        "7d24fa73590e68b3113dee6f5784b79b88b4c2d4c0d2353ced6f33683f484e0a",
+    ("generated", "--sweep", "0.05,0.25,0.5,1.0", "--refresh-ratio", "0"):
+        "c08e70c46c48a890cd537a814a5cae324d62feaa80143f92908ae10aacb67494",
+    ("generated", "--sweep", "0.05,0.25,0.5,1.0", "--refresh-ratio", "2"):
+        "efed9b1fe13915bf521f33e2f2bdaf6ef070b7a1686ee1ee674993ecf5bd811a",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_OUTPUTS, ids=" ".join)
+def test_output_matches_pinned_digest(fixture_args, capsys, case):
+    candidates, *flags = case
+    argv = fixture_args if candidates == "fixture" else fixture_args[:4]
+    assert main(argv + flags) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_OUTPUTS[case]
+
+
+@pytest.mark.parametrize("with_candidates", [True, False])
+def test_text_matrix_headers_name_every_column(fixture_args, capsys, with_candidates):
+    argv = fixture_args if with_candidates else fixture_args[:4]
+    assert main(argv + ["--budget", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    headed = 0
+    for at, line in enumerate(lines):
+        if line.startswith(("query-view matrix", "query-index matrix")):
+            columns = line[line.index("cols: ") + 6:-1].split(",")
+            row = lines[at + 1].split()
+            assert len(columns) == len(row), line
+            headed += 1
+    assert headed == 2
+
+
+def test_sweep_rows_equal_fresh_library_runs(fixture_args, capsys, ctx):
+    fractions = ["1.0", "0.05", "0.25", "0.25"]
+    assert main(fixture_args + ["--sweep", ",".join(fractions), "--refresh-ratio", "2"]) == 0
+    params = ObjectiveParams(2.0, total_object_count=len(ctx.views) + len(ctx.indexes))
+    objects = enumerate_objects(ctx)
+    reference = greedy_select(ctx, sum(o.size for o in objects) + 1, params).used_bytes
+    none = ctx.workload_total(Configuration())
+    rows = [SWEEP_HEADER]
+    for fraction in map(float, fractions):
+        budget = int(reference * fraction)
+        rows.append(f"{fraction},none,{none},0,")
+        for strategy, result in [
+            ("views", isolated_select(VIEWS_ONLY, ctx, budget, params)),
+            ("indexes", isolated_select(INDEXES_ONLY, ctx, budget, params)),
+            ("simultaneous", greedy_select(ctx, budget, params)),
+        ]:
+            ids = ";".join(result.selected_ids())
+            rows.append(f"{fraction},{strategy},{result.final_cost},{result.used_bytes},{ids}")
+    assert capsys.readouterr().out.splitlines() == rows
+
+
+@pytest.mark.parametrize("flags", [["--budget", "50%"], ["--sweep", "0.05,0.25,1.0"]])
+def test_one_object_enumeration_per_invocation(fixture_args, capsys, monkeypatch, flags):
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return enumerate_objects(ctx)
+
+    for module in ("mvindex.cli", "mvindex.selector", "mvindex.baselines"):
+        monkeypatch.setattr(f"{module}.enumerate_objects", counted)
+    assert main(fixture_args + flags) == 0
+    assert len(calls) == 1

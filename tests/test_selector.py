@@ -1,4 +1,6 @@
 import random
+from functools import partial
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams, index_object, objective_value, view_object
 from mvindex.candidates import build_matrices, load_candidates
 from mvindex.costmodel import Configuration, CostContext, object_size
-from mvindex.errors import InvalidBudgetError
+from mvindex.errors import InvalidBudgetError, ValidationError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
 from mvindex.selector import (
     STOP_BUDGET_EXHAUSTED,
@@ -320,3 +322,87 @@ def test_budget_at_or_above_unconstrained_use_selects_the_same(
     assert res.final_cost == free.final_cost
     if headroom:
         assert res.stop_reason == free.stop_reason
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    max_queries=st.integers(1, 24),
+    refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    mode=st.sampled_from(["normalized", "literal"]),
+    extra_candidates=st.booleans(),
+    budget_seed=st.integers(0, 2**32 - 1),
+)
+def test_resumed_run_equals_fresh_run(
+    seed, max_queries, refresh, mode, extra_candidates, budget_seed
+):
+    inst = random_instance(seed=seed, max_queries=max_queries)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
+    params = _params(len(inst.views) + len(inst.indexes), refresh=refresh, mode=mode)
+    unconstrained = sum(o.size for o in objects) + 1
+    rng = random.Random(budget_seed)
+    strategies = [
+        partial(greedy_select, ctx),
+        partial(isolated_select, VIEWS_ONLY, ctx),
+        partial(isolated_select, INDEXES_ONLY, ctx),
+    ]
+    for select in strategies:
+        reference = select(unconstrained, params, objects)
+        budgets = [0, reference.used_bytes]
+        budgets += [log_uniform_budget(rng, unconstrained) for _ in range(4)]
+        # a budget that just fits one of the reference's commits, and one byte less
+        fits = list(accumulate(it.incremental_bytes for it in reference.iterations))
+        if fits:
+            k = rng.randrange(len(fits))
+            budgets += [fits[k], fits[k] - 1]
+        previous = reference
+        for budget in sorted({min(b, unconstrained) for b in budgets if b >= 0}, reverse=True):
+            fresh = select(budget, params)  # its own object list
+            assert select(budget, params, objects, reference) == fresh
+            previous = select(budget, params, objects, previous)  # decreasing budgets
+            assert previous == fresh
+
+
+def test_resume_from_a_smaller_budget_is_refused(ctx):
+    objects = enumerate_objects(ctx)
+    earlier = greedy_select(ctx, 200_000, _params(19), objects)
+    assert earlier.iterations
+    with pytest.raises(ValidationError):
+        greedy_select(ctx, 200_001, _params(19), objects, earlier)
+
+
+def test_resume_with_repeated_object_ids_equals_fresh_run(catalog):
+    # pair ids join a view id and an index id with "+", so views "a" and "a+b"
+    # with indexes "b+c" and "c" give two pairs named "a+b+c"; the greedy
+    # commits the first of them at step 3
+    workload = load_workload(
+        "qa: select times.time_fiscal_year, sum(amount_sold) from sales, times"
+        " where sales.time_id = times.time_id and times.time_fiscal_year = 2000"
+        " group by times.time_fiscal_year;"
+        "qb: select times.time_id, sum(amount_sold) from sales, times"
+        " where sales.time_id = times.time_id and times.time_id = 7 group by times.time_id;",
+        catalog,
+    )
+    views, indexes = load_candidates(
+        "view a\n  tables sales, times\n  join sales.time_id = times.time_id\n"
+        "  group_by times.time_fiscal_year, times.time_id\n  agg sum(sales.amount_sold)\n"
+        "view a+b\n  tables sales, times\n  join sales.time_id = times.time_id\n"
+        "  group_by times.time_fiscal_year\n  agg sum(sales.amount_sold)\n"
+        "index b+c on times key time_id\n"
+        "index c on times key time_fiscal_year\n",
+        catalog,
+    )
+    matrices = build_matrices(workload, views, indexes)
+    ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
+    objects = enumerate_objects(ctx)
+    assert [o.id for o in objects].count("a+b+c") == 2
+    params = _params(4)
+    reference = greedy_select(ctx, sum(o.size for o in objects) + 1, params, objects)
+    assert [it.object_id for it in reference.iterations] == ["a+b", "a", "a+b+c"]
+    for budget in sorted({0, *accumulate(it.incremental_bytes for it in reference.iterations)}):
+        for b in (budget, max(budget - 1, 0)):
+            fresh = greedy_select(ctx, b, params)
+            assert greedy_select(ctx, b, params, objects, reference) == fresh
