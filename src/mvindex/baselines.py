@@ -142,7 +142,10 @@ def isolated_select(
     in_family = _FAMILIES.get(kind)
     if in_family is None:
         raise ValidationError(f"unknown isolated strategy {kind!r}")
-    if objects is None:
-        objects = [view_object(v, ctx) for v in ctx.views.values()]
-        objects += [index_object(i, ctx) for i in ctx.indexes.values() if i.is_base()]
-    return greedy_core(ctx, [o for o in objects if in_family(o)], budget_bytes, params, resume)
+    if objects is not None:
+        family = [o for o in objects if in_family(o)]
+    elif kind == VIEWS_ONLY:
+        family = [view_object(v, ctx) for v in ctx.views.values()]
+    else:
+        family = [index_object(i, ctx) for i in ctx.indexes.values() if i.is_base()]
+    return greedy_core(ctx, family, budget_bytes, params, resume)

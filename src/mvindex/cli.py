@@ -7,7 +7,6 @@ Reports are byte-identical across runs with identical inputs.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from contextlib import nullcontext
@@ -179,12 +178,13 @@ def _no_selection(ctx: CostContext) -> SelectionResult:
 def _run_strategy(
     mode: str,
     ctx: CostContext,
-    objects: list,
+    objects: list | None,
     budget: int,
     params: ObjectiveParams,
     resume: SelectionResult | None,
 ) -> SelectionResult:
-    """One greedy strategy over ``objects``, resuming from an earlier run of it."""
+    """One greedy strategy over ``objects`` (built by the strategy unless
+    given), resuming from an earlier run of it."""
     if mode == "simultaneous":
         return greedy_select(ctx, budget, params, objects, resume)
     if mode == "view-only":
@@ -228,12 +228,13 @@ def run_advise(args) -> tuple[str, int]:
     if args.mode == "exhaustive":
         exhaustive_objects = enumerate_exhaustive_objects(ctx)
         check_exhaustive_limit(exhaustive_objects)
-    objects = functools.cache(lambda: enumerate_objects(ctx))  # built once, if at all
-    reference = None
+    # a percentage budget builds the object list and runs the reference here
+    objects = reference = None
 
     def reference_space():
-        nonlocal reference
-        reference = _reference_space(ctx, params, objects())
+        nonlocal objects, reference
+        objects = enumerate_objects(ctx)
+        reference = _reference_space(ctx, params, objects)
         return reference.used_bytes
 
     budget = _parse_budget(args.budget, reference_space)
@@ -255,8 +256,9 @@ def run_advise(args) -> tuple[str, int]:
         if args.mode == "none":
             result = _no_selection(ctx)
         else:
+            # without a reference run the strategy builds only the objects it needs
             resume = reference if args.mode == "simultaneous" else None
-            result = _run_strategy(args.mode, ctx, objects(), budget, params, resume)
+            result = _run_strategy(args.mode, ctx, objects, budget, params, resume)
         selected_ids = result.selected_ids()
 
     after = workload_cost(ctx, result.config)

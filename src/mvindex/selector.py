@@ -23,18 +23,21 @@ workload cost is kept as a running total over the committed object's
 touched queries.  Selections and traces are identical to rescoring every
 object at every step, which the tests check against such a loop.
 
-A run can resume from an earlier run over the same objects under an equal
-or larger budget B' >= B.  Both runs rank the same state and commit the
-same object, with the same skipped ids, at every step up to the first one
-where the earlier run's commit no longer fits in what is left of B (or
-nothing is left): the ids the earlier run skipped did not fit in
-``B' - used``, so they do not fit in the smaller ``B - used`` either, and
-the objective never reads the budget.  So the resumed run copies those
-steps (with ``remaining_budget`` recomputed for B), rebuilds the
-configuration, the used bytes and the running cost from them, scores
-every object not yet fully selected, and continues the loop from there.
-Budget percentages and sweeps resume from the unconstrained run they are
-measured against, and each sweep fraction from the next larger one.
+A run at budget B can resume from an earlier run over the same objects
+at budget B'.  Both runs rank the same state at every step they share, and
+the objective never reads the budget, so they commit the same object, with
+the same skipped ids, up to the first step that tells them apart.  When
+B <= B' that is the first step whose commit no longer fits in what is left
+of B (or nothing is left): the ids the earlier run skipped did not fit in
+``B' - used``, so they do not fit in the smaller ``B - used`` either.  When
+B > B' every commit of the earlier run fits too, and a step is shared until
+the first one that skipped an id, which might fit under B.  The resumed run
+copies the shared steps (with ``remaining_budget`` recomputed for B),
+rebuilds the configuration, the used bytes and the running cost from them,
+scores every object not yet fully selected, and continues the loop from
+there.  Budget percentages and sweeps resume from the unconstrained run
+they are measured against, which skips nothing, and each sweep fraction
+from the next larger one.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .benefit import (
     view_object,
 )
 from .costmodel import Configuration, CostContext
-from .errors import InvalidBudgetError, ValidationError
+from .errors import InvalidBudgetError
 
 STOP_NO_POSITIVE_OBJECTIVE = "no_positive_objective"
 STOP_CANDIDATES_EXHAUSTED = "candidates_exhausted"
@@ -121,18 +124,20 @@ def _shared_steps(
 ):
     """The leading steps of ``resume`` that a run at ``budget_bytes`` takes
     too, each with its object: those taken while budget is left and the
-    step's commit still fits.  Refuses an earlier run under a smaller budget."""
+    step's commit still fits, and, under a larger budget than the earlier
+    run's, only those that skipped nothing."""
     if resume is None or not resume.iterations:
         return
     first = resume.iterations[0]
-    if budget_bytes > first.remaining_budget + first.incremental_bytes:
-        raise ValidationError("a run resumes only from a run under an equal or larger budget")
+    larger = budget_bytes > first.remaining_budget + first.incremental_bytes
     by_id = {o.id: o for o in objects}
     if len(by_id) < len(objects):
         return  # pair ids join two ids with "+" and can repeat: no step is replayed
     used = 0
     for it in resume.iterations:
         if budget_bytes - used <= 0 or it.incremental_bytes > budget_bytes - used:
+            return
+        if larger and it.skipped_unaffordable:
             return
         used += it.incremental_bytes
         yield it, by_id[it.object_id]
@@ -147,8 +152,8 @@ def greedy_core(
 ) -> SelectionResult:
     """Greedy loop over an explicit object list (isolated strategies reuse it).
 
-    ``resume`` is an earlier run over the same ``objects`` under an equal or
-    larger budget; the steps both runs share are replayed from it.
+    ``resume`` is an earlier run over the same ``objects``, under any
+    budget; the steps both runs share are replayed from it.
     """
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")

@@ -415,8 +415,20 @@ def test_sweep_rows_equal_fresh_library_runs(fixture_args, capsys, ctx):
     assert capsys.readouterr().out.splitlines() == rows
 
 
-@pytest.mark.parametrize("flags", [["--budget", "50%"], ["--sweep", "0.05,0.25,1.0"]])
-def test_one_object_enumeration_per_invocation(fixture_args, capsys, monkeypatch, flags):
+@pytest.mark.parametrize(
+    "flags, enumerations",
+    [
+        (["--budget", "50%"], 1),
+        (["--sweep", "0.05,0.25,1.0"], 1),
+        (["--budget", "50%", "--mode", "index-only"], 1),
+        # an isolated strategy under a byte budget builds only its own family
+        (["--budget", "300000", "--mode", "view-only"], 0),
+        (["--budget", "300000", "--mode", "index-only"], 0),
+    ],
+)
+def test_object_enumerations_per_invocation(
+    fixture_args, capsys, monkeypatch, flags, enumerations
+):
     calls = []
 
     def counted(ctx):
@@ -426,4 +438,16 @@ def test_one_object_enumeration_per_invocation(fixture_args, capsys, monkeypatch
     for module in ("mvindex.cli", "mvindex.selector", "mvindex.baselines"):
         monkeypatch.setattr(f"{module}.enumerate_objects", counted)
     assert main(fixture_args + flags) == 0
-    assert len(calls) == 1
+    assert len(calls) == enumerations
+
+
+@pytest.mark.parametrize("mode", ["simultaneous", "view-only", "index-only"])
+def test_percentage_above_the_reference_budget_equals_byte_budget_run(fixture_args, capsys, mode):
+    # 100000% of the reference's used bytes exceeds the budget the reference
+    # ran under; the run resumed from it matches a run from nothing
+    flags = ["--mode", mode, "--format", "json", "--trace"]
+    assert main(fixture_args + ["--budget", "100000%"] + flags) == 0
+    report = capsys.readouterr().out
+    budget = json.loads(report)["budget_bytes"]
+    assert main(fixture_args + ["--budget", str(budget)] + flags) == 0
+    assert capsys.readouterr().out == report

@@ -10,7 +10,7 @@ from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams, index_object, objective_value, view_object
 from mvindex.candidates import build_matrices, load_candidates
 from mvindex.costmodel import Configuration, CostContext, object_size
-from mvindex.errors import InvalidBudgetError, ValidationError
+from mvindex.errors import InvalidBudgetError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
 from mvindex.selector import (
     STOP_BUDGET_EXHAUSTED,
@@ -351,27 +351,36 @@ def test_resumed_run_equals_fresh_run(
     ]
     for select in strategies:
         reference = select(unconstrained, params, objects)
-        budgets = [0, reference.used_bytes]
+        # budgets above the reference's too: it skips nothing, so it replays whole
+        budgets = [0, reference.used_bytes, 2 * unconstrained]
         budgets += [log_uniform_budget(rng, unconstrained) for _ in range(4)]
         # a budget that just fits one of the reference's commits, and one byte less
         fits = list(accumulate(it.incremental_bytes for it in reference.iterations))
         if fits:
             k = rng.randrange(len(fits))
             budgets += [fits[k], fits[k] - 1]
+        fresh = {b: select(b, params) for b in budgets if b >= 0}  # own object lists
         previous = reference
-        for budget in sorted({min(b, unconstrained) for b in budgets if b >= 0}, reverse=True):
-            fresh = select(budget, params)  # its own object list
-            assert select(budget, params, objects, reference) == fresh
+        for budget in sorted(fresh, reverse=True):
+            assert select(budget, params, objects, reference) == fresh[budget]
             previous = select(budget, params, objects, previous)  # decreasing budgets
-            assert previous == fresh
+            assert previous == fresh[budget]
+        previous = None
+        for budget in sorted(fresh):
+            previous = select(budget, params, objects, previous)  # increasing budgets
+            assert previous == fresh[budget]
 
 
-def test_resume_from_a_smaller_budget_is_refused(ctx):
+def test_resume_under_a_larger_budget_replays_only_steps_that_skipped_nothing(ctx):
     objects = enumerate_objects(ctx)
-    earlier = greedy_select(ctx, 200_000, _params(19), objects)
-    assert earlier.iterations
-    with pytest.raises(ValidationError):
-        greedy_select(ctx, 200_001, _params(19), objects, earlier)
+    params = _params(19)
+    earlier = greedy_select(ctx, 200_000, params, objects)
+    assert any(it.skipped_unaffordable for it in earlier.iterations)
+    assert not earlier.iterations[0].skipped_unaffordable
+    for budget in (200_001, 10**6, 10**12):
+        assert greedy_select(ctx, budget, params, objects, earlier) == greedy_select(
+            ctx, budget, params
+        )
 
 
 def test_resume_with_repeated_object_ids_equals_fresh_run(catalog):
