@@ -41,7 +41,7 @@ print("\nNote i8 alone scores far below v1+i8: on base tables the fiscal-year "
       "index shaves a 26-block dimension, but on the view it carves up the "
       "only copy of the data the query still touches.")
 
-params = ObjectiveParams(refresh_ratio=0.0, total_object_count=len(views) + len(indexes))
+params = ObjectiveParams(refresh_ratio=0.0)
 budget = sum(o.size for o in objects) + 1
 result = greedy_select(ctx, budget, params)
 

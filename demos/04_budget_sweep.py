@@ -20,7 +20,7 @@ views = generate_view_candidates(workload, catalog)
 indexes = generate_index_candidates(workload, views, catalog, min_support=1)
 matrices = build_matrices(workload, views, indexes)
 ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
-params = ObjectiveParams(refresh_ratio=0.0, total_object_count=len(views) + len(indexes))
+params = ObjectiveParams(refresh_ratio=0.0)
 
 print(f"scaled warehouse: fact table {catalog.fact_table.row_count:,} rows")
 print(f"generated candidates: {len(views)} views, {len(indexes)} indexes\n")

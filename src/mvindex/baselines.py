@@ -10,12 +10,10 @@ views-only / indexes-only comparison axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .benefit import ObjectiveParams, SelectionObject, index_object, update_weight, view_object
 from .costmodel import Configuration, CostContext
 from .errors import InvalidBudgetError, TooManyObjectsError, ValidationError
-from .selector import SelectionResult, enumerate_objects, greedy_core
+from .selector import SelectionResult, _member_records, greedy_core
 
 EXHAUSTIVE_LIMIT = 20
 
@@ -28,27 +26,20 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class ExhaustiveResult:
-    config: Configuration
-    selected_ids: tuple[str, ...]
-    used_bytes: int
-    total_cost: int  # workload blocks, before penalty
-    objective: float  # cost plus weighted maintenance
-
-
-def enumerate_exhaustive_objects(ctx: CostContext) -> list[SelectionObject]:
-    """Singleton objects only: ``enumerate_objects(ctx)`` with each pair
-    replaced by its on-view index, keeping the first object per key set, so
-    each physical on-view index appears once."""
-    objects, seen = [], set()
-    for o in enumerate_objects(ctx):
+def enumerate_exhaustive_objects(
+    ctx: CostContext, objects: list[SelectionObject]
+) -> list[SelectionObject]:
+    """Singleton objects only: ``objects``, such as ``enumerate_objects(ctx)``,
+    with each pair replaced by its on-view index, keeping the first object
+    per key set, so each physical on-view index appears once."""
+    singletons, seen = [], set()
+    for o in objects:
         if o.kind == "pair":
             o = index_object(o.index, ctx)
         if o.keys not in seen:
             seen.add(o.keys)
-            objects.append(o)
-    return objects
+            singletons.append(o)
+    return singletons
 
 
 def check_exhaustive_limit(objects: list[SelectionObject]) -> None:
@@ -64,64 +55,47 @@ def exhaustive_select(
     objects: list[SelectionObject],
     budget_bytes: int,
     params: ObjectiveParams,
-) -> ExhaustiveResult:
+) -> SelectionResult:
     """Best feasible subset of ``objects`` by brute force, costed with ``ctx``.
 
     The objects are singletons drawn from the context's candidates, such as
-    ``enumerate_exhaustive_objects(ctx)``; refuses more than 20 of them.
+    ``enumerate_exhaustive_objects(ctx, enumerate_objects(ctx))``; refuses
+    more than 20 of them.  The result lists the chosen members in id order,
+    records no iterations and stops with reason ``"exhaustive"``.
     """
-    n = len(objects)
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
     check_exhaustive_limit(objects)
-    for o in objects:
-        if o.kind == "pair":
-            raise ValidationError("exhaustive enumeration expects singleton objects")
-    sizes = [o.size for o in objects]
-    maint = [o.maintenance for o in objects]
-    beta = update_weight(params, len(ctx.queries))
+    if any(o.kind == "pair" for o in objects):
+        raise ValidationError("exhaustive enumeration expects singleton objects")
+    beta = update_weight(params, ctx)
 
     best = None
-    for mask in range(2**n):
-        used = 0
-        config = Configuration()
-        members = []
-        feasible = True
-        for b in range(n):
-            if mask >> b & 1:
-                used += sizes[b]
-                if used > budget_bytes:
-                    feasible = False
-                    break
-                members.append(b)
-        if not feasible:
+    for mask in range(2 ** len(objects)):
+        chosen = [o for b, o in enumerate(objects) if mask >> b & 1]
+        used = sum(o.size for o in chosen)
+        if used > budget_bytes:
             continue
-        chosen = [objects[b] for b in members]
         # an on-view index is only legal alongside its view
         selected_views = {o.view.id for o in chosen if o.kind == "view"}
-        ok = all(
-            o.index.is_base() or o.index.target in selected_views
-            for o in chosen
-            if o.kind == "index"
-        )
-        if not ok:
+        if any(o.kind == "index" and not o.index.is_base() and o.index.target not in selected_views
+               for o in chosen):
             continue
-        for o in chosen:
-            config = config | o.keys
+        config = Configuration().union(*(o.keys for o in chosen))
         cost = ctx.workload_total(config)
-        objective = cost + beta * sum(maint[b] for b in members)
-        ids = tuple(sorted(o.id for o in chosen))
-        key = (objective, used, ids)
+        chosen.sort(key=lambda o: o.id)
+        key = (cost + beta * sum(o.maintenance for o in chosen), used, [o.id for o in chosen])
         if best is None or key < best[0]:
-            best = (key, config, ids, used, cost)
+            best = (key, config, chosen, used, cost)
 
-    _, config, ids, used, cost = best
-    return ExhaustiveResult(
+    _, config, chosen, used, cost = best
+    return SelectionResult(
         config=config,
-        selected_ids=ids,
+        selected=[m for o in chosen for m in _member_records(o, Configuration())],
         used_bytes=used,
-        total_cost=cost,
-        objective=best[0][0],
+        iterations=[],
+        stop_reason="exhaustive",
+        final_cost=cost,
     )
 
 

@@ -11,7 +11,9 @@ structures' sizes, which damps the density of piling more storage onto the
 same interaction.
 
 The objective subtracts a maintenance penalty weighted by the expected
-update frequency: ``penalty_weight = n_queries * refresh_ratio / n_objects``.
+update frequency: ``penalty_weight = |Q| * refresh_ratio / |O|``, where the
+run's ``CostContext`` gives |Q| (its queries) and |O| (its view and index
+candidates, at least one).
 In the default ``normalized`` mode the penalty is divided by the object's
 size so both terms are per-byte densities; ``literal`` mode subtracts the
 raw block count instead.
@@ -34,21 +36,18 @@ MODE_LITERAL = "literal"
 @dataclass(frozen=True)
 class ObjectiveParams:
     refresh_ratio: float = 0.0
-    total_object_count: int = 1
     mode: str = MODE_NORMALIZED
 
     def __post_init__(self):
         if not math.isfinite(self.refresh_ratio) or self.refresh_ratio < 0:
             raise ValidationError(f"refresh_ratio must be finite and >= 0, got {self.refresh_ratio}")
-        if self.total_object_count < 1:
-            raise ValidationError("total_object_count must be >= 1")
         if self.mode not in (MODE_NORMALIZED, MODE_LITERAL):
             raise ValidationError(f"unknown objective mode {self.mode!r}")
 
 
-def update_weight(params: ObjectiveParams, n_queries: int) -> float:
+def update_weight(params: ObjectiveParams, ctx: CostContext) -> float:
     """Expected updates per refresh cycle: |Q| * (1/|O|) * refresh ratio."""
-    return n_queries * params.refresh_ratio / params.total_object_count
+    return len(ctx.queries) * params.refresh_ratio / max(1, len(ctx.views) + len(ctx.indexes))
 
 
 def benefit_density(cost_before: int, cost_after: int, denominator_bytes: int) -> float:
@@ -165,7 +164,7 @@ def objective_value(
 ) -> float:
     """Benefit minus the maintenance penalty, in the configured mode."""
     gain = object_benefit(obj, config, ctx)
-    beta = update_weight(params, len(ctx.queries))
+    beta = update_weight(params, ctx)
     if beta == 0.0:
         return gain
     if params.mode == MODE_LITERAL:

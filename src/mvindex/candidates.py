@@ -32,9 +32,6 @@ from .catalog import SchemaCatalog
 from .errors import ParseError, UnknownNameError, ValidationError
 from .workload import Attr, Query, Workload
 
-VIEW_TARGET = "view"
-TABLE_TARGET = "table"
-
 
 @dataclass(frozen=True)
 class ViewCandidate:
@@ -62,12 +59,11 @@ class IndexCandidate:
 
     id: str
     target: str  # table name or view id
-    target_kind: str  # TABLE_TARGET or VIEW_TARGET
     attribute: Attr  # base attribute carrying width/cardinality stats
-    on_view: ViewCandidate | None = None  # set when target_kind == VIEW_TARGET
+    on_view: ViewCandidate | None = None  # the target view of an on-view index
 
     def is_base(self) -> bool:
-        return self.target_kind == TABLE_TARGET
+        return self.on_view is None
 
 
 def view_stats(group_by: tuple[Attr, ...], aggregates, catalog: SchemaCatalog) -> tuple[int, int]:
@@ -104,16 +100,14 @@ def make_view(vid, joined_tables, join_pairs, group_by, aggregates, catalog, ind
 
 def make_base_index(iid: str, attr: Attr, catalog: SchemaCatalog) -> IndexCandidate:
     catalog.attribute(*attr)  # must resolve
-    return IndexCandidate(id=iid, target=attr[0], target_kind=TABLE_TARGET, attribute=attr)
+    return IndexCandidate(id=iid, target=attr[0], attribute=attr)
 
 
 def make_view_index(iid: str, view: ViewCandidate, attr: Attr, catalog: SchemaCatalog) -> IndexCandidate:
     if attr not in view.group_by_set():
         raise ValidationError(f"index {iid}: {attr[0]}.{attr[1]} is not grouped by view {view.id}")
     catalog.attribute(*attr)
-    return IndexCandidate(
-        id=iid, target=view.id, target_kind=VIEW_TARGET, attribute=attr, on_view=view
-    )
+    return IndexCandidate(id=iid, target=view.id, attribute=attr, on_view=view)
 
 
 def generate_view_candidates(workload: Workload, catalog: SchemaCatalog) -> list[ViewCandidate]:
@@ -436,8 +430,21 @@ def load_candidates(
                 raise UnknownNameError(f"view {blk['id']}: unknown table {t!r}")
         if fact not in blk["tables"]:
             raise ValidationError(f"view {blk['id']}: must join the fact table {fact!r}")
-        for attr in blk["group_by"]:
-            catalog.attribute(*attr)
+        # a view answers only queries over its tables, and a group-by
+        # attribute or aggregate listed twice would count its size twice
+        vid, line = blk["id"], blk["line"]
+        used = [("group_by", attr) for attr in blk["group_by"]]
+        used += [("agg", attr) for _, attr in blk["aggs"]]
+        used += [("join", attr) for pair in blk["joins"] for attr in pair]
+        for directive, (table, name) in used:
+            if table not in blk["tables"]:
+                problem = f"{directive} {table}.{name} is on a table not on its tables line"
+                raise ParseError(f"view {vid}: {problem}", source, line)
+            if catalog.table(table).attribute(name) is None:
+                raise ParseError(f"view {vid}: unknown attribute {table}.{name}", source, line)
+        for directive, entries in (("group_by", blk["group_by"]), ("agg", blk["aggs"])):
+            if len(set(entries)) < len(entries):
+                raise ParseError(f"view {vid}: {directive} lists an entry twice", source, line)
         indexable = blk["indexable"]
         for attr, lineno in indexable or ():
             if attr not in blk["group_by"]:

@@ -117,11 +117,7 @@ def _load_inputs(args):
         indexes = generate_index_candidates(workload, views, catalog, args.min_support)
     matrices = build_matrices(workload, views, indexes)
     refresh = args.refresh_ratio if args.refresh_ratio is not None else workload.refresh_ratio
-    params = ObjectiveParams(
-        refresh_ratio=refresh,
-        total_object_count=max(1, len(views) + len(indexes)),
-        mode=args.objective,
-    )
+    params = ObjectiveParams(refresh_ratio=refresh, mode=args.objective)
     ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
     return params, ctx
 
@@ -225,15 +221,17 @@ def run_advise(args) -> tuple[str, int]:
 
     if args.budget is None:
         raise ParseError("--budget is required unless --sweep is given")
-    if args.mode == "exhaustive":
-        exhaustive_objects = enumerate_exhaustive_objects(ctx)
-        check_exhaustive_limit(exhaustive_objects)
-    # a percentage budget builds the object list and runs the reference here
+    # exhaustive mode and a percentage budget's reference run share one object list
     objects = reference = None
+    if args.mode == "exhaustive":
+        objects = enumerate_objects(ctx)
+        exhaustive_objects = enumerate_exhaustive_objects(ctx, objects)
+        check_exhaustive_limit(exhaustive_objects)
 
     def reference_space():
         nonlocal objects, reference
-        objects = enumerate_objects(ctx)
+        if objects is None:
+            objects = enumerate_objects(ctx)
         reference = _reference_space(ctx, params, objects)
         return reference.used_bytes
 
@@ -242,24 +240,13 @@ def run_advise(args) -> tuple[str, int]:
     before = workload_cost(ctx, Configuration())
 
     if args.mode == "exhaustive":
-        ex = exhaustive_select(ctx, exhaustive_objects, budget, params)
-        result = SelectionResult(
-            config=ex.config,
-            selected=[],
-            used_bytes=ex.used_bytes,
-            iterations=[],
-            stop_reason="exhaustive",
-            final_cost=ex.total_cost,
-        )
-        selected_ids = list(ex.selected_ids)
+        result = exhaustive_select(ctx, exhaustive_objects, budget, params)
+    elif args.mode == "none":
+        result = _no_selection(ctx)
     else:
-        if args.mode == "none":
-            result = _no_selection(ctx)
-        else:
-            # without a reference run the strategy builds only the objects it needs
-            resume = reference if args.mode == "simultaneous" else None
-            result = _run_strategy(args.mode, ctx, objects, budget, params, resume)
-        selected_ids = result.selected_ids()
+        # without a reference run the strategy builds only the objects it needs
+        resume = reference if args.mode == "simultaneous" else None
+        result = _run_strategy(args.mode, ctx, objects, budget, params, resume)
 
     after = workload_cost(ctx, result.config)
 
@@ -299,7 +286,7 @@ def run_advise(args) -> tuple[str, int]:
             "query_index": matrices.query_index,
             "view_index": matrices.view_index,
         },
-        "selection": {**_selection_payload(result, args.trace), "objects": selected_ids},
+        "selection": {**_selection_payload(result, args.trace), "objects": result.selected_ids()},
         "costs": {
             "before": {"per_query": before.per_query_cost, "total": before.total},
             "after": {

@@ -128,7 +128,9 @@ class CostContext:
     serves every scoring pass and every selection run over the same inputs.
     It also carries those inputs (``queries``, ``views`` and ``indexes`` by
     id, ``matrices``, ``catalog``), so it is the one handle that scoring,
-    selection and reporting take.  The build reads each usage matrix once:
+    selection and reporting take.  The matrices must be built over exactly
+    its queries, views and indexes, in order (``build_matrices`` over the
+    same lists).  The build reads each usage matrix once:
     the query rows for the per-query plans, the view-index cells for ``paired``.
     """
 
@@ -157,9 +159,17 @@ class CostContext:
         clash = sorted(self.views.keys() & self.indexes.keys())
         if clash:
             raise ValidationError(f"view and index ids must differ, both use {clash[0]!r}")
+        for label, matrix_ids, members in (
+            ("queries", matrices.query_ids, self.queries),
+            ("views", matrices.view_ids, views),
+            ("indexes", matrices.index_ids, indexes),
+            ("base indexes", matrices.base_index_ids, [i for i in indexes if i.is_base()]),
+        ):
+            if tuple(matrix_ids) != tuple(m.id for m in members):
+                raise ValidationError(f"the usage matrices were built over other {label}")
 
         # per-candidate facts, read below once per query that can use the
-        # candidate; matrix ids this context leaves out are skipped
+        # candidate
         base_access = {
             i.id: (i.target, btree_height(catalog.attribute(*i.attribute).cardinality, catalog))
             for i in indexes
@@ -188,16 +198,13 @@ class CostContext:
 
             usable_base: dict[str, list[tuple[str, int]]] = {}
             for iid in base_indexes_of[q.id]:
-                if iid in base_access:
-                    target, height = base_access[iid]
-                    usable_base.setdefault(target, []).append((iid, height))
+                target, height = base_access[iid]
+                usable_base.setdefault(target, []).append((iid, height))
 
             usable_views = []
             view_idx: dict[str, list] = {}
             q_attrs = q.filter_group_attrs()
             for vid in views_of[q.id]:
-                if vid not in view_access:
-                    continue
                 vblocks, on_view = view_access[vid]
                 usable_views.append((vid, vblocks))
                 view_idx[vid] = [(key, height) for attr, key, height in on_view if attr in q_attrs]
@@ -223,8 +230,8 @@ class CostContext:
         # matrix: a view's base indexes, a base index's views
         self.paired: dict[str, list] = {}
         for vid, iid in matrices.pairs():
-            v, i = self.views.get(vid), self.indexes.get(iid)
-            if v is not None and i is not None and i.is_base():
+            v, i = self.views[vid], self.indexes[iid]
+            if i.is_base():
                 self.paired.setdefault(vid, []).append(i)
                 self.paired.setdefault(iid, []).append(v)
 

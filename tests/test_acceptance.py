@@ -127,10 +127,7 @@ def test_criterion_2_budget_safety():
         objects = enumerate_objects(ctx)
         total = sum(o.size for o in objects) or 1
         budget = log_uniform_budget(rng, total)
-        params = ObjectiveParams(
-            refresh_ratio=rng.choice([0.0, 0.3]),
-            total_object_count=max(1, len(inst.views) + len(inst.indexes)),
-        )
+        params = ObjectiveParams(refresh_ratio=rng.choice([0.0, 0.3]))
         res = greedy_select(ctx, budget, params)
         runs += 1
         if res.used_bytes > budget:
@@ -158,18 +155,15 @@ def test_criterion_3_oracle_equivalence():
         seed += 1
         inst = random_instance(seed=90_000 + seed, max_tables=4, max_queries=5)
         ctx = inst.context()
-        objects = enumerate_exhaustive_objects(ctx)
+        objects = enumerate_exhaustive_objects(ctx, enumerate_objects(ctx))
         if not objects or len(objects) > 12:
             continue
-        params = ObjectiveParams(
-            refresh_ratio=0.0,
-            total_object_count=max(1, len(inst.views) + len(inst.indexes)),
-        )
+        params = ObjectiveParams(refresh_ratio=0.0)
         total = sum(o.size for o in objects) or 1
         budget = rng.randint(1, total)
         greedy = greedy_select(ctx, budget, params)
         exact = exhaustive_select(ctx, objects, budget, params)
-        if exact.total_cost > greedy.final_cost:
+        if exact.final_cost > greedy.final_cost:
             worse += 1
         checked += 1
 
@@ -185,13 +179,13 @@ def test_criterion_3_oracle_equivalence():
             ctx = inst.context()
             objects = [view_object(v, ctx) for v in inst.views]
             size = objects[0].size
-            params = ObjectiveParams(refresh_ratio=0.0, total_object_count=len(objects))
+            params = ObjectiveParams(refresh_ratio=0.0)
             for m in (1, n_dims):
                 budget = m * size
                 greedy = greedy_select(ctx, budget, params)
                 exact = exhaustive_select(ctx, objects, budget, params)
                 family_runs += 1
-                if greedy.final_cost != exact.total_cost:
+                if greedy.final_cost != exact.final_cost:
                     mismatches += 1
 
     elapsed = time.perf_counter() - start
@@ -274,7 +268,7 @@ def test_criterion_5_objective_semantics():
     objects = enumerate_objects(ctx)
     n_objects = len(views) + len(indexes)
 
-    zero = ObjectiveParams(refresh_ratio=0.0, total_object_count=n_objects)
+    zero = ObjectiveParams(refresh_ratio=0.0)
     exact = all(
         objective_value(o, Configuration(), ctx, zero) == object_benefit(o, Configuration(), ctx)
         for o in objects
@@ -292,11 +286,11 @@ def test_criterion_5_objective_semantics():
         ratio = gain * size * n_objects / (len(queries) * maintenance)
         threshold = max(threshold, ratio)
 
-    over = ObjectiveParams(refresh_ratio=threshold * 1.01, total_object_count=n_objects)
+    over = ObjectiveParams(refresh_ratio=threshold * 1.01)
     res = greedy_select(ctx, 10**12, over)
     stopped = not res.config and res.stop_reason == STOP_NO_POSITIVE_OBJECTIVE
 
-    under = ObjectiveParams(refresh_ratio=threshold * 0.99, total_object_count=n_objects)
+    under = ObjectiveParams(refresh_ratio=threshold * 0.99)
     res_under = greedy_select(ctx, 10**12, under)
     still_selects = bool(res_under.config)
 

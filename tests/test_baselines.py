@@ -14,20 +14,19 @@ from mvindex.candidates import build_matrices, generate_index_candidates, genera
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats
 from mvindex.costmodel import Configuration, CostContext
 from mvindex.errors import TooManyObjectsError
-from mvindex.selector import greedy_select
+from mvindex.selector import enumerate_objects, greedy_select
 from mvindex.workload import Query, Workload
 
 from util import random_instance
 
 
-def _params(n):
-    return ObjectiveParams(refresh_ratio=0.0, total_object_count=max(1, n))
+PARAMS = ObjectiveParams(refresh_ratio=0.0)
 
 
 def test_exhaustive_empty_objects(ctx):
-    res = exhaustive_select(ctx, [], 10**9, _params(1))
-    assert res.selected_ids == ()
-    assert res.total_cost == 384_325
+    res = exhaustive_select(ctx, [], 10**9, PARAMS)
+    assert res.selected_ids() == []
+    assert res.final_cost == 384_325
 
 
 def test_exhaustive_guard():
@@ -36,7 +35,7 @@ def test_exhaustive_guard():
     while len(objects) < 21:
         objects = objects + objects
     with pytest.raises(TooManyObjectsError):
-        exhaustive_select(inst.context(), objects[:21], 10**9, _params(21))
+        exhaustive_select(inst.context(), objects[:21], 10**9, PARAMS)
 
 
 def test_exhaustive_three_object_knapsack():
@@ -54,8 +53,8 @@ def test_exhaustive_three_object_knapsack():
         savings[o.id] = base - ctx.workload_total(Configuration() | o.keys)
     keep = sorted(savings, key=lambda k: (-savings[k], k))[:2]
 
-    res = exhaustive_select(ctx, objects, 2 * size, _params(3))
-    assert sorted(res.selected_ids) == sorted(keep)
+    res = exhaustive_select(ctx, objects, 2 * size, PARAMS)
+    assert sorted(res.selected_ids()) == sorted(keep)
 
 
 def _uniform_instance(seed: int, n_dims: int):
@@ -123,12 +122,11 @@ def test_greedy_matches_exhaustive_on_uniform_family():
         ctx = inst.context()
         objects = [view_object(v, ctx) for v in inst.views]
         size = objects[0].size
-        params = _params(len(objects))
         for m in range(1, n_dims + 1):
             budget = m * size
-            greedy = greedy_select(ctx, budget, params)
-            exact = exhaustive_select(ctx, objects, budget, params)
-            assert greedy.final_cost == exact.total_cost
+            greedy = greedy_select(ctx, budget, PARAMS)
+            exact = exhaustive_select(ctx, objects, budget, PARAMS)
+            assert greedy.final_cost == exact.final_cost
 
 
 def test_exhaustive_never_worse_than_greedy_random():
@@ -136,42 +134,39 @@ def test_exhaustive_never_worse_than_greedy_random():
     for seed in range(60):
         inst = random_instance(seed=5000 + seed, max_tables=5, max_queries=8)
         ctx = inst.context()
-        objects = enumerate_exhaustive_objects(ctx)
+        objects = enumerate_exhaustive_objects(ctx, enumerate_objects(ctx))
         if len(objects) > 12:
             continue
-        params = _params(len(inst.views) + len(inst.indexes))
         total = sum(o.size for o in objects) or 1
         rng = random.Random(seed)
         budget = rng.randint(1, total)
-        greedy = greedy_select(ctx, budget, params)
-        exact = exhaustive_select(ctx, objects, budget, params)
-        assert exact.total_cost <= greedy.final_cost
+        greedy = greedy_select(ctx, budget, PARAMS)
+        exact = exhaustive_select(ctx, objects, budget, PARAMS)
+        assert exact.final_cost <= greedy.final_cost
         assert exact.used_bytes <= budget
         checked += 1
     assert checked >= 10
 
 
-def test_isolated_views_only_empty(queries, indexes, matrices, catalog):
+def test_isolated_views_only_empty(workload, queries, indexes, catalog):
+    matrices = build_matrices(workload, [], indexes)
     ctx = CostContext(queries, [], indexes, matrices, catalog)
-    res = isolated_select(VIEWS_ONLY, ctx, 10**9, _params(12))
+    res = isolated_select(VIEWS_ONLY, ctx, 10**9, PARAMS)
     assert not res.config
 
 
 def test_isolated_indexes_only_never_composite(ctx):
-    res = isolated_select(INDEXES_ONLY, ctx, 10**12, _params(19))
+    res = isolated_select(INDEXES_ONLY, ctx, 10**12, PARAMS)
     assert res.config <= {i.id for i in ctx.indexes.values() if i.is_base()}
     for it in res.iterations:
         assert it.kind == "index"
 
 
 def test_simultaneous_beats_isolated_at_full_budget(catalog, ctx):
-    from mvindex.selector import enumerate_objects
-
     objects = enumerate_objects(ctx)
     budget = sum(o.size for o in objects) + 1
-    params = _params(19)
-    sim = greedy_select(ctx, budget, params)
-    only_v = isolated_select(VIEWS_ONLY, ctx, budget, params)
-    only_i = isolated_select(INDEXES_ONLY, ctx, budget, params)
+    sim = greedy_select(ctx, budget, PARAMS)
+    only_v = isolated_select(VIEWS_ONLY, ctx, budget, PARAMS)
+    only_i = isolated_select(INDEXES_ONLY, ctx, budget, PARAMS)
     assert sim.final_cost <= only_v.final_cost
     assert sim.final_cost <= only_i.final_cost

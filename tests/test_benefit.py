@@ -132,10 +132,10 @@ def test_size_scaling_inverts_first_branch(queries, views, indexes, matrices, ca
     assert benefit() == pytest.approx(base / 3, rel=1e-12)
 
 
-def test_update_weight():
-    params = ObjectiveParams(refresh_ratio=1.0, total_object_count=19)
-    assert update_weight(params, 8) == 8 / 19
-    assert update_weight(ObjectiveParams(refresh_ratio=0.0, total_object_count=19), 8) == 0.0
+def test_update_weight(ctx):
+    params = ObjectiveParams(refresh_ratio=1.0)
+    assert update_weight(params, ctx) == 8 / 19
+    assert update_weight(ObjectiveParams(refresh_ratio=0.0), ctx) == 0.0
 
 
 def test_objective_params_validation():
@@ -145,13 +145,11 @@ def test_objective_params_validation():
         with pytest.raises(ValidationError):
             ObjectiveParams(refresh_ratio=ratio)
     with pytest.raises(ValidationError):
-        ObjectiveParams(total_object_count=0)
-    with pytest.raises(ValidationError):
         ObjectiveParams(mode="bogus")
 
 
 def test_objective_equals_benefit_without_refresh(ctx):
-    params = ObjectiveParams(refresh_ratio=0.0, total_object_count=19)
+    params = ObjectiveParams(refresh_ratio=0.0)
     objects = enumerate_objects(ctx)
     cfg = Configuration()
     for o in objects:
@@ -160,27 +158,27 @@ def test_objective_equals_benefit_without_refresh(ctx):
         assert value == gain
 
 
-def test_objective_modes_penalize(queries, views, catalog, ctx):
+def test_objective_modes_penalize(views, catalog, ctx):
     v1 = views[0]
     obj = enumerate_objects(ctx)[0]
     assert obj.view is v1
     gain = object_benefit(obj, Configuration(), ctx)
     for mode in ("normalized", "literal"):
-        params = ObjectiveParams(refresh_ratio=0.5, total_object_count=19, mode=mode)
+        params = ObjectiveParams(refresh_ratio=0.5, mode=mode)
         value = objective_value(obj, Configuration(), ctx, params)
         assert value < gain
     lit = objective_value(
         obj, Configuration(), ctx,
-        ObjectiveParams(refresh_ratio=0.5, total_object_count=19, mode="literal"),
+        ObjectiveParams(refresh_ratio=0.5, mode="literal"),
     )
-    beta = update_weight(ObjectiveParams(refresh_ratio=0.5, total_object_count=19), len(queries))
+    beta = update_weight(ObjectiveParams(refresh_ratio=0.5), ctx)
     assert lit == pytest.approx(gain - beta * obj.maintenance, rel=1e-12)
 
 
 def test_argmax_stable_under_refresh_zero():
     ctx = random_instance(seed=42, max_tables=5, max_queries=8).context()
     objects = enumerate_objects(ctx)
-    params = ObjectiveParams(refresh_ratio=0.0, total_object_count=max(1, len(objects)))
+    params = ObjectiveParams(refresh_ratio=0.0)
     cfg = Configuration()
     scored_f = [objective_value(o, cfg, ctx, params) for o in objects]
     scored_b = [object_benefit(o, cfg, ctx) for o in objects]
@@ -212,7 +210,7 @@ def test_touched_query_objective_equals_whole_workload_objective(
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
     objects = enumerate_objects(ctx)
-    params = ObjectiveParams(refresh_ratio=refresh, total_object_count=len(objects), mode=mode)
+    params = ObjectiveParams(refresh_ratio=refresh, mode=mode)
     config = random_config(random.Random(seed), inst)
     for obj in objects:
         got = objective_value(obj, config, ctx, params)

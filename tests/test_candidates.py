@@ -204,6 +204,26 @@ def test_load_candidates_rejects_indexable_outside_group_by(catalog):
         load_candidates(text, catalog, "c.cand")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "  tables sales, times\n  group_by times.time_id\n  agg sum(sales.nope)\n",
+        "  tables sales\n  group_by times.time_fiscal_year\n",
+        "  tables sales\n  group_by sales.time_id\n  agg sum(times.time_id)\n",
+        "  tables sales\n  join sales.time_id = times.time_id\n  group_by sales.time_id\n",
+        "  tables sales, times\n  group_by times.time_fiscal_year, times.time_fiscal_year\n",
+        "  tables sales\n  group_by sales.time_id\n  agg sum(sales.amount_sold), sum(sales.amount_sold)\n",
+    ],
+    ids=[
+        "unknown-agg", "group-by-off-tables", "agg-off-tables", "join-off-tables",
+        "repeated-group-by", "repeated-agg",
+    ],
+)
+def test_load_candidates_rejects_views_with_wrong_attributes(catalog, body):
+    with pytest.raises(ParseError, match="^c.cand: line 2: view v1: "):
+        load_candidates("# one view\nview v1\n" + body, catalog, "c.cand")
+
+
 def test_dedicated_view_index_suppresses_base_pairing(workload, catalog):
     text = (
         "view v1\n"

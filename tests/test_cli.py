@@ -86,21 +86,26 @@ def test_generated_candidates_without_fixture(capsys):
     assert report["candidates"]["views"], "generation should produce views"
 
 
-def test_exhaustive_mode_small_candidates(tmp_path, capsys):
-    candidates = (
-        "view v1\n"
-        "  tables sales, times\n"
-        "  join sales.time_id = times.time_id\n"
-        "  group_by sales.time_id, times.time_fiscal_year\n"
-        "  agg sum(sales.amount_sold)\n"
-        "index i8 on times key time_fiscal_year\n"
-    )
-    cand_file = tmp_path / "small.candidates"
-    cand_file.write_text(candidates)
-    code = main([
-        "--schema", fixture_path(CATALOG_FILE),
-        "--workload", fixture_path(WORKLOAD_FILE),
-        "--candidates", str(cand_file),
+# one view and one base index: within the exhaustive object limit
+TWO_CANDIDATES = (
+    "view v1\n"
+    "  tables sales, times\n"
+    "  join sales.time_id = times.time_id\n"
+    "  group_by sales.time_id, times.time_fiscal_year\n"
+    "  agg sum(sales.amount_sold)\n"
+    "index i8 on times key time_fiscal_year\n"
+)
+
+
+@pytest.fixture
+def two_candidate_args(fixture_args, tmp_path):
+    cand_file = tmp_path / "two.candidates"
+    cand_file.write_text(TWO_CANDIDATES)
+    return fixture_args[:4] + ["--candidates", str(cand_file)]
+
+
+def test_exhaustive_mode_small_candidates(two_candidate_args, capsys):
+    code = main(two_candidate_args + [
         "--budget", "100000000",
         "--mode", "exhaustive",
         "--format", "json",
@@ -109,6 +114,15 @@ def test_exhaustive_mode_small_candidates(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["selection"]["stop_reason"] == "exhaustive"
     assert report["costs"]["after"]["total"] < report["costs"]["before"]["total"]
+
+
+def test_exhaustive_report_lists_the_selected_members(two_candidate_args, capsys):
+    code = main(two_candidate_args + ["--budget", "50%", "--mode", "exhaustive", "--format", "json"])
+    assert code == 0
+    selection = json.loads(capsys.readouterr().out)["selection"]
+    assert selection["objects"]
+    assert [m["id"] for m in selection["selected"]] == selection["objects"]
+    assert sum(m["bytes"] for m in selection["selected"]) == selection["used_bytes"]
 
 
 @pytest.mark.parametrize("budget", ["1000", "50%"])
@@ -397,7 +411,7 @@ def test_text_matrix_headers_name_every_column(fixture_args, capsys, with_candid
 def test_sweep_rows_equal_fresh_library_runs(fixture_args, capsys, ctx):
     fractions = ["1.0", "0.05", "0.25", "0.25"]
     assert main(fixture_args + ["--sweep", ",".join(fractions), "--refresh-ratio", "2"]) == 0
-    params = ObjectiveParams(2.0, total_object_count=len(ctx.views) + len(ctx.indexes))
+    params = ObjectiveParams(2.0)
     objects = enumerate_objects(ctx)
     reference = greedy_select(ctx, sum(o.size for o in objects) + 1, params).used_bytes
     none = ctx.workload_total(Configuration())
@@ -424,10 +438,12 @@ def test_sweep_rows_equal_fresh_library_runs(fixture_args, capsys, ctx):
         # an isolated strategy under a byte budget builds only its own family
         (["--budget", "300000", "--mode", "view-only"], 0),
         (["--budget", "300000", "--mode", "index-only"], 0),
+        # exhaustive mode and its reference run share one object list
+        (["--budget", "50%", "--mode", "exhaustive"], 1),
     ],
 )
 def test_object_enumerations_per_invocation(
-    fixture_args, capsys, monkeypatch, flags, enumerations
+    fixture_args, two_candidate_args, capsys, monkeypatch, flags, enumerations
 ):
     calls = []
 
@@ -435,9 +451,12 @@ def test_object_enumerations_per_invocation(
         calls.append(ctx)
         return enumerate_objects(ctx)
 
+    # patched in every module that could look the name up, so any extra enumeration counts
     for module in ("mvindex.cli", "mvindex.selector", "mvindex.baselines"):
-        monkeypatch.setattr(f"{module}.enumerate_objects", counted)
-    assert main(fixture_args + flags) == 0
+        monkeypatch.setattr(f"{module}.enumerate_objects", counted, raising=False)
+    # the fixture's candidates exceed the exhaustive object limit
+    inputs = two_candidate_args if "exhaustive" in flags else fixture_args
+    assert main(inputs + flags) == 0
     assert len(calls) == enumerations
 
 

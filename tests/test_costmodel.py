@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mvindex.candidates import make_base_index, make_view
+from mvindex.candidates import build_matrices, make_base_index, make_view
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats
 from mvindex.costmodel import (
     Configuration,
@@ -13,6 +13,7 @@ from mvindex.costmodel import (
     workload_cost,
 )
 from mvindex.errors import ValidationError
+from mvindex.workload import Workload
 
 from util import brute_force_query_cost, random_config, random_instance
 
@@ -147,7 +148,8 @@ def test_workload_cost_base_total(ctx):
     assert report.total == sum(expected.values()) == 384_325
 
 
-def test_workload_cost_empty_workload(matrices, catalog, views, indexes):
+def test_workload_cost_empty_workload(catalog, views, indexes):
+    matrices = build_matrices(Workload(queries=()), views, indexes)
     report = workload_cost(CostContext([], views, indexes, matrices, catalog), Configuration())
     assert report.total == 0
 
@@ -216,3 +218,15 @@ def test_context_rejects_view_and_index_sharing_an_id(queries, views, indexes, m
     clash = make_base_index(views[0].id, ("times", "time_fiscal_year"), catalog)
     with pytest.raises(ValidationError, match=repr(views[0].id)):
         CostContext(queries, views, [*indexes, clash], matrices, catalog)
+
+
+@pytest.mark.parametrize("change", [lambda xs: xs[1:], lambda xs: xs[::-1]], ids=["fewer", "reordered"])
+@pytest.mark.parametrize("other", ["queries", "views", "indexes"])
+def test_context_rejects_matrices_over_other_inputs(
+    queries, views, indexes, matrices, catalog, other, change
+):
+    # every matrix id must name the context's own query or candidate, in order
+    inputs = {"queries": queries, "views": views, "indexes": indexes}
+    inputs[other] = change(inputs[other])
+    with pytest.raises(ValidationError, match=other):
+        CostContext(inputs["queries"], inputs["views"], inputs["indexes"], matrices, catalog)

@@ -25,8 +25,8 @@ from mvindex.workload import load_workload
 from util import full_rescore_greedy, log_uniform_budget, random_instance, with_random_candidates
 
 
-def _params(n_objects, refresh=0.0, mode="normalized"):
-    return ObjectiveParams(refresh_ratio=refresh, total_object_count=max(1, n_objects), mode=mode)
+def _params(refresh=0.0, mode="normalized"):
+    return ObjectiveParams(refresh_ratio=refresh, mode=mode)
 
 
 def test_enumerate_counts_fixture(ctx):
@@ -75,7 +75,7 @@ def test_incremental_size(views, catalog, ctx):
 
 
 def test_zero_budget(ctx):
-    res = greedy_select(ctx, 0, _params(19))
+    res = greedy_select(ctx, 0, _params())
     assert not res.config
     assert res.used_bytes == 0
     assert res.stop_reason == STOP_BUDGET_EXHAUSTED
@@ -83,11 +83,11 @@ def test_zero_budget(ctx):
 
 def test_negative_budget_rejected(ctx):
     with pytest.raises(InvalidBudgetError):
-        greedy_select(ctx, -1, _params(19))
+        greedy_select(ctx, -1, _params())
 
 
 def test_huge_refresh_ratio_selects_nothing(ctx):
-    res = greedy_select(ctx, 10**12, _params(19, refresh=1e9))
+    res = greedy_select(ctx, 10**12, _params(refresh=1e9))
     assert not res.config
     assert res.stop_reason == STOP_NO_POSITIVE_OBJECTIVE
 
@@ -95,7 +95,7 @@ def test_huge_refresh_ratio_selects_nothing(ctx):
 def test_budget_skip_picks_next_best(ctx):
     # v1 (116880 B) is the best object but does not fit; the selector must
     # fall back to something affordable instead of stopping
-    res = greedy_select(ctx, 50_000, _params(19))
+    res = greedy_select(ctx, 50_000, _params())
     assert res.used_bytes <= 50_000
     assert res.selected, "expected an affordable object to be chosen"
     assert "v1" not in res.config
@@ -103,7 +103,7 @@ def test_budget_skip_picks_next_best(ctx):
 
 
 def test_trace_objectives_match_public_function(ctx):
-    params = _params(19)
+    params = _params()
     budget = 10**12
     res = greedy_select(ctx, budget, params)
     assert res.iterations
@@ -122,7 +122,7 @@ def test_trace_objectives_match_public_function(ctx):
 
 
 def test_costs_decrease_along_trace(ctx):
-    res = greedy_select(ctx, 10**12, _params(19))
+    res = greedy_select(ctx, 10**12, _params())
     costs = [it.workload_cost for it in res.iterations]
     assert all(a >= b for a, b in zip(costs, costs[1:]))
     assert costs[-1] == res.final_cost
@@ -134,7 +134,7 @@ def test_budget_safety_fixture(catalog, ctx):
     total = sum(o.size for o in objects)
     for _ in range(25):
         budget = log_uniform_budget(rng, total)
-        res = greedy_select(ctx, budget, _params(19))
+        res = greedy_select(ctx, budget, _params())
         assert res.used_bytes <= budget
         assert sum(m.bytes for m in res.selected) == res.used_bytes
 
@@ -143,15 +143,15 @@ def test_view_index_dependency_fixture(ctx):
     rng = random.Random(321)
     for _ in range(20):
         budget = log_uniform_budget(rng, 10**9)
-        res = greedy_select(ctx, budget, _params(19))
+        res = greedy_select(ctx, budget, _params())
         for key in res.config:
             if isinstance(key, tuple):
                 assert key[0] in res.config
 
 
 def test_determinism(ctx):
-    a = greedy_select(ctx, 10**9, _params(19))
-    b = greedy_select(ctx, 10**9, _params(19))
+    a = greedy_select(ctx, 10**9, _params())
+    b = greedy_select(ctx, 10**9, _params())
     assert a.config == b.config
     assert a.iterations == b.iterations
     assert a.selected == b.selected
@@ -165,7 +165,7 @@ def test_random_instances_run_clean():
         objects = enumerate_objects(ctx)
         total = sum(o.size for o in objects) or 1
         budget = log_uniform_budget(rng, total)
-        params = _params(len(inst.views) + len(inst.indexes), refresh=rng.choice([0.0, 0.5]))
+        params = _params(refresh=rng.choice([0.0, 0.5]))
         res = greedy_select(ctx, budget, params)
         assert res.used_bytes <= budget
         for key in res.config:
@@ -197,7 +197,7 @@ def test_incremental_greedy_matches_full_rescore(
     objects = enumerate_objects(ctx)
     total = sum(o.size for o in objects) or 1
     budget = log_uniform_budget(random.Random(budget_seed), total)
-    params = _params(len(inst.views) + len(inst.indexes), refresh=refresh, mode=mode)
+    params = _params(refresh=refresh, mode=mode)
     args = (inst.views, inst.indexes, inst.matrices, inst.catalog, budget, params)
     runs = [
         (greedy_select(ctx, budget, params), objects),
@@ -247,7 +247,7 @@ def test_greedy_ignores_candidate_file_order(workload, catalog, blocks, index_li
         views, indexes = load_candidates(text, catalog)
         matrices = build_matrices(workload, views, indexes)
         ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
-        return greedy_select(ctx, budget, _params(len(views) + len(indexes), refresh=refresh))
+        return greedy_select(ctx, budget, _params(refresh=refresh))
 
     expected = run(_FIXTURE_BLOCKS, _FIXTURE_INDEX_LINES)
     permuted = run(blocks, index_lines)
@@ -279,8 +279,8 @@ def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
     assert not set(ctx.queries_touching(Configuration({"v1"}))) & set(
         ctx.queries_touching(Configuration({"i1"}))
     )
-    args = (views, indexes, matrices, catalog, 10**12, _params(2))
-    res = greedy_select(ctx, 10**12, _params(2))
+    args = (views, indexes, matrices, catalog, 10**12, _params())
+    res = greedy_select(ctx, 10**12, _params())
     assert [it.object_id for it in res.iterations] == ["v1", "i1"]
     objects = enumerate_objects(ctx)
     assert res.iterations == full_rescore_greedy(queries, objects, *args).iterations
@@ -302,7 +302,7 @@ def test_budget_at_or_above_unconstrained_use_selects_the_same(
     if extra_candidates:
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
-    params = _params(len(inst.views) + len(inst.indexes), refresh=refresh, mode=mode)
+    params = _params(refresh=refresh, mode=mode)
     unconstrained = sum(o.size for o in enumerate_objects(ctx)) + 1
     free = greedy_select(ctx, unconstrained, params)
     budget = free.used_bytes + headroom
@@ -341,7 +341,7 @@ def test_resumed_run_equals_fresh_run(
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
     objects = enumerate_objects(ctx)
-    params = _params(len(inst.views) + len(inst.indexes), refresh=refresh, mode=mode)
+    params = _params(refresh=refresh, mode=mode)
     unconstrained = sum(o.size for o in objects) + 1
     rng = random.Random(budget_seed)
     strategies = [
@@ -373,7 +373,7 @@ def test_resumed_run_equals_fresh_run(
 
 def test_resume_under_a_larger_budget_replays_only_steps_that_skipped_nothing(ctx):
     objects = enumerate_objects(ctx)
-    params = _params(19)
+    params = _params()
     earlier = greedy_select(ctx, 200_000, params, objects)
     assert any(it.skipped_unaffordable for it in earlier.iterations)
     assert not earlier.iterations[0].skipped_unaffordable
@@ -408,7 +408,7 @@ def test_resume_with_repeated_object_ids_equals_fresh_run(catalog):
     ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
     objects = enumerate_objects(ctx)
     assert [o.id for o in objects].count("a+b+c") == 2
-    params = _params(4)
+    params = _params()
     reference = greedy_select(ctx, sum(o.size for o in objects) + 1, params, objects)
     assert [it.object_id for it in reference.iterations] == ["a+b", "a", "a+b+c"]
     for budget in sorted({0, *accumulate(it.incremental_bytes for it in reference.iterations)}):

@@ -17,7 +17,7 @@ from mvindex.candidates import (
     make_view,
     usable_view,
 )
-from mvindex.benefit import MODE_LITERAL, update_weight
+from mvindex.benefit import MODE_LITERAL
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, validate_catalog
 from mvindex.costmodel import Configuration, CostContext, maintenance_cost, member_key, object_size
 from mvindex.selector import (
@@ -274,7 +274,7 @@ def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx)
     else:
         denom = size
     gain = (before - after) / max(denom, 1)
-    beta = update_weight(params, len(queries))
+    beta = len(queries) * params.refresh_ratio / max(1, len(ctx.views) + len(ctx.indexes))
     if beta == 0.0:
         return gain
     maintenance = sum(maintenance_cost(m, catalog) for m in members)
