@@ -17,8 +17,7 @@ from mvindex.selector import enumerate_objects, greedy_select
 catalog = sales_star_catalog()
 workload = sales_star_workload(catalog)
 views, indexes = sales_star_candidates(catalog)
-matrices = build_matrices(workload, views, indexes)
-ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
+ctx = CostContext(build_matrices(workload, views, indexes), catalog)
 
 base = workload_cost(ctx, Configuration())
 print(f"workload cost with no structures: {base.total:,} blocks\n")

@@ -18,8 +18,7 @@ catalog = scale_catalog(sales_star_catalog(), 100)
 workload = sales_star_workload(catalog)
 views = generate_view_candidates(workload, catalog)
 indexes = generate_index_candidates(workload, views, catalog, min_support=1)
-matrices = build_matrices(workload, views, indexes)
-ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
+ctx = CostContext(build_matrices(workload, views, indexes), catalog)
 params = ObjectiveParams(refresh_ratio=0.0)
 
 print(f"scaled warehouse: fact table {catalog.fact_table.row_count:,} rows")

@@ -31,7 +31,6 @@ from .costmodel import (
     maintenance_cost,
     member_key,
     object_size,
-    selectivity,
     workload_cost,
 )
 from .benefit import (

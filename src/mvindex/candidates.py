@@ -19,8 +19,10 @@ A candidates file can inject fixed sets instead of generating them::
     index j1 on v1 key times.time_fiscal_year
 
 ``indexable`` restricts which group-by attributes admit an index on that
-view (the view-index matrix honours it).  An ``index ... on <view-id>``
-line declares an index candidate targeting a view instead of a base table.
+view: the view-index matrix honours it, and an ``index ... on <view-id>``
+line, which declares an index candidate targeting a view instead of a base
+table, must key one of them.  ``build_matrices`` gives the stage's result:
+the queries and candidates together with their three usage matrices.
 """
 
 from __future__ import annotations
@@ -58,9 +60,13 @@ class IndexCandidate:
     """Single-attribute B-tree index on a base table or on a view."""
 
     id: str
-    target: str  # table name or view id
     attribute: Attr  # base attribute carrying width/cardinality stats
     on_view: ViewCandidate | None = None  # the target view of an on-view index
+
+    @property
+    def target(self) -> str:
+        """The indexed table's name, or the id of the view the index is on."""
+        return self.attribute[0] if self.on_view is None else self.on_view.id
 
     def is_base(self) -> bool:
         return self.on_view is None
@@ -100,14 +106,15 @@ def make_view(vid, joined_tables, join_pairs, group_by, aggregates, catalog, ind
 
 def make_base_index(iid: str, attr: Attr, catalog: SchemaCatalog) -> IndexCandidate:
     catalog.attribute(*attr)  # must resolve
-    return IndexCandidate(id=iid, target=attr[0], attribute=attr)
+    return IndexCandidate(id=iid, attribute=attr)
 
 
 def make_view_index(iid: str, view: ViewCandidate, attr: Attr, catalog: SchemaCatalog) -> IndexCandidate:
-    if attr not in view.group_by_set():
-        raise ValidationError(f"index {iid}: {attr[0]}.{attr[1]} is not grouped by view {view.id}")
+    # the cost model keys an on-view index only on an indexable attribute
+    if attr not in view.indexable_attrs():
+        raise ValidationError(f"index {iid}: {attr[0]}.{attr[1]} is not indexable on view {view.id}")
     catalog.attribute(*attr)
-    return IndexCandidate(id=iid, target=view.id, attribute=attr, on_view=view)
+    return IndexCandidate(id=iid, attribute=attr, on_view=view)
 
 
 def generate_view_candidates(workload: Workload, catalog: SchemaCatalog) -> list[ViewCandidate]:
@@ -244,31 +251,31 @@ def _query_index_rows(queries, base: list[IndexCandidate]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class UsageMatrices:
-    """The query-view, query-index and view-index usage matrices.
+    """The queries and candidates of a workload with their three usage matrices.
 
     Each matrix is a tuple of row tuples holding the ints 0 and 1.
     ``query_index`` covers base-table candidates only; ``view_index``
-    covers the full candidate list.  Rows/columns follow the id lists.
+    covers the full candidate list.  Rows and columns follow ``queries``,
+    ``views`` and ``indexes``, whose ids are derived once, on construction.
     """
 
-    query_ids: tuple[str, ...]
-    view_ids: tuple[str, ...]
-    index_ids: tuple[str, ...]  # all index candidates
-    base_index_ids: tuple[str, ...]
+    queries: tuple[Query, ...]
+    views: tuple[ViewCandidate, ...]
+    indexes: tuple[IndexCandidate, ...]  # all index candidates
     query_view: tuple[tuple[int, ...], ...]  # [n_queries][n_views]
     query_index: tuple[tuple[int, ...], ...]  # [n_queries][n_base_indexes]
     view_index: tuple[tuple[int, ...], ...]  # [n_views][n_indexes]
-    # id -> row/column position, built once per matrix set
-    _view_pos: dict[str, int] = field(init=False, repr=False, compare=False)
-    _index_pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    query_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    view_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    index_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    base_index_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("view", "index"):
-            ids = getattr(self, f"{name}_ids")
-            object.__setattr__(self, f"_{name}_pos", {id_: k for k, id_ in enumerate(ids)})
-
-    def vi(self, vid: str, iid: str) -> bool:
-        return bool(self.view_index[self._view_pos[vid]][self._index_pos[iid]])
+        # plain fields, not properties: pairs() reads index_ids once per view row
+        object.__setattr__(self, "query_ids", tuple(q.id for q in self.queries))
+        object.__setattr__(self, "view_ids", tuple(v.id for v in self.views))
+        object.__setattr__(self, "index_ids", tuple(i.id for i in self.indexes))
+        object.__setattr__(self, "base_index_ids", tuple(i.id for i in self.indexes if i.is_base()))
 
     def usable_views(self) -> dict[str, list[str]]:
         """Query id -> ids of the views the query can use: the query-view rows."""
@@ -343,10 +350,9 @@ def build_matrices(
         vi_rows.append(cols)
 
     return UsageMatrices(
-        query_ids=tuple(q.id for q in queries),
-        view_ids=tuple(v.id for v in views),
-        index_ids=tuple(i.id for i in indexes),
-        base_index_ids=tuple(i.id for i in base),
+        queries=tuple(queries),
+        views=tuple(views),
+        indexes=tuple(indexes),
         query_view=_unit_rows(_query_view_rows(queries, views), len(views)),
         query_index=_unit_rows(_query_index_rows(queries, base), len(base)),
         view_index=_unit_rows(vi_rows, len(indexes)),
@@ -482,8 +488,4 @@ def load_candidates(
             indexes.append(make_base_index(iid, attr, catalog))
         else:
             raise UnknownNameError(f"index {iid}: unknown target {target!r}")
-
-    ids = [v.id for v in views] + [i.id for i in indexes]
-    if len(ids) != len(set(ids)):
-        raise ValidationError("duplicate candidate ids in candidates file")
     return views, indexes

@@ -99,9 +99,9 @@ def make_parser() -> argparse.ArgumentParser:
 def _load_inputs(args):
     """Parse the inputs; return the objective parameters and the run's one CostContext.
 
-    The context holds the queries, candidates, usage matrices and catalog.
-    Every selection and cost report of an invocation reads them from it and
-    shares its memo of query costs.
+    The context holds the usage matrices, with the queries and candidates
+    they were built over, and the catalog.  Every selection and cost report
+    of an invocation reads them from it and shares its memo of query costs.
     """
     with open(args.schema, encoding="utf-8") as fh:
         catalog = load_catalog(fh.read(), args.schema)
@@ -118,7 +118,7 @@ def _load_inputs(args):
     matrices = build_matrices(workload, views, indexes)
     refresh = args.refresh_ratio if args.refresh_ratio is not None else workload.refresh_ratio
     params = ObjectiveParams(refresh_ratio=refresh, mode=args.objective)
-    ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
+    ctx = CostContext(matrices, catalog)
     return params, ctx
 
 

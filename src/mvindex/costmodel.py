@@ -7,7 +7,7 @@ its applicable rewritings:
   (b) same, but any joined table with a usable selected base index is
       accessed through it: btree descent plus the matching fraction of
       the table's blocks (product of the query's predicate selectivities
-      on that table);
+      on that table, 1/cardinality each, the product floored at 1e-9);
   (c) scan a usable selected view;
   (d) access a usable selected view through a selected index built on it.
 
@@ -18,7 +18,8 @@ the sum of independent per-query minima.  All block arithmetic is integer
 A configuration is one frozenset of member keys (``member_key``): view and
 base-index ids, and ``(view id, attribute)`` for on-view indexes.  A
 rewriting only asks whether a key is selected, so view and index ids must
-differ.
+be distinct; selection names pairs ``v1+i8`` and re-targeted indexes
+``i8@v1``, so no id may hold ``+`` or ``@``.
 """
 
 from __future__ import annotations
@@ -33,22 +34,12 @@ from .workload import Query
 
 COST_MODEL_ID = "blockscan-btree/1"
 
-DEFAULT_SELECTIVITY_FLOOR = 1e-9
+# selectivity 1/d floored at 1e-9 means d capped at 10**9
+_DIVISOR_CAP = 10**9
 
 
 def _ceil_div(a: int, d: int) -> int:
     return -(-a // d)
-
-
-# selectivity 1/d floored at the selectivity floor means d capped at its inverse
-_DIVISOR_CAP = max(1, int(1.0 / DEFAULT_SELECTIVITY_FLOOR))
-
-
-def selectivity(cardinality: int) -> float:
-    """Uniform-distribution selectivity of an equality predicate: 1/cardinality."""
-    if cardinality < 1:
-        raise ValidationError("cardinality must be >= 1")
-    return max(1.0 / cardinality, DEFAULT_SELECTIVITY_FLOOR)
 
 
 def object_size(obj, catalog: SchemaCatalog) -> int:
@@ -105,7 +96,6 @@ class CostReport:
     per_query_cost: dict[str, int]
     chosen_rewriting: dict[str, str]
     total: int
-    cost_model: str = COST_MODEL_ID
 
 
 @dataclass
@@ -122,29 +112,23 @@ class _QueryPlanInfo:
 
 
 class CostContext:
-    """Cost evaluator bound to one workload, candidate set and catalog.
+    """Cost evaluator bound to one set of usage matrices and a catalog.
 
     Pure once built, apart from its memo of query costs, so one instance
     serves every scoring pass and every selection run over the same inputs.
     It also carries those inputs (``queries``, ``views`` and ``indexes`` by
-    id, ``matrices``, ``catalog``), so it is the one handle that scoring,
-    selection and reporting take.  The matrices must be built over exactly
-    its queries, views and indexes, in order (``build_matrices`` over the
-    same lists).  The build reads each usage matrix once:
-    the query rows for the per-query plans, the view-index cells for ``paired``.
+    id, read from ``matrices``, and ``catalog``), so it is the one handle
+    that scoring, selection and reporting take.  It raises
+    ``ValidationError`` for a view or index id that repeats or holds ``+``
+    or ``@``.  The build reads each usage matrix once: the query rows for
+    the per-query plans, the view-index cells for ``paired``.
     """
 
-    def __init__(
-        self,
-        queries: list[Query],
-        views: list[ViewCandidate],
-        indexes: list[IndexCandidate],
-        matrices: UsageMatrices,
-        catalog: SchemaCatalog,
-    ):
+    def __init__(self, matrices: UsageMatrices, catalog: SchemaCatalog):
+        views, indexes = matrices.views, matrices.indexes
         self.catalog = catalog
         self.matrices = matrices
-        self.queries = list(queries)
+        self.queries = list(matrices.queries)
         self.views = {v.id: v for v in views}
         self.indexes = {i.id: i for i in indexes}
         self._info: dict[str, _QueryPlanInfo] = {}
@@ -156,17 +140,13 @@ class CostContext:
         # member key -> (key, bytes, maintenance blocks), see member_facts
         self._facts: dict[object, tuple[object, int, int]] = {}
 
-        clash = sorted(self.views.keys() & self.indexes.keys())
-        if clash:
-            raise ValidationError(f"view and index ids must differ, both use {clash[0]!r}")
-        for label, matrix_ids, members in (
-            ("queries", matrices.query_ids, self.queries),
-            ("views", matrices.view_ids, views),
-            ("indexes", matrices.index_ids, indexes),
-            ("base indexes", matrices.base_index_ids, [i for i in indexes if i.is_base()]),
-        ):
-            if tuple(matrix_ids) != tuple(m.id for m in members):
-                raise ValidationError(f"the usage matrices were built over other {label}")
+        seen = set()
+        for id_ in matrices.view_ids + matrices.index_ids:
+            if id_ in seen:
+                raise ValidationError(f"view and index ids must be distinct, {id_!r} repeats")
+            if "+" in id_ or "@" in id_:
+                raise ValidationError(f"view and index ids may not hold '+' or '@', got {id_!r}")
+            seen.add(id_)
 
         # per-candidate facts, read below once per query that can use the
         # candidate

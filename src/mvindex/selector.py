@@ -131,8 +131,6 @@ def _shared_steps(
     first = resume.iterations[0]
     larger = budget_bytes > first.remaining_budget + first.incremental_bytes
     by_id = {o.id: o for o in objects}
-    if len(by_id) < len(objects):
-        return  # pair ids join two ids with "+" and can repeat: no step is replayed
     used = 0
     for it in resume.iterations:
         if budget_bytes - used <= 0 or it.incremental_bytes > budget_bytes - used:

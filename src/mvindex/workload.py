@@ -348,7 +348,9 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
             parsed = _Parser(stmt_tokens, source, body).parse_statement()
             query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
         except (ParseError, UnknownNameError, ValidationError) as exc:
-            raise type(exc)(f"statement {i}: {exc}") from None
+            # the same exception, so a ParseError keeps its source, line and column
+            exc.args = (f"statement {i}: {exc}",)
+            raise
         if query.id in seen_ids:
             raise ValidationError(f"statement {i}: duplicate query id {query.id!r}")
         seen_ids.add(query.id)

@@ -49,5 +49,5 @@ def queries(workload):
 
 
 @pytest.fixture(scope="session")
-def ctx(queries, views, indexes, matrices, catalog):
-    return CostContext(queries, views, indexes, matrices, catalog)
+def ctx(matrices, catalog):
+    return CostContext(matrices, catalog)

@@ -264,7 +264,7 @@ def test_criterion_5_objective_semantics():
     views, indexes = sales_star_candidates(catalog)
     matrices = build_matrices(workload, views, indexes)
     queries = list(workload.queries)
-    ctx = CostContext(queries, views, indexes, matrices, catalog)
+    ctx = CostContext(matrices, catalog)
     objects = enumerate_objects(ctx)
     n_objects = len(views) + len(indexes)
 
@@ -314,7 +314,7 @@ def test_criterion_6_cost_model_oracle():
     matrices = build_matrices(workload, views, indexes)
     from util import Instance
 
-    fixture_inst = Instance(catalog, workload, views, indexes, matrices)
+    fixture_inst = Instance(catalog, workload, matrices)
     instances = [fixture_inst] + [
         random_instance(seed=7000 + k, max_tables=5, max_queries=8) for k in range(19)
     ]

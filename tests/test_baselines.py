@@ -105,7 +105,7 @@ def _uniform_instance(seed: int, n_dims: int):
     matrices = build_matrices(workload, views, indexes)
     from util import Instance
 
-    return Instance(catalog, workload, views, indexes, matrices)
+    return Instance(catalog, workload, matrices)
 
 
 def test_uniform_family_views_identical_size():
@@ -148,9 +148,9 @@ def test_exhaustive_never_worse_than_greedy_random():
     assert checked >= 10
 
 
-def test_isolated_views_only_empty(workload, queries, indexes, catalog):
+def test_isolated_views_only_empty(workload, indexes, catalog):
     matrices = build_matrices(workload, [], indexes)
-    ctx = CostContext(queries, [], indexes, matrices, catalog)
+    ctx = CostContext(matrices, catalog)
     res = isolated_select(VIEWS_ONLY, ctx, 10**9, PARAMS)
     assert not res.config
 

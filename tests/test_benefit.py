@@ -115,12 +115,12 @@ def test_benefit_never_negative(views, indexes, ctx):
             assert object_benefit(o, cfg, ctx) >= 0.0
 
 
-def test_size_scaling_inverts_first_branch(queries, views, indexes, matrices, catalog, monkeypatch):
+def test_size_scaling_inverts_first_branch(views, matrices, catalog, monkeypatch):
     v1 = views[0]
 
     def benefit():
         # a fresh context each time: member sizes are computed once per context
-        ctx = CostContext(queries, views, indexes, matrices, catalog)
+        ctx = CostContext(matrices, catalog)
         return object_benefit(view_object(v1, ctx), Configuration(), ctx)
 
     base = benefit()

@@ -151,7 +151,7 @@ def test_vi_requires_target_membership(matrices, views, indexes):
 
 
 def test_vi_v7_i11(matrices):
-    assert matrices.vi("v7", "i11")
+    assert ("v7", "i11") in matrices.pairs()
 
 
 def test_matrices_idempotent(workload, views, indexes):
@@ -192,6 +192,19 @@ def test_load_candidates_rejects_bad_view_index(catalog):
         "index j1 on v1 key times.time_fiscal_year\n"
     )
     with pytest.raises(ValidationError):
+        load_candidates(text, catalog)
+
+
+def test_load_candidates_rejects_view_index_on_a_non_indexable_attribute(catalog):
+    # the cost model keys on-view indexes on indexable attributes only, so
+    # this index could pair with v1 yet never lower a query's cost
+    text = (
+        "view v1\n  tables sales, times\n  join sales.time_id = times.time_id\n"
+        "  group_by sales.time_id, times.time_fiscal_year\n  agg sum(sales.amount_sold)\n"
+        "  indexable sales.time_id\n"
+        "index j1 on v1 key times.time_fiscal_year\n"
+    )
+    with pytest.raises(ValidationError, match="j1: times.time_fiscal_year is not indexable on view v1"):
         load_candidates(text, catalog)
 
 
@@ -236,6 +249,6 @@ def test_dedicated_view_index_suppresses_base_pairing(workload, catalog):
     )
     views, indexes = load_candidates(text, catalog)
     m = build_matrices(workload, views, indexes)
-    assert m.vi("v1", "j1")
-    assert not m.vi("v1", "i1")  # the dedicated candidate owns the cell
+    assert ("v1", "j1") in m.pairs()
+    assert ("v1", "i1") not in m.pairs()  # the dedicated candidate owns the cell
     assert m.pair_count() == 1

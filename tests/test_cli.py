@@ -265,6 +265,31 @@ def test_comma_only_candidates_line_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_VIEW_BLOCK = (
+    "view {}\n  tables sales, times\n  join sales.time_id = times.time_id\n"
+    "  group_by times.time_fiscal_year\n  agg sum(sales.amount_sold)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, bad_id",
+    [
+        (_VIEW_BLOCK.format("a+b"), "a+b"),
+        (_VIEW_BLOCK.format("v1") + "index v1 on times key time_fiscal_year\n", "v1"),
+    ],
+    ids=["plus-in-view-id", "view-and-index-share-an-id"],
+)
+def test_candidate_id_selection_could_confuse_exits_1(tmp_path, capsys, text, bad_id):
+    cand_file = tmp_path / "bad-id.candidates"
+    cand_file.write_text(text)
+    code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
+                 "--candidates", str(cand_file), "--budget", "50%"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(bad_id) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ["", "# comments only\n\n# and blank lines\n",
                                   "refresh_ratio = 1\n"])
 def test_workload_without_statements_exits_1(tmp_path, capsys, text):

@@ -10,7 +10,7 @@ from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams, index_object, objective_value, view_object
 from mvindex.candidates import build_matrices, load_candidates
 from mvindex.costmodel import Configuration, CostContext, object_size
-from mvindex.errors import InvalidBudgetError
+from mvindex.errors import InvalidBudgetError, ValidationError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
 from mvindex.selector import (
     STOP_BUDGET_EXHAUSTED,
@@ -43,7 +43,7 @@ def test_enumerate_no_pairs_without_vi(workload, views, catalog):
     from mvindex.candidates import build_matrices
 
     m = build_matrices(workload, views, [])
-    objects = enumerate_objects(CostContext(list(workload.queries), views, [], m, catalog))
+    objects = enumerate_objects(CostContext(m, catalog))
     assert all(o.kind == "view" for o in objects)
     assert len(objects) == len(views)
 
@@ -54,7 +54,7 @@ def test_enumerate_one_view_one_index(workload, views, indexes, catalog):
     v1 = [v for v in views if v.id == "v1"]
     i8 = [i for i in indexes if i.id == "i8"]
     m = build_matrices(workload, v1, i8)
-    objects = enumerate_objects(CostContext(list(workload.queries), v1, i8, m, catalog))
+    objects = enumerate_objects(CostContext(m, catalog))
     assert [o.kind for o in objects] == ["view", "index", "pair"]
     assert len(objects) == 3
 
@@ -198,7 +198,7 @@ def test_incremental_greedy_matches_full_rescore(
     total = sum(o.size for o in objects) or 1
     budget = log_uniform_budget(random.Random(budget_seed), total)
     params = _params(refresh=refresh, mode=mode)
-    args = (inst.views, inst.indexes, inst.matrices, inst.catalog, budget, params)
+    args = (inst.matrices, inst.catalog, budget, params)
     runs = [
         (greedy_select(ctx, budget, params), objects),
         (isolated_select(VIEWS_ONLY, ctx, budget, params), [view_object(v, ctx) for v in inst.views]),
@@ -208,7 +208,7 @@ def test_incremental_greedy_matches_full_rescore(
         ),
     ]
     for result, family in runs:
-        expected = full_rescore_greedy(inst.queries, family, *args)
+        expected = full_rescore_greedy(family, *args)
         assert result.iterations == expected.iterations
         assert result.selected == expected.selected
         assert result.used_bytes == expected.used_bytes
@@ -246,7 +246,7 @@ def test_greedy_ignores_candidate_file_order(workload, catalog, blocks, index_li
         text = "\n\n".join(view_blocks) + "\n\n" + "\n".join(lines) + "\n"
         views, indexes = load_candidates(text, catalog)
         matrices = build_matrices(workload, views, indexes)
-        ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
+        ctx = CostContext(matrices, catalog)
         return greedy_select(ctx, budget, _params(refresh=refresh))
 
     expected = run(_FIXTURE_BLOCKS, _FIXTURE_INDEX_LINES)
@@ -274,16 +274,14 @@ def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
         catalog,
     )
     matrices = build_matrices(workload, views, indexes)
-    queries = list(workload.queries)
-    ctx = CostContext(queries, views, indexes, matrices, catalog)
+    ctx = CostContext(matrices, catalog)
     assert not set(ctx.queries_touching(Configuration({"v1"}))) & set(
         ctx.queries_touching(Configuration({"i1"}))
     )
-    args = (views, indexes, matrices, catalog, 10**12, _params())
     res = greedy_select(ctx, 10**12, _params())
     assert [it.object_id for it in res.iterations] == ["v1", "i1"]
-    objects = enumerate_objects(ctx)
-    assert res.iterations == full_rescore_greedy(queries, objects, *args).iterations
+    expected = full_rescore_greedy(enumerate_objects(ctx), matrices, catalog, 10**12, _params())
+    assert res.iterations == expected.iterations
 
 
 @settings(max_examples=80, deadline=None)
@@ -383,18 +381,9 @@ def test_resume_under_a_larger_budget_replays_only_steps_that_skipped_nothing(ct
         )
 
 
-def test_resume_with_repeated_object_ids_equals_fresh_run(catalog):
-    # pair ids join a view id and an index id with "+", so views "a" and "a+b"
-    # with indexes "b+c" and "c" give two pairs named "a+b+c"; the greedy
-    # commits the first of them at step 3
-    workload = load_workload(
-        "qa: select times.time_fiscal_year, sum(amount_sold) from sales, times"
-        " where sales.time_id = times.time_id and times.time_fiscal_year = 2000"
-        " group by times.time_fiscal_year;"
-        "qb: select times.time_id, sum(amount_sold) from sales, times"
-        " where sales.time_id = times.time_id and times.time_id = 7 group by times.time_id;",
-        catalog,
-    )
+def test_candidates_whose_pair_ids_could_repeat_are_rejected(workload, catalog):
+    # pair ids join a view id and an index id with "+": views "a" and "a+b"
+    # with indexes "b+c" and "c" would give two pairs named "a+b+c"
     views, indexes = load_candidates(
         "view a\n  tables sales, times\n  join sales.time_id = times.time_id\n"
         "  group_by times.time_fiscal_year, times.time_id\n  agg sum(sales.amount_sold)\n"
@@ -405,13 +394,5 @@ def test_resume_with_repeated_object_ids_equals_fresh_run(catalog):
         catalog,
     )
     matrices = build_matrices(workload, views, indexes)
-    ctx = CostContext(list(workload.queries), views, indexes, matrices, catalog)
-    objects = enumerate_objects(ctx)
-    assert [o.id for o in objects].count("a+b+c") == 2
-    params = _params()
-    reference = greedy_select(ctx, sum(o.size for o in objects) + 1, params, objects)
-    assert [it.object_id for it in reference.iterations] == ["a+b", "a", "a+b+c"]
-    for budget in sorted({0, *accumulate(it.incremental_bytes for it in reference.iterations)}):
-        for b in (budget, max(budget - 1, 0)):
-            fresh = greedy_select(ctx, b, params)
-            assert greedy_select(ctx, b, params, objects, reference) == fresh
+    with pytest.raises(ValidationError, match=r"'a\+b'"):
+        CostContext(matrices, catalog)

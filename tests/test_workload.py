@@ -121,6 +121,17 @@ def test_bad_statement_named_by_index(catalog):
     assert "statement 2" in str(err.value)
 
 
+def test_bad_statement_keeps_its_position(catalog):
+    good = (
+        "select sales.time_id, sum(amount_sold) from sales, times "
+        "where sales.time_id = times.time_id group by sales.time_id;\n"
+    )
+    with pytest.raises(ParseError) as err:
+        load_workload(good + "select sales.time_id, sum(amount_sold) form sales;\n", catalog, "w.sql")
+    assert (err.value.source, err.value.line, err.value.column) == ("w.sql", 2, 40)
+    assert str(err.value) == "statement 2: w.sql: line 2, column 40: expected keyword 'from'"
+
+
 def test_refresh_ratio_header(catalog):
     w = load_workload("refresh_ratio = 0.5\n", catalog)
     assert w.refresh_ratio == 0.5

@@ -36,16 +36,22 @@ from mvindex.workload import Predicate, Query, Workload
 class Instance:
     catalog: SchemaCatalog
     workload: Workload
-    views: list[ViewCandidate]
-    indexes: list[IndexCandidate]
     matrices: UsageMatrices
 
     @property
     def queries(self):
-        return list(self.workload.queries)
+        return list(self.matrices.queries)
+
+    @property
+    def views(self):
+        return list(self.matrices.views)
+
+    @property
+    def indexes(self):
+        return list(self.matrices.indexes)
 
     def context(self) -> CostContext:
-        return CostContext(self.queries, self.views, self.indexes, self.matrices, self.catalog)
+        return CostContext(self.matrices, self.catalog)
 
 
 def random_instance(
@@ -119,7 +125,7 @@ def random_instance(
     views = generate_view_candidates(workload, catalog)
     indexes = generate_index_candidates(workload, views, catalog, min_support)
     matrices = build_matrices(workload, views, indexes)
-    return Instance(catalog, workload, views, indexes, matrices)
+    return Instance(catalog, workload, matrices)
 
 
 def with_random_candidates(inst: Instance, seed: int) -> Instance:
@@ -147,7 +153,7 @@ def with_random_candidates(inst: Instance, seed: int) -> Instance:
         table = rng.choice(catalog.tables)
         indexes.append(make_base_index(f"y{k}", (table.name, rng.choice(table.attributes).name), catalog))
     matrices = build_matrices(inst.workload, views, indexes)
-    return Instance(catalog, inst.workload, views, indexes, matrices)
+    return Instance(catalog, inst.workload, matrices)
 
 
 def log_uniform_budget(rng: random.Random, total_bytes: int) -> int:
@@ -241,19 +247,17 @@ def random_config(rng: random.Random, inst: Instance) -> Configuration:
 
 
 def related_views(i: IndexCandidate, matrices: UsageMatrices) -> list[str]:
-    """Views the index is defined on, read cell by cell from the view-index matrix."""
+    """Views the index is defined on, read from the unit cells of the view-index matrix."""
     if not i.is_base():
         return [i.target]
-    if i.id not in matrices.index_ids:
-        return []
-    return [vid for vid in matrices.view_ids if matrices.vi(vid, i.id)]
+    pairs = matrices.pairs()
+    return [vid for vid in matrices.view_ids if (vid, i.id) in pairs]
 
 
 def related_indexes(v: ViewCandidate, matrices: UsageMatrices) -> list[str]:
-    """Base-index candidates defined on the view's attributes, read cell by cell."""
-    if v.id not in matrices.view_ids:
-        return []
-    return [iid for iid in matrices.base_index_ids if matrices.vi(v.id, iid)]
+    """Base-index candidates defined on the view's attributes, read from the same cells."""
+    pairs = matrices.pairs()
+    return [iid for iid in matrices.base_index_ids if (v.id, iid) in pairs]
 
 
 def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx) -> float:
@@ -283,9 +287,10 @@ def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx)
     return gain - beta * maintenance / max(size, 1)
 
 
-def full_rescore_greedy(queries, objects, views, indexes, matrices, catalog, budget_bytes, params):
+def full_rescore_greedy(objects, matrices, catalog, budget_bytes, params):
     """Reference greedy loop: every step rescores every remaining object from scratch."""
-    ctx = CostContext(queries, views, indexes, matrices, catalog)
+    ctx = CostContext(matrices, catalog)
+    queries = list(matrices.queries)
     config = Configuration()
     selected = []
     iterations = []
