@@ -395,7 +395,7 @@ def load_candidates(
                 raise ParseError("expected: view <id>", source, lineno)
             current = {
                 "id": tokens[1].lower(),
-                "tables": [],
+                "tables": None,
                 "joins": [],
                 "group_by": [],
                 "aggs": [],
@@ -409,7 +409,12 @@ def load_candidates(
         elif current is None:
             raise ParseError(f"{tokens[0]!r} outside a view block", source, lineno)
         elif head == "tables":
-            current["tables"] = [t.lower() for t in tokens[1:]]
+            tables = [t.lower() for t in tokens[1:]]
+            if current["tables"] is not None:
+                raise ParseError(f"view {current['id']}: a second tables line", source, lineno)
+            if len(set(tables)) < len(tables):
+                raise ParseError(f"view {current['id']}: tables lists a table twice", source, lineno)
+            current["tables"] = tables
         elif head == "join":
             if len(tokens) != 4 or tokens[2] != "=":
                 raise ParseError("expected: join a.x = b.y", source, lineno)
@@ -429,6 +434,7 @@ def load_candidates(
 
     fact = catalog.fact_table.name
     for blk in view_blocks:
+        blk["tables"] = blk["tables"] or []
         if not blk["group_by"]:
             raise ParseError(f"view {blk['id']}: empty group_by", source, blk["line"])
         for t in blk["tables"]:

@@ -16,7 +16,8 @@ Catalog file format (UTF-8, ``#`` starts a line comment)::
     table times dimension rows 1461 row_width 144
       attr time_id card 1461 width 4
 
-Top-level parameters are optional and default to the values above.
+Top-level parameters are optional, each set at most once, and default to
+the values above.
 ``attr`` lines belong to the most recent ``table`` line.  Exactly one
 table must be declared ``fact``.
 """
@@ -127,6 +128,8 @@ def validate_catalog(catalog: SchemaCatalog) -> None:
         raise ValidationError("block_size must be >= 512")
     if catalog.btree_fanout < 2:
         raise ValidationError("btree_fanout must be >= 2")
+    if catalog.rowid_width < 1:
+        raise ValidationError("rowid_width must be >= 1")
     seen = set()
     for t in catalog.tables:
         if t.name in seen:
@@ -173,6 +176,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> SchemaCatalog:
         "rowid_width": DEFAULT_ROWID_WIDTH,
     }
     tables: list[dict] = []
+    set_params = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -182,6 +186,9 @@ def load_catalog(text: str, source: str = "<catalog>") -> SchemaCatalog:
         if head in params:
             if len(tokens) != 2:
                 raise ParseError(f"expected: {head} <integer>", source, lineno)
+            if head in set_params:
+                raise ParseError(f"{head} is set twice", source, lineno)
+            set_params.add(head)
             params[head] = _parse_int(tokens[1], head, source, lineno)
         elif head == "table":
             # table <name> <fact|dimension> rows <n> row_width <n>

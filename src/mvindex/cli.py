@@ -100,8 +100,9 @@ def _load_inputs(args):
     """Parse the inputs; return the objective parameters and the run's one CostContext.
 
     The context holds the usage matrices, with the queries and candidates
-    they were built over, and the catalog.  Every selection and cost report
-    of an invocation reads them from it and shares its memo of query costs.
+    they were built over, the catalog, and every query's plan of block costs,
+    computed once at its build.  Every selection and cost report of an
+    invocation reads them from it, so no plan is built twice.
     """
     with open(args.schema, encoding="utf-8") as fh:
         catalog = load_catalog(fh.read(), args.schema)

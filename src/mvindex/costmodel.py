@@ -24,6 +24,7 @@ be distinct; selection names pairs ``v1+i8`` and re-targeted indexes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .catalog import SchemaCatalog, btree_height, table_blocks
@@ -40,6 +41,11 @@ _DIVISOR_CAP = 10**9
 
 def _ceil_div(a: int, d: int) -> int:
     return -(-a // d)
+
+
+def _indexed(height: int, blocks: int, divisor: int) -> int:
+    """Btree descent plus the matching fraction of ``blocks``; 0 when empty."""
+    return height + _ceil_div(blocks, min(divisor, _DIVISOR_CAP)) if blocks else 0
 
 
 def object_size(obj, catalog: SchemaCatalog) -> int:
@@ -98,30 +104,26 @@ class CostReport:
     total: int
 
 
-@dataclass
-class _QueryPlanInfo:
-    """Precomputed per-query facts the cost evaluation reads."""
-
-    table_blocks: dict[str, int]
-    table_divisor: dict[str, int]  # product of predicate cardinalities per table (capped)
-    all_divisor: int  # product over every predicate (capped)
-    usable_base: dict[str, list[tuple[str, int]]]  # table -> [(index id, descent height)]
-    usable_views: list[tuple[str, int]]  # (view id, view blocks)
-    usable_view_indexes: dict[str, list[tuple[tuple[str, tuple[str, str]], int]]]
-    # view id -> [((view id, attr), descent height)] for indexes the query can use
-
-
 class CostContext:
     """Cost evaluator bound to one set of usage matrices and a catalog.
 
-    Pure once built, apart from its memo of query costs, so one instance
-    serves every scoring pass and every selection run over the same inputs.
-    It also carries those inputs (``queries``, ``views`` and ``indexes`` by
-    id, read from ``matrices``, and ``catalog``), so it is the one handle
-    that scoring, selection and reporting take.  It raises
-    ``ValidationError`` for a view or index id that repeats or holds ``+``
-    or ``@``.  The build reads each usage matrix once: the query rows for
-    the per-query plans, the view-index cells for ``paired``.
+    The build computes each query's plan once, so one context per invocation
+    serves every scoring pass and selection run; after it the context is
+    pure, apart from the ``member_facts`` memo.  It carries its inputs
+    (``queries``, ``views`` and ``indexes`` by id, read from ``matrices``,
+    and ``catalog``), so it is the one handle that scoring, selection and
+    reporting take.  It raises ``ValidationError`` for a view or index id
+    that repeats or holds ``+`` or ``@``.  The build reads each usage matrix
+    once: the query rows for the plans, the view-index cells for ``paired``.
+
+    A plan is ``(fixed, tables, views)``, every cost in blocks: ``fixed``
+    sums the scans of the joined tables no usable base index reaches;
+    ``tables`` holds ``(scan, ((index id, indexed), ...))`` for each other
+    joined table in sorted order; ``views`` holds ``(view id, scan, label,
+    ((on-view key, indexed, label), ...))`` for each usable view.  An
+    indexed cost is the btree descent plus the matching fraction of the
+    target's blocks.  ``query_cost`` takes the minimum over the terms whose
+    keys the configuration holds, the earlier term on a tie.
     """
 
     def __init__(self, matrices: UsageMatrices, catalog: SchemaCatalog):
@@ -131,11 +133,8 @@ class CostContext:
         self.queries = list(matrices.queries)
         self.views = {v.id: v for v in views}
         self.indexes = {i.id: i for i in indexes}
-        self._info: dict[str, _QueryPlanInfo] = {}
-        # query id -> the member keys its cost can read
-        self._relevant: dict[str, frozenset] = {}
-        self._cache: dict[str, dict] = {}
-        # member key -> positions of the queries whose _relevant sets hold it
+        self._plan: dict[str, tuple] = {}  # query id -> plan, see above
+        # member key -> positions of the queries whose plans read it
         self._touching: dict[object, list[int]] = {}
         # member key -> (key, bytes, maintenance blocks), see member_facts
         self._facts: dict[object, tuple[object, int, int]] = {}
@@ -148,62 +147,44 @@ class CostContext:
                 raise ValidationError(f"view and index ids may not hold '+' or '@', got {id_!r}")
             seen.add(id_)
 
-        # per-candidate facts, read below once per query that can use the
-        # candidate
-        base_access = {
-            i.id: (i.target, btree_height(catalog.attribute(*i.attribute).cardinality, catalog))
-            for i in indexes
-            if i.is_base()
-        }
+        # per-candidate facts and labels, read below once per query that can
+        # use the candidate
+        def height(attr):
+            return btree_height(catalog.attribute(*attr).cardinality, catalog)
+
+        base_access = {i.id: (i.target, height(i.attribute)) for i in indexes if i.is_base()}
         view_access = {
             v.id: (
                 blocks_of(v.row_count, v.row_width, catalog),
-                [
-                    (attr, (v.id, attr), btree_height(catalog.attribute(*attr).cardinality, catalog))
-                    for attr in sorted(v.indexable_attrs())
-                ],
+                f"view {v.id}",
+                [(attr, height(attr), f"view {v.id} + index on {attr[0]}.{attr[1]}")
+                 for attr in sorted(v.indexable_attrs())],
             )
             for v in views
         }
         blocks_of_table = {t.name: table_blocks(t, catalog) for t in catalog.tables}
         views_of, base_indexes_of = matrices.usable_views(), matrices.usable_base_indexes()
         for pos, q in enumerate(self.queries):
-            tb = {t: blocks_of_table[t] for t in sorted(q.joined_tables)}
-            divisors = {t: 1 for t in tb}
-            all_div = 1
-            for p in q.predicates:
-                card = catalog.attribute(p.table, p.attribute).cardinality
-                divisors[p.table] = min(divisors[p.table] * card, _DIVISOR_CAP)
-                all_div = min(all_div * card, _DIVISOR_CAP)
-
-            usable_base: dict[str, list[tuple[str, int]]] = {}
+            cards = [(p.table, catalog.attribute(*p.attr).cardinality) for p in q.predicates]
+            reaching: dict[str, list[tuple[str, int]]] = {}
             for iid in base_indexes_of[q.id]:
-                target, height = base_access[iid]
-                usable_base.setdefault(target, []).append((iid, height))
-
-            usable_views = []
-            view_idx: dict[str, list] = {}
+                t, h = base_access[iid]
+                divisor = math.prod(card for table, card in cards if table == t)
+                reaching.setdefault(t, []).append((iid, _indexed(h, blocks_of_table[t], divisor)))
+            fixed = sum(blocks_of_table[t] for t in q.joined_tables if t not in reaching)
+            tables = tuple((blocks_of_table[t], tuple(reaching[t])) for t in sorted(reaching))
+            keys = list(base_indexes_of[q.id])
+            plan_views = []
             q_attrs = q.filter_group_attrs()
+            all_divisor = math.prod(card for _, card in cards)
             for vid in views_of[q.id]:
-                vblocks, on_view = view_access[vid]
-                usable_views.append((vid, vblocks))
-                view_idx[vid] = [(key, height) for attr, key, height in on_view if attr in q_attrs]
-
-            self._info[q.id] = _QueryPlanInfo(
-                table_blocks=tb,
-                table_divisor=divisors,
-                all_divisor=all_div,
-                usable_base=usable_base,
-                usable_views=usable_views,
-                usable_view_indexes=view_idx,
-            )
-            self._relevant[q.id] = relevant = frozenset(
-                [iid for pairs in usable_base.values() for iid, _ in pairs]
-                + [vid for vid, _ in usable_views]
-                + [key for pairs in view_idx.values() for key, _ in pairs]
-            )
-            self._cache[q.id] = {}
-            for key in relevant:
+                vblocks, label, on_view = view_access[vid]
+                options = tuple(((vid, attr), _indexed(h, vblocks, all_divisor), key_label)
+                                for attr, h, key_label in on_view if attr in q_attrs)
+                plan_views.append((vid, vblocks, label, options))
+                keys += [vid] + [key for key, _, _ in options]
+            self._plan[q.id] = (fixed, tables, tuple(plan_views))
+            for key in keys:
                 self._touching.setdefault(key, []).append(pos)
 
         # candidate id -> the candidates it pairs with in the view-index
@@ -233,8 +214,8 @@ class CostContext:
     def queries_touching(self, members: Configuration) -> list[Query]:
         """Queries whose cost can change when ``members`` join a configuration.
 
-        A query's cost depends only on the selected members in its relevant
-        sets, so every other query costs the same with or without ``members``.
+        A query's cost depends only on the selected members its plan names,
+        so every other query costs the same with or without ``members``.
         Returned in workload order.
         """
         positions: set[int] = set()
@@ -244,48 +225,27 @@ class CostContext:
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
         """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label."""
-        key = self._relevant[q.id] & config
-        hit = self._cache[q.id].get(key)
-        if hit is not None:
-            return hit
-        result = self._query_cost_uncached(q, config)
-        self._cache[q.id][key] = result
-        return result
-
-    def _query_cost_uncached(self, q: Query, config: Configuration) -> tuple[int, str]:
-        info = self._info[q.id]
-
-        scan_cost = 0
-        indexed_tables = []
-        for t, b in info.table_blocks.items():
-            best = b
-            best_iid = None
-            for iid, height in info.usable_base.get(t, ()):
-                if iid in config:
-                    alt = height + _ceil_div(b, info.table_divisor[t]) if b else 0
-                    if alt < best:
-                        best = alt
-                        best_iid = iid
-            scan_cost += best
+        cost, tables, views = self._plan[q.id]
+        indexed = []
+        for scan, options in tables:
+            best, best_iid = scan, None
+            for iid, blocks in options:
+                if blocks < best and iid in config:
+                    best, best_iid = blocks, iid
+            cost += best
             if best_iid is not None:
-                indexed_tables.append(best_iid)
+                indexed.append(best_iid)
+        label = "base+indexes(" + ",".join(indexed) + ")" if indexed else "base"
 
-        best_cost = scan_cost
-        best_label = "base+indexes(" + ",".join(indexed_tables) + ")" if indexed_tables else "base"
-
-        for vid, vblocks in info.usable_views:
+        for vid, vblocks, view_label, options in views:
             if vid not in config:
                 continue
-            if vblocks < best_cost:
-                best_cost = vblocks
-                best_label = f"view {vid}"
-            for key, height in info.usable_view_indexes[vid]:
-                if key in config:
-                    alt = height + _ceil_div(vblocks, info.all_divisor) if vblocks else 0
-                    if alt < best_cost:
-                        best_cost = alt
-                        best_label = f"view {vid} + index on {key[1][0]}.{key[1][1]}"
-        return best_cost, best_label
+            if vblocks < cost:
+                cost, label = vblocks, view_label
+            for key, blocks, key_label in options:
+                if blocks < cost and key in config:
+                    cost, label = blocks, key_label
+        return cost, label
 
     def workload_total(self, config: Configuration) -> int:
         return sum(self.query_cost(q, config)[0] for q in self.queries)

@@ -237,6 +237,22 @@ def test_load_candidates_rejects_views_with_wrong_attributes(catalog, body):
         load_candidates("# one view\nview v1\n" + body, catalog, "c.cand")
 
 
+@pytest.mark.parametrize(
+    "body, line, problem",
+    [
+        ("  tables sales, times\n  group_by sales.time_id\n  tables sales\n", 5, "a second tables line"),
+        ("  tables sales\n  tables sales, times\n  group_by sales.time_id\n", 4, "a second tables line"),
+        ("  tables sales, times, sales\n  group_by sales.time_id\n", 3, "tables lists a table twice"),
+        ("  tables sales, Sales\n  group_by sales.time_id\n", 3, "tables lists a table twice"),
+    ],
+    ids=["second-tables-line-later", "second-tables-line-next", "repeated-table", "repeated-table-any-case"],
+)
+def test_load_candidates_rejects_a_repeated_tables_entry(catalog, body, line, problem):
+    # group_by, agg and indexable lines add up; a second tables line would replace the first
+    with pytest.raises(ParseError, match=f"^c.cand: line {line}: view v1: {problem}$"):
+        load_candidates("# one view\nview v1\n" + body + "  agg sum(sales.amount_sold)\n", catalog, "c.cand")
+
+
 def test_dedicated_view_index_suppresses_base_pairing(workload, catalog):
     text = (
         "view v1\n"

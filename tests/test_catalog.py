@@ -117,6 +117,20 @@ def test_load_rejects_cardinality_above_rows():
         load_catalog(text)
 
 
+@pytest.mark.parametrize("width", [0, -10])
+def test_load_rejects_non_positive_rowid_width(width):
+    # an index occupies rows * (key width + rowid width) bytes, never fewer than its keys
+    with pytest.raises(ValidationError, match="rowid_width must be >= 1"):
+        load_catalog(f"rowid_width {width}\ntable f fact rows 10 row_width 4\n")
+
+
+@pytest.mark.parametrize("param", ["block_size", "btree_fanout", "rowid_width"])
+def test_load_rejects_a_parameter_set_twice(param):
+    text = f"{param} 1024\ntable f fact rows 10 row_width 4\n  attr a card 2 width 4\n{param} 1024\n"
+    with pytest.raises(ParseError, match=f"^c.cat: line 4: {param} is set twice"):
+        load_catalog(text, "c.cat")
+
+
 def test_parse_error_carries_line():
     with pytest.raises(ParseError) as err:
         load_catalog("table f fact rows ten row_width 4\n")

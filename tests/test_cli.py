@@ -290,6 +290,21 @@ def test_candidate_id_selection_could_confuse_exits_1(tmp_path, capsys, text, ba
     assert "Traceback" not in err
 
 
+def test_non_positive_rowid_width_exits_1(tmp_path, capsys):
+    # a negative rowid width would size indexes at negative bytes, so any budget fits them
+    text = Path(fixture_path(CATALOG_FILE)).read_text()
+    assert "\nrowid_width 10\n" in text
+    catalog = tmp_path / "negative-rowid.catalog"
+    catalog.write_text(text.replace("\nrowid_width 10\n", "\nrowid_width -10\n"))
+    code = main(["--schema", str(catalog), "--workload", fixture_path(WORKLOAD_FILE),
+                 "--budget", "50%"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and "rowid_width must be >= 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("text", ["", "# comments only\n\n# and blank lines\n",
                                   "refresh_ratio = 1\n"])
 def test_workload_without_statements_exits_1(tmp_path, capsys, text):

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvindex.candidates import build_matrices, make_base_index, make_view
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, btree_height
@@ -15,7 +17,13 @@ from mvindex.costmodel import (
 from mvindex.errors import ValidationError
 from mvindex.workload import Predicate, Query, Workload
 
-from util import brute_force_query_cost, random_config, random_instance
+from util import (
+    brute_force_query_cost,
+    labelled_rewriting_cost,
+    random_config,
+    random_instance,
+    with_random_candidates,
+)
 
 
 def test_selectivity_floor_caps_the_divisor_at_ten_to_the_ninth():
@@ -226,6 +234,23 @@ def test_against_brute_force_oracle_random_instances():
             for q in inst.queries:
                 expected = brute_force_query_cost(q, cfg, inst.views, inst.indexes, inst.catalog)
                 assert ctx.query_cost(q, cfg)[0] == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), extra_candidates=st.booleans())
+def test_label_names_a_selected_rewriting_of_the_returned_cost(seed, extra_candidates):
+    inst = random_instance(seed=seed, max_tables=5, max_queries=8)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    ctx = inst.context()
+    rng = random.Random(seed)
+    for _ in range(4):
+        cfg = random_config(rng, inst)
+        for q in inst.queries:
+            cost, label = ctx.query_cost(q, cfg)
+            args = (cfg, inst.views, inst.indexes, inst.catalog)
+            assert labelled_rewriting_cost(q, label, *args) == cost
+            assert brute_force_query_cost(q, *args) == cost
 
 
 def test_context_rejects_view_and_index_sharing_an_id(workload, views, indexes, catalog):

@@ -161,6 +161,30 @@ def log_uniform_budget(rng: random.Random, total_bytes: int) -> int:
     return int(math.exp(rng.uniform(math.log(100), math.log(hi))))
 
 
+def _oracle_blocks(rows: int, width: int, catalog: SchemaCatalog) -> int:
+    return math.ceil(rows * width / catalog.block_size) if rows else 0
+
+
+def _oracle_height(attr, catalog: SchemaCatalog) -> int:
+    card = catalog.attribute(*attr).cardinality
+    h, reach = 0, 1
+    while reach < card:
+        reach *= catalog.btree_fanout
+        h += 1
+    return h
+
+
+def _oracle_indexed(attr, blocks: int, q: Query, catalog: SchemaCatalog, table=None) -> int:
+    """Descent of an index on ``attr`` plus the fraction of ``blocks`` that the
+    query's predicates (on ``table`` only, if given) match."""
+    divisor = 1
+    for p in q.predicates:
+        if table is None or p.table == table:
+            divisor *= catalog.attribute(p.table, p.attribute).cardinality
+    divisor = min(divisor, 10**9)
+    return _oracle_height(attr, catalog) + math.ceil(blocks / divisor) if blocks else 0
+
+
 def brute_force_query_cost(
     q: Query,
     config: Configuration,
@@ -176,59 +200,78 @@ def brute_force_query_cost(
     """
     import itertools
 
-    def nblocks(rows, width):
-        if rows == 0:
-            return 0
-        return math.ceil(rows * width / catalog.block_size)
-
-    def height(card):
-        h, reach = 0, 1
-        while reach < card:
-            reach *= catalog.btree_fanout
-            h += 1
-        return h
-
     q_attrs = set(p.attr for p in q.predicates) | set(q.group_by)
 
     # per-table options: scan, or any usable selected base index
     per_table = []
     for t in sorted(q.joined_tables):
         stats = catalog.table(t)
-        b = nblocks(stats.row_count, stats.row_width)
-        divisor = 1
-        for p in q.predicates:
-            if p.table == t:
-                divisor *= catalog.attribute(p.table, p.attribute).cardinality
-        divisor = min(divisor, 10**9)
+        b = _oracle_blocks(stats.row_count, stats.row_width, catalog)
         options = [b]
         for i in indexes:
             if not i.is_base() or i.id not in config:
                 continue
             if i.target != t or i.attribute not in q_attrs:
                 continue
-            card = catalog.attribute(*i.attribute).cardinality
-            options.append(height(card) + math.ceil(b / divisor) if b else 0)
+            options.append(_oracle_indexed(i.attribute, b, q, catalog, table=t))
         per_table.append(options)
 
     alternatives = [sum(combo) for combo in itertools.product(*per_table)]
 
-    all_divisor = 1
-    for p in q.predicates:
-        all_divisor *= catalog.attribute(p.table, p.attribute).cardinality
-    all_divisor = min(all_divisor, 10**9)
-
     for v in views:
         if v.id not in config or not usable_view(q, v):
             continue
-        vb = nblocks(v.row_count, v.row_width)
+        vb = _oracle_blocks(v.row_count, v.row_width, catalog)
         alternatives.append(vb)
         for vid, attr in (key for key in config if isinstance(key, tuple)):
             if vid != v.id or attr not in q_attrs or attr not in v.indexable_attrs():
                 continue
-            card = catalog.attribute(*attr).cardinality
-            alternatives.append(height(card) + math.ceil(vb / all_divisor) if vb else 0)
+            alternatives.append(_oracle_indexed(attr, vb, q, catalog))
 
     return min(alternatives)
+
+
+def labelled_rewriting_cost(
+    q: Query,
+    label: str,
+    config: Configuration,
+    views: list[ViewCandidate],
+    indexes: list[IndexCandidate],
+    catalog: SchemaCatalog,
+) -> int:
+    """Block cost of the one rewriting of ``q`` that a ``query_cost`` label names.
+
+    Labels are ``base``, ``base+indexes(i1,i2)``, ``view v1`` and ``view v1 +
+    index on t.a``.  Costed the way ``brute_force_query_cost`` costs each
+    rewriting; an AssertionError when the label names a structure that
+    ``config`` does not hold or ``q`` cannot use.
+    """
+    q_attrs = set(p.attr for p in q.predicates) | set(q.group_by)
+    if label.startswith("view "):
+        vid, _, on = label[len("view "):].partition(" + index on ")
+        v = next(v for v in views if v.id == vid)
+        assert vid in config and usable_view(q, v), label
+        vb = _oracle_blocks(v.row_count, v.row_width, catalog)
+        if not on:
+            return vb
+        attr = tuple(on.split("."))
+        assert (vid, attr) in config and attr in q_attrs and attr in v.indexable_attrs(), label
+        return _oracle_indexed(attr, vb, q, catalog)
+
+    via = {}  # table -> the base index the label reads it through
+    if label != "base":
+        assert label.startswith("base+indexes(") and label.endswith(")"), label
+        for iid in label[len("base+indexes("):-1].split(","):
+            i = next(i for i in indexes if i.id == iid)
+            assert i.is_base() and iid in config and i.attribute in q_attrs, label
+            assert i.target in q.joined_tables and i.target not in via, label
+            via[i.target] = i
+    cost = 0
+    for t in q.joined_tables:
+        stats = catalog.table(t)
+        b = _oracle_blocks(stats.row_count, stats.row_width, catalog)
+        cost += _oracle_indexed(via[t].attribute, b, q, catalog, table=t) if t in via else b
+    return cost
 
 
 def random_config(rng: random.Random, inst: Instance) -> Configuration:
