@@ -17,6 +17,7 @@ from .candidates import (
     UsageMatrices,
     ViewCandidate,
     build_matrices,
+    format_candidates,
     generate_index_candidates,
     generate_view_candidates,
     load_candidates,
@@ -28,6 +29,7 @@ from .costmodel import (
     Configuration,
     CostContext,
     CostReport,
+    QueryCosts,
     maintenance_cost,
     member_key,
     object_size,

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .candidates import IndexCandidate, ViewCandidate, make_view_index
-from .costmodel import Configuration, CostContext
+from .costmodel import Configuration, CostContext, QueryCosts
 from .errors import ValidationError
-from .workload import Query
 
 MODE_NORMALIZED = "normalized"
 MODE_LITERAL = "literal"
@@ -63,7 +62,8 @@ class SelectionObject:
     reads never change during a run, so they are set once, from the run's
     context, when the object is built: the member ``keys``, ``size`` and
     ``maintenance`` of all members, ``parts`` (key, bytes) per member, view
-    first, and the queries the keys can touch (``touched``).  ``deps`` holds
+    first, and what the keys offer the queries they can touch (``offers``,
+    see ``CostContext.offers``).  ``deps`` holds
     (key, bytes) per candidate whose selection adds its size to the benefit
     denominator: the base indexes a view pairs with and the views a base
     index pairs with (read from the view-index matrix), the view an on-view
@@ -79,7 +79,7 @@ class SelectionObject:
     maintenance: int
     parts: tuple[tuple[object, int], ...]
     deps: tuple[tuple[object, int], ...]
-    touched: tuple[Query, ...]
+    offers: tuple
 
     def members(self):
         if self.view is not None:
@@ -108,7 +108,7 @@ def _object(oid: str, kind: str, view, index, ctx: CostContext) -> SelectionObje
         maintenance=sum(m for _, _, m in facts),
         parts=parts,
         deps=tuple(ctx.member_facts(d)[:2] for d in deps),
-        touched=tuple(ctx.queries_touching(keys)),
+        offers=ctx.offers(keys),
     )
 
 
@@ -131,21 +131,9 @@ def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> Select
     return _object(f"{v.id}+{i.id}", "pair", v, on_view, ctx)
 
 
-def touched_costs(ctx: CostContext, config: Configuration, obj: SelectionObject) -> tuple[int, int]:
-    """Cost of the queries ``obj`` touches, before and after adding its keys to ``config``.
-
-    Every other query keeps its cost, so ``before - after`` is exactly the
-    whole-workload cost reduction.
-    """
-    added = config | obj.keys
-    before = after = 0
-    for q in obj.touched:
-        before += ctx.query_cost(q, config)[0]
-        after += ctx.query_cost(q, added)[0]
-    return before, after
-
-
-def object_benefit(obj: SelectionObject, config: Configuration, ctx: CostContext) -> float:
+def object_benefit(
+    obj: SelectionObject, config: Configuration, ctx: CostContext, costs: QueryCosts | None = None
+) -> float:
     """Benefit density of adding one object to the configuration.
 
     A view or index with no related selected structure divides the cost it
@@ -153,17 +141,26 @@ def object_benefit(obj: SelectionObject, config: Configuration, ctx: CostContext
     (of an index) join the denominator.  An index whose only related views
     are unselected can still earn direct benefit on base tables; it scores
     zero only when it improves nothing.  Pairs use their combined size.
+    ``costs`` holds the query costs of ``config``; unless given, those of
+    the object's queries are computed here.
     """
-    before, after = touched_costs(ctx, config, obj)
+    if costs is None:
+        costs = QueryCosts(ctx, config, [pos for pos, _, _, _ in obj.offers])
+    before, after = costs.before_after(obj.offers, config)
     denom = obj.size + sum(b for key, b in obj.deps if key in config)
     return benefit_density(before, after, denom)
 
 
 def objective_value(
-    obj: SelectionObject, config: Configuration, ctx: CostContext, params: ObjectiveParams
+    obj: SelectionObject,
+    config: Configuration,
+    ctx: CostContext,
+    params: ObjectiveParams,
+    costs: QueryCosts | None = None,
 ) -> float:
-    """Benefit minus the maintenance penalty, in the configured mode."""
-    gain = object_benefit(obj, config, ctx)
+    """Benefit minus the maintenance penalty, in the configured mode;
+    ``costs`` as for ``object_benefit``."""
+    gain = object_benefit(obj, config, ctx, costs)
     beta = update_weight(params, ctx)
     if beta == 0.0:
         return gain

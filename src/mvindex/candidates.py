@@ -495,3 +495,25 @@ def load_candidates(
         else:
             raise UnknownNameError(f"index {iid}: unknown target {target!r}")
     return views, indexes
+
+
+def format_candidates(views: list[ViewCandidate], indexes: list[IndexCandidate]) -> str:
+    """Serialize candidates into the candidates file format; load_candidates
+    round-trips them over the catalog they were built on."""
+
+    def attrs(items):
+        return ", ".join(f"{t}.{a}" for t, a in items)
+
+    out = []
+    for v in views:
+        out += [f"view {v.id}", "  tables " + ", ".join(sorted(v.joined_tables))]
+        out += [f"  join {a[0]}.{a[1]} = {b[0]}.{b[1]}" for a, b in v.join_pairs]
+        out.append("  group_by " + attrs(v.group_by))
+        if v.aggregates:
+            out.append("  agg " + ", ".join(f"{fn}({t}.{a})" for fn, (t, a) in v.aggregates))
+        if v.indexable is not None:
+            out.append("  indexable " + attrs(sorted(v.indexable)))
+        out.append("")
+    for i in indexes:
+        out.append(f"index {i.id} on {i.target} key {i.attribute[0]}.{i.attribute[1]}")
+    return "\n".join(out) + "\n"

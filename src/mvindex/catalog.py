@@ -19,7 +19,8 @@ Catalog file format (UTF-8, ``#`` starts a line comment)::
 Top-level parameters are optional, each set at most once, and default to
 the values above.
 ``attr`` lines belong to the most recent ``table`` line.  Exactly one
-table must be declared ``fact``.
+table must be declared ``fact``.  A declaration that breaks an invariant
+(``validate_catalog``) is reported at its line, as a syntax error is.
 """
 
 from __future__ import annotations
@@ -119,41 +120,52 @@ def table_blocks(table: TableStats, catalog: SchemaCatalog) -> int:
     return blocks(table.row_count, table.row_width, catalog)
 
 
-def validate_catalog(catalog: SchemaCatalog) -> None:
-    """Raise ValidationError unless every catalog invariant holds."""
-    facts = [t for t in catalog.tables if t.kind == "fact"]
+def validate_catalog(catalog: SchemaCatalog, source: str | None = None, lines=None) -> None:
+    """Raise ValidationError unless every catalog invariant holds.
+
+    ``lines`` maps a declaration to the line of ``source`` that makes it: a
+    parameter by name, a table by its position in ``catalog.tables``, an
+    attribute by ``(table position, attribute position)``.  An error names
+    ``source`` and the line of the declaration at fault, when known.
+    """
+    lines = lines or {}
+
+    def fail(message, declaration=None):
+        raise ValidationError(message, source, lines.get(declaration))
+
+    facts = [k for k, t in enumerate(catalog.tables) if t.kind == "fact"]
     if len(facts) != 1:
-        raise ValidationError(f"catalog must have exactly one fact table, found {len(facts)}")
+        second = facts[1] if len(facts) > 1 else None
+        fail(f"catalog must have exactly one fact table, found {len(facts)}", second)
     if catalog.block_size < 512:
-        raise ValidationError("block_size must be >= 512")
+        fail("block_size must be >= 512", "block_size")
     if catalog.btree_fanout < 2:
-        raise ValidationError("btree_fanout must be >= 2")
+        fail("btree_fanout must be >= 2", "btree_fanout")
     if catalog.rowid_width < 1:
-        raise ValidationError("rowid_width must be >= 1")
+        fail("rowid_width must be >= 1", "rowid_width")
     seen = set()
-    for t in catalog.tables:
+    for k, t in enumerate(catalog.tables):
         if t.name in seen:
-            raise ValidationError(f"duplicate table {t.name!r}")
+            fail(f"duplicate table {t.name!r}", k)
         seen.add(t.name)
         if t.kind not in ("fact", "dimension"):
-            raise ValidationError(f"table {t.name!r}: kind must be fact or dimension")
+            fail(f"table {t.name!r}: kind must be fact or dimension", k)
         if t.row_count < 0:
-            raise ValidationError(f"table {t.name!r}: row_count must be >= 0")
+            fail(f"table {t.name!r}: row_count must be >= 0", k)
         if t.row_width < 1:
-            raise ValidationError(f"table {t.name!r}: row_width must be >= 1")
+            fail(f"table {t.name!r}: row_width must be >= 1", k)
         attr_names = set()
-        for a in t.attributes:
+        for j, a in enumerate(t.attributes):
             if a.name in attr_names:
-                raise ValidationError(f"table {t.name!r}: duplicate attribute {a.name!r}")
+                fail(f"table {t.name!r}: duplicate attribute {a.name!r}", (k, j))
             attr_names.add(a.name)
             if a.cardinality < 1:
-                raise ValidationError(f"{t.name}.{a.name}: cardinality must be >= 1")
+                fail(f"{t.name}.{a.name}: cardinality must be >= 1", (k, j))
             if t.row_count > 0 and a.cardinality > t.row_count:
-                raise ValidationError(
-                    f"{t.name}.{a.name}: cardinality {a.cardinality} exceeds row_count {t.row_count}"
-                )
+                fail(f"{t.name}.{a.name}: cardinality {a.cardinality} exceeds row_count "
+                     f"{t.row_count}", (k, j))
             if a.width < 1:
-                raise ValidationError(f"{t.name}.{a.name}: width must be >= 1")
+                fail(f"{t.name}.{a.name}: width must be >= 1", (k, j))
 
 
 def _strip_comment(line: str) -> str:
@@ -169,7 +181,8 @@ def _parse_int(token: str, what: str, source: str, lineno: int) -> int:
 
 
 def load_catalog(text: str, source: str = "<catalog>") -> SchemaCatalog:
-    """Parse catalog text into a validated SchemaCatalog."""
+    """Parse catalog text into a validated SchemaCatalog; an invalid
+    declaration is reported at its line, as a syntax error is."""
     params = {
         "block_size": DEFAULT_BLOCK_SIZE,
         "btree_fanout": DEFAULT_BTREE_FANOUT,
@@ -177,6 +190,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> SchemaCatalog:
     }
     tables: list[dict] = []
     set_params = set()
+    lines: dict[object, int] = {}  # declaration -> line, see validate_catalog
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -189,6 +203,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> SchemaCatalog:
             if head in set_params:
                 raise ParseError(f"{head} is set twice", source, lineno)
             set_params.add(head)
+            lines[head] = lineno
             params[head] = _parse_int(tokens[1], head, source, lineno)
         elif head == "table":
             # table <name> <fact|dimension> rows <n> row_width <n>
@@ -198,6 +213,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> SchemaCatalog:
                     source,
                     lineno,
                 )
+            lines[len(tables)] = lineno
             tables.append(
                 {
                     "name": tokens[1].lower(),
@@ -212,6 +228,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> SchemaCatalog:
                 raise ParseError("attr line before any table line", source, lineno)
             if len(tokens) != 6 or tokens[2].lower() != "card" or tokens[4].lower() != "width":
                 raise ParseError("expected: attr <name> card <n> width <n>", source, lineno)
+            lines[len(tables) - 1, len(tables[-1]["attrs"])] = lineno
             tables[-1]["attrs"].append(
                 AttributeStats(
                     name=tokens[1].lower(),
@@ -237,7 +254,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> SchemaCatalog:
         btree_fanout=params["btree_fanout"],
         rowid_width=params["rowid_width"],
     )
-    validate_catalog(catalog)
+    validate_catalog(catalog, source, lines)
     return catalog
 
 

@@ -95,6 +95,38 @@ def member_key(obj):
     return obj.id
 
 
+def _cheapest_selected(plan: tuple, config: Configuration) -> tuple[int, list, list, tuple | None]:
+    """The cheapest terms of a plan that ``config`` selects.
+
+    ``(base, mins, indexed, view)``: ``mins`` holds the cheapest selected
+    blocks of each plan table, ``base`` their sum with the plan's fixed
+    blocks, ``indexed`` the base indexes giving any of them, in table
+    order; ``view`` is ``(blocks, label)`` of the cheapest selected view or
+    on-view index term, or None.  The earlier term wins a tie.
+    """
+    base, tables, views = plan
+    mins, indexed = [], []
+    for scan, options in tables:
+        best, best_iid = scan, None
+        for iid, blocks in options:
+            if blocks < best and iid in config:
+                best, best_iid = blocks, iid
+        base += best
+        mins.append(best)
+        if best_iid is not None:
+            indexed.append(best_iid)
+    view = None
+    for vid, vblocks, view_label, options in views:
+        if vid not in config:
+            continue
+        if view is None or vblocks < view[0]:
+            view = (vblocks, view_label)
+        for key, blocks, key_label in options:
+            if blocks < view[0] and key in config:
+                view = (blocks, key_label)
+    return base, mins, indexed, view
+
+
 @dataclass(frozen=True)
 class CostReport:
     """Per-query costs, chosen rewritings and their total for one configuration."""
@@ -123,7 +155,8 @@ class CostContext:
     ((on-view key, indexed, label), ...))`` for each usable view.  An
     indexed cost is the btree descent plus the matching fraction of the
     target's blocks.  ``query_cost`` takes the minimum over the terms whose
-    keys the configuration holds, the earlier term on a tie.
+    keys the configuration holds, the earlier term on a tie; ``plan(q)``
+    reads a plan, and ``offers`` and ``QueryCosts`` are built on them.
     """
 
     def __init__(self, matrices: UsageMatrices, catalog: SchemaCatalog):
@@ -211,44 +244,105 @@ class CostContext:
             self._facts[key] = facts
         return facts
 
-    def queries_touching(self, members: Configuration) -> list[Query]:
-        """Queries whose cost can change when ``members`` join a configuration.
+    def plan(self, q: Query) -> tuple:
+        """The plan ``(fixed, tables, views)`` of ``q``, see the class docstring."""
+        return self._plan[q.id]
 
-        A query's cost depends only on the selected members its plan names,
-        so every other query costs the same with or without ``members``.
-        Returned in workload order.
+    def offers(self, keys: Configuration) -> tuple:
+        """What adding ``keys`` (of one view, index or pair) offers each query.
+
+        One ``(position, slot, blocks, terms)`` per query whose plan names a
+        key, in workload order; every other query costs the same with or
+        without ``keys``.  ``slot`` is the position in the plan's ``tables``
+        of the one base index among the keys and ``blocks`` its indexed cost
+        there, or both are None.  ``terms`` holds ``(blocks, need)`` per view
+        or on-view index term that names a key, where ``need`` is the one
+        key the term names beyond ``keys``, which must be selected too, or
+        None.
         """
-        positions: set[int] = set()
-        for key in members:
-            positions.update(self._touching.get(key, ()))
-        return [self.queries[p] for p in sorted(positions)]
+        positions = sorted({pos for key in keys for pos in self._touching.get(key, ())})
+        offers = []
+        for pos in positions:
+            _, tables, views = self._plan[self.queries[pos].id]
+            slot = indexed = None
+            for s, (_, options) in enumerate(tables):
+                for iid, blocks in options:
+                    if iid in keys:
+                        slot, indexed = s, blocks
+            terms = []
+            for vid, vblocks, _, options in views:
+                mine = vid in keys
+                if mine:
+                    terms.append((vblocks, None))
+                for key, blocks, _ in options:
+                    if key in keys:
+                        terms.append((blocks, None if mine else vid))
+                    elif mine:
+                        terms.append((blocks, key))
+            offers.append((pos, slot, indexed, tuple(terms)))
+        return tuple(offers)
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
         """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label."""
-        cost, tables, views = self._plan[q.id]
-        indexed = []
-        for scan, options in tables:
-            best, best_iid = scan, None
-            for iid, blocks in options:
-                if blocks < best and iid in config:
-                    best, best_iid = blocks, iid
-            cost += best
-            if best_iid is not None:
-                indexed.append(best_iid)
-        label = "base+indexes(" + ",".join(indexed) + ")" if indexed else "base"
-
-        for vid, vblocks, view_label, options in views:
-            if vid not in config:
-                continue
-            if vblocks < cost:
-                cost, label = vblocks, view_label
-            for key, blocks, key_label in options:
-                if blocks < cost and key in config:
-                    cost, label = blocks, key_label
-        return cost, label
+        cost, _, indexed, view = _cheapest_selected(self._plan[q.id], config)
+        if view is not None and view[0] < cost:
+            return view
+        return cost, "base+indexes(" + ",".join(indexed) + ")" if indexed else "base"
 
     def workload_total(self, config: Configuration) -> int:
         return sum(self.query_cost(q, config)[0] for q in self.queries)
+
+
+class QueryCosts:
+    """Per-query costs of one configuration, in blocks, kept across commits.
+
+    Per query position: ``mins``, the cheapest selected term of each plan
+    table (its scan or a selected base index); ``base``, the plan's fixed
+    blocks plus those minima; ``view``, the cheapest selected view or
+    on-view index term (``math.inf`` when none); ``cost``, the lesser of
+    ``base`` and ``view``, which is ``query_cost``'s.  Positions left out
+    of ``positions`` are not computed.
+    """
+
+    def __init__(self, ctx: CostContext, config: Configuration, positions=None):
+        n = len(ctx.queries)
+        self.ctx = ctx
+        self.mins: list[list[int]] = [[]] * n
+        self.base = [0] * n
+        self.view: list[float] = [math.inf] * n
+        self.cost = [0] * n
+        self.update(config, range(n) if positions is None else positions)
+
+    def update(self, config: Configuration, positions) -> None:
+        """Recompute ``positions`` under ``config``."""
+        for pos in positions:
+            base, mins, _, view = _cheapest_selected(self.ctx.plan(self.ctx.queries[pos]), config)
+            self.mins[pos], self.base[pos] = mins, base
+            self.view[pos] = math.inf if view is None else view[0]
+            self.cost[pos] = min(self.base[pos], self.view[pos])
+
+    def before_after(self, offers: tuple, config: Configuration) -> tuple[int, int]:
+        """Summed cost of the offered queries, before and after taking the
+        offers (``CostContext.offers``) on top of ``config``, the
+        configuration these costs are of.
+
+        Every other query keeps its cost, so ``before - after`` is exactly
+        the whole-workload cost reduction.
+        """
+        mins, base, view, cost = self.mins, self.base, self.view, self.cost
+        before = after = 0
+        for pos, slot, indexed, terms in offers:
+            before += cost[pos]
+            best = base[pos]
+            if slot is not None and indexed < mins[pos][slot]:
+                best += indexed - mins[pos][slot]
+            if view[pos] < best:
+                best = view[pos]
+            for blocks, need in terms:
+                if blocks < best and (need is None or need in config):
+                    best = blocks
+            after += best
+        return before, after
 
 
 def workload_cost(ctx: CostContext, config: Configuration) -> CostReport:

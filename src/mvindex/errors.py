@@ -2,13 +2,10 @@
 
 
 class AdvisorError(Exception):
-    """Base class for all mvindex errors."""
+    """Base class for all mvindex errors.
 
-
-class ParseError(AdvisorError):
-    """Malformed input file (catalog, workload or candidates).
-
-    Carries the source name and a 1-based line/column position when known.
+    Carries the source name and a 1-based line/column position when known,
+    and names them before the message.
     """
 
     def __init__(self, message, source=None, line=None, column=None):
@@ -24,6 +21,10 @@ class ParseError(AdvisorError):
                 prefix += f", column {column}"
             prefix += ": "
         super().__init__(prefix + message)
+
+
+class ParseError(AdvisorError):
+    """Malformed input file (catalog, workload or candidates)."""
 
 
 class UnknownNameError(AdvisorError):

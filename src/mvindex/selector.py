@@ -7,21 +7,35 @@ on what is already selected, which is how view/index interactions steer
 the search.  Selection stops when no object scores positive, when the
 candidate space is exhausted, or when the budget is.
 
+Scores read running per-query costs (``QueryCosts``).  For the committed
+configuration the loop keeps, per query, the cheapest selected term of
+each table of its plan, their sum with the plan's fixed blocks (the base
+part), the cheapest selected view or on-view index term, and the cost,
+the lesser of the two.  Each object carries its offers, built once with
+the object list from the plans (``CostContext.offers``): per query its
+keys can touch, its base index's indexed cost at that table, and the view
+and on-view index terms its keys select.  So an object's cost before is a
+lookup, and its cost after is the least of the base part with its table
+lowered, the view part and its offered terms, a few integer minima.  A
+commit recomputes the costs of its own queries only.
+
 Rescoring is incremental and exact.  An object's objective reads only
-the costs of the queries its members can touch (benefit sums the cost
-delta over those), whether its own members are selected, and whether its
-denominator dependencies are (the base indexes related to a view, the
-views related to an index).  A commit changes the cost of only the
-queries its own members touch.  So after each commit the loop rescores
-just the objects that share a touched query or a member with the
-committed one, or that list one of its members as a denominator
-dependency, and reuses the cached (objective, incremental size) of every
-other object.  Unlike lazy bounds in the style of CELF, this needs no
-submodularity: view/index interactions change denominators in both
-directions, and every score that can change is recomputed.  The per-step
-workload cost is kept as a running total over the committed object's
-touched queries.  Selections and traces are identical to rescoring every
-object at every step, which the tests check against such a loop.
+the costs of the queries it has offers for, whether its own members are
+selected, and whether its denominator dependencies are (the base indexes
+related to a view, the views related to an index).  So after each commit
+the loop rescores just the objects that share a query or a member with
+the committed one, or that list one of its members as a denominator
+dependency, and keeps every other object's score.  Positive scores sit
+in a heap as (-objective, incremental bytes, id); a rescore pushes a new
+entry and leaves the old one to be dropped when popped.  Each step pops
+entries until one fits in the budget left; the better ones that do not
+fit are the step's skipped ids, in rank order, and go back in the heap.
+None of them can be committed later, as its incremental bytes fall by at
+most the bytes committed since.  Unlike lazy bounds in the style of CELF,
+this needs no submodularity: view/index interactions change denominators
+in both directions, and every score that can change is recomputed.
+Selections and traces are identical to rescoring every object at every
+step, which the tests check against such a loop.
 
 A run at budget B can resume from an earlier run over the same objects
 at budget B'.  Both runs rank the same state at every step they share, and
@@ -33,7 +47,7 @@ of B (or nothing is left): the ids the earlier run skipped did not fit in
 B > B' every commit of the earlier run fits too, and a step is shared until
 the first one that skipped an id, which might fit under B.  The resumed run
 copies the shared steps (with ``remaining_budget`` recomputed for B),
-rebuilds the configuration, the used bytes and the running cost from them,
+rebuilds the configuration, the used bytes and the query costs from them,
 scores every object not yet fully selected, and continues the loop from
 there.  Budget percentages and sweeps resume from the unconstrained run
 they are measured against, which skips nothing, and each sweep fraction
@@ -43,6 +57,7 @@ from the next larger one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 
 from .benefit import (
     ObjectiveParams,
@@ -50,10 +65,9 @@ from .benefit import (
     index_object,
     objective_value,
     pair_object,
-    touched_costs,
     view_object,
 )
-from .costmodel import Configuration, CostContext
+from .costmodel import Configuration, CostContext, QueryCosts
 from .errors import InvalidBudgetError
 
 STOP_NO_POSITIVE_OBJECTIVE = "no_positive_objective"
@@ -156,15 +170,16 @@ def greedy_core(
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
 
-    # What each object's score reads: the costs of its touched queries, the
-    # selection of its own members and of its denominator dependencies.
+    # What each object's score reads: the costs of the queries it offers
+    # terms to, the selection of its own members and of its denominator
+    # dependencies.
     readers_of_key: dict[object, list[int]] = {}
-    readers_of_query: dict[str, list[int]] = {}
+    readers_of_query: dict[int, list[int]] = {}
     for pos, obj in enumerate(objects):
         for key in (*obj.keys, *(k for k, _ in obj.deps)):
             readers_of_key.setdefault(key, []).append(pos)
-        for q in obj.touched:
-            readers_of_query.setdefault(q.id, []).append(pos)
+        for q, _, _, _ in obj.offers:
+            readers_of_query.setdefault(q, []).append(pos)
 
     config = Configuration()
     selected: list[SelectedMember] = []
@@ -175,11 +190,15 @@ def greedy_core(
         config = config | obj.keys
         used += it.incremental_bytes
         iterations.append(replace(it, remaining_budget=budget_bytes - used))
-    total = iterations[-1].workload_cost if iterations else ctx.workload_total(config)
+    costs = QueryCosts(ctx, config)
     # objects not yet fully selected; after a replay all are scored afresh
-    remaining = [pos for pos, o in enumerate(objects) if not o.keys <= config]
+    remaining = {pos for pos, o in enumerate(objects) if not o.keys <= config}
     stale = set(remaining)
-    scores: dict[int, tuple[float, int]] = {}
+    # (-objective, incremental bytes, id, pos) of each positive score, in a
+    # heap that also holds outdated entries: an entry is current while it is
+    # its object's entry in ``ranked``
+    heap: list[tuple[float, int, str, int]] = []
+    ranked: dict[int, tuple[float, int, str, int]] = {}
     stop = None
     step = len(iterations)
 
@@ -191,57 +210,61 @@ def greedy_core(
             stop = STOP_CANDIDATES_EXHAUSTED
             break
 
-        scored = []
-        for pos in remaining:
+        for pos in stale:
             o = objects[pos]
-            if pos in stale:
-                value = objective_value(o, config, ctx, params)
-                scores[pos] = (value, incremental_size(o, config))
-            value, inc = scores[pos]
+            value = objective_value(o, config, ctx, params, costs)
             if value > 0.0:
-                scored.append((-value, inc, o.id, pos))
+                ranked[pos] = (-value, incremental_size(o, config), o.id, pos)
+                heappush(heap, ranked[pos])
+            else:
+                ranked.pop(pos, None)
         stale.clear()
-        if not scored:
-            stop = STOP_NO_POSITIVE_OBJECTIVE
-            break
-        scored.sort()
 
+        # the best affordable score; the better ones that do not fit go back
         chosen = None
-        skipped: list[str] = []
-        for _, inc, oid, pos in scored:
-            if inc <= budget_bytes - used:
-                chosen = pos
+        skipped: list[tuple[float, int, str, int]] = []
+        while heap:
+            entry = heappop(heap)
+            if ranked.get(entry[3]) is not entry:
+                continue
+            if entry[1] <= budget_bytes - used:
+                chosen = entry
                 break
-            skipped.append(oid)
+            skipped.append(entry)
         if chosen is None:
-            stop = STOP_BUDGET_EXHAUSTED
+            stop = STOP_BUDGET_EXHAUSTED if skipped else STOP_NO_POSITIVE_OBJECTIVE
             break
+        for entry in skipped:
+            heappush(heap, entry)
 
-        obj = objects[chosen]
-        value, inc = scores[chosen]
+        neg_value, inc, _, chosen_pos = chosen
+        obj = objects[chosen_pos]
         selected.extend(_member_records(obj, config))
-        cost_before, cost_after = touched_costs(ctx, config, obj)
-        total -= cost_before - cost_after
         config = config | obj.keys
+        costs.update(config, [q for q, _, _, _ in obj.offers])
         used += inc
         step += 1
-        for q in obj.touched:
-            stale.update(readers_of_query[q.id])
+        for q, _, _, _ in obj.offers:
+            stale.update(readers_of_query[q])
         for key in obj.keys:
             stale.update(readers_of_key[key])
+        stale &= remaining
         # only an object sharing a member with the commit can have become
         # fully selected, and every such object is stale
-        remaining = [p for p in remaining if p not in stale or not objects[p].keys <= config]
+        for pos in [p for p in stale if objects[p].keys <= config]:
+            stale.discard(pos)
+            remaining.discard(pos)
+            ranked.pop(pos, None)
         iterations.append(
             IterationRecord(
                 step=step,
                 object_id=obj.id,
                 kind=obj.kind,
-                objective=value,
+                objective=-neg_value,
                 incremental_bytes=inc,
                 remaining_budget=budget_bytes - used,
-                workload_cost=total,
-                skipped_unaffordable=tuple(skipped),
+                workload_cost=sum(costs.cost),
+                skipped_unaffordable=tuple(oid for _, _, oid, _ in skipped),
             )
         )
 
@@ -251,7 +274,7 @@ def greedy_core(
         used_bytes=used,
         iterations=iterations,
         stop_reason=stop,
-        final_cost=total,
+        final_cost=sum(costs.cost),
     )
 
 

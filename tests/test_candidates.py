@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvindex.candidates import (
     build_matrices,
+    format_candidates,
     generate_index_candidates,
     generate_view_candidates,
     load_candidates,
@@ -10,9 +13,10 @@ from mvindex.candidates import (
     usable_view,
 )
 from mvindex.errors import ParseError, UnknownNameError, ValidationError
+from mvindex.fixtures import CANDIDATES_FILE, fixture_text
 from mvindex.workload import Workload
 
-from util import random_instance
+from util import random_instance, with_random_candidates
 
 
 def _single_query_workload(workload, qid):
@@ -268,3 +272,20 @@ def test_dedicated_view_index_suppresses_base_pairing(workload, catalog):
     assert ("v1", "j1") in m.pairs()
     assert ("v1", "i1") not in m.pairs()  # the dedicated candidate owns the cell
     assert m.pair_count() == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), max_tables=st.integers(2, 8))
+def test_format_candidates_round_trips(seed, max_tables):
+    inst = with_random_candidates(random_instance(seed=seed, max_tables=max_tables), seed)
+    text = format_candidates(inst.views, inst.indexes)
+    assert load_candidates(text, inst.catalog) == (inst.views, inst.indexes)
+
+
+def test_format_candidates_round_trips_the_bundled_file(catalog):
+    # on-view indexes and indexable lists, which generated candidates lack
+    text = fixture_text(CANDIDATES_FILE) + "index j1 on v2 key channels.channel_desc\n"
+    views, indexes = load_candidates(text, catalog)
+    assert any(v.indexable is not None for v in views)
+    assert any(not i.is_base() for i in indexes)
+    assert load_candidates(format_candidates(views, indexes), catalog) == (views, indexes)

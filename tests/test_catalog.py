@@ -10,6 +10,7 @@ from mvindex.catalog import (
     load_catalog,
     scale_catalog,
     table_blocks,
+    validate_catalog,
 )
 from mvindex.errors import ParseError, ValidationError
 
@@ -129,6 +130,53 @@ def test_load_rejects_a_parameter_set_twice(param):
     text = f"{param} 1024\ntable f fact rows 10 row_width 4\n  attr a card 2 width 4\n{param} 1024\n"
     with pytest.raises(ParseError, match=f"^c.cat: line 4: {param} is set twice"):
         load_catalog(text, "c.cat")
+
+
+_DIMENSION = "table d dimension rows 5 row_width 8\n  attr b card 5 width 4\n"
+_GOOD_TABLES = "table f fact rows 10 row_width 4\n  attr a card 2 width 4\n" + _DIMENSION
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("table d dimension rows 5 row_width 8\n", None,
+         "catalog must have exactly one fact table, found 0"),
+        (_GOOD_TABLES + "table g fact rows 3 row_width 4\n", 5,
+         "catalog must have exactly one fact table, found 2"),
+        ("block_size 256\n" + _GOOD_TABLES, 1, "block_size must be >= 512"),
+        ("\nbtree_fanout 1\n" + _GOOD_TABLES, 2, "btree_fanout must be >= 2"),
+        ("# storage\nrowid_width 0\n" + _GOOD_TABLES, 2, "rowid_width must be >= 1"),
+        (_GOOD_TABLES + "table d dimension rows 5 row_width 8\n", 5, "duplicate table 'd'"),
+        (_GOOD_TABLES + "table e outrigger rows 5 row_width 8\n", 5,
+         "table 'e': kind must be fact or dimension"),
+        (_GOOD_TABLES + "table e dimension rows -1 row_width 8\n", 5,
+         "table 'e': row_count must be >= 0"),
+        (_GOOD_TABLES + "table e dimension rows 5 row_width 0\n", 5,
+         "table 'e': row_width must be >= 1"),
+        (_GOOD_TABLES + "  attr b card 4 width 4\n", 5, "table 'd': duplicate attribute 'b'"),
+        (_GOOD_TABLES + "  attr c card 0 width 4\n", 5, "d.c: cardinality must be >= 1"),
+        (_GOOD_TABLES + "  attr c card 6 width 4\n", 5, "d.c: cardinality 6 exceeds row_count 5"),
+        (_GOOD_TABLES + "  attr c card 2 width 0\n", 5, "d.c: width must be >= 1"),
+        ("table f fact rows 10 row_width 4\n  attr a card 11 width 4\n" + _DIMENSION, 2,
+         "f.a: cardinality 11 exceeds row_count 10"),
+        # the first of two tables with one name is at fault, at its own line
+        ("table f fact rows 10 row_width 4\ntable d dimension rows 5 row_width 0\n" + _DIMENSION, 2,
+         "table 'd': row_width must be >= 1"),
+    ],
+)
+def test_invalid_declaration_is_reported_at_its_line(text, line, message):
+    with pytest.raises(ValidationError) as err:
+        load_catalog(text, "c.cat")
+    where = "c.cat: " if line is None else f"c.cat: line {line}: "
+    assert str(err.value) == where + message
+    assert (err.value.source, err.value.line) == ("c.cat", line)
+
+
+def test_validate_catalog_names_no_line_without_one():
+    catalog = SchemaCatalog(tables=(TableStats("f", "fact", 10, 4),), rowid_width=0)
+    with pytest.raises(ValidationError) as err:
+        validate_catalog(catalog)
+    assert str(err.value) == "rowid_width must be >= 1"
 
 
 def test_parse_error_carries_line():

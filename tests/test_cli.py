@@ -305,6 +305,18 @@ def test_non_positive_rowid_width_exits_1(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_invalid_catalog_declaration_error_names_its_file_and_line(tmp_path, capsys):
+    lines = Path(fixture_path(CATALOG_FILE)).read_text().splitlines()
+    line = lines.index("rowid_width 10") + 1
+    lines[line - 1] = "rowid_width 0"
+    catalog = tmp_path / "zero-rowid.catalog"
+    catalog.write_text("\n".join(lines) + "\n")
+    code = main(["--schema", str(catalog), "--workload", fixture_path(WORKLOAD_FILE),
+                 "--budget", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {catalog}: line {line}: rowid_width must be >= 1\n"
+
+
 @pytest.mark.parametrize("text", ["", "# comments only\n\n# and blank lines\n",
                                   "refresh_ratio = 1\n"])
 def test_workload_without_statements_exits_1(tmp_path, capsys, text):

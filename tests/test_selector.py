@@ -1,15 +1,17 @@
 import random
 from functools import partial
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvindex.selector
 from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams, index_object, objective_value, view_object
 from mvindex.candidates import build_matrices, load_candidates
-from mvindex.costmodel import Configuration, CostContext, object_size
+from mvindex.costmodel import Configuration, CostContext, QueryCosts, object_size
 from mvindex.errors import InvalidBudgetError, ValidationError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
 from mvindex.selector import (
@@ -22,7 +24,13 @@ from mvindex.selector import (
 )
 from mvindex.workload import load_workload
 
-from util import full_rescore_greedy, log_uniform_budget, random_instance, with_random_candidates
+from util import (
+    full_rescore_greedy,
+    full_rescore_objective,
+    log_uniform_budget,
+    random_instance,
+    with_random_candidates,
+)
 
 
 def _params(refresh=0.0, mode="normalized"):
@@ -216,6 +224,48 @@ def test_incremental_greedy_matches_full_rescore(
         assert result.final_cost == expected.final_cost
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    mode=st.sampled_from(["normalized", "literal"]),
+    budget_seed=st.integers(0, 2**32 - 1),
+    extra_candidates=st.booleans(),
+)
+def test_running_costs_score_every_remaining_object_as_objective_value(
+    seed, refresh, mode, budget_seed, extra_candidates
+):
+    inst = random_instance(seed=seed, max_tables=8, max_queries=40)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
+    budget = log_uniform_budget(random.Random(budget_seed), sum(o.size for o in objects) or 1)
+    params = _params(refresh=refresh, mode=mode)
+    configs = []
+
+    class CheckedCosts(QueryCosts):
+        """The loop's running costs, checked each time they move to a configuration."""
+
+        def update(self, config, positions):
+            super().update(config, positions)
+            configs.append(config)
+            assert self.cost == [ctx.query_cost(q, config)[0] for q in ctx.queries]
+            for o in objects:
+                if not o.keys <= config:
+                    got = objective_value(o, config, ctx, params, self)
+                    assert got == objective_value(o, config, ctx, params), o.id
+                    assert got == full_rescore_objective(
+                        o, inst.queries, config, inst.matrices, inst.catalog, params, ctx
+                    ), o.id
+
+    with mock.patch.object(mvindex.selector, "QueryCosts", CheckedCosts):
+        res = greedy_select(ctx, budget, params, objects)
+    # the empty configuration, then once per commit
+    assert configs[0] == Configuration() and len(configs) == len(res.iterations) + 1
+    assert configs[-1] == res.config
+
+
 def _candidate_file_parts(text):
     """The view blocks and index lines of a candidates file, comments dropped."""
     blocks, index_lines = [], []
@@ -275,9 +325,9 @@ def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
     )
     matrices = build_matrices(workload, views, indexes)
     ctx = CostContext(matrices, catalog)
-    assert not set(ctx.queries_touching(Configuration({"v1"}))) & set(
-        ctx.queries_touching(Configuration({"i1"}))
-    )
+    assert not {pos for pos, *_ in ctx.offers(Configuration({"v1"}))} & {
+        pos for pos, *_ in ctx.offers(Configuration({"i1"}))
+    }
     res = greedy_select(ctx, 10**12, _params())
     assert [it.object_id for it in res.iterations] == ["v1", "i1"]
     expected = full_rescore_greedy(enumerate_objects(ctx), matrices, catalog, 10**12, _params())
@@ -396,3 +446,63 @@ def test_candidates_whose_pair_ids_could_repeat_are_rejected(workload, catalog):
     matrices = build_matrices(workload, views, indexes)
     with pytest.raises(ValidationError, match=r"'a\+b'"):
         CostContext(matrices, catalog)
+
+
+def _fiscal_year_view(vid):
+    return (
+        f"view {vid}\n  tables sales, times\n  join sales.time_id = times.time_id\n"
+        "  group_by sales.time_id, times.time_fiscal_year\n  agg sum(sales.amount_sold)\n"
+    )
+
+
+def test_equal_scores_break_by_incremental_bytes_then_id(workload, catalog):
+    # two copies of one view and of one index under different ids, listed
+    # against id order: every tie in the trace is decided by (inc, id)
+    views, indexes = load_candidates(
+        _fiscal_year_view("v!") + _fiscal_year_view("v")
+        + "index ib on times key time_fiscal_year\nindex ia on times key time_fiscal_year\n",
+        catalog,
+    )
+    matrices = build_matrices(workload, views, indexes)
+    ctx = CostContext(matrices, catalog)
+    objects = enumerate_objects(ctx)
+    by_id = {o.id: o for o in objects}
+    params = _params()
+
+    # unbounded: v and v! tie, and "v" < "v!"; then every pair scores the
+    # same, and v+ia adds fewer bytes than v!+ia, whose id is the smaller
+    res = greedy_select(ctx, 10**12, params, objects)
+    assert [it.object_id for it in res.iterations] == ["v", "v+ia"]
+    config = Configuration({"v"})
+    assert objective_value(by_id["v+ia"], config, ctx, params) == objective_value(
+        by_id["v!+ia"], config, ctx, params
+    )
+    assert incremental_size(by_id["v+ia"], config) < incremental_size(by_id["v!+ia"], config)
+    expected = full_rescore_greedy(objects, matrices, catalog, 10**12, params)
+    assert res.iterations == expected.iterations
+
+    # 100,000 bytes fit one index: the skipped views and pairs tie in pairs and
+    # are listed by id, and ia is taken before its copy ib
+    res = greedy_select(ctx, 100_000, params, objects)
+    assert [(it.object_id, it.skipped_unaffordable) for it in res.iterations] == [
+        ("ia", ("v", "v!", "v!+ia", "v!+ib", "v+ia", "v+ib")),
+    ]
+    expected = full_rescore_greedy(objects, matrices, catalog, 100_000, params)
+    assert res.iterations == expected.iterations
+
+
+def test_skipped_objects_stay_ranked_at_later_steps(ctx):
+    # at 100,000 bytes five objects outrank every commit without fitting;
+    # they are put back after each step, so each later step lists them again
+    objects = enumerate_objects(ctx)
+    params = _params()
+    res = greedy_select(ctx, 100_000, params, objects)
+    skipped = ("v1", "v1+i8", "i10", "i9", "i5")
+    assert [(it.object_id, it.skipped_unaffordable) for it in res.iterations] == [
+        ("i8", skipped),
+        ("i7", skipped),
+        ("i1", (*skipped, "i4")),
+    ]
+    assert res.stop_reason == STOP_BUDGET_EXHAUSTED
+    expected = full_rescore_greedy(objects, ctx.matrices, ctx.catalog, 100_000, params)
+    assert res.iterations == expected.iterations
