@@ -208,16 +208,33 @@ def usable_view(q: Query, v: ViewCandidate) -> bool:
 
 
 def _query_view_rows(queries, views) -> list[list[int]]:
-    """Per query, the positions of the views it can use (``usable_view``),
-    testing sets built once per query and once per view."""
-    offers = [(v.joined_tables, v.group_by_set(), frozenset(v.aggregates)) for v in views]
+    """Per query, the positions of the views it can use (``usable_view``), in
+    ascending order.
+
+    A table -> view positions map, each set held as the bits of an int,
+    gives the views that join every table of the query; only those are
+    tested for attributes and aggregates, on sets built once per query and
+    once per view.
+    """
+    joining_views: dict[str, int] = {}
+    for c, v in enumerate(views):
+        for t in v.joined_tables:
+            joining_views[t] = joining_views.get(t, 0) | 1 << c
+    offers = [(v.group_by_set(), frozenset(v.aggregates)) for v in views]
     rows = []
     for q in queries:
-        tables, attrs, aggs = q.joined_tables, q.filter_group_attrs(), frozenset(q.aggregates)
-        rows.append(
-            [c for c, (v_tables, v_attrs, v_aggs) in enumerate(offers)
-             if tables <= v_tables and attrs <= v_attrs and aggs <= v_aggs]
-        )
+        attrs, aggs = q.filter_group_attrs(), frozenset(q.aggregates)
+        joining = (1 << len(views)) - 1
+        for t in q.joined_tables:
+            joining &= joining_views.get(t, 0)
+        cols = []
+        while joining:
+            c = (joining & -joining).bit_length() - 1  # the lowest position left
+            joining &= joining - 1
+            v_attrs, v_aggs = offers[c]
+            if attrs <= v_attrs and aggs <= v_aggs:
+                cols.append(c)
+        rows.append(cols)
     return rows
 
 
@@ -327,7 +344,7 @@ def build_matrices(
     enumerating the same physical on-view index twice).
 
     Each matrix is filled from per-row lists of its unit columns;
-    query-view rows test sets built once per query and per view,
+    query-view rows test only the views that join the query's tables,
     the other rows look their columns up by attribute or by view.
     """
     queries = workload.queries

@@ -29,7 +29,7 @@ from .candidates import (
 from .catalog import load_catalog
 from .costmodel import COST_MODEL_ID, Configuration, CostContext, object_size, workload_cost
 from .errors import AdvisorError, InvalidBudgetError, ParseError
-from .jsonfmt import format_json
+from .jsonfmt import digit_string, format_json
 from .selector import SelectionResult, enumerate_objects, greedy_select
 from .workload import load_workload
 
@@ -165,10 +165,11 @@ def _parse_sweep(text: str) -> list[float]:
     return fractions
 
 
-def _no_selection(ctx: CostContext) -> SelectionResult:
+def _no_selection(final_cost: int) -> SelectionResult:
+    """The result of selecting nothing; ``final_cost`` is the empty configuration's."""
     return SelectionResult(
         config=Configuration(), selected=[], used_bytes=0, iterations=[],
-        stop_reason="not_run", final_cost=ctx.workload_total(Configuration()),
+        stop_reason="not_run", final_cost=final_cost,
     )
 
 
@@ -243,13 +244,14 @@ def run_advise(args) -> tuple[str, int]:
     if args.mode == "exhaustive":
         result = exhaustive_select(ctx, exhaustive_objects, budget, params)
     elif args.mode == "none":
-        result = _no_selection(ctx)
+        result = _no_selection(before.total)
     else:
         # without a reference run the strategy builds only the objects it needs
         resume = reference if args.mode == "simultaneous" else None
         result = _run_strategy(args.mode, ctx, objects, budget, params, resume)
 
-    after = workload_cost(ctx, result.config)
+    # selecting nothing leaves the configuration "before" was costed on
+    after = before if args.mode == "none" else workload_cost(ctx, result.config)
 
     report = {
         "cost_model": COST_MODEL_ID,
@@ -324,14 +326,11 @@ def _format_text_report(report: dict, base_index_ids) -> str:
     add("")
     m = report["matrices"]
     add("query-view matrix (rows: " + ",".join(m["query_ids"]) + "; cols: " + ",".join(m["view_ids"]) + ")")
-    for row in m["query_view"]:
-        add("  " + " ".join(str(x) for x in row))
+    lines += map(_matrix_row, m["query_view"])
     add("query-index matrix (cols: " + ",".join(base_index_ids) + ")")
-    for row in m["query_index"]:
-        add("  " + " ".join(str(x) for x in row))
+    lines += map(_matrix_row, m["query_index"])
     add("view-index matrix")
-    for row in m["view_index"]:
-        add("  " + " ".join(str(x) for x in row))
+    lines += map(_matrix_row, m["view_index"])
     add("")
     sel = report["selection"]
     add(f"selection stop reason: {sel['stop_reason']}")
@@ -360,6 +359,13 @@ def _format_text_report(report: dict, base_index_ids) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _matrix_row(row) -> str:
+    """A matrix row's line: its cells, space-separated, from one pass over a
+    row of digits."""
+    cells = digit_string(row)
+    return "  " + " ".join(map(str, row) if cells is None else cells)
+
+
 def run_sweep(args) -> tuple[str, int]:
     """Run every strategy at each budget fraction; returns CSV.
 
@@ -372,7 +378,7 @@ def run_sweep(args) -> tuple[str, int]:
 
     objects = enumerate_objects(ctx)
     reference = _reference_space(ctx, params, objects)
-    last = {"none": _no_selection(ctx), "simultaneous": reference}
+    last = {"none": _no_selection(ctx.workload_total(Configuration())), "simultaneous": reference}
     results = {}
     for fraction in sorted(set(fractions), reverse=True):
         budget = int(reference.used_bytes * fraction)

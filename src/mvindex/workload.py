@@ -16,13 +16,24 @@ A workload file is a sequence of such statements separated by ``;``.
 ``refresh_ratio = <real>`` sets the workload's refresh-to-query ratio
 (default 0).  Equality between two qualified attributes is a join
 predicate; equality against a literal is a selection predicate.
+
+Tokenizing is one ``findall`` over one pattern: it skips whitespace and
+comments and returns the token texts alone, and a token's kind is told by
+its first character.  A stray character (one no token starts with, or a
+quote that no quote closes) is taken with the rest of the text as the last
+token, so one test of that token rejects it before any statement is parsed
+or resolved.  Statements are the runs of tokens between ``;`` tokens.  A
+token's line and column are computed only for an error, by running
+``finditer`` over the same pattern up to that token.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import string
 from dataclasses import dataclass
+from itertools import islice
 
 from .catalog import SchemaCatalog
 from .errors import ParseError, UnknownNameError, ValidationError
@@ -75,63 +86,83 @@ class Workload:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<string>'[^']*')
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<punct>[(),.;=:])
-  | (?P<bad>.)
+    \s* (?: \#[^\n]* \s* )*       # skipped: whitespace, and comments to their line end
+    (
+        '[^']*'                     # string literal
+      | \d+ (?: \.\d+ )?            # number
+      | [A-Za-z_][A-Za-z_0-9]*      # name or keyword
+      | [(),.;=:]                   # punctuation
+      | [^\s#] [\s\S]*              # a stray character, taken with the rest of the text
+      | \Z                          # the end: an empty token
+    )
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
 _KEYWORDS = {"select", "from", "where", "and", "group", "by", "sum"}
+_NAME_START = frozenset(string.ascii_letters + "_")
+_PUNCT = frozenset("(),.;=:")
 
 
-def _tokenize(text: str, source: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) of every token, from one pass.  Punctuation is
-    told apart by its text alone: no other kind of token can read ``;`` or
-    ``(``.  Line and column are computed from the offset only for an error."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(
-                f"unexpected character {m.group()!r}", source, *_line_column(text, m.start())
-            )
-        if kind != "ws" and kind != "comment":
-            tokens.append((kind, m.group(), m.start()))
+def _tokenize(text: str, source: str) -> list[str]:
+    """The token texts of ``text``, from one ``findall``; a ParseError at a
+    stray character.
+
+    After the skipped prefix some alternative always matches, so the
+    prefix is never given back.  The empty end token, which can repeat,
+    is cut off.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    del tokens[tokens.index(""):]
+    if tokens and _is_stray(tokens[-1]):
+        position = _position(text, len(tokens) - 1)
+        raise ParseError(f"unexpected character {tokens[-1][0]!r}", source, *position)
     return tokens
 
 
-def _line_column(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of ``offset`` in ``text``."""
+def _is_stray(token: str) -> bool:
+    """Whether ``token`` is no token of the grammar, told by its first
+    character: a string literal is the one kind that must also end in a quote."""
+    first = token[0]
+    if first == "'":
+        return len(token) == 1 or token[-1] != "'"
+    return not (first in _NAME_START or first in _PUNCT or first.isdecimal())
+
+
+def _position(text: str, k: int) -> tuple[int, int]:
+    """1-based line and column of the ``k``-th token of ``text``: computed
+    only for an error, from the tokenizer's own pattern."""
+    offset = next(islice(_TOKEN_RE.finditer(text), k, None)).start(1)
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream of one statement."""
+    """Recursive-descent parser over the token texts of one statement.
 
-    def __init__(self, tokens: list[tuple[str, str, int]], source: str, text: str):
-        # an end token at the last token's offset (None for an empty statement)
-        # matches nothing, so the parser never reads past the list
-        self.tokens = tokens + [("end", "", tokens[-1][2] if tokens else None)]
+    ``where`` holds each token's number among the tokens of ``text``, so
+    that an error can name its position.
+    """
+
+    def __init__(self, tokens: list[str], where, source: str, text: str):
+        # the empty end token matches nothing, so the parser never reads past the list
+        self.tokens = tokens + [""]
         self.pos = 0
+        self.where = where
         self.source = source
-        self.text = text  # the tokenized text, for error positions
+        self.text = text
 
     def _error(self, message: str):
-        kind, _, off = self.tokens[self.pos]
-        if off is None:
+        if not self.where:
             raise ParseError(message + " (empty statement)", self.source)
-        if kind == "end":
+        k = self.pos
+        if k == len(self.where):
             message += " (at end of statement)"
-        raise ParseError(message, self.source, *_line_column(self.text, off))
+            k -= 1  # the end token stands at the last token's position
+        raise ParseError(message, self.source, *_position(self.text, self.where[k]))
 
     def at_keyword(self, word: str) -> bool:
-        kind, text, _ = self.tokens[self.pos]
-        return kind == "name" and text.lower() == word
+        # only a name lowers to a keyword
+        return self.tokens[self.pos].lower() == word
 
     def expect_keyword(self, word: str) -> None:
         if not self.at_keyword(word):
@@ -144,16 +175,17 @@ class _Parser:
         self.pos += 1
 
     def at_punct(self, ch: str) -> bool:
-        return self.tokens[self.pos][1] == ch
+        return self.tokens[self.pos] == ch
 
     def name(self) -> str:
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "name":
+        text = self.tokens[self.pos]
+        if text[:1] not in _NAME_START:
             self._error("expected identifier")
-        if text.lower() in _KEYWORDS:
+        name = text.lower()
+        if name in _KEYWORDS:
             self._error(f"unexpected keyword {text!r}")
         self.pos += 1
-        return text.lower()
+        return name
 
     def qattr(self) -> Attr:
         table = self.name()
@@ -164,8 +196,8 @@ class _Parser:
     def parse_statement(self) -> dict:
         label = None
         # optional "name :" statement label
-        kind, text, _ = self.tokens[self.pos]
-        if kind == "name" and text.lower() != "select" and self.tokens[self.pos + 1][1] == ":":
+        text = self.tokens[self.pos]
+        if text[:1] in _NAME_START and text.lower() != "select" and self.tokens[self.pos + 1] == ":":
             label = self.name()
             self.pos += 1
 
@@ -198,11 +230,12 @@ class _Parser:
         while True:
             left = self.qattr()
             self.expect_punct("=")
-            kind, text, _ = self.tokens[self.pos]
-            if kind == "name":
+            text = self.tokens[self.pos]
+            first = text[:1]
+            if first in _NAME_START:
                 right = self.qattr()
                 joins.append((left, right))
-            elif kind in ("number", "string"):
+            elif first == "'" or first.isdecimal():  # a string or a number
                 self.pos += 1
                 predicates.append((left, text))
             else:
@@ -221,7 +254,7 @@ class _Parser:
                 self.pos += 1
                 group_by.append(self.qattr())
 
-        if self.tokens[self.pos][0] != "end":
+        if self.pos != len(self.where):
             self._error("trailing input after statement")
 
         return {
@@ -301,8 +334,9 @@ def _resolve(parsed: dict, catalog: SchemaCatalog, qid: str) -> Query:
 
 def parse_query(text: str, catalog: SchemaCatalog, qid: str = "q1", source: str = "<query>") -> Query:
     """Parse a single statement into a validated Query."""
-    tokens = [t for t in _tokenize(text, source) if t[1] != ";"]
-    parsed = _Parser(tokens, source, text).parse_statement()
+    tokens = _tokenize(text, source)
+    where = [k for k, token in enumerate(tokens) if token != ";"]
+    parsed = _Parser([tokens[k] for k in where], where, source, text).parse_statement()
     return _resolve(parsed, catalog, parsed["label"] or qid)
 
 
@@ -333,19 +367,21 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
     # blank prefix keeps token line numbers aligned with the file
     body = ("\n" * body_start) + "\n".join(lines[body_start:])
 
-    statements: list[list[tuple[str, str, int]]] = [[]]
-    for t in _tokenize(body, source):
-        if t[1] == ";":
-            statements.append([])
-        else:
-            statements[-1].append(t)
-    statements = [s for s in statements if s]
+    tokens = _tokenize(body, source)
+    tokens.append(";")  # ends the last statement
+    statements: list[range] = []  # the token numbers of each non-empty statement
+    start = 0
+    while start < len(tokens):
+        stop = tokens.index(";", start)
+        if stop > start:
+            statements.append(range(start, stop))
+        start = stop + 1
 
     queries = []
     seen_ids = set()
-    for i, stmt_tokens in enumerate(statements, start=1):
+    for i, where in enumerate(statements, start=1):
         try:
-            parsed = _Parser(stmt_tokens, source, body).parse_statement()
+            parsed = _Parser(tokens[where.start:where.stop], where, source, body).parse_statement()
             query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
         except (ParseError, UnknownNameError, ValidationError) as exc:
             # the same exception, so a ParseError keeps its source, line and column

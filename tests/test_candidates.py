@@ -9,6 +9,7 @@ from mvindex.candidates import (
     generate_index_candidates,
     generate_view_candidates,
     load_candidates,
+    make_view,
     usable_index,
     usable_view,
 )
@@ -16,7 +17,7 @@ from mvindex.errors import ParseError, UnknownNameError, ValidationError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
 from mvindex.workload import Workload
 
-from util import random_instance, with_random_candidates
+from util import random_instance, usable_view as oracle_usable_view, with_random_candidates
 
 
 def _single_query_workload(workload, qid):
@@ -272,6 +273,30 @@ def test_dedicated_view_index_suppresses_base_pairing(workload, catalog):
     assert ("v1", "j1") in m.pairs()
     assert ("v1", "i1") not in m.pairs()  # the dedicated candidate owns the cell
     assert m.pair_count() == 1
+
+
+def _narrowed_views(views, catalog):
+    """Per view, a copy that carries no aggregate and copies that join one
+    dimension fewer (dropping its group-by attributes), so that each part of
+    the usability rule decides some cells on its own."""
+    for v in views:
+        yield make_view(f"{v.id}n", v.joined_tables, v.join_pairs, v.group_by, (), catalog)
+        for t in sorted(v.joined_tables - {catalog.fact_table.name}):
+            group_by = [a for a in v.group_by if a[0] != t]
+            join_pairs = [jp for jp in v.join_pairs if t not in (jp[0][0], jp[1][0])]
+            if group_by:
+                yield make_view(f"{v.id}{t}", v.joined_tables - {t}, join_pairs, group_by, v.aggregates, catalog)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), max_tables=st.integers(2, 8), extra=st.booleans())
+def test_query_view_matrix_equals_usability_rule(seed, max_tables, extra):
+    inst = random_instance(seed=seed, max_tables=max_tables, max_queries=30)
+    if extra:  # views no query shaped, some usable by no query
+        inst = with_random_candidates(inst, seed)
+    views = inst.views + list(_narrowed_views(inst.views, inst.catalog))
+    expected = tuple(tuple(int(oracle_usable_view(q, v)) for v in views) for q in inst.queries)
+    assert build_matrices(inst.workload, views, inst.indexes).query_view == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams
+from mvindex import cli
 from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
 from mvindex.costmodel import Configuration
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
 from mvindex.selector import enumerate_objects, greedy_select
 from mvindex.jsonfmt import format_json
+
+from util import load_synth
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +359,10 @@ json_values = st.recursive(
         | st.lists(children).map(tuple)
         | st.dictionaries(st.text(), children)
         | st.lists(st.integers() | st.booleans())
+        # usage-matrix-like rows: the digits 0..9, their neighbours and bools
+        | st.lists(st.integers(-3, 12))
+        | st.lists(st.integers(-3, 12)).map(tuple)
+        | st.lists(st.integers(0, 9) | st.booleans()).map(tuple)
     ),
     max_leaves=30,
 )
@@ -372,6 +379,22 @@ def test_json_report_equals_indented_sorted_json_dumps(fixture_args, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_200_query_report_equals_indented_sorted_json_dumps(monkeypatch, tmp_path):
+    synth = load_synth()
+    catalog, workload = synth.instance_texts(synth.Shape(200, 10, 4, 4), 5)
+    (tmp_path / "c").write_text(catalog)
+    (tmp_path / "w").write_text(workload)
+    reports = []
+    monkeypatch.setattr(cli, "format_json", lambda report: reports.append(report) or format_json(report))
+    argv = ["--schema", str(tmp_path / "c"), "--workload", str(tmp_path / "w"), "--min-support", "5",
+            "--mode", "none", "--budget", "0", "--format", "json", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    [report] = reports
+    assert len(report["matrices"]["query_ids"]) == 200
+    assert isinstance(report["matrices"]["query_view"][0], tuple)
+    assert format_json(report) == json.dumps(report, indent=2, sort_keys=True)
 
 
 def test_cli_imports_without_numpy():

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvindex.errors import ParseError, UnknownNameError, ValidationError
+from mvindex.catalog import load_catalog
+from mvindex.errors import AdvisorError, ParseError, UnknownNameError, ValidationError
 from mvindex.fixtures import WORKLOAD_FILE, fixture_text
 from mvindex.workload import format_query, format_workload, load_workload, parse_query
+
+from test_fuzz import mutated
+from util import load_synth, oracle_load_workload, oracle_parse_query
 
 
 def test_fixture_workload_has_eight_queries(workload):
@@ -230,3 +234,91 @@ def test_misspelt_keyword_names_its_statement_line_and_column(catalog, offset):
         f"statement {statement}: {WORKLOAD_FILE}: line {line}, column {column}: "
         "expected keyword 'from'"
     )
+
+
+def _outcome(parse, *args):
+    """What ``parse`` returns, or the type, message and position of the
+    AdvisorError it raises."""
+    try:
+        return parse(*args)
+    except AdvisorError as exc:
+        return type(exc), str(exc), exc.source, exc.line, exc.column
+
+
+def _assert_parsed_as_oracle(text, catalog):
+    assert _outcome(load_workload, text, catalog, "w") == _outcome(oracle_load_workload, text, catalog, "w")
+    assert _outcome(parse_query, text, catalog, "q1", "q") == _outcome(oracle_parse_query, text, catalog, "q1", "q")
+
+
+_Q = "select times.time_id, sum(amount_sold) from sales, times where sales.time_id = times.time_id"
+_CHANNEL = (
+    "select channels.channel_desc, sum(amount_sold) from sales, channels "
+    "where sales.channel_id = channels.channel_id and channels.channel_class = "
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        ";",
+        ";;",
+        "# only a comment",
+        _Q,
+        _Q + ";",
+        _Q + ";;" + _Q + ";",
+        _Q + "; # a trailing comment with no newline",
+        _Q + "\r\n;\r\n" + _Q.replace(" where", "\r\nwhere") + "\r\n",
+        _Q.upper().replace("TIMES.TIME_ID", "times.time_id"),
+        _Q.replace("select", "SeLeCt").replace("from", "FROM").replace("where", "wHeRe"),
+        _CHANNEL + "'Internet",
+        _CHANNEL + "'",
+        _CHANNEL + "'#Internet' group by channels.channel_desc",
+        _CHANNEL + "'a ; b' group by channels.channel_desc; " + _Q,
+        _CHANNEL + "'it''s'",
+        _CHANNEL + "\u0661\u0662",
+        _CHANNEL + "1\u0662.5",
+        _CHANNEL + "12.",
+        _CHANNEL + "\u00b2",
+        _Q.replace("times.time_id,", "times.time_id\u00e9,"),
+        _Q.replace("sales, times", "sales, nowhere") + "; %",
+        _Q.replace("sales, times", "sales, nowhere") + "; " + _Q + " @",
+        _Q + " % " + _CHANNEL + "'",
+        "q7: " + _Q + ";\nq7: " + _Q,
+        "select: " + _Q,
+        "refresh_ratio = 0.5\n" + _Q + ";\n",
+        "refresh_ratio = 0.5 # header\n\n" + _Q + " 'x",
+        _Q + " group",
+        _Q + " group by",
+        "from" + _Q,
+        "\n\n  " + _Q + " trailing",
+    ],
+)
+def test_parser_equals_reference_parser_on_edge_cases(catalog, text):
+    _assert_parsed_as_oracle(text, catalog)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated(_FIXTURE_TEXT))
+def test_parser_equals_reference_parser_on_mutated_fixture(catalog, text):
+    _assert_parsed_as_oracle(text, catalog)
+
+
+_SYNTH = load_synth()
+
+
+@st.composite
+def _synth_texts(draw):
+    """A benchmark-generator instance, with its workload text mutated or not."""
+    shape = _SYNTH.Shape(draw(st.integers(1, 12)), draw(st.integers(3, 6)), 3, draw(st.integers(1, 3)))
+    catalog_text, workload_text = _SYNTH.instance_texts(shape, draw(st.integers(0, 99)))
+    if draw(st.booleans()):
+        workload_text = draw(mutated(workload_text))
+    return catalog_text, workload_text
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=_synth_texts())
+def test_parser_equals_reference_parser_on_synthetic_workloads(texts):
+    catalog_text, workload_text = texts
+    _assert_parsed_as_oracle(workload_text, load_catalog(catalog_text))

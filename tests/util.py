@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import re
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from mvindex.candidates import (
     IndexCandidate,
@@ -15,7 +19,6 @@ from mvindex.candidates import (
     generate_view_candidates,
     make_base_index,
     make_view,
-    usable_view,
 )
 from mvindex.benefit import MODE_LITERAL
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, validate_catalog
@@ -29,7 +32,8 @@ from mvindex.selector import (
     _member_records,
     incremental_size,
 )
-from mvindex.workload import Predicate, Query, Workload
+from mvindex.errors import ParseError, UnknownNameError, ValidationError
+from mvindex.workload import _HEADER_RE, Predicate, Query, Workload, _resolve
 
 
 @dataclass
@@ -183,6 +187,19 @@ def _oracle_indexed(attr, blocks: int, q: Query, catalog: SchemaCatalog, table=N
             divisor *= catalog.attribute(p.table, p.attribute).cardinality
     divisor = min(divisor, 10**9)
     return _oracle_height(attr, catalog) + math.ceil(blocks / divisor) if blocks else 0
+
+
+def usable_view(q: Query, v: ViewCandidate) -> bool:
+    """``candidates.usable_view`` written out from its docstring rule: the
+    query's join set is contained in the view's, its group-by and predicate
+    attributes appear in the view's group-by, and its aggregates are
+    carried by the view."""
+    q_attrs = {p.attr for p in q.predicates} | set(q.group_by)
+    return (
+        q.joined_tables <= v.joined_tables
+        and q_attrs <= set(v.group_by)
+        and set(q.aggregates) <= set(v.aggregates)
+    )
 
 
 def brute_force_query_cost(
@@ -398,3 +415,222 @@ def full_rescore_greedy(objects, matrices, catalog, budget_bytes, params):
         stop_reason=stop,
         final_cost=ctx.workload_total(config),
     )
+
+
+def load_synth():
+    """``perfbench/synth.py``, the benchmark's instance generator, as the module ``synth``."""
+    if "synth" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+        spec = importlib.util.spec_from_file_location("synth", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["synth"] = module  # its dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules["synth"]
+
+
+# A reference workload parser: the tokenizer and recursive-descent parser
+# that yielded one (kind, text, offset) tuple per token from one match
+# object each.  The production parser must return equal workloads and raise
+# the same exceptions with the same messages.
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<string>'[^']*')
+  | (?P<number>\d+(?:\.\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<punct>[(),.;=:])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_ORACLE_KEYWORDS = {"select", "from", "where", "and", "group", "by", "sum"}
+
+
+def _oracle_tokenize(text: str, source: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _ORACLE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(
+                f"unexpected character {m.group()!r}", source, *_oracle_line_column(text, m.start())
+            )
+        if kind != "ws" and kind != "comment":
+            tokens.append((kind, m.group(), m.start()))
+    return tokens
+
+
+def _oracle_line_column(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+class _OracleParser:
+    def __init__(self, tokens: list[tuple[str, str, int]], source: str, text: str):
+        self.tokens = tokens + [("end", "", tokens[-1][2] if tokens else None)]
+        self.pos = 0
+        self.source = source
+        self.text = text
+
+    def _error(self, message: str):
+        kind, _, off = self.tokens[self.pos]
+        if off is None:
+            raise ParseError(message + " (empty statement)", self.source)
+        if kind == "end":
+            message += " (at end of statement)"
+        raise ParseError(message, self.source, *_oracle_line_column(self.text, off))
+
+    def at_keyword(self, word: str) -> bool:
+        kind, text, _ = self.tokens[self.pos]
+        return kind == "name" and text.lower() == word
+
+    def expect_keyword(self, word: str) -> None:
+        if not self.at_keyword(word):
+            self._error(f"expected keyword {word!r}")
+        self.pos += 1
+
+    def expect_punct(self, ch: str) -> None:
+        if not self.at_punct(ch):
+            self._error(f"expected {ch!r}")
+        self.pos += 1
+
+    def at_punct(self, ch: str) -> bool:
+        return self.tokens[self.pos][1] == ch
+
+    def name(self) -> str:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "name":
+            self._error("expected identifier")
+        if text.lower() in _ORACLE_KEYWORDS:
+            self._error(f"unexpected keyword {text!r}")
+        self.pos += 1
+        return text.lower()
+
+    def qattr(self):
+        table = self.name()
+        self.expect_punct(".")
+        attr = self.name()
+        return (table, attr)
+
+    def parse_statement(self) -> dict:
+        label = None
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "name" and text.lower() != "select" and self.tokens[self.pos + 1][1] == ":":
+            label = self.name()
+            self.pos += 1
+
+        self.expect_keyword("select")
+        selects, aggregates = [], []
+        while True:
+            if self.at_keyword("sum"):
+                self.pos += 1
+                self.expect_punct("(")
+                measure = self.name()
+                self.expect_punct(")")
+                aggregates.append(("sum", measure))
+            else:
+                selects.append(self.qattr())
+            if self.at_punct(","):
+                self.pos += 1
+                continue
+            break
+
+        self.expect_keyword("from")
+        tables = [self.name()]
+        while self.at_punct(","):
+            self.pos += 1
+            tables.append(self.name())
+
+        self.expect_keyword("where")
+        joins, predicates = [], []
+        while True:
+            left = self.qattr()
+            self.expect_punct("=")
+            kind, text, _ = self.tokens[self.pos]
+            if kind == "name":
+                right = self.qattr()
+                joins.append((left, right))
+            elif kind in ("number", "string"):
+                self.pos += 1
+                predicates.append((left, text))
+            else:
+                self._error("expected attribute or literal after '='")
+            if self.at_keyword("and"):
+                self.pos += 1
+                continue
+            break
+
+        group_by = []
+        if self.at_keyword("group"):
+            self.pos += 1
+            self.expect_keyword("by")
+            group_by.append(self.qattr())
+            while self.at_punct(","):
+                self.pos += 1
+                group_by.append(self.qattr())
+
+        if self.tokens[self.pos][0] != "end":
+            self._error("trailing input after statement")
+
+        return {
+            "label": label,
+            "selects": selects,
+            "aggregates": aggregates,
+            "tables": tables,
+            "joins": joins,
+            "predicates": predicates,
+            "group_by": group_by,
+        }
+
+
+def oracle_parse_query(text: str, catalog: SchemaCatalog, qid: str = "q1", source: str = "<query>") -> Query:
+    tokens = [t for t in _oracle_tokenize(text, source) if t[1] != ";"]
+    parsed = _OracleParser(tokens, source, text).parse_statement()
+    return _resolve(parsed, catalog, parsed["label"] or qid)
+
+
+def oracle_load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>") -> Workload:
+    refresh_ratio = 0.0
+    lines = text.splitlines()
+    body_start = 0
+    for i, line in enumerate(lines):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        m = _HEADER_RE.match(stripped)
+        if m:
+            try:
+                refresh_ratio = float(m.group(1))
+            except ValueError:
+                raise ParseError(
+                    f"refresh_ratio takes a real number, got {m.group(1)!r}", source, i + 1
+                ) from None
+            if not math.isfinite(refresh_ratio) or refresh_ratio < 0:
+                raise ValidationError(f"refresh_ratio must be finite and >= 0, got {m.group(1)}")
+            body_start = i + 1
+        break
+    body = ("\n" * body_start) + "\n".join(lines[body_start:])
+
+    statements = [[]]
+    for t in _oracle_tokenize(body, source):
+        if t[1] == ";":
+            statements.append([])
+        else:
+            statements[-1].append(t)
+    statements = [s for s in statements if s]
+
+    queries = []
+    seen_ids = set()
+    for i, stmt_tokens in enumerate(statements, start=1):
+        try:
+            parsed = _OracleParser(stmt_tokens, source, body).parse_statement()
+            query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
+        except (ParseError, UnknownNameError, ValidationError) as exc:
+            exc.args = (f"statement {i}: {exc}",)
+            raise
+        if query.id in seen_ids:
+            raise ValidationError(f"statement {i}: duplicate query id {query.id!r}")
+        seen_ids.add(query.id)
+        queries.append(query)
+    return Workload(queries=tuple(queries), refresh_ratio=refresh_ratio)
