@@ -142,10 +142,10 @@ def object_benefit(
     are unselected can still earn direct benefit on base tables; it scores
     zero only when it improves nothing.  Pairs use their combined size.
     ``costs`` holds the query costs of ``config``; unless given, those of
-    the object's queries are computed here.
+    the whole workload are computed here.
     """
     if costs is None:
-        costs = QueryCosts(ctx, config, [pos for pos, _, _, _ in obj.offers])
+        costs = QueryCosts(ctx, config)
     before, after = costs.before_after(obj.offers, config)
     denom = obj.size + sum(b for key, b in obj.deps if key in config)
     return benefit_density(before, after, denom)

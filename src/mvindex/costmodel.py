@@ -101,7 +101,7 @@ def _cheapest_selected(plan: tuple, config: Configuration) -> tuple[int, list, l
     ``(base, mins, indexed, view)``: ``mins`` holds the cheapest selected
     blocks of each plan table, ``base`` their sum with the plan's fixed
     blocks, ``indexed`` the base indexes giving any of them, in table
-    order; ``view`` is ``(blocks, label)`` of the cheapest selected view or
+    order; ``view`` is ``(blocks, key)`` of the cheapest selected view or
     on-view index term, or None.  The earlier term wins a tie.
     """
     base, tables, views = plan
@@ -116,14 +116,14 @@ def _cheapest_selected(plan: tuple, config: Configuration) -> tuple[int, list, l
         if best_iid is not None:
             indexed.append(best_iid)
     view = None
-    for vid, vblocks, view_label, options in views:
+    for vid, vblocks, options in views:
         if vid not in config:
             continue
         if view is None or vblocks < view[0]:
-            view = (vblocks, view_label)
-        for key, blocks, key_label in options:
+            view = (vblocks, vid)
+        for key, blocks in options:
             if blocks < view[0] and key in config:
-                view = (blocks, key_label)
+                view = (blocks, key)
     return base, mins, indexed, view
 
 
@@ -141,7 +141,8 @@ class CostContext:
 
     The build computes each query's plan once, so one context per invocation
     serves every scoring pass and selection run; after it the context is
-    pure, apart from the ``member_facts`` memo.  It carries its inputs
+    pure, apart from what it derives on first use: the ``member_facts``
+    memo and each member's offers (``offers``).  It carries its inputs
     (``queries``, ``views`` and ``indexes`` by id, read from ``matrices``,
     and ``catalog``), so it is the one handle that scoring, selection and
     reporting take.  It raises ``ValidationError`` for a view or index id
@@ -151,12 +152,14 @@ class CostContext:
     A plan is ``(fixed, tables, views)``, every cost in blocks: ``fixed``
     sums the scans of the joined tables no usable base index reaches;
     ``tables`` holds ``(scan, ((index id, indexed), ...))`` for each other
-    joined table in sorted order; ``views`` holds ``(view id, scan, label,
-    ((on-view key, indexed, label), ...))`` for each usable view.  An
-    indexed cost is the btree descent plus the matching fraction of the
-    target's blocks.  ``query_cost`` takes the minimum over the terms whose
-    keys the configuration holds, the earlier term on a tie; ``plan(q)``
-    reads a plan, and ``offers`` and ``QueryCosts`` are built on them.
+    joined table in sorted order; ``views`` holds ``(view id, scan,
+    ((on-view key, indexed), ...))`` for each usable view.  An indexed cost
+    is the btree descent plus the matching fraction of the target's blocks.
+    ``query_cost`` takes the minimum over the terms whose keys the
+    configuration holds, the earlier term on a tie, and names the winning
+    key; ``plan(q)`` reads a plan, and ``offers`` and ``QueryCosts`` are
+    built on them.  Each member key's offers come from one pass over the
+    plans at the first ``offers`` call, so a run scoring no object skips it.
     """
 
     def __init__(self, matrices: UsageMatrices, catalog: SchemaCatalog):
@@ -167,8 +170,8 @@ class CostContext:
         self.views = {v.id: v for v in views}
         self.indexes = {i.id: i for i in indexes}
         self._plan: dict[str, tuple] = {}  # query id -> plan, see above
-        # member key -> positions of the queries whose plans read it
-        self._touching: dict[object, list[int]] = {}
+        # member key -> what selecting it alone offers, see offers
+        self._offers: dict[object, tuple] | None = None
         # member key -> (key, bytes, maintenance blocks), see member_facts
         self._facts: dict[object, tuple[object, int, int]] = {}
 
@@ -180,24 +183,17 @@ class CostContext:
                 raise ValidationError(f"view and index ids may not hold '+' or '@', got {id_!r}")
             seen.add(id_)
 
-        # per-candidate facts and labels, read below once per query that can
-        # use the candidate
+        # per-candidate facts, read below once per query that can use the candidate
         def height(attr):
             return btree_height(catalog.attribute(*attr).cardinality, catalog)
 
         base_access = {i.id: (i.target, height(i.attribute)) for i in indexes if i.is_base()}
-        view_access = {
-            v.id: (
-                blocks_of(v.row_count, v.row_width, catalog),
-                f"view {v.id}",
-                [(attr, height(attr), f"view {v.id} + index on {attr[0]}.{attr[1]}")
-                 for attr in sorted(v.indexable_attrs())],
-            )
-            for v in views
-        }
+        view_access = {v.id: (blocks_of(v.row_count, v.row_width, catalog),
+                              [(attr, height(attr)) for attr in sorted(v.indexable_attrs())])
+                       for v in views}
         blocks_of_table = {t.name: table_blocks(t, catalog) for t in catalog.tables}
         views_of, base_indexes_of = matrices.usable_views(), matrices.usable_base_indexes()
-        for pos, q in enumerate(self.queries):
+        for q in self.queries:
             cards = [(p.table, catalog.attribute(*p.attr).cardinality) for p in q.predicates]
             reaching: dict[str, list[tuple[str, int]]] = {}
             for iid in base_indexes_of[q.id]:
@@ -206,19 +202,15 @@ class CostContext:
                 reaching.setdefault(t, []).append((iid, _indexed(h, blocks_of_table[t], divisor)))
             fixed = sum(blocks_of_table[t] for t in q.joined_tables if t not in reaching)
             tables = tuple((blocks_of_table[t], tuple(reaching[t])) for t in sorted(reaching))
-            keys = list(base_indexes_of[q.id])
             plan_views = []
             q_attrs = q.filter_group_attrs()
             all_divisor = math.prod(card for _, card in cards)
             for vid in views_of[q.id]:
-                vblocks, label, on_view = view_access[vid]
-                options = tuple(((vid, attr), _indexed(h, vblocks, all_divisor), key_label)
-                                for attr, h, key_label in on_view if attr in q_attrs)
-                plan_views.append((vid, vblocks, label, options))
-                keys += [vid] + [key for key, _, _ in options]
+                vblocks, on_view = view_access[vid]
+                options = tuple(((vid, attr), _indexed(h, vblocks, all_divisor))
+                                for attr, h in on_view if attr in q_attrs)
+                plan_views.append((vid, vblocks, options))
             self._plan[q.id] = (fixed, tables, tuple(plan_views))
-            for key in keys:
-                self._touching.setdefault(key, []).append(pos)
 
         # candidate id -> the candidates it pairs with in the view-index
         # matrix: a view's base indexes, a base index's views
@@ -258,35 +250,41 @@ class CostContext:
         there, or both are None.  ``terms`` holds ``(blocks, need)`` per view
         or on-view index term that names a key, where ``need`` is the one
         key the term names beyond ``keys``, which must be selected too, or
-        None.
+        None.  A pair's on-view index reaches only queries its view reaches,
+        so the pair offers what the view does, with the index no longer a
+        ``need``.  Any other key set raises ``ValidationError``.
         """
-        positions = sorted({pos for key in keys for pos in self._touching.get(key, ())})
-        offers = []
-        for pos in positions:
-            _, tables, views = self._plan[self.queries[pos].id]
-            slot = indexed = None
-            for s, (_, options) in enumerate(tables):
-                for iid, blocks in options:
-                    if iid in keys:
-                        slot, indexed = s, blocks
-            terms = []
-            for vid, vblocks, _, options in views:
-                mine = vid in keys
-                if mine:
-                    terms.append((vblocks, None))
-                for key, blocks, _ in options:
-                    if key in keys:
-                        terms.append((blocks, None if mine else vid))
-                    elif mine:
-                        terms.append((blocks, key))
-            offers.append((pos, slot, indexed, tuple(terms)))
-        return tuple(offers)
+        if self._offers is None:  # each member key's list, from one pass over the plans
+            lists: dict[object, list] = {}
+            for pos, q in enumerate(self.queries):
+                _, tables, views = self._plan[q.id]
+                for slot, (_, options) in enumerate(tables):
+                    for iid, blocks in options:
+                        lists.setdefault(iid, []).append((pos, slot, blocks, ()))
+                for vid, vblocks, options in views:
+                    terms = ((vblocks, None), *((blocks, key) for key, blocks in options))
+                    lists.setdefault(vid, []).append((pos, None, None, terms))
+                    for key, blocks in options:
+                        lists.setdefault(key, []).append((pos, None, None, ((blocks, vid),)))
+            self._offers = {key: tuple(offers) for key, offers in lists.items()}
+        if len(keys) == 1:
+            return self._offers.get(next(iter(keys)), ())
+        if len(keys) == 2:  # a pair: a view and an index on it
+            vid, index = sorted(keys, key=lambda k: isinstance(k, tuple))
+            if vid in self.views and isinstance(index, tuple) and index[0] == vid:
+                return tuple(
+                    (pos, None, None, tuple((b, None if need == index else need) for b, need in terms))
+                    for pos, _, _, terms in self._offers.get(vid, ()))
+        raise ValidationError(f"not the keys of one view, index or pair: {sorted(map(repr, keys))}")
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
         """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label."""
         cost, _, indexed, view = _cheapest_selected(self._plan[q.id], config)
         if view is not None and view[0] < cost:
-            return view
+            blocks, key = view
+            if isinstance(key, str):
+                return blocks, f"view {key}"
+            return blocks, "view {} + index on {}.{}".format(key[0], *key[1])
         return cost, "base+indexes(" + ",".join(indexed) + ")" if indexed else "base"
 
     def workload_total(self, config: Configuration) -> int:
@@ -296,48 +294,45 @@ class CostContext:
 class QueryCosts:
     """Per-query costs of one configuration, in blocks, kept across commits.
 
-    Per query position: ``mins``, the cheapest selected term of each plan
-    table (its scan or a selected base index); ``base``, the plan's fixed
-    blocks plus those minima; ``view``, the cheapest selected view or
-    on-view index term (``math.inf`` when none); ``cost``, the lesser of
-    ``base`` and ``view``, which is ``query_cost``'s.  Positions left out
-    of ``positions`` are not computed.
+    Per query of the workload, by position: ``mins``, the cheapest selected
+    term of each plan table (its scan or a selected base index); ``base``,
+    the plan's fixed blocks plus those minima; ``cost``, ``query_cost``'s:
+    the lesser of ``base`` and the cheapest selected view or on-view term.
     """
 
-    def __init__(self, ctx: CostContext, config: Configuration, positions=None):
+    def __init__(self, ctx: CostContext, config: Configuration):
         n = len(ctx.queries)
         self.ctx = ctx
         self.mins: list[list[int]] = [[]] * n
         self.base = [0] * n
-        self.view: list[float] = [math.inf] * n
         self.cost = [0] * n
-        self.update(config, range(n) if positions is None else positions)
+        self.update(config, range(n))
 
     def update(self, config: Configuration, positions) -> None:
         """Recompute ``positions`` under ``config``."""
         for pos in positions:
             base, mins, _, view = _cheapest_selected(self.ctx.plan(self.ctx.queries[pos]), config)
             self.mins[pos], self.base[pos] = mins, base
-            self.view[pos] = math.inf if view is None else view[0]
-            self.cost[pos] = min(self.base[pos], self.view[pos])
+            self.cost[pos] = base if view is None else min(base, view[0])
 
     def before_after(self, offers: tuple, config: Configuration) -> tuple[int, int]:
         """Summed cost of the offered queries, before and after taking the
         offers (``CostContext.offers``) on top of ``config``, the
         configuration these costs are of.
 
-        Every other query keeps its cost, so ``before - after`` is exactly
-        the whole-workload cost reduction.
+        A query's cost after is the least of its cost, its base part with the
+        offered table lowered and the offered terms; every other query keeps
+        its cost, so ``before - after`` is the whole-workload cost reduction.
         """
-        mins, base, view, cost = self.mins, self.base, self.view, self.cost
+        mins, base, cost = self.mins, self.base, self.cost
         before = after = 0
         for pos, slot, indexed, terms in offers:
-            before += cost[pos]
-            best = base[pos]
+            best = cost[pos]
+            before += best
             if slot is not None and indexed < mins[pos][slot]:
-                best += indexed - mins[pos][slot]
-            if view[pos] < best:
-                best = view[pos]
+                lowered = base[pos] + indexed - mins[pos][slot]
+                if lowered < best:
+                    best = lowered
             for blocks, need in terms:
                 if blocks < best and (need is None or need in config):
                     best = blocks

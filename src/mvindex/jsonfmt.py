@@ -3,9 +3,9 @@
 ``json`` uses its C encoder only when ``indent`` is None; with an indent it
 falls back to a pure-Python encoder that costs several times the C one on a
 large report.  This writer produces the same bytes with less work per item.
-A flat list of ints is joined in one step; when every item is an exact int
-in 0..9, as in a usage-matrix row, its text comes from one ``bytes`` and
-``translate`` pass instead of one ``repr`` per item.
+When every item of a list is an exact int in 0..9, as in a usage-matrix
+row, its text comes from one ``bytes`` and ``translate`` pass instead of
+one ``repr`` per item.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         items = digit_string(value)
-        if items is None and countOf(map(type, value), int) == len(value):
-            items = map(int.__repr__, value)
         if items is not None:
             out.append("[" + inner + ("," + inner).join(items) + newline + "]")
             return

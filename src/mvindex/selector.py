@@ -10,13 +10,13 @@ candidate space is exhausted, or when the budget is.
 Scores read running per-query costs (``QueryCosts``).  For the committed
 configuration the loop keeps, per query, the cheapest selected term of
 each table of its plan, their sum with the plan's fixed blocks (the base
-part), the cheapest selected view or on-view index term, and the cost,
-the lesser of the two.  Each object carries its offers, built once with
-the object list from the plans (``CostContext.offers``): per query its
-keys can touch, its base index's indexed cost at that table, and the view
-and on-view index terms its keys select.  So an object's cost before is a
-lookup, and its cost after is the least of the base part with its table
-lowered, the view part and its offered terms, a few integer minima.  A
+part), and the cost, the lesser of the base part and the cheapest selected
+view or on-view index term.  Each object carries its offers, built once
+with the object list from the plans (``CostContext.offers``): per query
+its keys can touch, its base index's indexed cost at that table, and the
+view and on-view index terms its keys select.  So an object's cost before
+is a lookup, and its cost after is the least of that cost, the base part
+with its table lowered and its offered terms, a few integer minima.  A
 commit recomputes the costs of its own queries only.
 
 Rescoring is incremental and exact.  An object's objective reads only

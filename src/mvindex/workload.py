@@ -332,11 +332,26 @@ def _resolve(parsed: dict, catalog: SchemaCatalog, qid: str) -> Query:
     )
 
 
+def _statements(tokens: list[str]) -> list[range]:
+    """The token numbers of each statement: every non-empty run of tokens between ``;`` tokens."""
+    ends = tokens + [";"]  # the last ``;`` ends the last statement
+    statements: list[range] = []
+    start = 0
+    while start < len(ends):
+        stop = ends.index(";", start)
+        if stop > start:
+            statements.append(range(start, stop))
+        start = stop + 1
+    return statements
+
+
 def parse_query(text: str, catalog: SchemaCatalog, qid: str = "q1", source: str = "<query>") -> Query:
-    """Parse a single statement into a validated Query."""
+    """Parse a single statement into a validated Query; ``;`` may end it."""
     tokens = _tokenize(text, source)
-    where = [k for k, token in enumerate(tokens) if token != ";"]
-    parsed = _Parser([tokens[k] for k in where], where, source, text).parse_statement()
+    first, *rest = _statements(tokens) or [range(0)]
+    parsed = _Parser(tokens[first.start:first.stop], first, source, text).parse_statement()
+    if rest:
+        raise ParseError("trailing input after statement", source, *_position(text, rest[0].start))
     return _resolve(parsed, catalog, parsed["label"] or qid)
 
 
@@ -368,18 +383,9 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
     body = ("\n" * body_start) + "\n".join(lines[body_start:])
 
     tokens = _tokenize(body, source)
-    tokens.append(";")  # ends the last statement
-    statements: list[range] = []  # the token numbers of each non-empty statement
-    start = 0
-    while start < len(tokens):
-        stop = tokens.index(";", start)
-        if stop > start:
-            statements.append(range(start, stop))
-        start = stop + 1
-
     queries = []
     seen_ids = set()
-    for i, where in enumerate(statements, start=1):
+    for i, where in enumerate(_statements(tokens), start=1):
         try:
             parsed = _Parser(tokens[where.start:where.stop], where, source, body).parse_statement()
             query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")

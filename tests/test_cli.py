@@ -14,7 +14,7 @@ from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams
 from mvindex import cli
 from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
-from mvindex.costmodel import Configuration
+from mvindex.costmodel import Configuration, CostContext
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
 from mvindex.selector import enumerate_objects, greedy_select
 from mvindex.jsonfmt import format_json
@@ -145,6 +145,20 @@ def test_mode_none(fixture_args, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["selection"]["objects"] == []
     assert report["costs"]["after"]["total"] == 384_325
+
+
+def test_mode_none_derives_no_offers(capsys, monkeypatch):
+    # no object is scored, so no member's offers are derived from the plans
+    def refuse(self, keys):
+        raise AssertionError("--mode none derived offers")
+
+    monkeypatch.setattr(CostContext, "offers", refuse)
+    code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
+                 "--mode", "none", "--budget", "0", "--format", "json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["selection"]["stop_reason"] == "not_run"
+    assert set(report["costs"]["after"]["rewriting"].values()) == {"base"}
 
 
 def test_sweep_rows(fixture_args, capsys):

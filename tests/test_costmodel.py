@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvindex.baselines import enumerate_exhaustive_objects
 from mvindex.candidates import build_matrices, make_base_index, make_view
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, btree_height
 from mvindex.costmodel import (
@@ -15,6 +16,7 @@ from mvindex.costmodel import (
     workload_cost,
 )
 from mvindex.errors import ValidationError
+from mvindex.selector import enumerate_objects
 from mvindex.workload import Predicate, Query, Workload
 
 from util import (
@@ -22,6 +24,7 @@ from util import (
     labelled_rewriting_cost,
     random_config,
     random_instance,
+    walk_offers,
     with_random_candidates,
 )
 
@@ -251,6 +254,28 @@ def test_label_names_a_selected_rewriting_of_the_returned_cost(seed, extra_candi
             args = (cfg, inst.views, inst.indexes, inst.catalog)
             assert labelled_rewriting_cost(q, label, *args) == cost
             assert brute_force_query_cost(q, *args) == cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), extra_candidates=st.booleans())
+def test_offers_equal_a_walk_over_every_plan(seed, extra_candidates):
+    inst = random_instance(seed=seed, max_tables=6, max_queries=12)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
+    for o in objects + enumerate_exhaustive_objects(ctx, objects):
+        assert ctx.offers(o.keys) == walk_offers(ctx, o.keys), o.id
+    # any other key set is refused: none, several members, a view with an index not on it
+    members = sorted({key for o in objects for key in o.keys}, key=repr)
+    rng = random.Random(seed)
+    for _ in range(20):
+        keys = Configuration(rng.sample(members, min(len(members), rng.randint(0, 3))))
+        if len(keys) == 1 or any(isinstance(k, tuple) and keys == {k[0], k} for k in keys):
+            assert ctx.offers(keys) == walk_offers(ctx, keys)
+        else:
+            with pytest.raises(ValidationError):
+                ctx.offers(keys)
 
 
 def test_context_rejects_view_and_index_sharing_an_id(workload, views, indexes, catalog):

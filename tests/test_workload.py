@@ -59,6 +59,19 @@ def test_syntax_error_has_position(catalog):
     assert "line 1" in str(err.value)
 
 
+def test_semicolon_ends_a_single_statement(catalog):
+    q = "select times.time_id, sum(amount_sold) from sales, times where sales.time_id = times.time_id"
+    assert parse_query(q + ";", catalog) == parse_query(";" + q, catalog) == parse_query(q, catalog)
+    with pytest.raises(ParseError) as err:
+        parse_query(q.replace("sales, times", "sales; , times"), catalog)
+    assert str(err.value) == (
+        "<query>: line 1, column 45: expected keyword 'where' (at end of statement)"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_query(q + ";;" + q + ";", catalog)
+    assert str(err.value) == f"<query>: line 1, column {len(q) + 3}: trailing input after statement"
+
+
 def test_unknown_table(catalog):
     with pytest.raises(UnknownNameError):
         parse_query(
@@ -292,6 +305,7 @@ _CHANNEL = (
         _Q + " group by",
         "from" + _Q,
         "\n\n  " + _Q + " trailing",
+        _Q.replace("sales, times", "sales; , times"),
     ],
 )
 def test_parser_equals_reference_parser_on_edge_cases(catalog, text):

@@ -320,6 +320,36 @@ def related_indexes(v: ViewCandidate, matrices: UsageMatrices) -> list[str]:
     return [iid for iid in matrices.base_index_ids if (v.id, iid) in pairs]
 
 
+def walk_offers(ctx: CostContext, keys: Configuration) -> tuple:
+    """``CostContext.offers(keys)`` from a walk over every query's whole
+    plan, checking each term against ``keys``: the reference that the
+    offers derived once per member key are compared with."""
+    offers = []
+    for pos, q in enumerate(ctx.queries):
+        _, tables, views = ctx.plan(q)
+        named = {iid for _, options in tables for iid, _ in options}
+        named |= {vid for vid, _, _ in views} | {key for *_, options in views for key, _ in options}
+        if not named & keys:
+            continue
+        slot = indexed = None
+        for s, (_, options) in enumerate(tables):
+            for iid, blocks in options:
+                if iid in keys:
+                    slot, indexed = s, blocks
+        terms = []
+        for vid, vblocks, options in views:
+            mine = vid in keys
+            if mine:
+                terms.append((vblocks, None))
+            for key, blocks in options:
+                if key in keys:
+                    terms.append((blocks, None if mine else vid))
+                elif mine:
+                    terms.append((blocks, key))
+        offers.append((pos, slot, indexed, tuple(terms)))
+    return tuple(offers)
+
+
 def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx) -> float:
     """The greedy objective from two whole-workload cost totals, with the
     object's keys, sizes and maintenance recomputed from its candidates."""
@@ -584,9 +614,24 @@ class _OracleParser:
         }
 
 
+def _oracle_statements(tokens: list[tuple[str, str, int]]) -> list[list[tuple[str, str, int]]]:
+    """The non-empty runs of tokens between ``;`` tokens."""
+    statements = [[]]
+    for t in tokens:
+        if t[1] == ";":
+            statements.append([])
+        else:
+            statements[-1].append(t)
+    return [s for s in statements if s]
+
+
 def oracle_parse_query(text: str, catalog: SchemaCatalog, qid: str = "q1", source: str = "<query>") -> Query:
-    tokens = [t for t in _oracle_tokenize(text, source) if t[1] != ";"]
-    parsed = _OracleParser(tokens, source, text).parse_statement()
+    first, *rest = _oracle_statements(_oracle_tokenize(text, source)) or [[]]
+    parsed = _OracleParser(first, source, text).parse_statement()
+    if rest:
+        raise ParseError(
+            "trailing input after statement", source, *_oracle_line_column(text, rest[0][0][2])
+        )
     return _resolve(parsed, catalog, parsed["label"] or qid)
 
 
@@ -612,17 +657,9 @@ def oracle_load_workload(text: str, catalog: SchemaCatalog, source: str = "<work
         break
     body = ("\n" * body_start) + "\n".join(lines[body_start:])
 
-    statements = [[]]
-    for t in _oracle_tokenize(body, source):
-        if t[1] == ";":
-            statements.append([])
-        else:
-            statements[-1].append(t)
-    statements = [s for s in statements if s]
-
     queries = []
     seen_ids = set()
-    for i, stmt_tokens in enumerate(statements, start=1):
+    for i, stmt_tokens in enumerate(_oracle_statements(_oracle_tokenize(body, source)), start=1):
         try:
             parsed = _OracleParser(stmt_tokens, source, body).parse_statement()
             query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
