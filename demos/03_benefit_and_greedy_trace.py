@@ -5,12 +5,13 @@ commit the selector rescores every object whose score the commit can
 change (those sharing a query or a member with it, or whose benefit
 denominator it grows), so an index can become attractive only after its
 view is in place: that is the interaction the composite (view + index)
-objects make explicit.  Every call takes the one CostContext built below.
+objects make explicit.  Every call takes the one CostContext built below;
+a score reads a QueryCosts, a configuration with its per-query costs.
 """
 
 from mvindex.benefit import ObjectiveParams, object_benefit
 from mvindex.candidates import build_matrices
-from mvindex.costmodel import Configuration, CostContext, workload_cost
+from mvindex.costmodel import Configuration, CostContext, QueryCosts, workload_cost
 from mvindex.fixtures import sales_star_candidates, sales_star_catalog, sales_star_workload
 from mvindex.selector import enumerate_objects, greedy_select
 
@@ -28,8 +29,9 @@ print(f"candidate space: {len(objects)} objects "
       f"{len(objects) - len(views) - len(indexes)} pairs)")
 
 print("\n=== top ten benefit densities against the empty configuration ===")
+empty = QueryCosts(ctx)  # the empty configuration and its per-query costs
 scored = sorted(
-    ((object_benefit(o, Configuration(), ctx), o) for o in objects),
+    ((object_benefit(o, empty), o) for o in objects),
     key=lambda t: -t[0],
 )[:10]
 for gain, o in scored:

@@ -1,5 +1,7 @@
 """Interaction-aware benefit of adding a view or index, and the greedy objective.
 
+Both scores read one ``QueryCosts``: the configuration an object is scored
+against, that configuration's per-query costs, and the run's context.
 The benefit of an object is the workload cost reduction it causes divided
 by storage bytes: a density in blocks per byte.  The reduction is summed
 over the queries the object's members can touch only; every other query
@@ -12,8 +14,8 @@ same interaction.
 
 The objective subtracts a maintenance penalty weighted by the expected
 update frequency: ``penalty_weight = |Q| * refresh_ratio / |O|``, where the
-run's ``CostContext`` gives |Q| (its queries) and |O| (its view and index
-candidates, at least one).
+run's ``CostContext`` (``costs.ctx``) gives |Q| (its queries) and |O| (its
+view and index candidates, at least one).
 In the default ``normalized`` mode the penalty is divided by the object's
 size so both terms are per-byte densities; ``literal`` mode subtracts the
 raw block count instead.
@@ -131,37 +133,24 @@ def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> Select
     return _object(f"{v.id}+{i.id}", "pair", v, on_view, ctx)
 
 
-def object_benefit(
-    obj: SelectionObject, config: Configuration, ctx: CostContext, costs: QueryCosts | None = None
-) -> float:
-    """Benefit density of adding one object to the configuration.
+def object_benefit(obj: SelectionObject, costs: QueryCosts) -> float:
+    """Benefit density of adding one object to the configuration of ``costs``.
 
     A view or index with no related selected structure divides the cost it
     saves by its own size; related selected indexes (of a view) or views
     (of an index) join the denominator.  An index whose only related views
     are unselected can still earn direct benefit on base tables; it scores
     zero only when it improves nothing.  Pairs use their combined size.
-    ``costs`` holds the query costs of ``config``; unless given, those of
-    the whole workload are computed here.
     """
-    if costs is None:
-        costs = QueryCosts(ctx, config)
-    before, after = costs.before_after(obj.offers, config)
-    denom = obj.size + sum(b for key, b in obj.deps if key in config)
+    before, after = costs.before_after(obj.offers)
+    denom = obj.size + sum(b for key, b in obj.deps if key in costs.config)
     return benefit_density(before, after, denom)
 
 
-def objective_value(
-    obj: SelectionObject,
-    config: Configuration,
-    ctx: CostContext,
-    params: ObjectiveParams,
-    costs: QueryCosts | None = None,
-) -> float:
-    """Benefit minus the maintenance penalty, in the configured mode;
-    ``costs`` as for ``object_benefit``."""
-    gain = object_benefit(obj, config, ctx, costs)
-    beta = update_weight(params, ctx)
+def objective_value(obj: SelectionObject, costs: QueryCosts, params: ObjectiveParams) -> float:
+    """Benefit minus the maintenance penalty, in the configured mode."""
+    gain = object_benefit(obj, costs)
+    beta = update_weight(params, costs.ctx)
     if beta == 0.0:
         return gain
     if params.mode == MODE_LITERAL:

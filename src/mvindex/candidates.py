@@ -410,6 +410,9 @@ def load_candidates(
         if head == "view":
             if len(tokens) != 2:
                 raise ParseError("expected: view <id>", source, lineno)
+            # index lines name a view or a table as their target
+            if catalog.has_table(tokens[1].lower()):
+                raise ParseError(f"view {tokens[1].lower()}: the id names a table", source, lineno)
             current = {
                 "id": tokens[1].lower(),
                 "tables": None,

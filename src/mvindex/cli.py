@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import nullcontext
 
@@ -58,6 +59,14 @@ class _Parser(argparse.ArgumentParser):
         given = [f"--{name}" for name in SWEEP_FIXED if getattr(ns, name) is not None]
         if ns.sweep is not None and given:
             self.error(f"argument --sweep: not allowed with {', '.join(given)}")
+        if ns.min_support < 1:
+            self.error(f"argument --min-support: must be >= 1, got {ns.min_support}")
+        # the output is opened before any input is read: never truncate an input
+        if ns.out is not None and os.path.exists(ns.out):
+            for name in ("schema", "workload", "candidates"):
+                path = getattr(ns, name)
+                if path is not None and os.path.exists(path) and os.path.samefile(ns.out, path):
+                    self.error(f"argument --out: names the --{name} file {path}")
         for name, default in SWEEP_FIXED.items():
             if getattr(ns, name) is None:
                 setattr(ns, name, default)

@@ -292,7 +292,7 @@ class CostContext:
 
 
 class QueryCosts:
-    """Per-query costs of one configuration, in blocks, kept across commits.
+    """A configuration, ``config``, and its per-query costs; only ``commit`` changes them.
 
     Per query of the workload, by position: ``mins``, the cheapest selected
     term of each plan table (its scan or a selected base index); ``base``,
@@ -300,31 +300,42 @@ class QueryCosts:
     the lesser of ``base`` and the cheapest selected view or on-view term.
     """
 
-    def __init__(self, ctx: CostContext, config: Configuration):
-        n = len(ctx.queries)
+    def __init__(self, ctx: CostContext, config: Configuration = Configuration()):
         self.ctx = ctx
-        self.mins: list[list[int]] = [[]] * n
-        self.base = [0] * n
-        self.cost = [0] * n
-        self.update(config, range(n))
+        self.config = config
+        self.mins: list[list[int]] = []
+        self.base: list[int] = []
+        self.cost: list[int] = []
+        for q in ctx.queries:
+            base, mins, _, view = _cheapest_selected(ctx.plan(q), config)
+            self.mins.append(mins)
+            self.base.append(base)
+            self.cost.append(base if view is None else min(base, view[0]))
 
-    def update(self, config: Configuration, positions) -> None:
-        """Recompute ``positions`` under ``config``."""
-        for pos in positions:
-            base, mins, _, view = _cheapest_selected(self.ctx.plan(self.ctx.queries[pos]), config)
-            self.mins[pos], self.base[pos] = mins, base
-            self.cost[pos] = base if view is None else min(base, view[0])
+    def commit(self, obj) -> None:
+        """Add the keys of ``obj``, a selection object; each query its offers
+        name takes its cost after, as ``before_after`` finds it."""
+        self.config = config = self.config | obj.keys
+        mins, base, cost = self.mins, self.base, self.cost
+        for pos, slot, indexed, terms in obj.offers:
+            if slot is not None and indexed < mins[pos][slot]:
+                base[pos] += indexed - mins[pos][slot]
+                mins[pos][slot] = indexed
+            best = min(cost[pos], base[pos])
+            for blocks, need in terms:
+                if blocks < best and (need is None or need in config):
+                    best = blocks
+            cost[pos] = best
 
-    def before_after(self, offers: tuple, config: Configuration) -> tuple[int, int]:
+    def before_after(self, offers: tuple) -> tuple[int, int]:
         """Summed cost of the offered queries, before and after taking the
-        offers (``CostContext.offers``) on top of ``config``, the
-        configuration these costs are of.
+        offers (``CostContext.offers``) on top of the configuration.
 
         A query's cost after is the least of its cost, its base part with the
         offered table lowered and the offered terms; every other query keeps
         its cost, so ``before - after`` is the whole-workload cost reduction.
         """
-        mins, base, cost = self.mins, self.base, self.cost
+        config, mins, base, cost = self.config, self.mins, self.base, self.cost
         before = after = 0
         for pos, slot, indexed, terms in offers:
             best = cost[pos]

@@ -7,17 +7,19 @@ on what is already selected, which is how view/index interactions steer
 the search.  Selection stops when no object scores positive, when the
 candidate space is exhausted, or when the budget is.
 
-Scores read running per-query costs (``QueryCosts``).  For the committed
-configuration the loop keeps, per query, the cheapest selected term of
-each table of its plan, their sum with the plan's fixed blocks (the base
-part), and the cost, the lesser of the base part and the cheapest selected
-view or on-view index term.  Each object carries its offers, built once
-with the object list from the plans (``CostContext.offers``): per query
-its keys can touch, its base index's indexed cost at that table, and the
-view and on-view index terms its keys select.  So an object's cost before
-is a lookup, and its cost after is the least of that cost, the base part
-with its table lowered and its offered terms, a few integer minima.  A
-commit recomputes the costs of its own queries only.
+Scores read one running state, ``QueryCosts``: the committed
+configuration and, per query, the cheapest selected term of each table of
+its plan, their sum with the plan's fixed blocks (the base part), and the
+cost, the lesser of the base part and the cheapest selected view or
+on-view index term.  Each object carries its offers, built once with the
+object list from the plans (``CostContext.offers``): per query its keys
+can touch, its base index's indexed cost at that table, and the view and
+on-view index terms its keys select.  So an object's cost before is a
+lookup, and its cost after is the least of that cost, the base part with
+its table lowered and its offered terms, a few integer minima.  The loop
+keeps no configuration of its own: the state changes only by
+``QueryCosts.commit``, which moves each query the committed object offers
+to its cost after and leaves every other query as it is.
 
 Rescoring is incremental and exact.  An object's objective reads only
 the costs of the queries it has offers for, whether its own members are
@@ -47,11 +49,10 @@ of B (or nothing is left): the ids the earlier run skipped did not fit in
 B > B' every commit of the earlier run fits too, and a step is shared until
 the first one that skipped an id, which might fit under B.  The resumed run
 copies the shared steps (with ``remaining_budget`` recomputed for B),
-rebuilds the configuration, the used bytes and the query costs from them,
-scores every object not yet fully selected, and continues the loop from
-there.  Budget percentages and sweeps resume from the unconstrained run
-they are measured against, which skips nothing, and each sweep fraction
-from the next larger one.
+commits their objects as it commits its own, scores every object not yet
+fully selected, and continues the loop from there.  Budget percentages and
+sweeps resume from the unconstrained run they are measured against, which
+skips nothing, and each sweep fraction from the next larger one.
 """
 
 from __future__ import annotations
@@ -181,18 +182,17 @@ def greedy_core(
         for q, _, _, _ in obj.offers:
             readers_of_query.setdefault(q, []).append(pos)
 
-    config = Configuration()
+    costs = QueryCosts(ctx)
     selected: list[SelectedMember] = []
     iterations: list[IterationRecord] = []
     used = 0
     for it, obj in _shared_steps(resume, objects, budget_bytes):
-        selected.extend(_member_records(obj, config))
-        config = config | obj.keys
+        selected.extend(_member_records(obj, costs.config))
+        costs.commit(obj)
         used += it.incremental_bytes
         iterations.append(replace(it, remaining_budget=budget_bytes - used))
-    costs = QueryCosts(ctx, config)
     # objects not yet fully selected; after a replay all are scored afresh
-    remaining = {pos for pos, o in enumerate(objects) if not o.keys <= config}
+    remaining = {pos for pos, o in enumerate(objects) if not o.keys <= costs.config}
     stale = set(remaining)
     # (-objective, incremental bytes, id, pos) of each positive score, in a
     # heap that also holds outdated entries: an entry is current while it is
@@ -212,9 +212,9 @@ def greedy_core(
 
         for pos in stale:
             o = objects[pos]
-            value = objective_value(o, config, ctx, params, costs)
+            value = objective_value(o, costs, params)
             if value > 0.0:
-                ranked[pos] = (-value, incremental_size(o, config), o.id, pos)
+                ranked[pos] = (-value, incremental_size(o, costs.config), o.id, pos)
                 heappush(heap, ranked[pos])
             else:
                 ranked.pop(pos, None)
@@ -239,9 +239,8 @@ def greedy_core(
 
         neg_value, inc, _, chosen_pos = chosen
         obj = objects[chosen_pos]
-        selected.extend(_member_records(obj, config))
-        config = config | obj.keys
-        costs.update(config, [q for q, _, _, _ in obj.offers])
+        selected.extend(_member_records(obj, costs.config))
+        costs.commit(obj)
         used += inc
         step += 1
         for q, _, _, _ in obj.offers:
@@ -251,7 +250,7 @@ def greedy_core(
         stale &= remaining
         # only an object sharing a member with the commit can have become
         # fully selected, and every such object is stale
-        for pos in [p for p in stale if objects[p].keys <= config]:
+        for pos in [p for p in stale if objects[p].keys <= costs.config]:
             stale.discard(pos)
             remaining.discard(pos)
             ranked.pop(pos, None)
@@ -269,7 +268,7 @@ def greedy_core(
         )
 
     return SelectionResult(
-        config=config,
+        config=costs.config,
         selected=selected,
         used_bytes=used,
         iterations=iterations,

@@ -13,7 +13,7 @@ from mvindex.benefit import ObjectiveParams, object_benefit, objective_value
 from mvindex.candidates import build_matrices
 from mvindex.catalog import scale_catalog, format_catalog
 from mvindex.cli import make_parser, run_sweep
-from mvindex.costmodel import Configuration, CostContext, workload_cost
+from mvindex.costmodel import CostContext, QueryCosts, workload_cost
 from mvindex.fixtures import (
     WORKLOAD_FILE,
     fixture_text,
@@ -268,17 +268,15 @@ def test_criterion_5_objective_semantics():
     objects = enumerate_objects(ctx)
     n_objects = len(views) + len(indexes)
 
+    empty = QueryCosts(ctx)
     zero = ObjectiveParams(refresh_ratio=0.0)
-    exact = all(
-        objective_value(o, Configuration(), ctx, zero) == object_benefit(o, Configuration(), ctx)
-        for o in objects
-    )
+    exact = all(objective_value(o, empty, zero) == object_benefit(o, empty) for o in objects)
 
     # threshold above which no object scores positive on the first pass:
     # F <= 0  <=>  ratio >= benefit * size * |O| / (|Q| * maintenance)
     threshold = 0.0
     for o in objects:
-        gain = object_benefit(o, Configuration(), ctx)
+        gain = object_benefit(o, empty)
         if gain <= 0:
             continue
         maintenance = o.maintenance

@@ -15,7 +15,7 @@ from mvindex.benefit import (
     view_object,
 )
 from mvindex.candidates import make_view_index
-from mvindex.costmodel import Configuration, CostContext, object_size
+from mvindex.costmodel import Configuration, CostContext, QueryCosts, object_size
 from mvindex.errors import ValidationError
 from mvindex.selector import enumerate_objects
 
@@ -34,14 +34,14 @@ def test_benefit_density_zero_size_floor():
 
 def test_view_benefit_first_branch(views, ctx):
     v1 = views[0]
-    got = object_benefit(view_object(v1, ctx), Configuration(), ctx)
+    got = object_benefit(view_object(v1, ctx), QueryCosts(ctx))
     # only q1 improves: (47664 - 15) saved blocks over the view's 116880 bytes
     assert got == pytest.approx(47_649 / 116_880, rel=1e-12)
 
 
 def test_view_benefit_zero_when_unused(views, ctx):
     v5 = next(v for v in views if v.id == "v5")
-    assert object_benefit(view_object(v5, ctx), Configuration(), ctx) == 0.0
+    assert object_benefit(view_object(v5, ctx), QueryCosts(ctx)) == 0.0
 
 
 def test_index_benefit_zero_when_useless(catalog, ctx):
@@ -49,7 +49,7 @@ def test_index_benefit_zero_when_useless(catalog, ctx):
     from mvindex.candidates import make_base_index
 
     useless = make_base_index("ix", ("sales", "amount_sold"), catalog)
-    got = object_benefit(index_object(useless, ctx), Configuration(), ctx)
+    got = object_benefit(index_object(useless, ctx), QueryCosts(ctx))
     assert got == 0.0
 
 
@@ -58,7 +58,7 @@ def test_index_benefit_second_branch_base_candidate(indexes, ctx):
     # anything once v1 answers q1: zero saved blocks over a heavier denominator
     i8 = next(i for i in indexes if i.id == "i8")
     cfg = Configuration({"v1"})
-    got = object_benefit(index_object(i8, ctx), cfg, ctx)
+    got = object_benefit(index_object(i8, ctx), QueryCosts(ctx, cfg))
     assert got == 0.0
 
 
@@ -67,7 +67,7 @@ def test_index_benefit_second_branch_on_view(views, catalog, ctx):
     v1 = views[0]
     on_view = make_view_index("i8@v1", v1, ("times", "time_fiscal_year"), catalog)
     cfg = Configuration({"v1"})
-    got = object_benefit(index_object(on_view, ctx), cfg, ctx)
+    got = object_benefit(index_object(on_view, ctx), QueryCosts(ctx, cfg))
     denom = 7305 * 14 + 116_880
     assert got == pytest.approx(11 / denom, rel=1e-12)
 
@@ -75,7 +75,7 @@ def test_index_benefit_second_branch_on_view(views, catalog, ctx):
 def test_index_benefit_unselected_view_scores_zero(views, catalog, ctx):
     v1 = views[0]
     on_view = make_view_index("i8@v1", v1, ("times", "time_fiscal_year"), catalog)
-    got = object_benefit(index_object(on_view, ctx), Configuration(), ctx)
+    got = object_benefit(index_object(on_view, ctx), QueryCosts(ctx))
     assert got == 0.0
 
 
@@ -87,7 +87,7 @@ def test_view_benefit_second_branch_denominator(views, indexes, catalog, ctx):
     # with the index, q1 costs 47638 + (1 + ceil(26/5)) = 47645
     saved = 47_645 - 15
     denom = object_size(v1, catalog) + object_size(i8, catalog)
-    got = object_benefit(view_object(v1, ctx), cfg, ctx)
+    got = object_benefit(view_object(v1, ctx), QueryCosts(ctx, cfg))
     assert got == pytest.approx(saved / denom, rel=1e-12)
     assert denom == 116_880 + 1461 * 14
 
@@ -95,9 +95,9 @@ def test_view_benefit_second_branch_denominator(views, indexes, catalog, ctx):
 def test_second_branch_reduces_to_first_when_unrelated(indexes, ctx):
     # selecting an unrelated view must not change an index's score
     i4 = next(i for i in indexes if i.id == "i4")
-    plain = object_benefit(index_object(i4, ctx), Configuration(), ctx)
+    plain = object_benefit(index_object(i4, ctx), QueryCosts(ctx))
     cfg = Configuration({"v1"})  # VI[v1][i4] = 0
-    related = object_benefit(index_object(i4, ctx), cfg, ctx)
+    related = object_benefit(index_object(i4, ctx), QueryCosts(ctx, cfg))
     assert plain == related > 0.0
 
 
@@ -109,10 +109,11 @@ def test_benefit_never_negative(views, indexes, ctx):
             {v.id for v in views if rng.random() < 0.3}
             | {i.id for i in indexes if rng.random() < 0.3}
         )
+        costs = QueryCosts(ctx, cfg)
         for o in objects:
             if o.keys <= cfg:
                 continue
-            assert object_benefit(o, cfg, ctx) >= 0.0
+            assert object_benefit(o, costs) >= 0.0
 
 
 def test_size_scaling_inverts_first_branch(views, matrices, catalog, monkeypatch):
@@ -121,7 +122,7 @@ def test_size_scaling_inverts_first_branch(views, matrices, catalog, monkeypatch
     def benefit():
         # a fresh context each time: member sizes are computed once per context
         ctx = CostContext(matrices, catalog)
-        return object_benefit(view_object(v1, ctx), Configuration(), ctx)
+        return object_benefit(view_object(v1, ctx), QueryCosts(ctx))
 
     base = benefit()
 
@@ -151,10 +152,10 @@ def test_objective_params_validation():
 def test_objective_equals_benefit_without_refresh(ctx):
     params = ObjectiveParams(refresh_ratio=0.0)
     objects = enumerate_objects(ctx)
-    cfg = Configuration()
+    costs = QueryCosts(ctx)
     for o in objects:
-        gain = object_benefit(o, cfg, ctx)
-        value = objective_value(o, cfg, ctx, params)
+        gain = object_benefit(o, costs)
+        value = objective_value(o, costs, params)
         assert value == gain
 
 
@@ -162,15 +163,13 @@ def test_objective_modes_penalize(views, catalog, ctx):
     v1 = views[0]
     obj = enumerate_objects(ctx)[0]
     assert obj.view is v1
-    gain = object_benefit(obj, Configuration(), ctx)
+    costs = QueryCosts(ctx)
+    gain = object_benefit(obj, costs)
     for mode in ("normalized", "literal"):
         params = ObjectiveParams(refresh_ratio=0.5, mode=mode)
-        value = objective_value(obj, Configuration(), ctx, params)
+        value = objective_value(obj, costs, params)
         assert value < gain
-    lit = objective_value(
-        obj, Configuration(), ctx,
-        ObjectiveParams(refresh_ratio=0.5, mode="literal"),
-    )
+    lit = objective_value(obj, costs, ObjectiveParams(refresh_ratio=0.5, mode="literal"))
     beta = update_weight(ObjectiveParams(refresh_ratio=0.5), ctx)
     assert lit == pytest.approx(gain - beta * obj.maintenance, rel=1e-12)
 
@@ -179,9 +178,9 @@ def test_argmax_stable_under_refresh_zero():
     ctx = random_instance(seed=42, max_tables=5, max_queries=8).context()
     objects = enumerate_objects(ctx)
     params = ObjectiveParams(refresh_ratio=0.0)
-    cfg = Configuration()
-    scored_f = [objective_value(o, cfg, ctx, params) for o in objects]
-    scored_b = [object_benefit(o, cfg, ctx) for o in objects]
+    costs = QueryCosts(ctx)
+    scored_f = [objective_value(o, costs, params) for o in objects]
+    scored_b = [object_benefit(o, costs) for o in objects]
     assert scored_f == scored_b
 
 
@@ -189,7 +188,7 @@ def test_pair_object_benefit_uses_combined_size(views, indexes, catalog, ctx):
     v1 = views[0]
     i8 = next(i for i in indexes if i.id == "i8")
     pair = pair_object(v1, i8, ctx)
-    got = object_benefit(pair, Configuration(), ctx)
+    got = object_benefit(pair, QueryCosts(ctx))
     # q1: 47664 -> 4; combined storage of view and its index
     denom = 116_880 + 7305 * 14
     assert got == pytest.approx(47_660 / denom, rel=1e-12)
@@ -212,8 +211,9 @@ def test_touched_query_objective_equals_whole_workload_objective(
     objects = enumerate_objects(ctx)
     params = ObjectiveParams(refresh_ratio=refresh, mode=mode)
     config = random_config(random.Random(seed), inst)
+    costs = QueryCosts(ctx, config)
     for obj in objects:
-        got = objective_value(obj, config, ctx, params)
+        got = objective_value(obj, costs, params)
         want = full_rescore_objective(obj, inst.queries, config, inst.matrices, inst.catalog,
                                       params, ctx)
         assert got == want

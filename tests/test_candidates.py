@@ -213,6 +213,21 @@ def test_load_candidates_rejects_view_index_on_a_non_indexable_attribute(catalog
         load_candidates(text, catalog)
 
 
+@pytest.mark.parametrize("vid", ["sales", "Times"])
+def test_load_candidates_rejects_a_view_id_naming_a_table(catalog, vid):
+    # "index ... on <id>" would otherwise resolve to the view, hiding the table
+    body = "  tables sales\n  group_by sales.prod_id\n  agg sum(sales.amount_sold)\n"
+    text = "# one view\nview " + vid + "\n" + body + "index i1 on sales key prod_id\n"
+    problem = f"^c.cand: line 2: view {vid.lower()}: the id names a table$"
+    with pytest.raises(ParseError, match=problem):
+        load_candidates(text, catalog, "c.cand")
+    # nor can a file written from such a view be read back
+    view = make_view(vid.lower(), ["sales"], [], [("sales", "prod_id")], [("sum", ("sales", "amount_sold"))],
+                     catalog)
+    with pytest.raises(ParseError, match=problem.replace("line 2", "line 1")):
+        load_candidates(format_candidates([view], []), catalog, "c.cand")
+
+
 def test_load_candidates_rejects_indexable_outside_group_by(catalog):
     text = (
         "view v1\n  tables sales, times\n  group_by sales.time_id\n"
@@ -307,10 +322,19 @@ def test_format_candidates_round_trips(seed, max_tables):
     assert load_candidates(text, inst.catalog) == (inst.views, inst.indexes)
 
 
-def test_format_candidates_round_trips_the_bundled_file(catalog):
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "index j1 on v2 key channels.channel_desc\n",
+        # a view whose id extends a table name, with a base and an on-view index on one attribute
+        "view salesv\n  tables sales\n  group_by sales.prod_id\n  agg sum(sales.amount_sold)\n"
+        "index b1 on sales key prod_id\nindex j2 on salesv key sales.prod_id\n",
+    ],
+    ids=["on-view-index", "base-and-on-view-index-on-one-attribute"],
+)
+def test_format_candidates_round_trips_the_bundled_file(catalog, extra):
     # on-view indexes and indexable lists, which generated candidates lack
-    text = fixture_text(CANDIDATES_FILE) + "index j1 on v2 key channels.channel_desc\n"
-    views, indexes = load_candidates(text, catalog)
+    views, indexes = load_candidates(fixture_text(CANDIDATES_FILE) + extra, catalog)
     assert any(v.indexable is not None for v in views)
     assert any(not i.is_base() for i in indexes)
     assert load_candidates(format_candidates(views, indexes), catalog) == (views, indexes)

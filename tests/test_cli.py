@@ -433,6 +433,36 @@ def test_unwritable_out_exits_1_before_selection(fixture_args, capsys, monkeypat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spelling", ["{}", "./{}"], ids=["same_path", "dot_slash"])
+@pytest.mark.parametrize("flag", ["--schema", "--workload", "--candidates"])
+def test_out_naming_an_input_exits_1_and_leaves_it_unchanged(capsys, monkeypatch, tmp_path,
+                                                             flag, spelling):
+    monkeypatch.chdir(tmp_path)
+    inputs = {"--schema": CATALOG_FILE, "--workload": WORKLOAD_FILE, "--candidates": CANDIDATES_FILE}
+    argv = []
+    for name, fixture in inputs.items():
+        Path(name[2:]).write_bytes(Path(fixture_path(fixture)).read_bytes())
+        argv += [name, name[2:]]
+    before = Path(flag[2:]).read_bytes()
+    code = main(argv + ["--budget", "50%", "--out", spelling.format(flag[2:])])
+    assert code == 1
+    assert Path(flag[2:]).read_bytes() == before
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --out: names the {flag} file" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("candidates", [False, True], ids=["generated", "candidates_file"])
+def test_min_support_below_one_exits_1(fixture_args, capsys, candidates, value):
+    argv = fixture_args if candidates else fixture_args[:4]
+    code = main(argv + ["--min-support", value, "--budget", "50%"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --min-support: must be >= 1, got {value}" in captured.err
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--mode", "simultaneous"], ["--mode", "exhaustive"], ["--format", "text"],

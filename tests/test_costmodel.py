@@ -11,6 +11,7 @@ from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, btree_hei
 from mvindex.costmodel import (
     Configuration,
     CostContext,
+    QueryCosts,
     maintenance_cost,
     object_size,
     workload_cost,
@@ -276,6 +277,27 @@ def test_offers_equal_a_walk_over_every_plan(seed, extra_candidates):
         else:
             with pytest.raises(ValidationError):
                 ctx.offers(keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), extra_candidates=st.booleans(), order=st.randoms())
+def test_commits_equal_a_fresh_build(seed, extra_candidates, order):
+    inst = random_instance(seed=seed, max_tables=6, max_queries=12)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
+    # in any order: an on-view index may come before its view, and an
+    # object after some or all of its keys
+    pool = objects + enumerate_exhaustive_objects(ctx, objects)
+    costs = QueryCosts(ctx)
+    for obj in order.sample(pool, order.randint(0, len(pool))):
+        keys = costs.config | obj.keys
+        costs.commit(obj)
+        fresh = QueryCosts(ctx, keys)
+        assert costs.config == fresh.config == keys
+        assert (costs.cost, costs.base, costs.mins) == (fresh.cost, fresh.base, fresh.mins), obj.id
+        assert costs.cost == [ctx.query_cost(q, keys)[0] for q in ctx.queries]
 
 
 def test_context_rejects_view_and_index_sharing_an_id(workload, views, indexes, catalog):

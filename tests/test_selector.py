@@ -121,7 +121,8 @@ def test_trace_objectives_match_public_function(ctx):
     config = Configuration()
     for it in res.iterations:
         remaining = [o for o in objects if not o.keys <= config]
-        scores = {o.id: objective_value(o, config, ctx, params) for o in remaining}
+        costs = QueryCosts(ctx, config)
+        scores = {o.id: objective_value(o, costs, params) for o in remaining}
         assert scores[it.object_id] == pytest.approx(it.objective, rel=1e-12)
         assert it.objective == pytest.approx(max(scores.values()), rel=1e-12)
         chosen = next(o for o in remaining if o.id == it.object_id)
@@ -245,16 +246,25 @@ def test_running_costs_score_every_remaining_object_as_objective_value(
     configs = []
 
     class CheckedCosts(QueryCosts):
-        """The loop's running costs, checked each time they move to a configuration."""
+        """The loop's running costs, checked when built and after each commit."""
 
-        def update(self, config, positions):
-            super().update(config, positions)
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.check()
+
+        def commit(self, obj):
+            super().commit(obj)
+            self.check()
+
+        def check(self):
+            config = self.config
             configs.append(config)
             assert self.cost == [ctx.query_cost(q, config)[0] for q in ctx.queries]
+            fresh = QueryCosts(ctx, config)
             for o in objects:
                 if not o.keys <= config:
-                    got = objective_value(o, config, ctx, params, self)
-                    assert got == objective_value(o, config, ctx, params), o.id
+                    got = objective_value(o, self, params)
+                    assert got == objective_value(o, fresh, params), o.id
                     assert got == full_rescore_objective(
                         o, inst.queries, config, inst.matrices, inst.catalog, params, ctx
                     ), o.id
@@ -474,8 +484,9 @@ def test_equal_scores_break_by_incremental_bytes_then_id(workload, catalog):
     res = greedy_select(ctx, 10**12, params, objects)
     assert [it.object_id for it in res.iterations] == ["v", "v+ia"]
     config = Configuration({"v"})
-    assert objective_value(by_id["v+ia"], config, ctx, params) == objective_value(
-        by_id["v!+ia"], config, ctx, params
+    costs = QueryCosts(ctx, config)
+    assert objective_value(by_id["v+ia"], costs, params) == objective_value(
+        by_id["v!+ia"], costs, params
     )
     assert incremental_size(by_id["v+ia"], config) < incremental_size(by_id["v!+ia"], config)
     expected = full_rescore_greedy(objects, matrices, catalog, 10**12, params)
