@@ -64,8 +64,8 @@ class SelectionObject:
     reads never change during a run, so they are set once, from the run's
     context, when the object is built: the member ``keys``, ``size`` and
     ``maintenance`` of all members, ``parts`` (key, bytes) per member, view
-    first, and what the keys offer the queries they can touch (``offers``,
-    see ``CostContext.offers``).  ``deps`` holds
+    first, and ``offers``, its first member's offer list (a pair shares its
+    view's, see ``CostContext.offers``).  ``deps`` holds
     (key, bytes) per candidate whose selection adds its size to the benefit
     denominator: the base indexes a view pairs with and the views a base
     index pairs with (read from the view-index matrix), the view an on-view
@@ -110,7 +110,7 @@ def _object(oid: str, kind: str, view, index, ctx: CostContext) -> SelectionObje
         maintenance=sum(m for _, _, m in facts),
         parts=parts,
         deps=tuple(ctx.member_facts(d)[:2] for d in deps),
-        offers=ctx.offers(keys),
+        offers=ctx.offers(parts[0][0]),
     )
 
 
@@ -142,7 +142,7 @@ def object_benefit(obj: SelectionObject, costs: QueryCosts) -> float:
     are unselected can still earn direct benefit on base tables; it scores
     zero only when it improves nothing.  Pairs use their combined size.
     """
-    before, after = costs.before_after(obj.offers)
+    before, after = costs.before_after(obj)
     denom = obj.size + sum(b for key, b in obj.deps if key in costs.config)
     return benefit_density(before, after, denom)
 

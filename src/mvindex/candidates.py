@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .catalog import SchemaCatalog
+from .catalog import SchemaCatalog, strip_comment
 from .errors import ParseError, UnknownNameError, ValidationError
 from .workload import Attr, Query, Workload
 
@@ -400,7 +400,7 @@ def load_candidates(
 
     current: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         tokens = line.replace(",", " ").split()
@@ -455,16 +455,16 @@ def load_candidates(
     fact = catalog.fact_table.name
     for blk in view_blocks:
         blk["tables"] = blk["tables"] or []
+        vid, line = blk["id"], blk["line"]
         if not blk["group_by"]:
-            raise ParseError(f"view {blk['id']}: empty group_by", source, blk["line"])
+            raise ParseError(f"view {vid}: empty group_by", source, line)
         for t in blk["tables"]:
             if not catalog.has_table(t):
-                raise UnknownNameError(f"view {blk['id']}: unknown table {t!r}")
+                raise UnknownNameError(f"view {vid}: unknown table {t!r}", source, line)
         if fact not in blk["tables"]:
-            raise ValidationError(f"view {blk['id']}: must join the fact table {fact!r}")
+            raise ValidationError(f"view {vid}: must join the fact table {fact!r}", source, line)
         # a view answers only queries over its tables, and a group-by
         # attribute or aggregate listed twice would count its size twice
-        vid, line = blk["id"], blk["line"]
         used = [("group_by", attr) for attr in blk["group_by"]]
         used += [("agg", attr) for _, attr in blk["aggs"]]
         used += [("join", attr) for pair in blk["joins"] for attr in pair]
@@ -480,14 +480,11 @@ def load_candidates(
         indexable = blk["indexable"]
         for attr, lineno in indexable or ():
             if attr not in blk["group_by"]:
-                raise ParseError(
-                    f"view {blk['id']}: indexable {attr[0]}.{attr[1]} is not in its group_by",
-                    source,
-                    lineno,
-                )
+                problem = f"indexable {attr[0]}.{attr[1]} is not in its group_by"
+                raise ParseError(f"view {vid}: {problem}", source, lineno)
         views.append(
             make_view(
-                blk["id"],
+                vid,
                 blk["tables"],
                 blk["joins"],
                 blk["group_by"],
@@ -504,16 +501,19 @@ def load_candidates(
         if len(tokens) != 6 or tokens[2].lower() != "on" or tokens[4].lower() != "key":
             raise ParseError("expected: index <id> on <target> key <attribute>", source, lineno)
         iid, target, key = tokens[1].lower(), tokens[3].lower(), tokens[5].lower()
-        if target in by_id:
-            attr = _parse_attr(key, source, lineno)
-            indexes.append(make_view_index(iid, by_id[target], attr, catalog))
-        elif catalog.has_table(target):
-            attr = (target, key) if "." not in key else _parse_attr(key, source, lineno)
-            if attr[0] != target:
-                raise ValidationError(f"index {iid}: key {key!r} does not belong to {target!r}")
-            indexes.append(make_base_index(iid, attr, catalog))
-        else:
-            raise UnknownNameError(f"index {iid}: unknown target {target!r}")
+        try:  # an index that does not resolve is reported at its line
+            if target in by_id:
+                attr = _parse_attr(key, source, lineno)
+                indexes.append(make_view_index(iid, by_id[target], attr, catalog))
+            elif catalog.has_table(target):
+                attr = (target, key) if "." not in key else _parse_attr(key, source, lineno)
+                if attr[0] != target:
+                    raise ValidationError(f"index {iid}: key {key!r} does not belong to {target!r}")
+                indexes.append(make_base_index(iid, attr, catalog))
+            else:
+                raise UnknownNameError(f"index {iid}: unknown target {target!r}")
+        except (UnknownNameError, ValidationError) as exc:
+            raise type(exc)(str(exc), source, lineno) from None
     return views, indexes
 
 

@@ -168,7 +168,9 @@ def validate_catalog(catalog: SchemaCatalog, source: str | None = None, lines=No
                 fail(f"{t.name}.{a.name}: width must be >= 1", (k, j))
 
 
-def _strip_comment(line: str) -> str:
+def strip_comment(line: str) -> str:
+    """``line`` up to its first ``#``: the comment rule of the catalog and
+    candidates formats and of the workload header."""
     pos = line.find("#")
     return line if pos < 0 else line[:pos]
 
@@ -192,7 +194,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> SchemaCatalog:
     set_params = set()
     lines: dict[object, int] = {}  # declaration -> line, see validate_catalog
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         tokens = line.split()

@@ -157,7 +157,7 @@ class CostContext:
     is the btree descent plus the matching fraction of the target's blocks.
     ``query_cost`` takes the minimum over the terms whose keys the
     configuration holds, the earlier term on a tie, and names the winning
-    key; ``plan(q)`` reads a plan, and ``offers`` and ``QueryCosts`` are
+    key; ``plan(q)`` reads a plan, and ``offers(key)`` and ``QueryCosts`` are
     built on them.  Each member key's offers come from one pass over the
     plans at the first ``offers`` call, so a run scoring no object skips it.
     """
@@ -240,19 +240,19 @@ class CostContext:
         """The plan ``(fixed, tables, views)`` of ``q``, see the class docstring."""
         return self._plan[q.id]
 
-    def offers(self, keys: Configuration) -> tuple:
-        """What adding ``keys`` (of one view, index or pair) offers each query.
+    def offers(self, key) -> tuple:
+        """What selecting the member ``key`` alone offers each query.
 
-        One ``(position, slot, blocks, terms)`` per query whose plan names a
-        key, in workload order; every other query costs the same with or
-        without ``keys``.  ``slot`` is the position in the plan's ``tables``
-        of the one base index among the keys and ``blocks`` its indexed cost
+        One ``(position, slot, blocks, terms)`` per query whose plan names
+        ``key``, in workload order, or ``()``; every other query costs the
+        same with or without it.  ``slot`` is the position in the plan's
+        ``tables`` of a base index ``key`` and ``blocks`` its indexed cost
         there, or both are None.  ``terms`` holds ``(blocks, need)`` per view
-        or on-view index term that names a key, where ``need`` is the one
-        key the term names beyond ``keys``, which must be selected too, or
-        None.  A pair's on-view index reaches only queries its view reaches,
-        so the pair offers what the view does, with the index no longer a
-        ``need``.  Any other key set raises ``ValidationError``.
+        or on-view index term that names ``key``, where ``need`` is the one
+        other key the term names, which must be selected too, or None.  A
+        pair reads its view's list: its on-view index reaches only queries
+        its view reaches, and each term that needs the index is counted by
+        ``QueryCosts.before_after`` and ``commit`` once the pair is taken.
         """
         if self._offers is None:  # each member key's list, from one pass over the plans
             lists: dict[object, list] = {}
@@ -262,20 +262,12 @@ class CostContext:
                     for iid, blocks in options:
                         lists.setdefault(iid, []).append((pos, slot, blocks, ()))
                 for vid, vblocks, options in views:
-                    terms = ((vblocks, None), *((blocks, key) for key, blocks in options))
+                    terms = ((vblocks, None), *((blocks, on_view) for on_view, blocks in options))
                     lists.setdefault(vid, []).append((pos, None, None, terms))
-                    for key, blocks in options:
-                        lists.setdefault(key, []).append((pos, None, None, ((blocks, vid),)))
-            self._offers = {key: tuple(offers) for key, offers in lists.items()}
-        if len(keys) == 1:
-            return self._offers.get(next(iter(keys)), ())
-        if len(keys) == 2:  # a pair: a view and an index on it
-            vid, index = sorted(keys, key=lambda k: isinstance(k, tuple))
-            if vid in self.views and isinstance(index, tuple) and index[0] == vid:
-                return tuple(
-                    (pos, None, None, tuple((b, None if need == index else need) for b, need in terms))
-                    for pos, _, _, terms in self._offers.get(vid, ()))
-        raise ValidationError(f"not the keys of one view, index or pair: {sorted(map(repr, keys))}")
+                    for on_view, blocks in options:
+                        lists.setdefault(on_view, []).append((pos, None, None, ((blocks, vid),)))
+            self._offers = {member: tuple(offers) for member, offers in lists.items()}
+        return self._offers.get(key, ())
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
         """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label."""
@@ -298,6 +290,8 @@ class QueryCosts:
     term of each plan table (its scan or a selected base index); ``base``,
     the plan's fixed blocks plus those minima; ``cost``, ``query_cost``'s:
     the lesser of ``base`` and the cheapest selected view or on-view term.
+    ``before_after`` and ``commit`` read a selection object's ``keys`` and
+    ``offers``, one member key's list, which objects share unchanged.
     """
 
     def __init__(self, ctx: CostContext, config: Configuration = Configuration()):
@@ -327,17 +321,18 @@ class QueryCosts:
                     best = blocks
             cost[pos] = best
 
-    def before_after(self, offers: tuple) -> tuple[int, int]:
-        """Summed cost of the offered queries, before and after taking the
-        offers (``CostContext.offers``) on top of the configuration.
+    def before_after(self, obj) -> tuple[int, int]:
+        """Summed cost of the queries ``obj``'s offers name, before and after
+        adding its keys; ``commit(obj)`` moves them to the costs after.
 
         A query's cost after is the least of its cost, its base part with the
-        offered table lowered and the offered terms; every other query keeps
-        its cost, so ``before - after`` is the whole-workload cost reduction.
+        offered table lowered and the offered terms whose ``need`` is None,
+        selected or one of ``obj.keys``; every other query keeps its cost, so
+        ``before - after`` is the whole-workload cost reduction.
         """
-        config, mins, base, cost = self.config, self.mins, self.base, self.cost
+        config, keys, mins, base, cost = self.config, obj.keys, self.mins, self.base, self.cost
         before = after = 0
-        for pos, slot, indexed, terms in offers:
+        for pos, slot, indexed, terms in obj.offers:
             best = cost[pos]
             before += best
             if slot is not None and indexed < mins[pos][slot]:
@@ -345,7 +340,7 @@ class QueryCosts:
                 if lowered < best:
                     best = lowered
             for blocks, need in terms:
-                if blocks < best and (need is None or need in config):
+                if blocks < best and (need is None or need in config or need in keys):
                     best = blocks
             after += best
         return before, after

@@ -11,15 +11,16 @@ Scores read one running state, ``QueryCosts``: the committed
 configuration and, per query, the cheapest selected term of each table of
 its plan, their sum with the plan's fixed blocks (the base part), and the
 cost, the lesser of the base part and the cheapest selected view or
-on-view index term.  Each object carries its offers, built once with the
-object list from the plans (``CostContext.offers``): per query its keys
-can touch, its base index's indexed cost at that table, and the view and
-on-view index terms its keys select.  So an object's cost before is a
+on-view index term.  Each object carries one member key's offer list,
+built once from the plans (``CostContext.offers``); a pair shares its
+view's.  Per query the key can touch, it holds a base index's indexed
+cost at that table and the view and on-view index terms naming the key,
+each with the other key it needs.  So an object's cost before is a
 lookup, and its cost after is the least of that cost, the base part with
-its table lowered and its offered terms, a few integer minima.  The loop
-keeps no configuration of its own: the state changes only by
-``QueryCosts.commit``, which moves each query the committed object offers
-to its cost after and leaves every other query as it is.
+its table lowered and the offered terms it can use, a few integer
+minima.  The loop keeps no configuration of its own: the state changes
+only by ``QueryCosts.commit``, which moves each query the committed
+object offers to its cost after and leaves every other query as it is.
 
 Rescoring is incremental and exact.  An object's objective reads only
 the costs of the queries it has offers for, whether its own members are

@@ -35,7 +35,7 @@ import string
 from dataclasses import dataclass
 from itertools import islice
 
-from .catalog import SchemaCatalog
+from .catalog import SchemaCatalog, strip_comment
 from .errors import ParseError, UnknownNameError, ValidationError
 
 Attr = tuple[str, str]  # (table, attribute)
@@ -364,7 +364,7 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
     lines = text.splitlines()
     body_start = 0
     for i, line in enumerate(lines):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = strip_comment(line).strip()
         if not stripped:
             continue
         m = _HEADER_RE.match(stripped)

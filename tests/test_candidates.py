@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,36 @@ def test_load_candidates_rejects_a_repeated_tables_entry(catalog, body, line, pr
     # group_by, agg and indexable lines add up; a second tables line would replace the first
     with pytest.raises(ParseError, match=f"^c.cand: line {line}: view v1: {problem}$"):
         load_candidates("# one view\nview v1\n" + body + "  agg sum(sales.amount_sold)\n", catalog, "c.cand")
+
+
+_VIEW_V1 = (
+    "view v1\n  tables sales, times\n  join sales.time_id = times.time_id\n"
+    "  group_by sales.time_id, times.time_fiscal_year\n  agg sum(sales.amount_sold)\n"
+    "  indexable sales.time_id\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, line, error, problem",
+    [
+        ("view v1\n  tables sales, nosuch\n  group_by sales.time_id\n", 2, UnknownNameError,
+         "view v1: unknown table 'nosuch'"),
+        ("view v1\n  tables times\n  group_by times.time_id\n", 2, ValidationError,
+         "view v1: must join the fact table 'sales'"),
+        ("index i1 on nosuch key attr\n", 2, UnknownNameError, "index i1: unknown target 'nosuch'"),
+        ("index i1 on sales key times.time_id\n", 2, ValidationError,
+         "index i1: key 'times.time_id' does not belong to 'sales'"),
+        (_VIEW_V1 + "index i1 on sales key prod_id\nindex j1 on v1 key times.time_fiscal_year\n", 9,
+         ValidationError, "index j1: times.time_fiscal_year is not indexable on view v1"),
+        ("index i1 on sales key nosuch\n", 2, ValidationError, "table 'sales' has no attribute 'nosuch'"),
+    ],
+    ids=["unknown-table", "no-fact-table", "unknown-target", "key-off-target", "not-indexable",
+         "unknown-attribute"],
+)
+def test_load_candidates_names_the_line_of_an_unresolved_view_or_index(catalog, text, line, error,
+                                                                      problem):
+    with pytest.raises(error, match=f"^c.cand: line {line}: {re.escape(problem)}$"):
+        load_candidates("# one candidate\n" + text, catalog, "c.cand")
 
 
 def test_dedicated_view_index_suppresses_base_pairing(workload, catalog):

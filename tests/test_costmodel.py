@@ -265,18 +265,28 @@ def test_offers_equal_a_walk_over_every_plan(seed, extra_candidates):
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
     objects = enumerate_objects(ctx)
-    for o in objects + enumerate_exhaustive_objects(ctx, objects):
-        assert ctx.offers(o.keys) == walk_offers(ctx, o.keys), o.id
-    # any other key set is refused: none, several members, a view with an index not on it
-    members = sorted({key for o in objects for key in o.keys}, key=repr)
-    rng = random.Random(seed)
-    for _ in range(20):
-        keys = Configuration(rng.sample(members, min(len(members), rng.randint(0, 3))))
-        if len(keys) == 1 or any(isinstance(k, tuple) and keys == {k[0], k} for k in keys):
-            assert ctx.offers(keys) == walk_offers(ctx, keys)
+    pool = objects + enumerate_exhaustive_objects(ctx, objects)
+    view_offers = {o.view.id: o.offers for o in objects if o.kind == "view"}
+    pairs = [o for o in pool if o.kind == "pair"]
+    for o in pool:
+        if o.kind == "pair":  # the view's own list, not a copy
+            assert o.offers is view_offers[o.view.id], o.id
         else:
-            with pytest.raises(ValidationError):
-                ctx.offers(keys)
+            assert o.offers == walk_offers(ctx, o.keys), o.id
+    # a pair's score counts the terms that need its own index: its cost
+    # after is that of its keys added, over the queries a walk names
+    rng = random.Random(seed)
+    costs = QueryCosts(ctx)
+    for _ in range(3):
+        for o in pairs:
+            walked = [ctx.queries[pos] for pos, *_ in walk_offers(ctx, o.keys)]
+            after = costs.config | o.keys
+            assert costs.before_after(o) == (
+                sum(ctx.query_cost(q, costs.config)[0] for q in walked),
+                sum(ctx.query_cost(q, after)[0] for q in walked),
+            ), o.id
+        for o in rng.sample(pool, min(len(pool), 2)):
+            costs.commit(o)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,19 +1,25 @@
 """Mutation fuzzing of the three input parsers.
 
-Each test mutates a bundled fixture text (deletes, inserts or duplicates
-spans, inserts stray tokens) and checks that the loader either returns or
-raises an ``AdvisorError``: malformed input must never escape as another
-exception, which the CLI would print as a traceback.
+Each test mutates an input text (deletes, inserts or duplicates spans,
+inserts stray tokens) and checks that the loader either returns or raises
+an ``AdvisorError``: malformed input must never escape as another
+exception, which the CLI would print as a traceback.  The texts are the
+bundled fixtures and the candidates files ``format_candidates`` writes for
+random instances.  A catalog or candidates error also names its file.
 """
+
+from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvindex.candidates import load_candidates
+from mvindex.candidates import format_candidates, load_candidates
 from mvindex.catalog import load_catalog
 from mvindex.errors import AdvisorError
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_text
 from mvindex.workload import load_workload
+
+from util import random_instance, with_random_candidates
 
 STRAY_TOKENS = [",", ";", "=", "nan", "1e999", "-1", "0", "(", ")", ".", "#", "'", "%"]
 PADDING = ["", " ", "\n"]
@@ -43,13 +49,21 @@ def mutated(draw, text: str) -> str:
     return text
 
 
+@contextmanager
+def returns_or_names(source: str):
+    """The block, given ``source``, returns or raises an ``AdvisorError``
+    whose text begins with that source."""
+    try:
+        yield source
+    except AdvisorError as exc:
+        assert str(exc).startswith(f"{source}: "), str(exc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=mutated(fixture_text(CATALOG_FILE)))
 def test_catalog_loader_returns_or_raises_advisor_error(text):
-    try:
-        load_catalog(text, "fuzz.catalog")
-    except AdvisorError:
-        pass
+    with returns_or_names("fuzz.catalog") as source:
+        load_catalog(text, source)
 
 
 @settings(max_examples=300, deadline=None)
@@ -64,7 +78,16 @@ def test_workload_loader_returns_or_raises_advisor_error(catalog, text):
 @settings(max_examples=300, deadline=None)
 @given(text=mutated(fixture_text(CANDIDATES_FILE)))
 def test_candidates_loader_returns_or_raises_advisor_error(catalog, text):
-    try:
-        load_candidates(text, catalog, "fuzz.candidates")
-    except AdvisorError:
-        pass
+    with returns_or_names("fuzz.candidates") as source:
+        load_candidates(text, catalog, source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6), extra_candidates=st.booleans(), data=st.data())
+def test_written_candidates_loader_returns_or_raises_advisor_error(seed, extra_candidates, data):
+    inst = random_instance(seed=seed)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    text = data.draw(mutated(format_candidates(inst.views, inst.indexes)))
+    with returns_or_names("fuzz.candidates") as source:
+        load_candidates(text, inst.catalog, source)

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 import mvindex.selector
 from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams, index_object, objective_value, view_object
-from mvindex.candidates import build_matrices, load_candidates
+from mvindex.candidates import (
+    build_matrices,
+    generate_index_candidates,
+    generate_view_candidates,
+    load_candidates,
+)
 from mvindex.costmodel import Configuration, CostContext, QueryCosts, object_size
 from mvindex.errors import InvalidBudgetError, ValidationError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
@@ -27,6 +32,7 @@ from mvindex.workload import load_workload
 from util import (
     full_rescore_greedy,
     full_rescore_objective,
+    load_synth,
     log_uniform_budget,
     random_instance,
     with_random_candidates,
@@ -335,9 +341,7 @@ def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
     )
     matrices = build_matrices(workload, views, indexes)
     ctx = CostContext(matrices, catalog)
-    assert not {pos for pos, *_ in ctx.offers(Configuration({"v1"}))} & {
-        pos for pos, *_ in ctx.offers(Configuration({"i1"}))
-    }
+    assert not {pos for pos, *_ in ctx.offers("v1")} & {pos for pos, *_ in ctx.offers("i1")}
     res = greedy_select(ctx, 10**12, _params())
     assert [it.object_id for it in res.iterations] == ["v1", "i1"]
     expected = full_rescore_greedy(enumerate_objects(ctx), matrices, catalog, 10**12, _params())
@@ -517,3 +521,32 @@ def test_skipped_objects_stay_ranked_at_later_steps(ctx):
     assert res.stop_reason == STOP_BUDGET_EXHAUSTED
     expected = full_rescore_greedy(objects, ctx.matrices, ctx.catalog, 100_000, params)
     assert res.iterations == expected.iterations
+
+
+@pytest.mark.parametrize(
+    "shape, row",
+    [
+        ((36, 8, 3, 3, 0.0), (565_961, 20_106, 44, 3_730_218_120, 139_791, 34)),
+        ((20, 5, 3, 3, 2.0), (2_359_732, 716_502, 12, 1_475_102_880, 950_522, 11)),
+    ],
+    ids=["36q", "20q-refresh-2"],
+)
+def test_relabelled_instances_cost_and_select_alike(shape, row):
+    # a synth seed only permutes names and query order and redraws literals,
+    # so every seed starts from the same cost and greedy ends alike: the
+    # empty configuration's cost; the unconstrained run's final cost, steps
+    # and bytes; the final cost and steps at 25% of those bytes
+    synth = load_synth()
+    rows = set()
+    for seed in range(12):
+        catalog, workload = synth.star_instance(synth.Shape(*shape), seed)
+        views = generate_view_candidates(workload, catalog)
+        indexes = generate_index_candidates(workload, views, catalog, 1)
+        ctx = CostContext(build_matrices(workload, views, indexes), catalog)
+        objects = enumerate_objects(ctx)
+        params = _params(workload.refresh_ratio)
+        full = greedy_select(ctx, sum(o.size for o in objects) + 1, params, objects)
+        part = greedy_select(ctx, int(full.used_bytes * 0.25), params, objects)
+        rows.add((ctx.workload_total(Configuration()), full.final_cost, len(full.iterations),
+                  full.used_bytes, part.final_cost, len(part.iterations)))
+    assert rows == {row}
