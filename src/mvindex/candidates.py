@@ -398,6 +398,15 @@ def load_candidates(
     view_blocks: list[dict] = []
     index_lines: list[tuple[int, list[str]]] = []
 
+    declared: dict[str, int] = {}  # view or index id -> line of its declaration
+
+    def declare(kind: str, id_: str, lineno: int) -> None:
+        if id_ in declared:
+            raise ValidationError(
+                f"{kind} id {id_!r} repeats, first declared at line {declared[id_]}", source, lineno
+            )
+        declared[id_] = lineno
+
     current: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = strip_comment(raw).strip()
@@ -413,6 +422,7 @@ def load_candidates(
             # index lines name a view or a table as their target
             if catalog.has_table(tokens[1].lower()):
                 raise ParseError(f"view {tokens[1].lower()}: the id names a table", source, lineno)
+            declare("view", tokens[1].lower(), lineno)
             current = {
                 "id": tokens[1].lower(),
                 "tables": None,
@@ -424,6 +434,10 @@ def load_candidates(
             }
             view_blocks.append(current)
         elif head == "index":
+            # index <id> on <target> key <attr | table.attr>
+            if len(tokens) != 6 or tokens[2].lower() != "on" or tokens[4].lower() != "key":
+                raise ParseError("expected: index <id> on <target> key <attribute>", source, lineno)
+            declare("index", tokens[1].lower(), lineno)
             index_lines.append((lineno, tokens))
             current = None
         elif current is None:
@@ -497,9 +511,6 @@ def load_candidates(
     by_id = {v.id: v for v in views}
     indexes: list[IndexCandidate] = []
     for lineno, tokens in index_lines:
-        # index <id> on <target> key <attr | table.attr>
-        if len(tokens) != 6 or tokens[2].lower() != "on" or tokens[4].lower() != "key":
-            raise ParseError("expected: index <id> on <target> key <attribute>", source, lineno)
         iid, target, key = tokens[1].lower(), tokens[3].lower(), tokens[5].lower()
         try:  # an index that does not resolve is reported at its line
             if target in by_id:

@@ -110,7 +110,7 @@ def _load_inputs(args):
 
     The context holds the usage matrices, with the queries and candidates
     they were built over, the catalog, and every query's plan of block costs,
-    computed once at its build.  Every selection and cost report of an
+    computed once at first use.  Every selection and cost report of an
     invocation reads them from it, so no plan is built twice.
     """
     with open(args.schema, encoding="utf-8") as fh:

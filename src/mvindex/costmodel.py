@@ -139,15 +139,18 @@ class CostReport:
 class CostContext:
     """Cost evaluator bound to one set of usage matrices and a catalog.
 
-    The build computes each query's plan once, so one context per invocation
-    serves every scoring pass and selection run; after it the context is
-    pure, apart from what it derives on first use: the ``member_facts``
-    memo and each member's offers (``offers``).  It carries its inputs
-    (``queries``, ``views`` and ``indexes`` by id, read from ``matrices``,
-    and ``catalog``), so it is the one handle that scoring, selection and
-    reporting take.  It raises ``ValidationError`` for a view or index id
-    that repeats or holds ``+`` or ``@``.  The build reads each usage matrix
-    once: the query rows for the plans, the view-index cells for ``paired``.
+    Each query's plan is computed once, at the first ``plan``, ``offers``
+    or ``query_cost`` with a non-empty configuration, so one context per
+    invocation serves every scoring pass and selection run, and a run that
+    selects nothing builds no plan.  Apart from what it derives on first
+    use (the plans, the ``member_facts`` memo and each member's offers) the
+    context is pure.  It carries its inputs (``queries``, ``views`` and
+    ``indexes`` by id, read from ``matrices``, and ``catalog``), so it is
+    the one handle that scoring, selection and reporting take.  It raises
+    ``ValidationError`` for a view or index id that repeats or holds ``+``
+    or ``@``.  The build reads the view-index cells of the usage matrices
+    for ``paired`` and each query's joined tables for its scan; the plans
+    read the query rows.
 
     A plan is ``(fixed, tables, views)``, every cost in blocks: ``fixed``
     sums the scans of the joined tables no usable base index reaches;
@@ -169,7 +172,11 @@ class CostContext:
         self.queries = list(matrices.queries)
         self.views = {v.id: v for v in views}
         self.indexes = {i.id: i for i in indexes}
-        self._plan: dict[str, tuple] = {}  # query id -> plan, see above
+        self._blocks_of_table = {t.name: table_blocks(t, catalog) for t in catalog.tables}
+        # query id -> blocks of scanning its joined tables, rewriting (a)
+        self._scan = {q.id: sum(self._blocks_of_table[t] for t in q.joined_tables)
+                      for q in self.queries}
+        self._plans: dict[str, tuple] | None = None  # query id -> plan, see plan
         # member key -> what selecting it alone offers, see offers
         self._offers: dict[object, tuple] | None = None
         # member key -> (key, bytes, maintenance blocks), see member_facts
@@ -183,6 +190,20 @@ class CostContext:
                 raise ValidationError(f"view and index ids may not hold '+' or '@', got {id_!r}")
             seen.add(id_)
 
+        # candidate id -> the candidates it pairs with in the view-index
+        # matrix: a view's base indexes, a base index's views
+        self.paired: dict[str, list] = {}
+        for vid, iid in matrices.pairs():
+            v, i = self.views[vid], self.indexes[iid]
+            if i.is_base():
+                self.paired.setdefault(vid, []).append(i)
+                self.paired.setdefault(iid, []).append(v)
+
+    def _build_plans(self) -> dict[str, tuple]:
+        """Every query's plan by id, from the query rows of the usage matrices."""
+        catalog, matrices, blocks_of_table = self.catalog, self.matrices, self._blocks_of_table
+        views, indexes = matrices.views, matrices.indexes
+
         # per-candidate facts, read below once per query that can use the candidate
         def height(attr):
             return btree_height(catalog.attribute(*attr).cardinality, catalog)
@@ -191,8 +212,8 @@ class CostContext:
         view_access = {v.id: (blocks_of(v.row_count, v.row_width, catalog),
                               [(attr, height(attr)) for attr in sorted(v.indexable_attrs())])
                        for v in views}
-        blocks_of_table = {t.name: table_blocks(t, catalog) for t in catalog.tables}
         views_of, base_indexes_of = matrices.usable_views(), matrices.usable_base_indexes()
+        plans = {}
         for q in self.queries:
             cards = [(p.table, catalog.attribute(*p.attr).cardinality) for p in q.predicates]
             reaching: dict[str, list[tuple[str, int]]] = {}
@@ -210,16 +231,8 @@ class CostContext:
                 options = tuple(((vid, attr), _indexed(h, vblocks, all_divisor))
                                 for attr, h in on_view if attr in q_attrs)
                 plan_views.append((vid, vblocks, options))
-            self._plan[q.id] = (fixed, tables, tuple(plan_views))
-
-        # candidate id -> the candidates it pairs with in the view-index
-        # matrix: a view's base indexes, a base index's views
-        self.paired: dict[str, list] = {}
-        for vid, iid in matrices.pairs():
-            v, i = self.views[vid], self.indexes[iid]
-            if i.is_base():
-                self.paired.setdefault(vid, []).append(i)
-                self.paired.setdefault(iid, []).append(v)
+            plans[q.id] = (fixed, tables, tuple(plan_views))
+        return plans
 
     def member_facts(self, member) -> tuple[object, int, int]:
         """``(member_key, object_size, maintenance_cost)`` of a candidate,
@@ -237,8 +250,11 @@ class CostContext:
         return facts
 
     def plan(self, q: Query) -> tuple:
-        """The plan ``(fixed, tables, views)`` of ``q``, see the class docstring."""
-        return self._plan[q.id]
+        """The plan ``(fixed, tables, views)`` of ``q``, see the class docstring;
+        the first call builds every query's plan."""
+        if self._plans is None:
+            self._plans = self._build_plans()
+        return self._plans[q.id]
 
     def offers(self, key) -> tuple:
         """What selecting the member ``key`` alone offers each query.
@@ -257,7 +273,7 @@ class CostContext:
         if self._offers is None:  # each member key's list, from one pass over the plans
             lists: dict[object, list] = {}
             for pos, q in enumerate(self.queries):
-                _, tables, views = self._plan[q.id]
+                _, tables, views = self.plan(q)
                 for slot, (_, options) in enumerate(tables):
                     for iid, blocks in options:
                         lists.setdefault(iid, []).append((pos, slot, blocks, ()))
@@ -270,8 +286,14 @@ class CostContext:
         return self._offers.get(key, ())
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
-        """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label."""
-        cost, _, indexed, view = _cheapest_selected(self._plan[q.id], config)
+        """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label.
+
+        With nothing selected only rewriting (a) applies: the scan of the
+        joined tables, which is the plan's answer too, so no plan is built.
+        """
+        if not config:
+            return self._scan[q.id], "base"
+        cost, _, indexed, view = _cheapest_selected(self.plan(q), config)
         if view is not None and view[0] < cost:
             blocks, key = view
             if isinstance(key, str):

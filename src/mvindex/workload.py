@@ -376,7 +376,9 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
                     f"refresh_ratio takes a real number, got {m.group(1)!r}", source, i + 1
                 ) from None
             if not math.isfinite(refresh_ratio) or refresh_ratio < 0:
-                raise ValidationError(f"refresh_ratio must be finite and >= 0, got {m.group(1)}")
+                raise ValidationError(
+                    f"refresh_ratio must be finite and >= 0, got {m.group(1)}", source, i + 1
+                )
             body_start = i + 1
         break
     # blank prefix keeps token line numbers aligned with the file

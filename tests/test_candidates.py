@@ -305,6 +305,24 @@ def test_load_candidates_names_the_line_of_an_unresolved_view_or_index(catalog, 
         load_candidates("# one candidate\n" + text, catalog, "c.cand")
 
 
+@pytest.mark.parametrize(
+    "text, line, problem",
+    [
+        (_VIEW_V1 + _VIEW_V1, 8, "view id 'v1' repeats, first declared at line 2"),
+        (_VIEW_V1 + "index V1 on sales key prod_id\n", 8,
+         "index id 'v1' repeats, first declared at line 2"),
+        ("index v1 on sales key prod_id\n" + _VIEW_V1, 3,
+         "view id 'v1' repeats, first declared at line 2"),
+        ("index i1 on sales key prod_id\nindex i1 on times key time_id\n", 3,
+         "index id 'i1' repeats, first declared at line 2"),
+    ],
+    ids=["two-views", "index-after-view", "view-after-index", "two-indexes"],
+)
+def test_load_candidates_names_the_line_of_a_repeated_id(catalog, text, line, problem):
+    with pytest.raises(ValidationError, match=f"^c.cand: line {line}: {re.escape(problem)}$"):
+        load_candidates("# one candidate\n" + text, catalog, "c.cand")
+
+
 def test_dedicated_view_index_suppresses_base_pairing(workload, catalog):
     text = (
         "view v1\n"

@@ -161,6 +161,21 @@ def test_mode_none_derives_no_offers(capsys, monkeypatch):
     assert set(report["costs"]["after"]["rewriting"].values()) == {"base"}
 
 
+def test_mode_none_builds_no_plan(capsys, monkeypatch):
+    # the empty configuration costs the joined-table scans, which need no plan
+    def refuse(self):
+        raise AssertionError("--mode none built the query plans")
+
+    monkeypatch.setattr(CostContext, "_build_plans", refuse)
+    code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
+                 "--mode", "none", "--budget", "0", "--format", "json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    costs = report["costs"]
+    assert costs["after"]["per_query"] == costs["before"]["per_query"]
+    assert set(costs["after"]["rewriting"].values()) == {"base"}
+
+
 def test_sweep_rows(fixture_args, capsys):
     code = main(fixture_args + ["--sweep", "0.5,1.0"])
     assert code == 0

@@ -257,6 +257,24 @@ def test_label_names_a_selected_rewriting_of_the_returned_cost(seed, extra_candi
             assert brute_force_query_cost(q, *args) == cost
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), extra_candidates=st.booleans())
+def test_empty_configuration_costs_the_joined_table_scans(seed, extra_candidates):
+    # query_cost answers the empty configuration with no plan; the running
+    # costs still take it from the plans
+    inst = random_instance(seed=seed, max_tables=6, max_queries=12)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    ctx = inst.context()
+    empty = Configuration()
+    scans = [ctx.query_cost(q, empty) for q in ctx.queries]
+    from_plans = QueryCosts(ctx).cost
+    for pos, q in enumerate(ctx.queries):
+        expected = brute_force_query_cost(q, empty, inst.views, inst.indexes, inst.catalog)
+        assert scans[pos] == (expected, "base"), q.id
+        assert from_plans[pos] == expected, q.id
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), extra_candidates=st.booleans())
 def test_offers_equal_a_walk_over_every_plan(seed, extra_candidates):

@@ -5,7 +5,9 @@ inserts stray tokens) and checks that the loader either returns or raises
 an ``AdvisorError``: malformed input must never escape as another
 exception, which the CLI would print as a traceback.  The texts are the
 bundled fixtures and the candidates files ``format_candidates`` writes for
-random instances.  A catalog or candidates error also names its file.
+random instances.  A catalog or candidates error also names its file.  A
+workload or candidates file that loads also builds every query plan, which
+a run that selects nothing never reads.
 """
 
 from contextlib import contextmanager
@@ -13,8 +15,15 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvindex.candidates import format_candidates, load_candidates
+from mvindex.candidates import (
+    build_matrices,
+    format_candidates,
+    generate_index_candidates,
+    generate_view_candidates,
+    load_candidates,
+)
 from mvindex.catalog import load_catalog
+from mvindex.costmodel import CostContext
 from mvindex.errors import AdvisorError
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_text
 from mvindex.workload import load_workload
@@ -49,6 +58,12 @@ def mutated(draw, text: str) -> str:
     return text
 
 
+def build_every_plan(workload, views, indexes, catalog) -> None:
+    ctx = CostContext(build_matrices(workload, views, indexes), catalog)
+    for q in ctx.queries:
+        ctx.plan(q)
+
+
 @contextmanager
 def returns_or_names(source: str):
     """The block, given ``source``, returns or raises an ``AdvisorError``
@@ -70,16 +85,19 @@ def test_catalog_loader_returns_or_raises_advisor_error(text):
 @given(text=mutated(fixture_text(WORKLOAD_FILE)))
 def test_workload_loader_returns_or_raises_advisor_error(catalog, text):
     try:
-        load_workload(text, catalog, "fuzz.workload")
+        workload = load_workload(text, catalog, "fuzz.workload")
     except AdvisorError:
-        pass
+        return
+    views = generate_view_candidates(workload, catalog)
+    indexes = generate_index_candidates(workload, views, catalog, 1)
+    build_every_plan(workload, views, indexes, catalog)
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=mutated(fixture_text(CANDIDATES_FILE)))
-def test_candidates_loader_returns_or_raises_advisor_error(catalog, text):
+def test_candidates_loader_returns_or_raises_advisor_error(catalog, workload, text):
     with returns_or_names("fuzz.candidates") as source:
-        load_candidates(text, catalog, source)
+        build_every_plan(workload, *load_candidates(text, catalog, source), catalog)
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,4 +108,4 @@ def test_written_candidates_loader_returns_or_raises_advisor_error(seed, extra_c
         inst = with_random_candidates(inst, seed)
     text = data.draw(mutated(format_candidates(inst.views, inst.indexes)))
     with returns_or_names("fuzz.candidates") as source:
-        load_candidates(text, inst.catalog, source)
+        build_every_plan(inst.workload, *load_candidates(text, inst.catalog, source), inst.catalog)

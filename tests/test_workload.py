@@ -156,11 +156,20 @@ def test_refresh_ratio_header(catalog):
         load_workload("refresh_ratio = -1\n", catalog)
 
 
-@pytest.mark.parametrize("value", ["1.2.3", "e", "-"])
-def test_malformed_refresh_ratio_names_its_source_and_line(catalog, value):
-    with pytest.raises(ParseError) as err:
+@pytest.mark.parametrize(
+    "value, error, problem",
+    [
+        *((v, ParseError, f"refresh_ratio takes a real number, got {v!r}")
+          for v in ["1.2.3", "e", "-"]),
+        *((v, ValidationError, f"refresh_ratio must be finite and >= 0, got {v}")
+          for v in ["-1", "1e400"]),
+    ],
+    ids=["1.2.3", "e", "-", "-1", "1e400"],
+)
+def test_malformed_refresh_ratio_names_its_source_and_line(catalog, value, error, problem):
+    with pytest.raises(error) as err:
         load_workload(f"# header\nrefresh_ratio = {value}\n", catalog, "w.workload")
-    assert str(err.value) == f"w.workload: line 2: refresh_ratio takes a real number, got {value!r}"
+    assert str(err.value) == f"w.workload: line 2: {problem}"
 
 
 def test_duplicate_query_ids_rejected(catalog):

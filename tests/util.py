@@ -655,7 +655,9 @@ def oracle_load_workload(text: str, catalog: SchemaCatalog, source: str = "<work
                     f"refresh_ratio takes a real number, got {m.group(1)!r}", source, i + 1
                 ) from None
             if not math.isfinite(refresh_ratio) or refresh_ratio < 0:
-                raise ValidationError(f"refresh_ratio must be finite and >= 0, got {m.group(1)}")
+                raise ValidationError(
+                    f"refresh_ratio must be finite and >= 0, got {m.group(1)}", source, i + 1
+                )
             body_start = i + 1
         break
     body = ("\n" * body_start) + "\n".join(lines[body_start:])
