@@ -34,7 +34,8 @@ base_cost = ctx.workload_total(Configuration())
 
 # Largest budget first: each run resumes from the same strategy's run at the
 # next larger budget (the simultaneous one first from the unconstrained run),
-# replaying the steps they share instead of choosing them again.
+# replaying its leading steps that skipped no id and still fit instead of
+# choosing them again.
 fractions = [0.01, 0.05, 0.1, 0.25, 0.5, 1.0]
 rows = {}
 only_v = only_i = None

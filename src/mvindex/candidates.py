@@ -124,29 +124,17 @@ def generate_view_candidates(workload: Workload, catalog: SchemaCatalog) -> list
     predicate attributes and carries the union of the group's aggregates.
     """
     groups: dict[frozenset[str], list[Query]] = {}
-    order: list[frozenset[str]] = []
     for q in workload.queries:
-        if q.joined_tables not in groups:
-            groups[q.joined_tables] = []
-            order.append(q.joined_tables)
-        groups[q.joined_tables].append(q)
+        groups.setdefault(q.joined_tables, []).append(q)
 
     views = []
-    for k, signature in enumerate(order, start=1):
-        members = groups[signature]
-        group_by: list[Attr] = []
-        aggregates: list[tuple[str, Attr]] = []
-        join_pairs: list[tuple[Attr, Attr]] = []
-        for q in members:
-            for attr in list(q.group_by) + [p.attr for p in q.predicates]:
-                if attr not in group_by:
-                    group_by.append(attr)
-            for agg in q.aggregates:
-                if agg not in aggregates:
-                    aggregates.append(agg)
-            for jp in q.join_pairs:
-                if jp not in join_pairs:
-                    join_pairs.append(jp)
+    for k, (signature, members) in enumerate(groups.items(), start=1):
+        # each union in first-query order: dict keys keep insertion order
+        group_by = tuple(dict.fromkeys(
+            a for q in members for a in (*q.group_by, *(p.attr for p in q.predicates))
+        ))
+        aggregates = tuple(dict.fromkeys(agg for q in members for agg in q.aggregates))
+        join_pairs = tuple(dict.fromkeys(jp for q in members for jp in q.join_pairs))
         views.append(make_view(f"v{k}", signature, join_pairs, group_by, aggregates, catalog))
     return views
 
@@ -172,18 +160,15 @@ def generate_index_candidates(
     """
     if min_support < 1:
         raise ValidationError("min_support must be >= 1")
+    # attribute -> the queries using it, in first-occurrence order
     support: dict[Attr, set[str]] = {}
-    first_seen: list[Attr] = []
     for q in workload.queries:
-        for attr in [p.attr for p in q.predicates] + list(q.group_by):
-            if attr not in support:
-                support[attr] = set()
-                first_seen.append(attr)
-            support[attr].add(q.id)
+        for attr in (*(p.attr for p in q.predicates), *q.group_by):
+            support.setdefault(attr, set()).add(q.id)
 
     candidates = []
-    for attr in first_seen:
-        if len(support[attr]) >= min_support:
+    for attr, users in support.items():
+        if len(users) >= min_support:
             candidates.append(make_base_index(f"i{len(candidates) + 1}", attr, catalog))
 
     for view in views:
@@ -401,6 +386,9 @@ def load_candidates(
     declared: dict[str, int] = {}  # view or index id -> line of its declaration
 
     def declare(kind: str, id_: str, lineno: int) -> None:
+        # selection names pairs v1+i8 and re-targeted indexes i8@v1
+        if "+" in id_ or "@" in id_:
+            raise ValidationError(f"{kind} id {id_!r} may not hold '+' or '@'", source, lineno)
         if id_ in declared:
             raise ValidationError(
                 f"{kind} id {id_!r} repeats, first declared at line {declared[id_]}", source, lineno

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .catalog import SchemaCatalog, btree_height, table_blocks
 from .catalog import blocks as blocks_of
@@ -143,14 +144,14 @@ class CostContext:
     or ``query_cost`` with a non-empty configuration, so one context per
     invocation serves every scoring pass and selection run, and a run that
     selects nothing builds no plan.  Apart from what it derives on first
-    use (the plans, the ``member_facts`` memo and each member's offers) the
-    context is pure.  It carries its inputs (``queries``, ``views`` and
-    ``indexes`` by id, read from ``matrices``, and ``catalog``), so it is
-    the one handle that scoring, selection and reporting take.  It raises
-    ``ValidationError`` for a view or index id that repeats or holds ``+``
-    or ``@``.  The build reads the view-index cells of the usage matrices
-    for ``paired`` and each query's joined tables for its scan; the plans
-    read the query rows.
+    use (the plans, ``paired``, the ``member_facts`` memo and each member's
+    offers) the context is pure.  It carries its inputs (``queries``,
+    ``views`` and ``indexes`` by id, read from ``matrices``, and
+    ``catalog``), so it is the one handle that scoring, selection and
+    reporting take.  It raises ``ValidationError`` for a view or index id
+    that repeats or holds ``+`` or ``@``.  The build reads each query's
+    joined tables for its scan; ``paired`` reads the view-index cells of
+    the usage matrices at its first use, and the plans the query rows.
 
     A plan is ``(fixed, tables, views)``, every cost in blocks: ``fixed``
     sums the scans of the joined tables no usable base index reaches;
@@ -190,14 +191,17 @@ class CostContext:
                 raise ValidationError(f"view and index ids may not hold '+' or '@', got {id_!r}")
             seen.add(id_)
 
-        # candidate id -> the candidates it pairs with in the view-index
-        # matrix: a view's base indexes, a base index's views
-        self.paired: dict[str, list] = {}
-        for vid, iid in matrices.pairs():
+    @cached_property
+    def paired(self) -> dict[str, list]:
+        """Candidate id -> the candidates it pairs with in the view-index
+        matrix: a view's base indexes, a base index's views."""
+        paired: dict[str, list] = {}
+        for vid, iid in self.matrices.pairs():
             v, i = self.views[vid], self.indexes[iid]
             if i.is_base():
-                self.paired.setdefault(vid, []).append(i)
-                self.paired.setdefault(iid, []).append(v)
+                paired.setdefault(vid, []).append(i)
+                paired.setdefault(iid, []).append(v)
+        return paired
 
     def _build_plans(self) -> dict[str, tuple]:
         """Every query's plan by id, from the query rows of the usage matrices."""

@@ -40,20 +40,17 @@ in both directions, and every score that can change is recomputed.
 Selections and traces are identical to rescoring every object at every
 step, which the tests check against such a loop.
 
-A run at budget B can resume from an earlier run over the same objects
-at budget B'.  Both runs rank the same state at every step they share, and
-the objective never reads the budget, so they commit the same object, with
-the same skipped ids, up to the first step that tells them apart.  When
-B <= B' that is the first step whose commit no longer fits in what is left
-of B (or nothing is left): the ids the earlier run skipped did not fit in
-``B' - used``, so they do not fit in the smaller ``B - used`` either.  When
-B > B' every commit of the earlier run fits too, and a step is shared until
-the first one that skipped an id, which might fit under B.  The resumed run
-copies the shared steps (with ``remaining_budget`` recomputed for B),
-commits their objects as it commits its own, scores every object not yet
-fully selected, and continues the loop from there.  Budget percentages and
-sweeps resume from the unconstrained run they are measured against, which
-skips nothing, and each sweep fraction from the next larger one.
+A run can resume from an earlier run over the same objects, under any
+budget.  It copies the earlier run's leading steps while the step skipped
+no id, budget is left and the step's commit still fits, and stops at the
+first step that fails any of them.  This is exact: a step that skipped no
+id committed the top-ranked object of a state both runs share, and the
+objective never reads the budget.  The copied steps get ``remaining_budget``
+recomputed for the new budget and are committed as chosen ones are; every
+object not yet fully selected is then scored and the loop goes on.  Budget
+percentages and sweeps resume from the unconstrained run they are measured
+against, which skips nothing, and each sweep fraction from the next larger
+one, whose first skipped id does not fit under a smaller budget either.
 """
 
 from __future__ import annotations
@@ -135,28 +132,6 @@ def _member_records(obj: SelectionObject, config: Configuration):
     ]
 
 
-def _shared_steps(
-    resume: SelectionResult | None, objects: list[SelectionObject], budget_bytes: int
-):
-    """The leading steps of ``resume`` that a run at ``budget_bytes`` takes
-    too, each with its object: those taken while budget is left and the
-    step's commit still fits, and, under a larger budget than the earlier
-    run's, only those that skipped nothing."""
-    if resume is None or not resume.iterations:
-        return
-    first = resume.iterations[0]
-    larger = budget_bytes > first.remaining_budget + first.incremental_bytes
-    by_id = {o.id: o for o in objects}
-    used = 0
-    for it in resume.iterations:
-        if budget_bytes - used <= 0 or it.incremental_bytes > budget_bytes - used:
-            return
-        if larger and it.skipped_unaffordable:
-            return
-        used += it.incremental_bytes
-        yield it, by_id[it.object_id]
-
-
 def greedy_core(
     ctx: CostContext,
     objects: list[SelectionObject],
@@ -167,7 +142,7 @@ def greedy_core(
     """Greedy loop over an explicit object list (isolated strategies reuse it).
 
     ``resume`` is an earlier run over the same ``objects``, under any
-    budget; the steps both runs share are replayed from it.
+    budget; its leading steps that skipped no id and still fit are replayed.
     """
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
@@ -187,7 +162,14 @@ def greedy_core(
     selected: list[SelectedMember] = []
     iterations: list[IterationRecord] = []
     used = 0
-    for it, obj in _shared_steps(resume, objects, budget_bytes):
+    # the earlier run's leading steps that skipped no id and still fit
+    replay = resume.iterations if resume is not None else []
+    by_id = {o.id: o for o in objects} if replay else {}
+    for it in replay:
+        left = budget_bytes - used
+        if it.skipped_unaffordable or left <= 0 or it.incremental_bytes > left:
+            break
+        obj = by_id[it.object_id]
         selected.extend(_member_records(obj, costs.config))
         costs.commit(obj)
         used += it.incremental_bytes

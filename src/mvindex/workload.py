@@ -390,13 +390,19 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
     for i, where in enumerate(_statements(tokens), start=1):
         try:
             parsed = _Parser(tokens[where.start:where.stop], where, source, body).parse_statement()
-            query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
-        except (ParseError, UnknownNameError, ValidationError) as exc:
-            # the same exception, so a ParseError keeps its source, line and column
+        except ParseError as exc:
+            # the same exception, so it keeps its source, line and column
             exc.args = (f"statement {i}: {exc}",)
             raise
-        if query.id in seen_ids:
-            raise ValidationError(f"statement {i}: duplicate query id {query.id!r}")
+        try:
+            query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
+            if query.id in seen_ids:
+                raise ValidationError(f"duplicate query id {query.id!r}")
+        except (UnknownNameError, ValidationError) as exc:
+            # resolution has no token position: name the statement's first line
+            located = type(exc)(str(exc), source, _position(body, where.start)[0])
+            located.args = (f"statement {i}: {located}",)
+            raise located from None
         seen_ids.add(query.id)
         queries.append(query)
     return Workload(queries=tuple(queries), refresh_ratio=refresh_ratio)

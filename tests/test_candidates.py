@@ -315,10 +315,14 @@ def test_load_candidates_names_the_line_of_an_unresolved_view_or_index(catalog, 
          "view id 'v1' repeats, first declared at line 2"),
         ("index i1 on sales key prod_id\nindex i1 on times key time_id\n", 3,
          "index id 'i1' repeats, first declared at line 2"),
+        (_VIEW_V1.replace("view v1", "view a+b"), 2, "view id 'a+b' may not hold '+' or '@'"),
+        (_VIEW_V1 + "index i8@v1 on sales key prod_id\n", 8,
+         "index id 'i8@v1' may not hold '+' or '@'"),
     ],
-    ids=["two-views", "index-after-view", "view-after-index", "two-indexes"],
+    ids=["two-views", "index-after-view", "view-after-index", "two-indexes", "plus-in-view",
+         "at-in-index"],
 )
-def test_load_candidates_names_the_line_of_a_repeated_id(catalog, text, line, problem):
+def test_load_candidates_names_the_line_of_an_id_breaking_the_id_rule(catalog, text, line, problem):
     with pytest.raises(ValidationError, match=f"^c.cand: line {line}: {re.escape(problem)}$"):
         load_candidates("# one candidate\n" + text, catalog, "c.cand")
 

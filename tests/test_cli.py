@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams
 from mvindex import cli
+from mvindex.candidates import UsageMatrices
 from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
 from mvindex.costmodel import Configuration, CostContext
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
@@ -174,6 +175,18 @@ def test_mode_none_builds_no_plan(capsys, monkeypatch):
     costs = report["costs"]
     assert costs["after"]["per_query"] == costs["before"]["per_query"]
     assert set(costs["after"]["rewriting"].values()) == {"base"}
+
+
+def test_mode_none_reads_no_view_index_pair(capsys, monkeypatch):
+    # no object is enumerated, so nothing reads which candidates pair
+    def refuse(self):
+        raise AssertionError("--mode none read the view-index pairs")
+
+    monkeypatch.setattr(UsageMatrices, "pairs", refuse)
+    code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
+                 "--mode", "none", "--budget", "0", "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["selection"]["objects"] == []
 
 
 def test_sweep_rows(fixture_args, capsys):

@@ -5,11 +5,12 @@ inserts stray tokens) and checks that the loader either returns or raises
 an ``AdvisorError``: malformed input must never escape as another
 exception, which the CLI would print as a traceback.  The texts are the
 bundled fixtures and the candidates files ``format_candidates`` writes for
-random instances.  A catalog or candidates error also names its file.  A
-workload or candidates file that loads also builds every query plan, which
-a run that selects nothing never reads.
+random instances.  Every error also names its file.  A workload or
+candidates file that loads also builds every query plan, which a run that
+selects nothing never reads.
 """
 
+import re
 from contextlib import contextmanager
 
 from hypothesis import given, settings
@@ -67,11 +68,12 @@ def build_every_plan(workload, views, indexes, catalog) -> None:
 @contextmanager
 def returns_or_names(source: str):
     """The block, given ``source``, returns or raises an ``AdvisorError``
-    whose text begins with that source."""
+    whose text begins with that source, after the ``statement N: `` that
+    a workload statement's error leads with."""
     try:
         yield source
     except AdvisorError as exc:
-        assert str(exc).startswith(f"{source}: "), str(exc)
+        assert re.match(rf"(statement \d+: )?{re.escape(source)}: ", str(exc)), str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -84,13 +86,11 @@ def test_catalog_loader_returns_or_raises_advisor_error(text):
 @settings(max_examples=300, deadline=None)
 @given(text=mutated(fixture_text(WORKLOAD_FILE)))
 def test_workload_loader_returns_or_raises_advisor_error(catalog, text):
-    try:
-        workload = load_workload(text, catalog, "fuzz.workload")
-    except AdvisorError:
-        return
-    views = generate_view_candidates(workload, catalog)
-    indexes = generate_index_candidates(workload, views, catalog, 1)
-    build_every_plan(workload, views, indexes, catalog)
+    with returns_or_names("fuzz.workload") as source:
+        workload = load_workload(text, catalog, source)
+        views = generate_view_candidates(workload, catalog)
+        indexes = generate_index_candidates(workload, views, catalog, 1)
+        build_every_plan(workload, views, indexes, catalog)
 
 
 @settings(max_examples=300, deadline=None)

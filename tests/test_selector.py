@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from functools import partial
 from itertools import accumulate
 from unittest import mock
@@ -433,30 +434,67 @@ def test_resumed_run_equals_fresh_run(
             assert previous == fresh[budget]
 
 
-def test_resume_under_a_larger_budget_replays_only_steps_that_skipped_nothing(ctx):
+def test_resume_replays_only_leading_steps_that_skipped_nothing(ctx):
     objects = enumerate_objects(ctx)
     params = _params()
     earlier = greedy_select(ctx, 200_000, params, objects)
     assert any(it.skipped_unaffordable for it in earlier.iterations)
     assert not earlier.iterations[0].skipped_unaffordable
-    for budget in (200_001, 10**6, 10**12):
+    for budget in (100_000, 200_001, 10**6, 10**12):
         assert greedy_select(ctx, budget, params, objects, earlier) == greedy_select(
             ctx, budget, params
         )
 
 
+def test_resume_stops_at_the_first_step_that_skipped_an_id(workload, catalog):
+    # the earlier run's step 3 skipped ids; at the bytes committed through
+    # step 3 that step still fits, yet the resumed run replays only steps 1
+    # and 2 and scores from there, as a run resumed from those two does
+    views = generate_view_candidates(workload, catalog)
+    indexes = generate_index_candidates(workload, views, catalog, 1)
+    ctx = CostContext(build_matrices(workload, views, indexes), catalog)
+    objects = enumerate_objects(ctx)
+    params = _params()
+    earlier = greedy_select(ctx, 200_000, params, objects)
+    assert [bool(it.skipped_unaffordable) for it in earlier.iterations[:3]] == [
+        False, False, True
+    ]
+    budget = sum(it.incremental_bytes for it in earlier.iterations[:3])
+    assert budget == 126_498
+
+    def resumed(resume):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return objective_value(*args)
+
+        with mock.patch.object(mvindex.selector, "objective_value", counted):
+            return greedy_select(ctx, budget, params, objects, resume), len(calls)
+
+    result, calls = resumed(earlier)
+    cut, cut_calls = resumed(replace(earlier, iterations=earlier.iterations[:2]))
+    assert result == cut == greedy_select(ctx, budget, params)
+    assert calls == cut_calls == 51
+
+
 def test_candidates_whose_pair_ids_could_repeat_are_rejected(workload, catalog):
     # pair ids join a view id and an index id with "+": views "a" and "a+b"
     # with indexes "b+c" and "c" would give two pairs named "a+b+c"
-    views, indexes = load_candidates(
+    text = (
         "view a\n  tables sales, times\n  join sales.time_id = times.time_id\n"
         "  group_by times.time_fiscal_year, times.time_id\n  agg sum(sales.amount_sold)\n"
         "view a+b\n  tables sales, times\n  join sales.time_id = times.time_id\n"
         "  group_by times.time_fiscal_year\n  agg sum(sales.amount_sold)\n"
         "index b+c on times key time_id\n"
-        "index c on times key time_fiscal_year\n",
-        catalog,
+        "index c on times key time_fiscal_year\n"
     )
+    with pytest.raises(ValidationError, match=r"^c.cand: line 6: view id 'a\+b'"):
+        load_candidates(text, catalog, "c.cand")
+    # candidates built by a library caller meet the same rule in the context
+    views, indexes = load_candidates(text.replace("+", ""), catalog)
+    views[1] = replace(views[1], id="a+b")
+    indexes[0] = replace(indexes[0], id="b+c")
     matrices = build_matrices(workload, views, indexes)
     with pytest.raises(ValidationError, match=r"'a\+b'"):
         CostContext(matrices, catalog)

@@ -149,6 +149,32 @@ def test_bad_statement_keeps_its_position(catalog):
     assert str(err.value) == "statement 2: w.sql: line 2, column 40: expected keyword 'from'"
 
 
+@pytest.mark.parametrize(
+    "second, error, line, message",
+    [
+        ("\n  select sales.time_id, sum(amount_sold) from sales, timez\n"
+         "  where sales.time_id = timez.time_id group by sales.time_id;",
+         UnknownNameError, 3, "statement 2: w.sql: line 3: q2: unknown table 'timez'"),
+        ("\n\nq1: select times.time_id, sum(amount_sold) from sales, times\n"
+         "  where sales.time_id = times.time_id group by times.time_id;",
+         ValidationError, 4, "statement 2: w.sql: line 4: duplicate query id 'q1'"),
+    ],
+    ids=["unknown-table", "duplicate-id"],
+)
+def test_statement_resolution_error_names_file_and_first_line(
+    catalog, second, error, line, message
+):
+    # resolution has no token position, so the line is that of the statement's first token
+    first = (
+        "q1: select sales.time_id, sum(amount_sold) from sales, times "
+        "where sales.time_id = times.time_id group by sales.time_id;\n"
+    )
+    with pytest.raises(error) as err:
+        load_workload(first + second, catalog, "w.sql")
+    assert str(err.value) == message
+    assert (err.value.source, err.value.line, err.value.column) == ("w.sql", line, None)
+
+
 def test_refresh_ratio_header(catalog):
     w = load_workload("refresh_ratio = 0.5\n", catalog)
     assert w.refresh_ratio == 0.5

@@ -667,12 +667,18 @@ def oracle_load_workload(text: str, catalog: SchemaCatalog, source: str = "<work
     for i, stmt_tokens in enumerate(_oracle_statements(_oracle_tokenize(body, source)), start=1):
         try:
             parsed = _OracleParser(stmt_tokens, source, body).parse_statement()
-            query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
-        except (ParseError, UnknownNameError, ValidationError) as exc:
+        except ParseError as exc:
             exc.args = (f"statement {i}: {exc}",)
             raise
-        if query.id in seen_ids:
-            raise ValidationError(f"statement {i}: duplicate query id {query.id!r}")
+        try:
+            query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
+            if query.id in seen_ids:
+                raise ValidationError(f"duplicate query id {query.id!r}")
+        except (UnknownNameError, ValidationError) as exc:
+            line = _oracle_line_column(body, stmt_tokens[0][2])[0]
+            located = type(exc)(str(exc), source, line)
+            located.args = (f"statement {i}: {located}",)
+            raise located from None
         seen_ids.add(query.id)
         queries.append(query)
     return Workload(queries=tuple(queries), refresh_ratio=refresh_ratio)
