@@ -279,14 +279,6 @@ class UsageMatrices:
         object.__setattr__(self, "index_ids", tuple(i.id for i in self.indexes))
         object.__setattr__(self, "base_index_ids", tuple(i.id for i in self.indexes if i.is_base()))
 
-    def usable_views(self) -> dict[str, list[str]]:
-        """Query id -> ids of the views the query can use: the query-view rows."""
-        return _row_cells(self.query_view, self.query_ids, self.view_ids)
-
-    def usable_base_indexes(self) -> dict[str, list[str]]:
-        """Query id -> ids of the base indexes the query can use: the query-index rows."""
-        return _row_cells(self.query_index, self.query_ids, self.base_index_ids)
-
     def pairs(self) -> list[tuple[str, str]]:
         """(view id, index id) of every unit cell of the view-index matrix, row by row."""
         return [
@@ -297,11 +289,6 @@ class UsageMatrices:
 
     def pair_count(self) -> int:
         return sum(map(sum, self.view_index))
-
-
-def _row_cells(matrix, row_ids, col_ids) -> dict[str, list[str]]:
-    """Row id -> the column ids of the row's unit cells."""
-    return {rid: list(compress(col_ids, row)) for rid, row in zip(row_ids, matrix)}
 
 
 def _unit_rows(rows: list[list[int]], n_cols: int) -> tuple[tuple[int, ...], ...]:
@@ -456,8 +443,9 @@ def load_candidates(
 
     fact = catalog.fact_table.name
     for blk in view_blocks:
-        blk["tables"] = blk["tables"] or []
         vid, line = blk["id"], blk["line"]
+        if blk["tables"] is None:
+            raise ParseError(f"view {vid}: no tables line", source, line)
         if not blk["group_by"]:
             raise ParseError(f"view {vid}: empty group_by", source, line)
         for t in blk["tables"]:

@@ -105,23 +105,31 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 is a ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        problem = f"byte {exc.object[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
+        raise ParseError(f"not UTF-8 text: {problem}", path) from None
+
+
 def _load_inputs(args):
     """Parse the inputs; return the objective parameters and the run's one CostContext.
 
     The context holds the usage matrices, with the queries and candidates
-    they were built over, the catalog, and every query's plan of block costs,
-    computed once at first use.  Every selection and cost report of an
-    invocation reads them from it, so no plan is built twice.
+    they were built over, and the catalog.  At first use it derives every
+    query's plan of block costs and every member's offers in one pass.
+    Every selection and cost report of an invocation reads them from it, so
+    nothing is derived twice.
     """
-    with open(args.schema, encoding="utf-8") as fh:
-        catalog = load_catalog(fh.read(), args.schema)
-    with open(args.workload, encoding="utf-8") as fh:
-        workload = load_workload(fh.read(), catalog, args.workload)
+    catalog = load_catalog(_read_input(args.schema), args.schema)
+    workload = load_workload(_read_input(args.workload), catalog, args.workload)
     if not workload.queries:
         raise ParseError("the workload holds no statements", args.workload)
     if args.candidates:
-        with open(args.candidates, encoding="utf-8") as fh:
-            views, indexes = load_candidates(fh.read(), catalog, args.candidates)
+        views, indexes = load_candidates(_read_input(args.candidates), catalog, args.candidates)
     else:
         views = generate_view_candidates(workload, catalog)
         indexes = generate_index_candidates(workload, views, catalog, args.min_support)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .catalog import SchemaCatalog, btree_height, table_blocks
 from .catalog import blocks as blocks_of
@@ -140,18 +141,19 @@ class CostReport:
 class CostContext:
     """Cost evaluator bound to one set of usage matrices and a catalog.
 
-    Each query's plan is computed once, at the first ``plan``, ``offers``
-    or ``query_cost`` with a non-empty configuration, so one context per
-    invocation serves every scoring pass and selection run, and a run that
-    selects nothing builds no plan.  Apart from what it derives on first
-    use (the plans, ``paired``, the ``member_facts`` memo and each member's
-    offers) the context is pure.  It carries its inputs (``queries``,
+    Every query's plan and every member key's offers come from one pass
+    over the query rows of the usage matrices, at the first ``plan``,
+    ``offers`` or ``query_cost`` with a non-empty configuration.  So one
+    context per invocation serves every scoring pass and selection run, and
+    a run that selects nothing derives neither.  Apart from what it derives
+    on first use (the plans and offers, ``paired`` and the ``member_facts``
+    memo) the context is pure.  It carries its inputs (``queries``,
     ``views`` and ``indexes`` by id, read from ``matrices``, and
     ``catalog``), so it is the one handle that scoring, selection and
     reporting take.  It raises ``ValidationError`` for a view or index id
     that repeats or holds ``+`` or ``@``.  The build reads each query's
     joined tables for its scan; ``paired`` reads the view-index cells of
-    the usage matrices at its first use, and the plans the query rows.
+    the usage matrices at its first use.
 
     A plan is ``(fixed, tables, views)``, every cost in blocks: ``fixed``
     sums the scans of the joined tables no usable base index reaches;
@@ -161,9 +163,8 @@ class CostContext:
     is the btree descent plus the matching fraction of the target's blocks.
     ``query_cost`` takes the minimum over the terms whose keys the
     configuration holds, the earlier term on a tie, and names the winning
-    key; ``plan(q)`` reads a plan, and ``offers(key)`` and ``QueryCosts`` are
-    built on them.  Each member key's offers come from one pass over the
-    plans at the first ``offers`` call, so a run scoring no object skips it.
+    key; ``plan(q)`` reads a plan, ``offers(key)`` a member's list, and
+    ``QueryCosts`` is built on them.
     """
 
     def __init__(self, matrices: UsageMatrices, catalog: SchemaCatalog):
@@ -177,9 +178,6 @@ class CostContext:
         # query id -> blocks of scanning its joined tables, rewriting (a)
         self._scan = {q.id: sum(self._blocks_of_table[t] for t in q.joined_tables)
                       for q in self.queries}
-        self._plans: dict[str, tuple] | None = None  # query id -> plan, see plan
-        # member key -> what selecting it alone offers, see offers
-        self._offers: dict[object, tuple] | None = None
         # member key -> (key, bytes, maintenance blocks), see member_facts
         self._facts: dict[object, tuple[object, int, int]] = {}
 
@@ -203,40 +201,46 @@ class CostContext:
                 paired.setdefault(iid, []).append(v)
         return paired
 
-    def _build_plans(self) -> dict[str, tuple]:
-        """Every query's plan by id, from the query rows of the usage matrices."""
+    @cached_property
+    def _plans_and_offers(self) -> tuple[dict[str, tuple], dict[object, tuple]]:
+        """Every query's plan by id and every member key's offers, from one
+        pass over the query rows of the usage matrices."""
         catalog, matrices, blocks_of_table = self.catalog, self.matrices, self._blocks_of_table
-        views, indexes = matrices.views, matrices.indexes
 
-        # per-candidate facts, read below once per query that can use the candidate
+        # per-candidate facts in matrix column order, read once per query that can use it
         def height(attr):
             return btree_height(catalog.attribute(*attr).cardinality, catalog)
 
-        base_access = {i.id: (i.target, height(i.attribute)) for i in indexes if i.is_base()}
-        view_access = {v.id: (blocks_of(v.row_count, v.row_width, catalog),
-                              [(attr, height(attr)) for attr in sorted(v.indexable_attrs())])
-                       for v in views}
-        views_of, base_indexes_of = matrices.usable_views(), matrices.usable_base_indexes()
-        plans = {}
-        for q in self.queries:
+        base_access = [(i.id, i.target, height(i.attribute)) for i in matrices.indexes if i.is_base()]
+        view_access = [(v.id, blocks_of(v.row_count, v.row_width, catalog),
+                        [(attr, height(attr)) for attr in sorted(v.indexable_attrs())])
+                       for v in matrices.views]
+        plans, lists = {}, {}
+        rows = zip(self.queries, matrices.query_index, matrices.query_view)
+        for pos, (q, index_row, view_row) in enumerate(rows):
             cards = [(p.table, catalog.attribute(*p.attr).cardinality) for p in q.predicates]
             reaching: dict[str, list[tuple[str, int]]] = {}
-            for iid in base_indexes_of[q.id]:
-                t, h = base_access[iid]
+            for iid, t, h in compress(base_access, index_row):
                 divisor = math.prod(card for table, card in cards if table == t)
                 reaching.setdefault(t, []).append((iid, _indexed(h, blocks_of_table[t], divisor)))
             fixed = sum(blocks_of_table[t] for t in q.joined_tables if t not in reaching)
             tables = tuple((blocks_of_table[t], tuple(reaching[t])) for t in sorted(reaching))
+            for slot, (_, options) in enumerate(tables):
+                for iid, blocks in options:
+                    lists.setdefault(iid, []).append((pos, slot, blocks, ()))
             plan_views = []
             q_attrs = q.filter_group_attrs()
             all_divisor = math.prod(card for _, card in cards)
-            for vid in views_of[q.id]:
-                vblocks, on_view = view_access[vid]
+            for vid, vblocks, on_view in compress(view_access, view_row):
                 options = tuple(((vid, attr), _indexed(h, vblocks, all_divisor))
                                 for attr, h in on_view if attr in q_attrs)
                 plan_views.append((vid, vblocks, options))
+                terms = ((vblocks, None), *((blocks, key) for key, blocks in options))
+                lists.setdefault(vid, []).append((pos, None, None, terms))
+                for key, blocks in options:
+                    lists.setdefault(key, []).append((pos, None, None, ((blocks, vid),)))
             plans[q.id] = (fixed, tables, tuple(plan_views))
-        return plans
+        return plans, {key: tuple(offers) for key, offers in lists.items()}
 
     def member_facts(self, member) -> tuple[object, int, int]:
         """``(member_key, object_size, maintenance_cost)`` of a candidate,
@@ -254,11 +258,8 @@ class CostContext:
         return facts
 
     def plan(self, q: Query) -> tuple:
-        """The plan ``(fixed, tables, views)`` of ``q``, see the class docstring;
-        the first call builds every query's plan."""
-        if self._plans is None:
-            self._plans = self._build_plans()
-        return self._plans[q.id]
+        """The plan ``(fixed, tables, views)`` of ``q``, see the class docstring."""
+        return self._plans_and_offers[0][q.id]
 
     def offers(self, key) -> tuple:
         """What selecting the member ``key`` alone offers each query.
@@ -274,20 +275,7 @@ class CostContext:
         its view reaches, and each term that needs the index is counted by
         ``QueryCosts.before_after`` and ``commit`` once the pair is taken.
         """
-        if self._offers is None:  # each member key's list, from one pass over the plans
-            lists: dict[object, list] = {}
-            for pos, q in enumerate(self.queries):
-                _, tables, views = self.plan(q)
-                for slot, (_, options) in enumerate(tables):
-                    for iid, blocks in options:
-                        lists.setdefault(iid, []).append((pos, slot, blocks, ()))
-                for vid, vblocks, options in views:
-                    terms = ((vblocks, None), *((blocks, on_view) for on_view, blocks in options))
-                    lists.setdefault(vid, []).append((pos, None, None, terms))
-                    for on_view, blocks in options:
-                        lists.setdefault(on_view, []).append((pos, None, None, ((blocks, vid),)))
-            self._offers = {member: tuple(offers) for member, offers in lists.items()}
-        return self._offers.get(key, ())
+        return self._plans_and_offers[1].get(key, ())
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
         """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label.

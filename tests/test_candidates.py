@@ -289,6 +289,7 @@ _VIEW_V1 = (
          "view v1: unknown table 'nosuch'"),
         ("view v1\n  tables times\n  group_by times.time_id\n", 2, ValidationError,
          "view v1: must join the fact table 'sales'"),
+        ("view v1\n  group_by sales.time_id\n", 2, ParseError, "view v1: no tables line"),
         ("index i1 on nosuch key attr\n", 2, UnknownNameError, "index i1: unknown target 'nosuch'"),
         ("index i1 on sales key times.time_id\n", 2, ValidationError,
          "index i1: key 'times.time_id' does not belong to 'sales'"),
@@ -296,8 +297,8 @@ _VIEW_V1 = (
          ValidationError, "index j1: times.time_fiscal_year is not indexable on view v1"),
         ("index i1 on sales key nosuch\n", 2, ValidationError, "table 'sales' has no attribute 'nosuch'"),
     ],
-    ids=["unknown-table", "no-fact-table", "unknown-target", "key-off-target", "not-indexable",
-         "unknown-attribute"],
+    ids=["unknown-table", "no-fact-table", "no-tables-line", "unknown-target", "key-off-target",
+         "not-indexable", "unknown-attribute"],
 )
 def test_load_candidates_names_the_line_of_an_unresolved_view_or_index(catalog, text, line, error,
                                                                       problem):

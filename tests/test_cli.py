@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -148,45 +149,72 @@ def test_mode_none(fixture_args, capsys):
     assert report["costs"]["after"]["total"] == 384_325
 
 
-def test_mode_none_derives_no_offers(capsys, monkeypatch):
-    # no object is scored, so no member's offers are derived from the plans
-    def refuse(self, keys):
-        raise AssertionError("--mode none derived offers")
+def _refuse(what):
+    def refuse(self, *args):
+        raise AssertionError(f"--mode none {what}")
 
-    monkeypatch.setattr(CostContext, "offers", refuse)
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "owner, name, refusal",
+    [
+        # the empty configuration costs the joined-table scans: no plan, no offer list
+        (CostContext, "_plans_and_offers", property(_refuse("derived the plans and offers"))),
+        # no object is enumerated, so nothing reads which candidates pair
+        (UsageMatrices, "pairs", _refuse("read the view-index pairs")),
+    ],
+    ids=["plans-and-offers", "view-index-pairs"],
+)
+def test_mode_none_derives_nothing(capsys, monkeypatch, owner, name, refusal):
+    monkeypatch.setattr(owner, name, refusal)
     code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
                  "--mode", "none", "--budget", "0", "--format", "json"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["selection"]["stop_reason"] == "not_run"
-    assert set(report["costs"]["after"]["rewriting"].values()) == {"base"}
-
-
-def test_mode_none_builds_no_plan(capsys, monkeypatch):
-    # the empty configuration costs the joined-table scans, which need no plan
-    def refuse(self):
-        raise AssertionError("--mode none built the query plans")
-
-    monkeypatch.setattr(CostContext, "_build_plans", refuse)
-    code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
-                 "--mode", "none", "--budget", "0", "--format", "json"])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    assert report["selection"]["objects"] == []
     costs = report["costs"]
     assert costs["after"]["per_query"] == costs["before"]["per_query"]
     assert set(costs["after"]["rewriting"].values()) == {"base"}
 
 
-def test_mode_none_reads_no_view_index_pair(capsys, monkeypatch):
-    # no object is enumerated, so nothing reads which candidates pair
-    def refuse(self):
-        raise AssertionError("--mode none read the view-index pairs")
+def test_budget_percentage_derives_plans_and_offers_once(fixture_args, capsys, monkeypatch):
+    # the reference run, the run resumed from it and the report share one derivation
+    derive = CostContext.__dict__["_plans_and_offers"].func
+    derived, runs = [], []
 
-    monkeypatch.setattr(UsageMatrices, "pairs", refuse)
-    code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
-                 "--mode", "none", "--budget", "0", "--format", "json"])
+    def counted(self):
+        derived.append(self)
+        return derive(self)
+
+    def greedy(*args):
+        runs.append(args)
+        return greedy_select(*args)
+
+    counting = cached_property(counted)
+    counting.__set_name__(CostContext, "_plans_and_offers")
+    monkeypatch.setattr(CostContext, "_plans_and_offers", counting)
+    monkeypatch.setattr("mvindex.cli.greedy_select", greedy)
+    code = main(fixture_args + ["--budget", "50%", "--format", "json"])
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["selection"]["objects"] == []
+    report = json.loads(capsys.readouterr().out)
+    assert report["selection"]["objects"]
+    assert report["costs"]["after"]["total"] < report["costs"]["before"]["total"]
+    assert len(runs) == 2 and runs[1][-1] is not None  # the second resumes from the first
+    assert len(derived) == 1
+
+
+@pytest.mark.parametrize("flag", ["--schema", "--workload", "--candidates"])
+def test_non_utf8_input_names_its_file(fixture_args, tmp_path, capsys, flag):
+    args = list(fixture_args)
+    at = args.index(flag) + 1
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(b"\xff" + Path(args[at]).read_bytes())
+    args[at] = str(bad)
+    code = main(args + ["--budget", "50%"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_sweep_rows(fixture_args, capsys):
