@@ -255,7 +255,10 @@ def _query_index_rows(queries, base: list[IndexCandidate]) -> list[list[int]]:
 class UsageMatrices:
     """The queries and candidates of a workload with their three usage matrices.
 
-    Each matrix is a tuple of row tuples holding the ints 0 and 1.
+    Each matrix is a tuple of rows, each row a ``bytes`` of the values 0 and
+    1, one per column: indexing a row gives an int, ``compress`` and ``sum``
+    read it as they would a tuple, and the report writes it in one pass
+    (``jsonfmt``) with no check of each cell.
     ``query_index`` covers base-table candidates only; ``view_index``
     covers the full candidate list.  Rows and columns follow ``queries``,
     ``views`` and ``indexes``, whose ids are derived once, on construction.
@@ -264,9 +267,9 @@ class UsageMatrices:
     queries: tuple[Query, ...]
     views: tuple[ViewCandidate, ...]
     indexes: tuple[IndexCandidate, ...]  # all index candidates
-    query_view: tuple[tuple[int, ...], ...]  # [n_queries][n_views]
-    query_index: tuple[tuple[int, ...], ...]  # [n_queries][n_base_indexes]
-    view_index: tuple[tuple[int, ...], ...]  # [n_views][n_indexes]
+    query_view: tuple[bytes, ...]  # [n_queries][n_views]
+    query_index: tuple[bytes, ...]  # [n_queries][n_base_indexes]
+    view_index: tuple[bytes, ...]  # [n_views][n_indexes]
     query_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     view_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     index_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -291,14 +294,14 @@ class UsageMatrices:
         return sum(map(sum, self.view_index))
 
 
-def _unit_rows(rows: list[list[int]], n_cols: int) -> tuple[tuple[int, ...], ...]:
+def _unit_rows(rows: list[list[int]], n_cols: int) -> tuple[bytes, ...]:
     """0/1 rows, row r holding 1 exactly at the columns ``rows[r]`` lists."""
     filled = []
     for cols in rows:
-        row = [0] * n_cols
+        row = bytearray(n_cols)
         for c in cols:
             row[c] = 1
-        filled.append(tuple(row))
+        filled.append(bytes(row))
     return tuple(filled)
 
 

@@ -30,7 +30,7 @@ from .candidates import (
 from .catalog import load_catalog
 from .costmodel import COST_MODEL_ID, Configuration, CostContext, object_size, workload_cost
 from .errors import AdvisorError, InvalidBudgetError, ParseError
-from .jsonfmt import digit_string, format_json
+from .jsonfmt import format_json, join_values
 from .selector import SelectionResult, enumerate_objects, greedy_select
 from .workload import load_workload
 
@@ -106,10 +106,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    """The text of an input file; one that is not UTF-8 is a ParseError naming it."""
+    """The text of an input file, less a leading byte-order mark; one that is
+    not UTF-8 is a ParseError naming it and the byte's offset in the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         problem = f"byte {exc.object[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
         raise ParseError(f"not UTF-8 text: {problem}", path) from None
@@ -376,11 +377,9 @@ def _format_text_report(report: dict, base_index_ids) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matrix_row(row) -> str:
-    """A matrix row's line: its cells, space-separated, from one pass over a
-    row of digits."""
-    cells = digit_string(row)
-    return "  " + " ".join(map(str, row) if cells is None else cells)
+def _matrix_row(row: bytes) -> str:
+    """A matrix row's line: its cells, space-separated."""
+    return "  " + join_values(" ", row)
 
 
 def run_sweep(args) -> tuple[str, int]:

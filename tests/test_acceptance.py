@@ -90,10 +90,11 @@ def test_criterion_1_matrix_reproduction():
     matrices = build_matrices(workload, views, indexes)
     elapsed = time.perf_counter() - start
 
-    qv_ok = np.array_equal(matrices.query_view, REFERENCE_QV)
-    vi_ok = np.array_equal(matrices.view_index, REFERENCE_VI)
+    # rows are bytes of 0/1; one int per cell, as the reference arrays hold
+    qv_ok = np.array_equal([list(r) for r in matrices.query_view], REFERENCE_QV)
+    vi_ok = np.array_equal([list(r) for r in matrices.view_index], REFERENCE_VI)
 
-    query_index = np.asarray(matrices.query_index)
+    query_index = np.array([list(r) for r in matrices.query_index])
     q5_row = matrices.query_ids.index("q5")
     mask = np.ones(len(matrices.query_ids), dtype=bool)
     mask[q5_row] = False

@@ -1,6 +1,5 @@
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,9 +141,7 @@ def test_usable_index_rejects_view_target(workload, views, catalog):
 def test_build_matrices_empty(catalog):
     w = Workload(queries=())
     m = build_matrices(w, [], [])
-    assert np.asarray(m.query_view).size == 0
-    assert np.asarray(m.query_index).size == 0
-    assert np.asarray(m.view_index).size == 0
+    assert m.query_view == m.query_index == m.view_index == ()
 
 
 def test_vi_requires_target_membership(matrices, views, indexes):
@@ -164,15 +161,15 @@ def test_vi_v7_i11(matrices):
 def test_matrices_idempotent(workload, views, indexes):
     a = build_matrices(workload, views, indexes)
     b = build_matrices(workload, views, indexes)
-    assert np.array_equal(a.query_view, b.query_view)
-    assert np.array_equal(a.query_index, b.query_index)
-    assert np.array_equal(a.view_index, b.view_index)
+    assert a.query_view == b.query_view
+    assert a.query_index == b.query_index
+    assert a.view_index == b.view_index
 
 
 def test_row_sums_for_queries_with_usable_views(workload, catalog):
     views = generate_view_candidates(workload, catalog)
     m = build_matrices(workload, views, [])
-    assert (np.asarray(m.query_view).sum(axis=1) >= 1).all()
+    assert m.query_view and all(sum(row) >= 1 for row in m.query_view)
 
 
 def test_load_candidates_round_trip_ids(views, indexes):
@@ -365,8 +362,26 @@ def test_query_view_matrix_equals_usability_rule(seed, max_tables, extra):
     if extra:  # views no query shaped, some usable by no query
         inst = with_random_candidates(inst, seed)
     views = inst.views + list(_narrowed_views(inst.views, inst.catalog))
-    expected = tuple(tuple(int(oracle_usable_view(q, v)) for v in views) for q in inst.queries)
+    expected = tuple(bytes(oracle_usable_view(q, v) for v in views) for q in inst.queries)
     assert build_matrices(inst.workload, views, inst.indexes).query_view == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), max_tables=st.integers(2, 8), extra=st.booleans())
+def test_matrix_rows_are_bytes_of_zero_and_one_per_column(seed, max_tables, extra):
+    inst = random_instance(seed=seed, max_tables=max_tables)
+    if extra:
+        inst = with_random_candidates(inst, seed)
+    m = inst.matrices
+    for rows, row_ids, column_ids in (
+        (m.query_view, m.query_ids, m.view_ids),
+        (m.query_index, m.query_ids, m.base_index_ids),
+        (m.view_index, m.view_ids, m.index_ids),
+    ):
+        assert type(rows) is tuple and len(rows) == len(row_ids)
+        for row in rows:
+            assert type(row) is bytes and len(row) == len(column_ids)
+            assert set(row) <= {0, 1}
 
 
 @settings(max_examples=60, deadline=None)

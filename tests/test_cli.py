@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import importlib
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams
 from mvindex import cli
-from mvindex.candidates import UsageMatrices
+from mvindex.candidates import UsageMatrices, build_matrices
 from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
 from mvindex.costmodel import Configuration, CostContext
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
@@ -215,6 +216,33 @@ def test_non_utf8_input_names_its_file(fixture_args, tmp_path, capsys, flag):
     code = main(args + ["--budget", "50%"])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("flags", [["--schema"], ["--workload"], ["--candidates"],
+                                   ["--schema", "--workload", "--candidates"]])
+@pytest.mark.parametrize("report", [["--format", "json", "--trace"], ["--format", "text"]])
+def test_byte_order_mark_gives_the_plain_files_report(fixture_args, tmp_path, capsys, flags, report):
+    assert main(fixture_args + ["--budget", "50%"] + report) == 0
+    plain = capsys.readouterr().out
+    args = list(fixture_args)
+    for flag in flags:
+        at = args.index(flag) + 1
+        marked = tmp_path / Path(args[at]).name
+        marked.write_bytes(codecs.BOM_UTF8 + Path(args[at]).read_bytes())
+        args[at] = str(marked)
+    assert main(args + ["--budget", "50%"] + report) == 0
+    assert capsys.readouterr().out.encode() == plain.encode()
+
+
+def test_non_utf8_input_after_a_byte_order_mark_names_its_file_offset(fixture_args, tmp_path, capsys):
+    args = list(fixture_args)
+    text = Path(args[3]).read_bytes()
+    bad = tmp_path / "bad.workload"
+    bad.write_bytes(codecs.BOM_UTF8 + text + b"\xff")
+    args[3] = str(bad)
+    assert main(args + ["--budget", "50%"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not UTF-8 text: byte 0xff at offset {3 + len(text)} (invalid start byte)\n"
 
 
 def test_sweep_rows(fixture_args, capsys):
@@ -429,19 +457,47 @@ json_values = st.recursive(
         | st.lists(children).map(tuple)
         | st.dictionaries(st.text(), children)
         | st.lists(st.integers() | st.booleans())
-        # usage-matrix-like rows: the digits 0..9, their neighbours and bools
         | st.lists(st.integers(-3, 12))
         | st.lists(st.integers(-3, 12)).map(tuple)
         | st.lists(st.integers(0, 9) | st.booleans()).map(tuple)
+        # bytes, written as the list of its values: usage-matrix rows of 0/1,
+        # digits with their neighbours above 9, and any byte, none included
+        | st.lists(st.integers(0, 1)).map(bytes)
+        | st.lists(st.integers(0, 12)).map(bytes)
+        | st.binary()
     ),
     max_leaves=30,
 )
 
 
+def bytes_as_lists(value):
+    """``value`` with each bytes in it, at any depth, replaced by the list of its values."""
+    if isinstance(value, bytes):
+        return list(value)
+    if isinstance(value, (list, tuple)):
+        return [bytes_as_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: bytes_as_lists(item) for key, item in value.items()}
+    return value
+
+
 @settings(max_examples=150, deadline=None)
 @given(value=json_values)
 def test_format_json_equals_indented_sorted_json_dumps(value):
-    assert format_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert format_json(value) == json.dumps(bytes_as_lists(value), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (b"", "[]"),
+        (b"\x00\x01\x01", "[\n  0,\n  1,\n  1\n]"),
+        (b"\x0a\xff", "[\n  10,\n  255\n]"),
+        ({"m": (b"\x01", b"")}, '{\n  "m": [\n    [\n      1\n    ],\n    []\n  ]\n}'),
+    ],
+)
+def test_format_json_writes_bytes_as_the_list_of_its_values(value, text):
+    assert format_json(value) == text
 
 
 def test_json_report_equals_indented_sorted_json_dumps(fixture_args, capsys):
@@ -456,15 +512,18 @@ def test_200_query_report_equals_indented_sorted_json_dumps(monkeypatch, tmp_pat
     catalog, workload = synth.instance_texts(synth.Shape(200, 10, 4, 4), 5)
     (tmp_path / "c").write_text(catalog)
     (tmp_path / "w").write_text(workload)
-    reports = []
+    reports, matrices = [], []
     monkeypatch.setattr(cli, "format_json", lambda report: reports.append(report) or format_json(report))
+    monkeypatch.setattr(cli, "build_matrices", lambda *a: matrices.append(build_matrices(*a)) or matrices[-1])
     argv = ["--schema", str(tmp_path / "c"), "--workload", str(tmp_path / "w"), "--min-support", "5",
             "--mode", "none", "--budget", "0", "--format", "json", "--out", str(tmp_path / "out")]
     assert main(argv) == 0
-    [report] = reports
+    [report], [built] = reports, matrices
     assert len(report["matrices"]["query_ids"]) == 200
-    assert isinstance(report["matrices"]["query_view"][0], tuple)
-    assert format_json(report) == json.dumps(report, indent=2, sort_keys=True)
+    assert report["matrices"]["query_view"] is built.query_view  # written as built
+    for name in ("query_view", "query_index", "view_index"):
+        assert all(type(row) is bytes for row in report["matrices"][name])
+    assert format_json(report) == json.dumps(bytes_as_lists(report), indent=2, sort_keys=True)
 
 
 def test_cli_imports_without_numpy():
