@@ -320,20 +320,27 @@ class QueryCosts:
             self.base.append(base)
             self.cost.append(base if view is None else min(base, view[0]))
 
-    def commit(self, obj) -> None:
+    def commit(self, obj) -> list[tuple[int, int]]:
         """Add the keys of ``obj``, a selection object; each query its offers
-        name takes its cost after, as ``before_after`` finds it."""
+        name takes its cost after, as ``before_after`` finds it.
+
+        Returns the ``(position, slot)`` of each query whose ``base`` fell,
+        with the plan table it fell at: at most one per query.
+        """
         self.config = config = self.config | obj.keys
         mins, base, cost = self.mins, self.base, self.cost
+        lowered = []
         for pos, slot, indexed, terms in obj.offers:
             if slot is not None and indexed < mins[pos][slot]:
                 base[pos] += indexed - mins[pos][slot]
                 mins[pos][slot] = indexed
+                lowered.append((pos, slot))
             best = min(cost[pos], base[pos])
             for blocks, need in terms:
                 if blocks < best and (need is None or need in config):
                     best = blocks
             cost[pos] = best
+        return lowered
 
     def before_after(self, obj) -> tuple[int, int]:
         """Summed cost of the queries ``obj``'s offers name, before and after

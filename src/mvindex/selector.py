@@ -22,23 +22,43 @@ minima.  The loop keeps no configuration of its own: the state changes
 only by ``QueryCosts.commit``, which moves each query the committed
 object offers to its cost after and leaves every other query as it is.
 
-Rescoring is incremental and exact.  An object's objective reads only
-the costs of the queries it has offers for, whether its own members are
-selected, and whether its denominator dependencies are (the base indexes
-related to a view, the views related to an index).  So after each commit
-the loop rescores just the objects that share a query or a member with
-the committed one, or that list one of its members as a denominator
-dependency, and keeps every other object's score.  Positive scores sit
-in a heap as (-objective, incremental bytes, id); a rescore pushes a new
-entry and leaves the old one to be dropped when popped.  Each step pops
-entries until one fits in the budget left; the better ones that do not
-fit are the step's skipped ids, in rank order, and go back in the heap.
-None of them can be committed later, as its incremental bytes fall by at
-most the bytes committed since.  Unlike lazy bounds in the style of CELF,
-this needs no submodularity: view/index interactions change denominators
-in both directions, and every score that can change is recomputed.
-Selections and traces are identical to rescoring every object at every
-step, which the tests check against such a loop.
+Rescoring is lazy, with exact bounds, as in accelerated greedy (Minoux,
+1978; CELF, Leskovec et al., 2007).  That needs no submodularity here,
+though view/index interactions do raise scores: the ways a commit can
+raise one can be listed.  An object's objective is its cost saving over
+the queries it has offers for, divided by its size plus its selected
+denominator dependencies, minus a fixed penalty.  Per query the saving is
+the cost less the least of the cost, the base part with the object's
+table lowered and the offered terms it can use.  A commit only lowers
+costs and base parts and grows denominators, so it lowers or keeps every
+score except where
+
+- (i) it selects a member of the object, or the ``need`` of one of its
+  offered terms, which makes the term usable; or
+- (ii) it lowers the base part of a query that the object, a base index,
+  offers at another table: the object's lowered base part falls by as
+  much, while the query's cost may stay at a view's.
+
+A base part lowered at the object's own table leaves its lowered base
+part as it was, and selecting a denominator dependency only grows the
+denominator.  So after each commit the loop rescores the objects of (i)
+and (ii) at once, and every other score becomes an upper bound: the
+integer saving does not grow, the denominator does not shrink, and a
+float division or subtraction with a fixed other operand keeps the order
+of the operand that moved, so the bound's heap key is at or ahead of the
+exact one, and the same key on a tie (incremental bytes change only
+under (i)).  Positive scores sit in a heap as (-objective, incremental
+bytes, id), each entry stamped with the step it was scored at; a rescore
+pushes a new entry and leaves the old one to be dropped when popped.
+Each step pops entries.  One scored before the last commit is rescored
+and pushed back.  One scored since is exact, and every object ranked
+ahead of it has its bound ahead of it and was popped first.  So the first
+exact entry that fits in the budget left is the step's choice, and the
+exact ones popped before it are its skipped ids, in rank order; they go
+back in the heap.  None of them can be committed later, as its
+incremental bytes fall by at most the bytes committed since.  Selections
+and traces are identical to rescoring every object at every step, which
+the tests check against such a loop.
 
 A run can resume from an earlier run over the same objects, under any
 budget.  It copies the earlier run's leading steps while the step skipped
@@ -147,16 +167,18 @@ def greedy_core(
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
 
-    # What each object's score reads: the costs of the queries it offers
-    # terms to, the selection of its own members and of its denominator
-    # dependencies.
+    # Who a commit can raise: the objects that hold a key as a member or
+    # need it for an offered term, and per query position the base indexes
+    # offering it a lowered table, as (slot, object position).
     readers_of_key: dict[object, list[int]] = {}
-    readers_of_query: dict[int, list[int]] = {}
+    base_offers: list[list[tuple[int, int]]] = [[] for _ in ctx.queries]
     for pos, obj in enumerate(objects):
-        for key in (*obj.keys, *(k for k, _ in obj.deps)):
+        needs = {need for _, _, _, terms in obj.offers for _, need in terms if need is not None}
+        for key in obj.keys | needs:
             readers_of_key.setdefault(key, []).append(pos)
-        for q, _, _, _ in obj.offers:
-            readers_of_query.setdefault(q, []).append(pos)
+        for q, slot, _, _ in obj.offers:
+            if slot is not None:
+                base_offers[q].append((slot, pos))
 
     costs = QueryCosts(ctx)
     selected: list[SelectedMember] = []
@@ -176,14 +198,24 @@ def greedy_core(
         iterations.append(replace(it, remaining_budget=budget_bytes - used))
     # objects not yet fully selected; after a replay all are scored afresh
     remaining = {pos for pos, o in enumerate(objects) if not o.keys <= costs.config}
-    stale = set(remaining)
-    # (-objective, incremental bytes, id, pos) of each positive score, in a
-    # heap that also holds outdated entries: an entry is current while it is
-    # its object's entry in ``ranked``
-    heap: list[tuple[float, int, str, int]] = []
-    ranked: dict[int, tuple[float, int, str, int]] = {}
-    stop = None
+    raised = set(remaining)
     step = len(iterations)
+    # (-objective, incremental bytes, id, pos, step scored at) of each
+    # positive score, in a heap that also holds outdated entries: an entry
+    # is current while it is its object's entry in ``ranked``, and exact
+    # while it was scored at this step, else an upper bound
+    heap: list[tuple[float, int, str, int, int]] = []
+    ranked: dict[int, tuple[float, int, str, int, int]] = {}
+    stop = None
+
+    def score(pos):
+        o = objects[pos]
+        value = objective_value(o, costs, params)
+        if value > 0.0:
+            ranked[pos] = (-value, incremental_size(o, costs.config), o.id, pos, step)
+            heappush(heap, ranked[pos])
+        else:
+            ranked.pop(pos, None)
 
     while True:
         if budget_bytes - used <= 0:
@@ -193,48 +225,45 @@ def greedy_core(
             stop = STOP_CANDIDATES_EXHAUSTED
             break
 
-        for pos in stale:
-            o = objects[pos]
-            value = objective_value(o, costs, params)
-            if value > 0.0:
-                ranked[pos] = (-value, incremental_size(o, costs.config), o.id, pos)
-                heappush(heap, ranked[pos])
-            else:
-                ranked.pop(pos, None)
-        stale.clear()
+        for pos in raised:
+            score(pos)
+        raised.clear()
 
-        # the best affordable score; the better ones that do not fit go back
+        # the best affordable exact score; a bound on top is rescored, and
+        # the better exact ones that do not fit go back
         chosen = None
-        skipped: list[tuple[float, int, str, int]] = []
+        skipped: list[tuple[float, int, str, int, int]] = []
         while heap:
             entry = heappop(heap)
             if ranked.get(entry[3]) is not entry:
                 continue
-            if entry[1] <= budget_bytes - used:
+            if entry[4] != step:
+                score(entry[3])
+            elif entry[1] <= budget_bytes - used:
                 chosen = entry
                 break
-            skipped.append(entry)
+            else:
+                skipped.append(entry)
         if chosen is None:
             stop = STOP_BUDGET_EXHAUSTED if skipped else STOP_NO_POSITIVE_OBJECTIVE
             break
         for entry in skipped:
             heappush(heap, entry)
 
-        neg_value, inc, _, chosen_pos = chosen
+        neg_value, inc, _, chosen_pos, _ = chosen
         obj = objects[chosen_pos]
         selected.extend(_member_records(obj, costs.config))
-        costs.commit(obj)
+        for q, slot in costs.commit(obj):
+            raised.update(pos for s, pos in base_offers[q] if s != slot)
         used += inc
         step += 1
-        for q, _, _, _ in obj.offers:
-            stale.update(readers_of_query[q])
         for key in obj.keys:
-            stale.update(readers_of_key[key])
-        stale &= remaining
+            raised.update(readers_of_key[key])
+        raised &= remaining
         # only an object sharing a member with the commit can have become
-        # fully selected, and every such object is stale
-        for pos in [p for p in stale if objects[p].keys <= costs.config]:
-            stale.discard(pos)
+        # fully selected, and every such object is raised
+        for pos in [p for p in raised if objects[p].keys <= costs.config]:
+            raised.discard(pos)
             remaining.discard(pos)
             ranked.pop(pos, None)
         iterations.append(
@@ -246,7 +275,7 @@ def greedy_core(
                 incremental_bytes=inc,
                 remaining_budget=budget_bytes - used,
                 workload_cost=sum(costs.cost),
-                skipped_unaffordable=tuple(oid for _, _, oid, _ in skipped),
+                skipped_unaffordable=tuple(entry[2] for entry in skipped),
             )
         )
 

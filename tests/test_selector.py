@@ -17,6 +17,7 @@ from mvindex.candidates import (
     generate_view_candidates,
     load_candidates,
 )
+from mvindex.catalog import load_catalog
 from mvindex.costmodel import Configuration, CostContext, QueryCosts, object_size
 from mvindex.errors import InvalidBudgetError, ValidationError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
@@ -260,8 +261,21 @@ def test_running_costs_score_every_remaining_object_as_objective_value(
             self.check()
 
         def commit(self, obj):
-            super().commit(obj)
+            mins, base = [list(m) for m in self.mins], list(self.base)
+            lowered = super().commit(obj)
+            # exactly the (position, slot) whose minimum fell, and only
+            # their base parts moved
+            assert lowered == [
+                (pos, slot)
+                for pos, (was, now) in enumerate(zip(mins, self.mins))
+                for slot in range(len(now))
+                if was[slot] != now[slot]
+            ], obj.id
+            assert [pos for pos, _ in lowered] == [
+                pos for pos, (was, now) in enumerate(zip(base, self.base)) if was != now
+            ], obj.id
             self.check()
+            return lowered
 
         def check(self):
             config = self.config
@@ -345,6 +359,76 @@ def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
     assert not {pos for pos, *_ in ctx.offers("v1")} & {pos for pos, *_ in ctx.offers("i1")}
     res = greedy_select(ctx, 10**12, _params())
     assert [it.object_id for it in res.iterations] == ["v1", "i1"]
+    expected = full_rescore_greedy(enumerate_objects(ctx), matrices, catalog, 10**12, _params())
+    assert res.iterations == expected.iterations
+
+
+# Two tables, two queries, a view that answers only q1, and a base index on
+# each table.  q1 costs 208 blocks through v1 and beats that on its base
+# tables only with both indexes (3 + 6 blocks).
+_LOWERED_BASE_CATALOG = """\
+block_size 8192
+btree_fanout 200
+rowid_width 10
+table f fact rows 100000 row_width 80
+  attr k card 100000 width 4
+  attr a card 1000 width 4
+  attr m card 1000 width 4
+  attr n card 1000 width 4
+  attr c card 1 width 1
+table d dimension rows 400000 row_width 20
+  attr k card 400000 width 4
+  attr b card 200 width 4
+"""
+_LOWERED_BASE_WORKLOAD = """\
+q1: select f.a, sum(m) from f, d where f.k = d.k and f.a = 1 and d.b = 2 group by f.a;
+q2: select d.b, sum(n) from f, d where f.k = d.k and d.b = 3 group by d.b;
+"""
+_LOWERED_BASE_CANDIDATES = """\
+view v1
+  tables f, d
+  join f.k = d.k
+  group_by f.a, d.b, f.c
+  agg sum(f.m)
+  indexable f.c
+index i1 on f key a
+index i2 on d key b
+"""
+
+
+def test_commit_rescores_base_indexes_at_another_lowered_table():
+    # i1 scores 0.0 once v1 is selected: q1's base part with f lowered is
+    # still above v1's 208 blocks.  Selecting i2 lowers q1's base part at d,
+    # not at f, and leaves q1 at v1's cost; only then does i1 score positive.
+    catalog = load_catalog(_LOWERED_BASE_CATALOG)
+    workload = load_workload(_LOWERED_BASE_WORKLOAD, catalog)
+    matrices = build_matrices(workload, *load_candidates(_LOWERED_BASE_CANDIDATES, catalog))
+    ctx = CostContext(matrices, catalog)
+    res = greedy_select(ctx, 10**12, _params())
+    assert [it.object_id for it in res.iterations] == ["v1", "i2", "i1"]
+    assert res.stop_reason == STOP_CANDIDATES_EXHAUSTED
+    expected = full_rescore_greedy(enumerate_objects(ctx), matrices, catalog, 10**12, _params())
+    assert res.iterations == expected.iterations
+    assert res.stop_reason == expected.stop_reason
+
+
+def test_commit_rescores_objects_with_a_term_that_needs_its_key(workload, catalog):
+    # j1's only term is on v1, so j1 scores 0.0 until v1 is selected.  v1 is
+    # not a member of j1 and lowers no base part: only the term's need on
+    # v1 says that committing v1 can raise j1.
+    matrices = build_matrices(
+        workload,
+        *load_candidates(
+            "view v1\n  tables sales, times\n  join sales.time_id = times.time_id\n"
+            "  group_by sales.time_id, times.time_fiscal_year\n  agg sum(sales.amount_sold)\n"
+            "  indexable times.time_fiscal_year\n"
+            "index j1 on v1 key times.time_fiscal_year\n",
+            catalog,
+        ),
+    )
+    ctx = CostContext(matrices, catalog)
+    res = greedy_select(ctx, 10**12, _params())
+    assert [it.object_id for it in res.iterations] == ["v1", "j1"]
     expected = full_rescore_greedy(enumerate_objects(ctx), matrices, catalog, 10**12, _params())
     assert res.iterations == expected.iterations
 
