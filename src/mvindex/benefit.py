@@ -56,20 +56,28 @@ def benefit_density(cost_before: int, cost_after: int, denominator_bytes: int) -
     return (cost_before - cost_after) / max(denominator_bytes, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SelectionObject:
     """One scorable unit: a view, an index, or a view paired with an index on it.
 
     A pair carries the view and the physical index on it.  The facts a score
-    reads never change during a run, so they are set once, from the run's
-    context, when the object is built: the member ``keys``, ``size`` and
+    and a greedy run read never change during a run, so they are set once,
+    from the member facts of the run's context (``CostContext.member_facts``),
+    when the object is built: the member ``keys``, ``size`` and
     ``maintenance`` of all members, ``parts`` (key, bytes) per member, view
     first, and ``offers``, its first member's offer list (a pair shares its
-    view's, see ``CostContext.offers``).  ``deps`` holds
-    (key, bytes) per candidate whose selection adds its size to the benefit
-    denominator: the base indexes a view pairs with and the views a base
-    index pairs with (read from the view-index matrix), the view an on-view
-    index is built on.  Pairs have none.
+    view's, see ``CostContext.offers``).  ``deps`` holds (key, bytes) per
+    candidate whose selection adds its size to the benefit denominator: the
+    base indexes a view pairs with and the views a base index pairs with
+    (read from the view-index matrix), the view an on-view index is built
+    on.  Pairs have none.  ``raised_by`` holds the keys whose commit can raise
+    its score: its members and the ``need`` of each offered term.
+    ``base_slots`` holds the ``(position, slot)`` of each offer at a plan
+    table, which only a base index has.
+
+    No field is assigned after construction.  The class is not frozen: a
+    frozen dataclass sets each field through ``object.__setattr__``, which
+    took more than half the time of building an object.
     """
 
     id: str
@@ -82,6 +90,8 @@ class SelectionObject:
     parts: tuple[tuple[object, int], ...]
     deps: tuple[tuple[object, int], ...]
     offers: tuple
+    raised_by: Configuration
+    base_slots: tuple[tuple[int, int], ...]
 
     def members(self):
         if self.view is not None:
@@ -90,36 +100,34 @@ class SelectionObject:
             yield self.index
 
 
-def _object(oid: str, kind: str, view, index, ctx: CostContext) -> SelectionObject:
-    facts = [ctx.member_facts(m) for m in (view, index) if m is not None]
-    parts = tuple((key, b) for key, b, _ in facts)
-    keys = frozenset(key for key, _ in parts)
-    if kind == "pair":
-        deps = []
-    elif kind == "index" and not index.is_base():
-        deps = [ctx.views[index.target]]
-    else:  # a view's base indexes, or a base index's views
-        deps = ctx.paired.get(oid, [])
+def _object(oid: str, kind: str, view, index, facts: tuple, deps: tuple, index_facts=None):
+    """An object from its first member's facts (``CostContext.member_facts``)
+    and, for a pair, its index's."""
+    part, keys, maintenance, offers, raised_by, base_slots = facts
+    size = part[1]
+    parts = (part,)
+    if index_facts is not None:
+        index_part, index_keys, index_maintenance, _, index_raised_by, _ = index_facts
+        parts = (part, index_part)
+        keys = keys | index_keys
+        size += index_part[1]
+        maintenance += index_maintenance
+        raised_by = raised_by | index_raised_by
     return SelectionObject(
-        id=oid,
-        kind=kind,
-        view=view,
-        index=index,
-        keys=keys,
-        size=sum(b for _, b in parts),
-        maintenance=sum(m for _, _, m in facts),
-        parts=parts,
-        deps=tuple(ctx.member_facts(d)[:2] for d in deps),
-        offers=ctx.offers(parts[0][0]),
+        oid, kind, view, index, keys, size, maintenance, parts, deps, offers, raised_by, base_slots
     )
 
 
 def view_object(v: ViewCandidate, ctx: CostContext) -> SelectionObject:
-    return _object(v.id, "view", v, None, ctx)
+    return _object(v.id, "view", v, None, ctx.member_facts(v.id, v), ctx.paired.get(v.id, ()))
 
 
 def index_object(i: IndexCandidate, ctx: CostContext) -> SelectionObject:
-    return _object(i.id, "index", None, i, ctx)
+    if i.is_base():
+        return _object(i.id, "index", None, i, ctx.member_facts(i.id, i), ctx.paired.get(i.id, ()))
+    view = i.on_view
+    facts = ctx.member_facts((view.id, i.attribute), i)
+    return _object(i.id, "index", None, i, facts, (ctx.member_facts(view.id, view)[0],))
 
 
 def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> SelectionObject:
@@ -130,7 +138,9 @@ def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> Select
         if i.target != v.id:
             raise ValidationError(f"index {i.id} targets {i.target}, not view {v.id}")
         on_view = i
-    return _object(f"{v.id}+{i.id}", "pair", v, on_view, ctx)
+    facts = ctx.member_facts(v.id, v)
+    index_facts = ctx.member_facts((v.id, on_view.attribute), on_view)
+    return _object(f"{v.id}+{i.id}", "pair", v, on_view, facts, (), index_facts)
 
 
 def object_benefit(obj: SelectionObject, costs: QueryCosts) -> float:

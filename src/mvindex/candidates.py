@@ -47,12 +47,17 @@ class ViewCandidate:
     row_count: int  # estimated distinct groups
     row_width: int  # group-by widths plus 8 bytes per aggregate
     indexable: frozenset[Attr] | None = None  # None means every group_by attribute
+    _group_by_set: frozenset[Attr] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # set once: the usage rules and every pair's index check read it
+        object.__setattr__(self, "_group_by_set", frozenset(self.group_by))
 
     def group_by_set(self) -> frozenset[Attr]:
-        return frozenset(self.group_by)
+        return self._group_by_set
 
     def indexable_attrs(self) -> frozenset[Attr]:
-        return self.group_by_set() if self.indexable is None else self.indexable
+        return self._group_by_set if self.indexable is None else self.indexable
 
 
 @dataclass(frozen=True)

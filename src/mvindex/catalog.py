@@ -52,12 +52,14 @@ class TableStats:
     row_count: int
     row_width: int
     attributes: tuple[AttributeStats, ...] = ()
+    # name -> the first attribute of that name, set once
+    _by_name: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_name", {a.name: a for a in reversed(self.attributes)})
 
     def attribute(self, name: str) -> AttributeStats | None:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        return None
+        return self._by_name.get(name)
 
     @property
     def size_bytes(self) -> int:

@@ -146,11 +146,14 @@ class CostContext:
     ``offers`` or ``query_cost`` with a non-empty configuration.  So one
     context per invocation serves every scoring pass and selection run, and
     a run that selects nothing derives neither.  Apart from what it derives
-    on first use (the plans and offers, ``paired`` and the ``member_facts``
-    memo) the context is pure.  It carries its inputs (``queries``,
-    ``views`` and ``indexes`` by id, read from ``matrices``, and
-    ``catalog``), so it is the one handle that scoring, selection and
-    reporting take.  It raises ``ValidationError`` for a view or index id
+    on first use the context is pure: the plans and offers; the empty
+    configuration's running costs, which each ``QueryCosts`` copies;
+    ``paired``; and, per member key, the ``member_facts`` that selection
+    objects are built from.  None of these refers back to the context, so
+    an invocation's context is freed as soon as it ends, by reference
+    counting.  It carries its inputs (``queries``, ``views`` and ``indexes``
+    by id, read from ``matrices``, and ``catalog``), so it is the one
+    handle that scoring, selection and reporting take.  It raises ``ValidationError`` for a view or index id
     that repeats or holds ``+`` or ``@``.  The build reads each query's
     joined tables for its scan; ``paired`` reads the view-index cells of
     the usage matrices at its first use.
@@ -178,8 +181,8 @@ class CostContext:
         # query id -> blocks of scanning its joined tables, rewriting (a)
         self._scan = {q.id: sum(self._blocks_of_table[t] for t in q.joined_tables)
                       for q in self.queries}
-        # member key -> (key, bytes, maintenance blocks), see member_facts
-        self._facts: dict[object, tuple[object, int, int]] = {}
+        # member key -> what a selection object reads of it, see member_facts
+        self._facts: dict[object, tuple] = {}
 
         seen = set()
         for id_ in matrices.view_ids + matrices.index_ids:
@@ -190,16 +193,16 @@ class CostContext:
             seen.add(id_)
 
     @cached_property
-    def paired(self) -> dict[str, list]:
-        """Candidate id -> the candidates it pairs with in the view-index
-        matrix: a view's base indexes, a base index's views."""
+    def paired(self) -> dict[str, tuple]:
+        """Candidate id -> ``(key, bytes)`` of each candidate it pairs with in
+        the view-index matrix: a view's base indexes, a base index's views."""
         paired: dict[str, list] = {}
         for vid, iid in self.matrices.pairs():
             v, i = self.views[vid], self.indexes[iid]
             if i.is_base():
-                paired.setdefault(vid, []).append(i)
-                paired.setdefault(iid, []).append(v)
-        return paired
+                paired.setdefault(vid, []).append(self.member_facts(iid, i)[0])
+                paired.setdefault(iid, []).append(self.member_facts(vid, v)[0])
+        return {cid: tuple(parts) for cid, parts in paired.items()}
 
     @cached_property
     def _plans_and_offers(self) -> tuple[dict[str, tuple], dict[object, tuple]]:
@@ -242,18 +245,44 @@ class CostContext:
             plans[q.id] = (fixed, tables, tuple(plan_views))
         return plans, {key: tuple(offers) for key, offers in lists.items()}
 
-    def member_facts(self, member) -> tuple[object, int, int]:
-        """``(member_key, object_size, maintenance_cost)`` of a candidate,
-        computed once per key.
+    @cached_property
+    def _empty_costs(self) -> tuple[list[list[int]], list[int]]:
+        """The empty configuration's ``mins`` and ``base`` per query, by
+        position: its plan's table scans, and the scan of its joined tables,
+        which is also its cost.  ``QueryCosts`` copies them."""
+        plans = self._plans_and_offers[0]
+        return (
+            [[scan for scan, _ in plans[q.id][1]] for q in self.queries],
+            [self._scan[q.id] for q in self.queries],
+        )
 
-        A view or base index is in many selection objects (its singleton, its
-        pairs, the dependencies of the candidates it pairs with), and every
-        member with one key has the same facts.
+    def member_facts(self, key, member) -> tuple:
+        """What a selection object reads of ``member``, a candidate whose
+        ``member_key`` is ``key``, derived once per key.
+
+        ``(part, keys, maintenance, offers, raised_by, base_slots)``: ``part``
+        is ``(key, bytes)``, ``keys`` the key alone, ``maintenance`` its
+        maintenance blocks and ``offers`` its offer list.  ``raised_by`` is
+        ``keys`` plus the ``need`` of each offered term, the keys whose
+        selection can make a term usable, and ``base_slots`` the ``(position,
+        slot)`` of each offer at a plan table.  A view or base index is in many
+        selection objects (its singleton, its pairs, the dependencies of the
+        candidates it pairs with), and every member with one key has the same
+        facts.
         """
-        key = member_key(member)
         facts = self._facts.get(key)
         if facts is None:
-            facts = (key, object_size(member, self.catalog), maintenance_cost(member, self.catalog))
+            catalog, offers = self.catalog, self.offers(key)
+            keys = frozenset((key,))
+            needs = {need for _, _, _, terms in offers for _, need in terms if need is not None}
+            facts = (
+                (key, object_size(member, catalog)),
+                keys,
+                maintenance_cost(member, catalog),
+                offers,
+                keys | needs if needs else keys,
+                tuple((pos, slot) for pos, slot, _, _ in offers if slot is not None),
+            )
             self._facts[key] = facts
         return facts
 
@@ -305,15 +334,23 @@ class QueryCosts:
     the plan's fixed blocks plus those minima; ``cost``, ``query_cost``'s:
     the lesser of ``base`` and the cheapest selected view or on-view term.
     ``before_after`` and ``commit`` read a selection object's ``keys`` and
-    ``offers``, one member key's list, which objects share unchanged.
+    ``offers``, one member key's list, which objects share unchanged.  For
+    the empty configuration, which every greedy run starts from, the lists
+    are copies of the ones the context derives once: each ``mins`` row holds
+    the plan's table scans, and ``base`` and ``cost`` the joined-table scan.
     """
 
     def __init__(self, ctx: CostContext, config: Configuration = Configuration()):
         self.ctx = ctx
         self.config = config
-        self.mins: list[list[int]] = []
-        self.base: list[int] = []
-        self.cost: list[int] = []
+        if not config:
+            # copies, rows too: ``commit`` changes them in place
+            mins, scans = ctx._empty_costs
+            self.mins = [row.copy() for row in mins]
+            self.base = scans.copy()
+            self.cost = scans.copy()
+            return
+        self.mins, self.base, self.cost = [], [], []
         for q in ctx.queries:
             base, mins, _, view = _cheapest_selected(ctx.plan(q), config)
             self.mins.append(mins)

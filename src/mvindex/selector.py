@@ -60,6 +60,17 @@ incremental bytes fall by at most the bytes committed since.  Selections
 and traces are identical to rescoring every object at every step, which
 the tests check against such a loop.
 
+A run derives only positions.  What it reads of an object is set when
+the object is built, from facts its context derives once per member key
+(``CostContext.member_facts``): besides what a score reads, ``raised_by``,
+its members and the needs of its offered terms, the keys by which (i)
+reaches it, and ``base_slots``, the ``(position, slot)`` of a base index's
+offers, by which (ii) does.  The loop lists the positions of the objects
+each key raises and, per query, the base indexes with their slots, and
+its running costs start from copies of the empty configuration's, which
+the context also derives once.  So the runs of a sweep over one object
+list, and the isolated runs, repeat none of that set-up.
+
 A run can resume from an earlier run over the same objects, under any
 budget.  It copies the earlier run's leading steps while the step skipped
 no id, budget is left and the step's commit still fits, and stops at the
@@ -75,7 +86,7 @@ one, whose first skipped id does not fit under a smaller budget either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .benefit import (
@@ -167,18 +178,16 @@ def greedy_core(
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
 
-    # Who a commit can raise: the objects that hold a key as a member or
-    # need it for an offered term, and per query position the base indexes
-    # offering it a lowered table, as (slot, object position).
+    # Who a commit can raise: the objects raised by a key, and per query
+    # position the base indexes offering it a lowered table, as (slot,
+    # object position).
     readers_of_key: dict[object, list[int]] = {}
     base_offers: list[list[tuple[int, int]]] = [[] for _ in ctx.queries]
     for pos, obj in enumerate(objects):
-        needs = {need for _, _, _, terms in obj.offers for _, need in terms if need is not None}
-        for key in obj.keys | needs:
+        for key in obj.raised_by:
             readers_of_key.setdefault(key, []).append(pos)
-        for q, slot, _, _ in obj.offers:
-            if slot is not None:
-                base_offers[q].append((slot, pos))
+        for q, slot in obj.base_slots:
+            base_offers[q].append((slot, pos))
 
     costs = QueryCosts(ctx)
     selected: list[SelectedMember] = []
@@ -195,7 +204,10 @@ def greedy_core(
         selected.extend(_member_records(obj, costs.config))
         costs.commit(obj)
         used += it.incremental_bytes
-        iterations.append(replace(it, remaining_budget=budget_bytes - used))
+        iterations.append(IterationRecord(
+            it.step, it.object_id, it.kind, it.objective, it.incremental_bytes,
+            budget_bytes - used, it.workload_cost,
+        ))
     # objects not yet fully selected; after a replay all are scored afresh
     remaining = {pos for pos, o in enumerate(objects) if not o.keys <= costs.config}
     raised = set(remaining)

@@ -1,10 +1,12 @@
 import codecs
+import gc
 import hashlib
 import importlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from functools import cached_property
 from pathlib import Path
 
@@ -204,6 +206,32 @@ def test_budget_percentage_derives_plans_and_offers_once(fixture_args, capsys, m
     assert report["costs"]["after"]["total"] < report["costs"]["before"]["total"]
     assert len(runs) == 2 and runs[1][-1] is not None  # the second resumes from the first
     assert len(derived) == 1
+
+
+@pytest.mark.parametrize(
+    "flags", [["--budget", "50%", "--format", "json", "--trace"], ["--sweep", "0.05,0.25,1.0"]]
+)
+def test_context_is_freed_by_reference_counting(fixture_args, capsys, monkeypatch, flags):
+    # nothing a context derives refers back to it, so an invocation's context
+    # is freed when main returns, without waiting for the cycle collector
+    contexts = []
+
+    class Recorded(CostContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "CostContext", Recorded)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(fixture_args + flags) == 0
+        assert len(contexts) == 1
+        assert contexts[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["--schema", "--workload", "--candidates"])

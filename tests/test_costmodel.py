@@ -308,6 +308,24 @@ def test_offers_equal_a_walk_over_every_plan(seed, extra_candidates):
 
 
 @settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), extra_candidates=st.booleans())
+def test_reader_facts_equal_a_walk_over_every_plan(seed, extra_candidates):
+    # a commit can raise an object only through its members and the needs
+    # of its offered terms, or as a base index at a lowered table: the keys
+    # and (position, slot) pairs each object carries, derived once per key
+    inst = random_instance(seed=seed, max_tables=6, max_queries=12)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
+    for o in objects + enumerate_exhaustive_objects(ctx, objects):
+        walked = walk_offers(ctx, o.keys)
+        needs = {need for *_, terms in walked for _, need in terms if need is not None}
+        assert o.raised_by == o.keys | needs, o.id
+        assert o.base_slots == tuple((pos, slot) for pos, slot, *_ in walked if slot is not None), o.id
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), extra_candidates=st.booleans(), order=st.randoms())
 def test_commits_equal_a_fresh_build(seed, extra_candidates, order):
     inst = random_instance(seed=seed, max_tables=6, max_queries=12)

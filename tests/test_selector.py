@@ -18,7 +18,13 @@ from mvindex.candidates import (
     load_candidates,
 )
 from mvindex.catalog import load_catalog
-from mvindex.costmodel import Configuration, CostContext, QueryCosts, object_size
+from mvindex.costmodel import (
+    Configuration,
+    CostContext,
+    QueryCosts,
+    _cheapest_selected,
+    object_size,
+)
 from mvindex.errors import InvalidBudgetError, ValidationError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
 from mvindex.selector import (
@@ -516,6 +522,47 @@ def test_resumed_run_equals_fresh_run(
         for budget in sorted(fresh):
             previous = select(budget, params, objects, previous)  # increasing budgets
             assert previous == fresh[budget]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    extra_candidates=st.booleans(),
+    budget_seed=st.integers(0, 2**32 - 1),
+)
+def test_runs_on_one_context_equal_runs_on_fresh_ones(
+    seed, refresh, extra_candidates, budget_seed
+):
+    # what a context derives for every run (the empty configuration's costs,
+    # the member facts) is copied or only read: runs one after another on
+    # one context select as each does alone on a fresh context and objects
+    inst = random_instance(seed=seed, max_tables=8, max_queries=24)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    params = _params(refresh=refresh)
+    rng = random.Random(budget_seed)
+    budget = log_uniform_budget(rng, sum(o.size for o in enumerate_objects(inst.context())) + 1)
+    smaller = rng.randint(0, budget)
+
+    calls = [
+        lambda ctx, objects: greedy_select(ctx, budget, params, objects),
+        lambda ctx, objects: greedy_select(ctx, smaller, params, objects, shared[0]),
+        lambda ctx, objects: isolated_select(VIEWS_ONLY, ctx, budget, params, objects),
+        lambda ctx, objects: isolated_select(INDEXES_ONLY, ctx, budget, params, objects),
+    ]
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
+    shared = []
+    for call in calls:
+        shared.append(call(ctx, objects))
+    for k, (call, result) in enumerate(zip(calls, shared)):
+        fresh = inst.context()
+        assert call(fresh, enumerate_objects(fresh)) == result, k
+    costs = QueryCosts(ctx)
+    empty = [_cheapest_selected(ctx.plan(q), Configuration()) for q in ctx.queries]
+    assert costs.mins == [mins for _, mins, _, _ in empty]
+    assert costs.base == costs.cost == [base for base, _, _, _ in empty]
 
 
 def test_resume_replays_only_leading_steps_that_skipped_nothing(ctx):
