@@ -157,10 +157,17 @@ def object_benefit(obj: SelectionObject, costs: QueryCosts) -> float:
     return benefit_density(before, after, denom)
 
 
-def objective_value(obj: SelectionObject, costs: QueryCosts, params: ObjectiveParams) -> float:
-    """Benefit minus the maintenance penalty, in the configured mode."""
+def objective_value(
+    obj: SelectionObject, costs: QueryCosts, params: ObjectiveParams, beta: float | None = None
+) -> float:
+    """Benefit minus the maintenance penalty, in the configured mode.
+
+    ``beta`` is ``update_weight(params, costs.ctx)``, which a greedy run
+    computes once; it is computed here when not given.
+    """
     gain = object_benefit(obj, costs)
-    beta = update_weight(params, costs.ctx)
+    if beta is None:
+        beta = update_weight(params, costs.ctx)
     if beta == 0.0:
         return gain
     if params.mode == MODE_LITERAL:

@@ -95,6 +95,7 @@ from .benefit import (
     index_object,
     objective_value,
     pair_object,
+    update_weight,
     view_object,
 )
 from .costmodel import Configuration, CostContext, QueryCosts
@@ -219,10 +220,11 @@ def greedy_core(
     heap: list[tuple[float, int, str, int, int]] = []
     ranked: dict[int, tuple[float, int, str, int, int]] = {}
     stop = None
+    beta = update_weight(params, ctx)
 
     def score(pos):
         o = objects[pos]
-        value = objective_value(o, costs, params)
+        value = objective_value(o, costs, params, beta)
         if value > 0.0:
             ranked[pos] = (-value, incremental_size(o, costs.config), o.id, pos, step)
             heappush(heap, ranked[pos])

@@ -19,12 +19,23 @@ predicate; equality against a literal is a selection predicate.
 
 Tokenizing is one ``findall`` over one pattern: it skips whitespace and
 comments and returns the token texts alone, and a token's kind is told by
-its first character.  A stray character (one no token starts with, or a
-quote that no quote closes) is taken with the rest of the text as the last
-token, so one test of that token rejects it before any statement is parsed
-or resolved.  Statements are the runs of tokens between ``;`` tokens.  A
-token's line and column are computed only for an error, by running
-``finditer`` over the same pattern up to that token.
+its first character.  A name directly followed by ``.name``, with no space
+or comment between, is one fused token: most qualified attributes are
+written so, and each distinct one is split into its lowered (table,
+attribute) once per text.  A stray character (one no token starts with, or
+a quote that no quote closes) is taken with the rest of the text as the
+last token, so one test of that token rejects it before any statement is
+parsed or resolved.  Statements are the runs of tokens between ``;``
+tokens.
+
+One parse function, ``_parse``, walks a statement's tokens with local
+indexes; a qualified attribute is one fused token or ``name . name``.  Where
+a statement breaks the grammar, the same function parses it again over its
+plain tokens, each name a token of its own, and that walk words the error:
+which token is at fault and why does not depend on how the text was fused.
+A token's line and column are computed only for an error, by running
+``finditer`` over the pattern up to that token.  Resolution checks every
+name against one map from each catalog table to its attribute names.
 """
 
 from __future__ import annotations
@@ -84,39 +95,53 @@ class Workload:
         raise KeyError(qid)
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    \s* (?: \#[^\n]* \s* )*       # skipped: whitespace, and comments to their line end
-    (
-        '[^']*'                     # string literal
-      | \d+ (?: \.\d+ )?            # number
-      | [A-Za-z_][A-Za-z_0-9]*      # name or keyword
-      | [(),.;=:]                   # punctuation
-      | [^\s#] [\s\S]*              # a stray character, taken with the rest of the text
-      | \Z                          # the end: an empty token
+def _token_re(name: str) -> re.Pattern:
+    """The token pattern with ``name`` as its name alternative.
+
+    The alternatives before the stray one start with disjoint characters,
+    so their order changes no token; the most frequent come first.
+    """
+    return re.compile(
+        rf"""
+        \s* (?: \#[^\n]* \s* )*       # skipped: whitespace, and comments to their line end
+        (
+            {name}
+          | [(),.;=:]                   # punctuation
+          | '[^']*'                     # string literal
+          | \d+ (?: \.\d+ )?            # number
+          | [^\s#] [\s\S]*              # a stray character, taken with the rest of the text
+          | \Z                          # the end: an empty token
+        )
+        """,
+        re.VERBOSE,
     )
-    """,
-    re.VERBOSE,
-)
+
+
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+# a name or keyword; a name directly followed by ``.name`` is one token
+_TOKEN_RE = _token_re(rf"{_NAME} (?: \.{_NAME} )?")
+# each name its own token: only a statement that breaks the grammar is read so
+_PLAIN_TOKEN_RE = _token_re(_NAME)
 
 _KEYWORDS = {"select", "from", "where", "and", "group", "by", "sum"}
 _NAME_START = frozenset(string.ascii_letters + "_")
 _PUNCT = frozenset("(),.;=:")
 
 
-def _tokenize(text: str, source: str) -> list[str]:
-    """The token texts of ``text``, from one ``findall``; a ParseError at a
-    stray character.
+def _tokenize(text: str, source: str, pattern: re.Pattern = _TOKEN_RE) -> list[str]:
+    """The token texts of ``text``, from one ``findall``, ending with one
+    empty end token; a ParseError at a stray character.
 
     After the skipped prefix some alternative always matches, so the
-    prefix is never given back.  The empty end token, which can repeat,
-    is cut off.
+    prefix is never given back.  The empty end token can repeat; the
+    repeats are cut off.
     """
-    tokens = _TOKEN_RE.findall(text)
-    del tokens[tokens.index(""):]
-    if tokens and _is_stray(tokens[-1]):
-        position = _position(text, len(tokens) - 1)
-        raise ParseError(f"unexpected character {tokens[-1][0]!r}", source, *position)
+    tokens = pattern.findall(text)
+    del tokens[tokens.index("") + 1:]
+    if len(tokens) > 1 and _is_stray(tokens[-2]):
+        stray = tokens[-2]  # it runs to the end of the text
+        position = _line_column(text, len(text) - len(stray))
+        raise ParseError(f"unexpected character {stray[0]!r}", source, *position)
     return tokens
 
 
@@ -129,173 +154,204 @@ def _is_stray(token: str) -> bool:
     return not (first in _NAME_START or first in _PUNCT or first.isdecimal())
 
 
-def _position(text: str, k: int) -> tuple[int, int]:
-    """1-based line and column of the ``k``-th token of ``text``: computed
-    only for an error, from the tokenizer's own pattern."""
-    offset = next(islice(_TOKEN_RE.finditer(text), k, None)).start(1)
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset`` in ``text``."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Parser:
-    """Recursive-descent parser over the token texts of one statement.
+def _position(pattern: re.Pattern, text: str, k: int) -> tuple[int, int]:
+    """Line and column of the ``k``-th token of ``text`` under ``pattern``:
+    computed only for an error."""
+    return _line_column(text, next(islice(pattern.finditer(text), k, None)).start(1))
 
-    ``where`` holds each token's number among the tokens of ``text``, so
-    that an error can name its position.
+
+class _Mismatch(Exception):
+    """The tokens of a statement break the grammar: ``args`` are the
+    message and the number of the token at fault."""
+
+
+def _name(tokens: list[str], k: int) -> str:
+    """The lowered name at token ``k``; a fused token is none."""
+    text = tokens[k]
+    if text[:1] not in _NAME_START or "." in text:
+        raise _Mismatch("expected identifier", k)
+    name = text.lower()
+    if name in _KEYWORDS:
+        raise _Mismatch(f"unexpected keyword {text!r}", k)
+    return name
+
+
+def _qattr(tokens: list[str], fused: dict[str, Attr], k: int) -> tuple[Attr, int]:
+    """The qualified attribute at token ``k``, one fused token or ``name .
+    name``, and the number of the token after it.
+
+    ``fused`` maps each fused token of the text met so far to its lowered
+    (table, attribute), so each distinct one is split once.  A fused token
+    with a keyword half is read as a name, and so rejected.
     """
+    text = tokens[k]
+    attr = fused.get(text)
+    if attr is None and "." in text and text[:1] in _NAME_START:
+        table, _, name = text.lower().partition(".")
+        if table not in _KEYWORDS and name not in _KEYWORDS:
+            attr = fused[text] = (table, name)
+    if attr is not None:
+        return attr, k + 1
+    table = _name(tokens, k)
+    if tokens[k + 1] != ".":
+        raise _Mismatch("expected '.'", k + 1)
+    return (table, _name(tokens, k + 2)), k + 3
 
-    def __init__(self, tokens: list[str], where, source: str, text: str):
-        # the empty end token matches nothing, so the parser never reads past the list
-        self.tokens = tokens + [""]
-        self.pos = 0
-        self.where = where
-        self.source = source
-        self.text = text
 
-    def _error(self, message: str):
-        if not self.where:
-            raise ParseError(message + " (empty statement)", self.source)
-        k = self.pos
-        if k == len(self.where):
-            message += " (at end of statement)"
-            k -= 1  # the end token stands at the last token's position
-        raise ParseError(message, self.source, *_position(self.text, self.where[k]))
+def _parse(tokens: list[str], fused: dict[str, Attr], k: int, stop: int) -> tuple:
+    """Parse the statement ``tokens[k:stop]`` in one walk with a local index.
 
-    def at_keyword(self, word: str) -> bool:
-        # only a name lowers to a keyword
-        return self.tokens[self.pos].lower() == word
+    ``tokens[stop]`` is a ``;`` or the empty end token, which no rule
+    accepts, so the walk never passes it.  Returns the label (or None), the
+    qualified select attributes, the ``sum`` measures, the from list, the
+    join attribute pairs, the (attribute, literal) predicates and the group-by
+    attributes.  Raises ``_Mismatch`` at the first token that breaks the grammar.
+    """
+    label = None
+    text = tokens[k]
+    if text[:1] in _NAME_START and text.lower() != "select" and tokens[k + 1] == ":":
+        label = _name(tokens, k)
+        k += 2
 
-    def expect_keyword(self, word: str) -> None:
-        if not self.at_keyword(word):
-            self._error(f"expected keyword {word!r}")
-        self.pos += 1
-
-    def expect_punct(self, ch: str) -> None:
-        if not self.at_punct(ch):
-            self._error(f"expected {ch!r}")
-        self.pos += 1
-
-    def at_punct(self, ch: str) -> bool:
-        return self.tokens[self.pos] == ch
-
-    def name(self) -> str:
-        text = self.tokens[self.pos]
-        if text[:1] not in _NAME_START:
-            self._error("expected identifier")
-        name = text.lower()
-        if name in _KEYWORDS:
-            self._error(f"unexpected keyword {text!r}")
-        self.pos += 1
-        return name
-
-    def qattr(self) -> Attr:
-        table = self.name()
-        self.expect_punct(".")
-        attr = self.name()
-        return (table, attr)
-
-    def parse_statement(self) -> dict:
-        label = None
-        # optional "name :" statement label
-        text = self.tokens[self.pos]
-        if text[:1] in _NAME_START and text.lower() != "select" and self.tokens[self.pos + 1] == ":":
-            label = self.name()
-            self.pos += 1
-
-        self.expect_keyword("select")
-        selects: list[Attr] = []
-        aggregates: list[tuple[str, str]] = []
-        while True:
-            if self.at_keyword("sum"):
-                self.pos += 1
-                self.expect_punct("(")
-                measure = self.name()
-                self.expect_punct(")")
-                aggregates.append(("sum", measure))
-            else:
-                selects.append(self.qattr())
-            if self.at_punct(","):
-                self.pos += 1
-                continue
+    if tokens[k].lower() != "select":
+        raise _Mismatch("expected keyword 'select'", k)
+    k += 1
+    selects: list[Attr] = []
+    measures: list[str] = []
+    while True:
+        if tokens[k].lower() == "sum":
+            if tokens[k + 1] != "(":
+                raise _Mismatch("expected '('", k + 1)
+            measures.append(_name(tokens, k + 2))
+            if tokens[k + 3] != ")":
+                raise _Mismatch("expected ')'", k + 3)
+            k += 4
+        else:
+            attr, k = _qattr(tokens, fused, k)
+            selects.append(attr)
+        if tokens[k] != ",":
             break
+        k += 1
 
-        self.expect_keyword("from")
-        tables: list[str] = [self.name()]
-        while self.at_punct(","):
-            self.pos += 1
-            tables.append(self.name())
+    if tokens[k].lower() != "from":
+        raise _Mismatch("expected keyword 'from'", k)
+    tables = [_name(tokens, k + 1)]
+    k += 2
+    while tokens[k] == ",":
+        tables.append(_name(tokens, k + 1))
+        k += 2
 
-        self.expect_keyword("where")
-        joins: list[tuple[Attr, Attr]] = []
-        predicates: list[tuple[Attr, str]] = []
-        while True:
-            left = self.qattr()
-            self.expect_punct("=")
-            text = self.tokens[self.pos]
-            first = text[:1]
-            if first in _NAME_START:
-                right = self.qattr()
-                joins.append((left, right))
-            elif first == "'" or first.isdecimal():  # a string or a number
-                self.pos += 1
-                predicates.append((left, text))
-            else:
-                self._error("expected attribute or literal after '='")
-            if self.at_keyword("and"):
-                self.pos += 1
-                continue
+    if tokens[k].lower() != "where":
+        raise _Mismatch("expected keyword 'where'", k)
+    k += 1
+    joins: list[tuple[Attr, Attr]] = []
+    predicates: list[tuple[Attr, str]] = []
+    while True:
+        left, k = _qattr(tokens, fused, k)
+        if tokens[k] != "=":
+            raise _Mismatch("expected '='", k)
+        text = tokens[k + 1]
+        first = text[:1]
+        if first in _NAME_START:
+            right, k = _qattr(tokens, fused, k + 1)
+            joins.append((left, right))
+        elif first == "'" or first.isdecimal():  # a string or a number
+            predicates.append((left, text))
+            k += 2
+        else:
+            raise _Mismatch("expected attribute or literal after '='", k + 1)
+        if tokens[k].lower() != "and":
             break
+        k += 1
 
-        group_by: list[Attr] = []
-        if self.at_keyword("group"):
-            self.pos += 1
-            self.expect_keyword("by")
-            group_by.append(self.qattr())
-            while self.at_punct(","):
-                self.pos += 1
-                group_by.append(self.qattr())
+    group_by: list[Attr] = []
+    if tokens[k].lower() == "group":
+        if tokens[k + 1].lower() != "by":
+            raise _Mismatch("expected keyword 'by'", k + 1)
+        attr, k = _qattr(tokens, fused, k + 2)
+        group_by.append(attr)
+        while tokens[k] == ",":
+            attr, k = _qattr(tokens, fused, k + 1)
+            group_by.append(attr)
 
-        if self.pos != len(self.where):
-            self._error("trailing input after statement")
-
-        return {
-            "label": label,
-            "selects": selects,
-            "aggregates": aggregates,
-            "tables": tables,
-            "joins": joins,
-            "predicates": predicates,
-            "group_by": group_by,
-        }
+    if k != stop:
+        raise _Mismatch("trailing input after statement", k)
+    return label, selects, measures, tables, joins, predicates, group_by
 
 
-def _resolve(parsed: dict, catalog: SchemaCatalog, qid: str) -> Query:
-    tables = parsed["tables"]
+def _parse_statement(
+    text: str, tokens: list[str], fused: dict[str, Attr], where: range, n: int, source: str
+) -> tuple:
+    """``_parse`` of statement ``n`` (0-based) of ``text``, whose tokens
+    ``where`` numbers.
+
+    Where the fused tokens break the grammar, the statement is parsed again
+    over its plain tokens, each name its own token.  That walk accepts what
+    the fused one accepts, and it stops at the token, with the message,
+    that names the fault in the text as written.
+    """
+    try:
+        return _parse(tokens, fused, where.start, where.stop)
+    except _Mismatch:
+        pass
+    tokens = _tokenize(text, source, _PLAIN_TOKEN_RE)
+    where = (_statements(tokens) or [range(0)])[n]
+    try:
+        return _parse(tokens, {}, where.start, where.stop)
+    except _Mismatch as exc:
+        message, k = exc.args
+    if not where:
+        raise ParseError(message + " (empty statement)", source)
+    if k == where.stop:
+        message += " (at end of statement)"
+        k -= 1  # the end stands at the last token's position
+    raise ParseError(message, source, *_position(_PLAIN_TOKEN_RE, text, k))
+
+
+def _catalog_names(catalog: SchemaCatalog) -> dict[str, frozenset[str]]:
+    """Each table's name and the names of its attributes."""
+    return {t.name: frozenset(a.name for a in t.attributes) for t in catalog.tables}
+
+
+def _check_attrs(attrs, names: dict[str, frozenset[str]], joined: frozenset[str], qid: str) -> None:
+    """Raise for the first of ``attrs`` that is no attribute of a table in the from list."""
+    for table, name in attrs:
+        if name in names.get(table, ()) and table in joined:
+            continue
+        if table not in names:
+            raise UnknownNameError(f"{qid}: unknown table {table!r}")
+        if name not in names[table]:
+            raise UnknownNameError(f"{qid}: unknown attribute {table}.{name}")
+        raise ValidationError(f"{qid}: {table}.{name} refers to a table not in the from list")
+
+
+def _resolve(
+    parsed: tuple, names: dict[str, frozenset[str]], catalog: SchemaCatalog, qid: str
+) -> Query:
+    """The Query of a parsed statement, its names checked against ``names``
+    (``_catalog_names(catalog)``)."""
+    _, selects, measures, tables, joins, predicates, group_by = parsed
     joined = frozenset(tables)
     if len(joined) != len(tables):
         raise ValidationError(f"{qid}: duplicate table in from list")
     for t in tables:
-        if not catalog.has_table(t):
+        if t not in names:
             raise UnknownNameError(f"{qid}: unknown table {t!r}")
     fact = catalog.fact_table.name
     if fact not in joined:
         raise ValidationError(f"{qid}: query must join the fact table {fact!r}")
 
-    def check_attr(attr: Attr) -> Attr:
-        table, name = attr
-        if not catalog.has_table(table):
-            raise UnknownNameError(f"{qid}: unknown table {table!r}")
-        if catalog.table(table).attribute(name) is None:
-            raise UnknownNameError(f"{qid}: unknown attribute {table}.{name}")
-        if table not in joined:
-            raise ValidationError(f"{qid}: {table}.{name} refers to a table not in the from list")
-        return attr
-
     join_pairs = []
-    for left, right in parsed["joins"]:
-        check_attr(left)
-        check_attr(right)
+    for pair in joins:
+        _check_attrs(pair, names, joined, qid)
+        left, right = pair
         if left[0] == fact and right[0] != fact:
-            join_pairs.append((left, right))
+            join_pairs.append(pair)
         elif right[0] == fact and left[0] != fact:
             join_pairs.append((right, left))
         else:
@@ -304,37 +360,34 @@ def _resolve(parsed: dict, catalog: SchemaCatalog, qid: str) -> Query:
                 "must link the fact table to a dimension"
             )
 
-    predicates = tuple(
-        Predicate(table=a[0], attribute=a[1], constant=lit)
-        for a, lit in ((check_attr(a), lit) for a, lit in parsed["predicates"])
-    )
+    _check_attrs([a for a, _ in predicates], names, joined, qid)
 
     aggregates = []
-    for func, measure in parsed["aggregates"]:
-        owner = None
-        for t in tables:
-            if catalog.table(t).attribute(measure) is not None:
-                if owner is not None:
-                    raise ValidationError(f"{qid}: aggregate attribute {measure!r} is ambiguous")
-                owner = t
-        if owner is None:
+    for measure in measures:
+        owners = [t for t in tables if measure in names[t]]
+        if len(owners) > 1:
+            raise ValidationError(f"{qid}: aggregate attribute {measure!r} is ambiguous")
+        if not owners:
             raise UnknownNameError(f"{qid}: unknown aggregate attribute {measure!r}")
-        aggregates.append((func, (owner, measure)))
+        aggregates.append(("sum", (owners[0], measure)))
 
+    _check_attrs(selects, names, joined, qid)
+    _check_attrs(group_by, names, joined, qid)
     return Query(
         id=qid,
-        select_attrs=tuple(check_attr(a) for a in parsed["selects"]),
+        select_attrs=tuple(selects),
         aggregates=tuple(aggregates),
         joined_tables=joined,
         join_pairs=tuple(join_pairs),
-        predicates=predicates,
-        group_by=tuple(check_attr(a) for a in parsed["group_by"]),
+        predicates=tuple(Predicate(a[0], a[1], literal) for a, literal in predicates),
+        group_by=tuple(group_by),
     )
 
 
 def _statements(tokens: list[str]) -> list[range]:
-    """The token numbers of each statement: every non-empty run of tokens between ``;`` tokens."""
-    ends = tokens + [";"]  # the last ``;`` ends the last statement
+    """The token numbers of each statement: every non-empty run of tokens
+    between ``;`` tokens and the end token."""
+    ends = tokens[:-1] + [";"]  # the end token ends the last statement
     statements: list[range] = []
     start = 0
     while start < len(ends):
@@ -349,10 +402,11 @@ def parse_query(text: str, catalog: SchemaCatalog, qid: str = "q1", source: str 
     """Parse a single statement into a validated Query; ``;`` may end it."""
     tokens = _tokenize(text, source)
     first, *rest = _statements(tokens) or [range(0)]
-    parsed = _Parser(tokens[first.start:first.stop], first, source, text).parse_statement()
+    parsed = _parse_statement(text, tokens, {}, first, 0, source)
     if rest:
-        raise ParseError("trailing input after statement", source, *_position(text, rest[0].start))
-    return _resolve(parsed, catalog, parsed["label"] or qid)
+        position = _position(_TOKEN_RE, text, rest[0].start)
+        raise ParseError("trailing input after statement", source, *position)
+    return _resolve(parsed, _catalog_names(catalog), catalog, parsed[0] or qid)
 
 
 _HEADER_RE = re.compile(r"^\s*refresh_ratio\s*=\s*([0-9.eE+-]+)\s*$")
@@ -385,22 +439,24 @@ def load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>")
     body = ("\n" * body_start) + "\n".join(lines[body_start:])
 
     tokens = _tokenize(body, source)
+    fused: dict[str, Attr] = {}
+    names = _catalog_names(catalog)
     queries = []
     seen_ids = set()
     for i, where in enumerate(_statements(tokens), start=1):
         try:
-            parsed = _Parser(tokens[where.start:where.stop], where, source, body).parse_statement()
+            parsed = _parse_statement(body, tokens, fused, where, i - 1, source)
         except ParseError as exc:
             # the same exception, so it keeps its source, line and column
             exc.args = (f"statement {i}: {exc}",)
             raise
         try:
-            query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
+            query = _resolve(parsed, names, catalog, parsed[0] or f"q{i}")
             if query.id in seen_ids:
                 raise ValidationError(f"duplicate query id {query.id!r}")
         except (UnknownNameError, ValidationError) as exc:
             # resolution has no token position: name the statement's first line
-            located = type(exc)(str(exc), source, _position(body, where.start)[0])
+            located = type(exc)(str(exc), source, _position(_TOKEN_RE, body, where.start)[0])
             located.args = (f"statement {i}: {located}",)
             raise located from None
         seen_ids.add(query.id)

@@ -6,7 +6,9 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -18,13 +20,15 @@ from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams
 from mvindex import cli
 from mvindex.candidates import UsageMatrices, build_matrices
+from mvindex.catalog import format_catalog
 from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
 from mvindex.costmodel import Configuration, CostContext
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
 from mvindex.selector import enumerate_objects, greedy_select
 from mvindex.jsonfmt import format_json
+from mvindex.workload import Workload, format_workload
 
-from util import load_synth
+from util import load_synth, random_instance
 
 
 @pytest.fixture(scope="module")
@@ -732,3 +736,49 @@ def test_percentage_above_the_reference_budget_equals_byte_budget_run(fixture_ar
     budget = json.loads(report)["budget_bytes"]
     assert main(fixture_args + ["--budget", str(budget)] + flags) == 0
     assert capsys.readouterr().out == report
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    budget=st.sampled_from(["100%", "25%", "5%"]),
+    refresh=st.sampled_from(["0", "0.5", "2"]),
+)
+def test_duplicated_workload_doubles_every_cost_and_selects_alike(seed, budget, refresh):
+    # every statement again under a new id: at --min-support 1 the generated
+    # candidates do not change, each saving and |Q| in the update weight
+    # double, and doubling is exact in binary floating point; the workloads
+    # are formatted text, so the parser reads what format_workload writes
+    inst = random_instance(seed)
+    queries = inst.workload.queries
+    doubled = Workload(queries + tuple(replace(q, id=f"again_{q.id}") for q in queries))
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        schema = Path(tmp, "star.catalog")
+        schema.write_text(format_catalog(inst.catalog), encoding="utf-8")
+        for name, workload in (("once", inst.workload), ("twice", doubled)):
+            path, out = Path(tmp, f"{name}.workload"), Path(tmp, f"{name}.json")
+            path.write_text(format_workload(workload), encoding="utf-8")
+            code = main([
+                "--schema", str(schema), "--workload", str(path), "--min-support", "1",
+                "--refresh-ratio", refresh, "--budget", budget, "--format", "json", "--trace",
+                "--out", str(out),
+            ])
+            assert code == 0
+            reports.append(json.loads(out.read_text(encoding="utf-8")))
+    once, twice = reports
+    assert twice["candidates"] == once["candidates"]
+    assert twice["budget_bytes"] == once["budget_bytes"]
+    doubled_fields = ("objective", "workload_cost")
+    for it_once, it_twice in zip(once["selection"]["iterations"], twice["selection"]["iterations"], strict=True):
+        assert {k: it_twice[k] for k in doubled_fields} == {k: 2 * it_once[k] for k in doubled_fields}
+        assert {k: v for k, v in it_twice.items() if k not in doubled_fields} == {
+            k: v for k, v in it_once.items() if k not in doubled_fields
+        }
+    for key in ("objects", "selected", "stop_reason", "used_bytes"):
+        assert twice["selection"][key] == once["selection"][key], key
+    assert twice["selection"]["total_cost_blocks"] == 2 * once["selection"]["total_cost_blocks"]
+    for side in ("before", "after"):
+        assert twice["costs"][side]["total"] == 2 * once["costs"][side]["total"]
+        per_query = twice["costs"][side]["per_query"]
+        assert {q.id: per_query[f"again_{q.id}"] for q in queries} == once["costs"][side]["per_query"]

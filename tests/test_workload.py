@@ -341,6 +341,47 @@ _CHANNEL = (
         "from" + _Q,
         "\n\n  " + _Q + " trailing",
         _Q.replace("sales, times", "sales; , times"),
+        # a name directly followed by ``.name`` is one token where the
+        # reference has three
+        _Q.replace("sales.time_id", "sales.select"),
+        _Q.replace("times.time_id,", "SELECT.x,"),
+        _Q.replace("= times.time_id", "= times.WHERE"),
+        _Q.replace("from sales", "from sales.x"),
+        _Q.replace("sales, times", "sales, times.time_id"),
+        _Q.replace("sum(amount_sold)", "sum(sales.amount_sold)"),
+        "q1.x: " + _Q,
+        "select.x: " + _Q,
+        _Q.replace("times.time_id,", "times.time_id.x,"),
+        _Q.replace("= times.time_id", "= times.time_id.x"),
+        _Q + " group by sales.time_id.x",
+        _Q.replace("sales.time_id", "sales . time_id"),
+        _Q.replace("sales.time_id", "sales. time_id").replace("times.time_id,", "times .time_id,"),
+        _Q.replace("sales.time_id", "sales.# a comment\ntime_id"),
+        _Q.replace("sales.time_id", "sales# a comment\n.time_id"),
+        _Q + " group by sales.",
+        _Q + " group by sales.;",
+        _Q + " group by sales.\n;" + _Q,
+        _Q.replace("= times.time_id", "= 1.time_id"),
+        _Q.replace("= times.time_id", "= x1.5"),
+        _Q.replace("= times.time_id", "= 'times.time_id'"),
+        # resolution: each check, and which of two faults is reported
+        _Q.replace("times.time_id,", "times.bogus,"),
+        _Q.replace("times.time_id,", "nowhere.time_id,"),
+        _Q + " group by channels.channel_desc",
+        _Q.replace("sales, times", "sales, times, sales"),
+        _Q.replace("sales, times", "times").replace("sales.time_id", "times.time_id"),
+        _Q.replace("sales.time_id = times.time_id", "times.time_id = times.time_id"),
+        _Q.replace("sales.time_id = times.time_id", "sales.time_id = sales.time_id"),
+        _Q.replace("sales.time_id = times.time_id",
+                   "times.time_id = times.time_id and sales.bogus = times.time_id"),
+        _Q.replace("sales.time_id = times.time_id",
+                   "sales.bogus = times.time_id and times.time_id = times.time_id"),
+        _Q.replace("amount_sold", "time_id"),
+        _Q.replace("amount_sold", "bogus"),
+        _Q.replace("amount_sold", "bogus").replace("times.time_id,", "times.bogus,"),
+        _Q.replace("amount_sold", "bogus") + " and times.bogus = 1",
+        _Q.replace("times.time_id,", "times.bogus,") + " group by nowhere.x",
+        _Q.replace("sales, times", "sales, nowhere") + " and times.bogus = 1",
     ],
 )
 def test_parser_equals_reference_parser_on_edge_cases(catalog, text):

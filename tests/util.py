@@ -33,7 +33,7 @@ from mvindex.selector import (
     incremental_size,
 )
 from mvindex.errors import ParseError, UnknownNameError, ValidationError
-from mvindex.workload import _HEADER_RE, Predicate, Query, Workload, _resolve
+from mvindex.workload import _HEADER_RE, Predicate, Query, Workload
 
 
 @dataclass
@@ -463,8 +463,9 @@ def load_synth():
 
 # A reference workload parser: the tokenizer and recursive-descent parser
 # that yielded one (kind, text, offset) tuple per token from one match
-# object each.  The production parser must return equal workloads and raise
-# the same exceptions with the same messages.
+# object each, and the resolution that looked each attribute up through the
+# catalog's methods.  The production parser must return equal workloads and
+# raise the same exceptions with the same messages.
 
 _ORACLE_TOKEN_RE = re.compile(
     r"""
@@ -628,6 +629,70 @@ def _oracle_statements(tokens: list[tuple[str, str, int]]) -> list[list[tuple[st
     return [s for s in statements if s]
 
 
+def _oracle_resolve(parsed: dict, catalog: SchemaCatalog, qid: str) -> Query:
+    tables = parsed["tables"]
+    joined = frozenset(tables)
+    if len(joined) != len(tables):
+        raise ValidationError(f"{qid}: duplicate table in from list")
+    for t in tables:
+        if not catalog.has_table(t):
+            raise UnknownNameError(f"{qid}: unknown table {t!r}")
+    fact = catalog.fact_table.name
+    if fact not in joined:
+        raise ValidationError(f"{qid}: query must join the fact table {fact!r}")
+
+    def check_attr(attr):
+        table, name = attr
+        if not catalog.has_table(table):
+            raise UnknownNameError(f"{qid}: unknown table {table!r}")
+        if catalog.table(table).attribute(name) is None:
+            raise UnknownNameError(f"{qid}: unknown attribute {table}.{name}")
+        if table not in joined:
+            raise ValidationError(f"{qid}: {table}.{name} refers to a table not in the from list")
+        return attr
+
+    join_pairs = []
+    for left, right in parsed["joins"]:
+        check_attr(left)
+        check_attr(right)
+        if left[0] == fact and right[0] != fact:
+            join_pairs.append((left, right))
+        elif right[0] == fact and left[0] != fact:
+            join_pairs.append((right, left))
+        else:
+            raise ValidationError(
+                f"{qid}: join {left[0]}.{left[1]} = {right[0]}.{right[1]} "
+                "must link the fact table to a dimension"
+            )
+
+    predicates = tuple(
+        Predicate(table=a[0], attribute=a[1], constant=lit)
+        for a, lit in ((check_attr(a), lit) for a, lit in parsed["predicates"])
+    )
+
+    aggregates = []
+    for func, measure in parsed["aggregates"]:
+        owner = None
+        for t in tables:
+            if catalog.table(t).attribute(measure) is not None:
+                if owner is not None:
+                    raise ValidationError(f"{qid}: aggregate attribute {measure!r} is ambiguous")
+                owner = t
+        if owner is None:
+            raise UnknownNameError(f"{qid}: unknown aggregate attribute {measure!r}")
+        aggregates.append((func, (owner, measure)))
+
+    return Query(
+        id=qid,
+        select_attrs=tuple(check_attr(a) for a in parsed["selects"]),
+        aggregates=tuple(aggregates),
+        joined_tables=joined,
+        join_pairs=tuple(join_pairs),
+        predicates=predicates,
+        group_by=tuple(check_attr(a) for a in parsed["group_by"]),
+    )
+
+
 def oracle_parse_query(text: str, catalog: SchemaCatalog, qid: str = "q1", source: str = "<query>") -> Query:
     first, *rest = _oracle_statements(_oracle_tokenize(text, source)) or [[]]
     parsed = _OracleParser(first, source, text).parse_statement()
@@ -635,7 +700,7 @@ def oracle_parse_query(text: str, catalog: SchemaCatalog, qid: str = "q1", sourc
         raise ParseError(
             "trailing input after statement", source, *_oracle_line_column(text, rest[0][0][2])
         )
-    return _resolve(parsed, catalog, parsed["label"] or qid)
+    return _oracle_resolve(parsed, catalog, parsed["label"] or qid)
 
 
 def oracle_load_workload(text: str, catalog: SchemaCatalog, source: str = "<workload>") -> Workload:
@@ -671,7 +736,7 @@ def oracle_load_workload(text: str, catalog: SchemaCatalog, source: str = "<work
             exc.args = (f"statement {i}: {exc}",)
             raise
         try:
-            query = _resolve(parsed, catalog, parsed["label"] or f"q{i}")
+            query = _oracle_resolve(parsed, catalog, parsed["label"] or f"q{i}")
             if query.id in seen_ids:
                 raise ValidationError(f"duplicate query id {query.id!r}")
         except (UnknownNameError, ValidationError) as exc:
