@@ -1,10 +1,12 @@
 """Interaction-aware benefit of adding a view or index, and the greedy objective.
 
-Both scores read one ``QueryCosts``: the configuration an object is scored
-against, that configuration's per-query costs, and the run's context.
+Both scores are computed in one function, ``objective_value``, from one
+``QueryCosts``: the configuration an object is scored against, that
+configuration's per-query costs, and the run's context.
 The benefit of an object is the workload cost reduction it causes divided
-by storage bytes: a density in blocks per byte.  The reduction is summed
-over the queries the object's members can touch only; every other query
+by storage bytes: a density in blocks per byte, a zero-size object floored
+at one byte.  The reduction is summed over the queries the object's
+members can touch only (``QueryCosts.before_after``); every other query
 costs the same either way, so the integer reduction, and with it the
 density, equals the whole-workload difference.  When the object interacts
 with already-selected structures (an index related to selected views, or a
@@ -18,7 +20,8 @@ run's ``CostContext`` (``costs.ctx``) gives |Q| (its queries) and |O| (its
 view and index candidates, at least one).
 In the default ``normalized`` mode the penalty is divided by the object's
 size so both terms are per-byte densities; ``literal`` mode subtracts the
-raw block count instead.
+raw block count instead.  The benefit, ``object_benefit``, is the objective
+with a zero penalty weight.
 """
 
 from __future__ import annotations
@@ -46,14 +49,12 @@ class ObjectiveParams:
             raise ValidationError(f"unknown objective mode {self.mode!r}")
 
 
+_NO_PENALTY = ObjectiveParams()  # what ``object_benefit`` scores with, at weight zero
+
+
 def update_weight(params: ObjectiveParams, ctx: CostContext) -> float:
     """Expected updates per refresh cycle: |Q| * (1/|O|) * refresh ratio."""
     return len(ctx.queries) * params.refresh_ratio / max(1, len(ctx.views) + len(ctx.indexes))
-
-
-def benefit_density(cost_before: int, cost_after: int, denominator_bytes: int) -> float:
-    """Blocks saved per byte of storage; zero-size objects floor at one byte."""
-    return (cost_before - cost_after) / max(denominator_bytes, 1)
 
 
 @dataclass(slots=True)
@@ -144,7 +145,8 @@ def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> Select
 
 
 def object_benefit(obj: SelectionObject, costs: QueryCosts) -> float:
-    """Benefit density of adding one object to the configuration of ``costs``.
+    """Benefit density of adding one object to the configuration of ``costs``:
+    its objective with no maintenance penalty.
 
     A view or index with no related selected structure divides the cost it
     saves by its own size; related selected indexes (of a view) or views
@@ -152,9 +154,7 @@ def object_benefit(obj: SelectionObject, costs: QueryCosts) -> float:
     are unselected can still earn direct benefit on base tables; it scores
     zero only when it improves nothing.  Pairs use their combined size.
     """
-    before, after = costs.before_after(obj)
-    denom = obj.size + sum(b for key, b in obj.deps if key in costs.config)
-    return benefit_density(before, after, denom)
+    return objective_value(obj, costs, _NO_PENALTY, 0.0)
 
 
 def objective_value(
@@ -165,7 +165,12 @@ def objective_value(
     ``beta`` is ``update_weight(params, costs.ctx)``, which a greedy run
     computes once; it is computed here when not given.
     """
-    gain = object_benefit(obj, costs)
+    before, after = costs.before_after(obj)
+    denom, config = obj.size, costs.config
+    for key, size in obj.deps:
+        if key in config:
+            denom += size
+    gain = (before - after) / max(denom, 1)
     if beta is None:
         beta = update_weight(params, costs.ctx)
     if beta == 0.0:

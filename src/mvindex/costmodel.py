@@ -148,15 +148,17 @@ class CostContext:
     a run that selects nothing derives neither.  Apart from what it derives
     on first use the context is pure: the plans and offers; the empty
     configuration's running costs, which each ``QueryCosts`` copies;
-    ``paired``; and, per member key, the ``member_facts`` that selection
-    objects are built from.  None of these refers back to the context, so
-    an invocation's context is freed as soon as it ends, by reference
-    counting.  It carries its inputs (``queries``, ``views`` and ``indexes``
-    by id, read from ``matrices``, and ``catalog``), so it is the one
-    handle that scoring, selection and reporting take.  It raises ``ValidationError`` for a view or index id
-    that repeats or holds ``+`` or ``@``.  The build reads each query's
-    joined tables for its scan; ``paired`` reads the view-index cells of
-    the usage matrices at its first use.
+    ``paired``; per member key, the ``member_facts`` that selection
+    objects are built from; and, per object list, the ``reader_index`` that
+    greedy runs over it read, so the runs of a sweep over one list build it
+    once.  None of these refers back to the context, so an invocation's
+    context is freed as soon as it ends, by reference counting.  It carries
+    its inputs (``queries``, ``views`` and ``indexes`` by id, read from
+    ``matrices``, and ``catalog``), so it is the one handle that scoring,
+    selection and reporting take.  It raises ``ValidationError`` for a view
+    or index id that repeats or holds ``+`` or ``@``.  The build reads each
+    query's joined tables for its scan; ``paired`` reads the view-index
+    cells of the usage matrices at its first use.
 
     A plan is ``(fixed, tables, views)``, every cost in blocks: ``fixed``
     sums the scans of the joined tables no usable base index reaches;
@@ -183,6 +185,8 @@ class CostContext:
                       for q in self.queries}
         # member key -> what a selection object reads of it, see member_facts
         self._facts: dict[object, tuple] = {}
+        # object ids in list order -> who a commit can raise, see reader_index
+        self._readers: dict[tuple, tuple] = {}
 
         seen = set()
         for id_ in matrices.view_ids + matrices.index_ids:
@@ -285,6 +289,31 @@ class CostContext:
             )
             self._facts[key] = facts
         return facts
+
+    def reader_index(self, objects) -> tuple[dict[object, list[int]], list[list[tuple[int, int]]]]:
+        """Who a commit can raise among ``objects``, a list of selection
+        objects built on this context, derived once per list.
+
+        ``(readers_of_key, base_offers)``: ``readers_of_key`` maps each key
+        to the positions in ``objects`` of the objects whose ``raised_by``
+        holds it, and ``base_offers`` holds, per query position, ``(slot,
+        object position)`` for each of the objects' ``base_slots`` there.
+        The index is keyed by the ordered tuple of object ids: an object's
+        facts follow from its id on one context, and the positions from the
+        order.  Callers read it and never change it.
+        """
+        ids = tuple([o.id for o in objects])
+        index = self._readers.get(ids)
+        if index is None:
+            readers_of_key: dict[object, list[int]] = {}
+            base_offers: list[list[tuple[int, int]]] = [[] for _ in self.queries]
+            for pos, obj in enumerate(objects):
+                for key in obj.raised_by:
+                    readers_of_key.setdefault(key, []).append(pos)
+                for q, slot in obj.base_slots:
+                    base_offers[q].append((slot, pos))
+            index = self._readers[ids] = (readers_of_key, base_offers)
+        return index
 
     def plan(self, q: Query) -> tuple:
         """The plan ``(fixed, tables, views)`` of ``q``, see the class docstring."""

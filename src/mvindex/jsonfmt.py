@@ -29,8 +29,52 @@ def format_json(value) -> str:
 
 
 def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append ``value``'s text; ``newline`` is a line break plus the current indent."""
-    if isinstance(value, str):
+    """Append ``value``'s text; ``newline`` is a line break plus the current indent.
+
+    Containers are tested first: no value is both a container and a scalar,
+    so the order of the tests does not change what a value is written as.
+    A container writes a child whose type is exactly ``str`` or ``int``
+    itself, with no call; every other child, ``bool`` and subclasses
+    included, takes the branches below.
+    """
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                out.append(separator + _json_str(key) + ": " + _json_str(item))
+            elif kind is int:
+                out.append(separator + _json_str(key) + ": " + int.__repr__(item))
+            else:
+                out.append(separator + _json_str(key) + ": ")
+                _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out.append(separator + _json_str(item))
+            elif kind is int:
+                out.append(separator + int.__repr__(item))
+            else:
+                out.append(separator)
+                _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
         out.append(_json_str(value))
     elif value is None:
         out.append("null")
@@ -42,33 +86,9 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, float):
         out.append(_json_float(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            separator = "," + inner
-            _write_json(item, inner, out)
-        out.append(newline + "]")
     elif isinstance(value, bytes):
         inner = newline + "  "
         out.append("[" + inner + join_values("," + inner, value) + newline + "]" if value else "[]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(separator + _json_str(key) + ": ")
-            separator = "," + inner
-            _write_json(value[key], inner, out)
-        out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

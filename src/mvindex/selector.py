@@ -60,16 +60,17 @@ incremental bytes fall by at most the bytes committed since.  Selections
 and traces are identical to rescoring every object at every step, which
 the tests check against such a loop.
 
-A run derives only positions.  What it reads of an object is set when
-the object is built, from facts its context derives once per member key
-(``CostContext.member_facts``): besides what a score reads, ``raised_by``,
-its members and the needs of its offered terms, the keys by which (i)
-reaches it, and ``base_slots``, the ``(position, slot)`` of a base index's
-offers, by which (ii) does.  The loop lists the positions of the objects
-each key raises and, per query, the base indexes with their slots, and
-its running costs start from copies of the empty configuration's, which
-the context also derives once.  So the runs of a sweep over one object
-list, and the isolated runs, repeat none of that set-up.
+A run derives no fact of its objects.  What it reads of an object is set
+when the object is built, from facts its context derives once per member
+key (``CostContext.member_facts``): besides what a score reads,
+``raised_by``, its members and the needs of its offered terms, the keys by
+which (i) reaches it, and ``base_slots``, the ``(position, slot)`` of a
+base index's offers, by which (ii) does.  The positions of the objects each
+key raises and, per query, the base indexes with their slots, are the
+context's ``reader_index``, derived once per object list, and a run's
+running costs start from copies of the empty configuration's, which the
+context also derives once.  So the runs of a sweep over one object list,
+and the isolated runs over one family, repeat none of that set-up.
 
 A run can resume from an earlier run over the same objects, under any
 budget.  It copies the earlier run's leading steps while the step skipped
@@ -106,7 +107,10 @@ STOP_CANDIDATES_EXHAUSTED = "candidates_exhausted"
 STOP_BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass(frozen=True)
+# Records are slots dataclasses, not frozen ones: nothing hashes them or
+# assigns to them, and a frozen dataclass sets each field through
+# ``object.__setattr__``, which took most of the time of building one.
+@dataclass(slots=True)
 class IterationRecord:
     step: int
     object_id: str
@@ -118,7 +122,7 @@ class IterationRecord:
     skipped_unaffordable: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SelectedMember:
     id: str
     kind: str  # "view" | "base_index" | "view_index"
@@ -150,7 +154,11 @@ def enumerate_objects(ctx: CostContext) -> list[SelectionObject]:
 
 def incremental_size(obj: SelectionObject, config: Configuration) -> int:
     """Bytes a commit would add: members already selected contribute nothing."""
-    return sum(b for key, b in obj.parts if key not in config)
+    size = 0
+    for key, b in obj.parts:
+        if key not in config:
+            size += b
+    return size
 
 
 def _member_records(obj: SelectionObject, config: Configuration):
@@ -179,16 +187,8 @@ def greedy_core(
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
 
-    # Who a commit can raise: the objects raised by a key, and per query
-    # position the base indexes offering it a lowered table, as (slot,
-    # object position).
-    readers_of_key: dict[object, list[int]] = {}
-    base_offers: list[list[tuple[int, int]]] = [[] for _ in ctx.queries]
-    for pos, obj in enumerate(objects):
-        for key in obj.raised_by:
-            readers_of_key.setdefault(key, []).append(pos)
-        for q, slot in obj.base_slots:
-            base_offers[q].append((slot, pos))
+    # who a commit can raise, by key and by query position
+    readers_of_key, base_offers = ctx.reader_index(objects)
 
     costs = QueryCosts(ctx)
     selected: list[SelectedMember] = []

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from mvindex.benefit import (
     ObjectiveParams,
-    benefit_density,
     index_object,
     object_benefit,
     objective_value,
@@ -22,14 +22,32 @@ from mvindex.selector import enumerate_objects
 from util import full_rescore_objective, random_config, random_instance, with_random_candidates
 
 
-def test_benefit_density_direct_substitution():
+class _FixedCosts:
+    """A ``QueryCosts`` stand-in whose cost before and after is given."""
+
+    def __init__(self, before, after, config=Configuration()):
+        self.config = config
+        self._before_after = (before, after)
+
+    def before_after(self, obj):
+        return self._before_after
+
+
+def _sized(size, deps=()):
+    return SimpleNamespace(size=size, deps=deps)
+
+
+def test_benefit_direct_substitution():
     # cost drop 1000 -> 400 over 100 bytes of storage
-    assert benefit_density(1000, 400, 100) == 6.0
-    assert benefit_density(1000, 1000, 100) == 0.0
+    assert object_benefit(_sized(100), _FixedCosts(1000, 400)) == 6.0
+    assert object_benefit(_sized(100), _FixedCosts(1000, 1000)) == 0.0
+    # a selected dependency joins the denominator, an unselected one does not
+    deps = (("v1", 40), ("v2", 1000))
+    assert object_benefit(_sized(60, deps), _FixedCosts(1000, 400, Configuration({"v1"}))) == 6.0
 
 
-def test_benefit_density_zero_size_floor():
-    assert benefit_density(10, 4, 0) == 6.0
+def test_benefit_zero_size_floor():
+    assert object_benefit(_sized(0), _FixedCosts(10, 4)) == 6.0
 
 
 def test_view_benefit_first_branch(views, ctx):

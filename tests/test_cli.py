@@ -1,4 +1,6 @@
 import codecs
+import collections
+import enum
 import gc
 import hashlib
 import importlib
@@ -517,6 +519,25 @@ def bytes_as_lists(value):
 @given(value=json_values)
 def test_format_json_equals_indented_sorted_json_dumps(value):
     assert format_json(value) == json.dumps(bytes_as_lists(value), indent=2, sort_keys=True)
+
+
+class _Flag(enum.IntEnum):
+    ON = 1
+
+
+class _Label(str):
+    pass
+
+
+def test_format_json_writes_bools_and_subclasses_as_json_dumps():
+    # a container writes exact ``str`` and ``int`` children itself; these
+    # take the general branches, as ``type(True) is bool``
+    value = {
+        "bools": [True, False, None, 0, 1],
+        "subclasses": (_Flag.ON, _Label("x"), {"k": _Flag.ON, "s": _Label("y")}),
+        "ordered": collections.OrderedDict([("b", [1.5, "z"]), ("a", True)]),
+    }
+    assert format_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from mvindex.selector import (
     STOP_CANDIDATES_EXHAUSTED,
     STOP_NO_POSITIVE_OBJECTIVE,
     enumerate_objects,
+    greedy_core,
     greedy_select,
     incremental_size,
 )
@@ -563,6 +564,41 @@ def test_runs_on_one_context_equal_runs_on_fresh_ones(
     empty = [_cheapest_selected(ctx.plan(q), Configuration()) for q in ctx.queries]
     assert costs.mins == [mins for _, mins, _, _ in empty]
     assert costs.base == costs.cost == [base for base, _, _, _ in empty]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    extra_candidates=st.booleans(),
+    budget_seed=st.integers(0, 2**32 - 1),
+)
+def test_reader_index_follows_each_object_list_and_its_order(
+    seed, refresh, extra_candidates, budget_seed
+):
+    # the context derives one reader index per object list, by position: runs
+    # on one context over the list, a shuffled copy and a family filtered
+    # from it select as each does on a fresh context and as the reference
+    inst = random_instance(seed=seed, max_tables=8, max_queries=16)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    params = _params(refresh=refresh)
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
+    rng = random.Random(budget_seed)
+    budget = log_uniform_budget(rng, sum(o.size for o in objects) + 1)
+    order = rng.sample(range(len(objects)), len(objects))
+    lists = [
+        lambda objs: objs,
+        lambda objs: [objs[k] for k in order],
+        lambda objs: [o for o in objs if o.kind == "index" and o.index.is_base()],
+    ]
+    results = [greedy_core(ctx, pick(objects), budget, params) for pick in lists]
+    for k, (pick, result) in enumerate(zip(lists, results)):
+        fresh = inst.context()
+        assert greedy_core(fresh, pick(enumerate_objects(fresh)), budget, params) == result, k
+        expected = full_rescore_greedy(pick(objects), inst.matrices, inst.catalog, budget, params)
+        assert result == expected, k
 
 
 def test_resume_replays_only_leading_steps_that_skipped_nothing(ctx):
