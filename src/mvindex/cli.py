@@ -7,6 +7,7 @@ Reports are byte-identical across runs with identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -74,6 +75,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """A new parser of the CLI's arguments; ``main`` builds one per process."""
     p = _Parser(
         prog="mvindex",
         description="Select materialized views and indexes for a star-schema workload "
@@ -103,6 +105,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", default=None,
                    help="include per-iteration trace")
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and kept: parsing stores nothing in
+    # the parser, and a parser per call costs its build and leaves it in
+    # reference cycles (its actions, groups and help formatters) for the
+    # cyclic collector
+    return make_parser()
 
 
 def _read_input(path: str) -> str:
@@ -412,9 +423,10 @@ def run_sweep(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) and return its exit
+    code.  It may be called any number of times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -580,13 +580,15 @@ def test_200_query_report_equals_indented_sorted_json_dumps(monkeypatch, tmp_pat
 
 
 def test_cli_imports_without_numpy():
+    # nor does the import build the argument parser: main builds it
     src = Path(__file__).resolve().parents[1] / "src"
+    program = "import mvindex.cli, sys; print('numpy' in sys.modules, mvindex.cli._parser.cache_info().currsize)"
     proc = subprocess.run(
-        [sys.executable, "-c", "import mvindex.cli, sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", program],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False 0"
 
 
 def test_unwritable_out_exits_1_before_selection(fixture_args, capsys, monkeypatch, tmp_path):
@@ -803,3 +805,95 @@ def test_duplicated_workload_doubles_every_cost_and_selects_alike(seed, budget, 
         assert twice["costs"][side]["total"] == 2 * once["costs"][side]["total"]
         per_query = twice["costs"][side]["per_query"]
         assert {q.id: per_query[f"again_{q.id}"] for q in queries} == once["costs"][side]["per_query"]
+
+
+# argv after the fixture's three input flags -> exit code; the schema and
+# missing-file cases replace the inputs.  A usage error and --help are left
+# out: they format text through argparse's HelpFormatter, which leaves 6
+# and 58 objects in reference cycles of its own on every call.
+NO_CYCLE_CASES = {
+    "json_trace": (["--budget", "50%", "--format", "json", "--trace"], 0),
+    "text_report": (["--budget", "50%"], 0),
+    "sweep": (["--sweep", "0.05,0.25,1.0"], 0),
+    "mode_none": (["--mode", "none", "--budget", "0"], 0),
+    "negative_budget": (["--budget", "-5"], 2),
+    "non_catalog_schema": (["--schema", fixture_path(WORKLOAD_FILE), "--budget", "0"], 1),
+    "missing_input": (["--candidates", fixture_path("missing.candidates"), "--budget", "0"], 1),
+}
+
+
+@pytest.mark.parametrize("case", NO_CYCLE_CASES)
+def test_invocation_leaves_no_cyclic_garbage(fixture_args, capsys, case):
+    # the parser is built once per process and parsing leaves nothing in it,
+    # so reference counting frees all an invocation made when main returns;
+    # a first call builds what is built once, the collector stays off for
+    # the second
+    flags, code = NO_CYCLE_CASES[case]
+    assert main(fixture_args + flags) == code
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(fixture_args + flags) == code
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_shared_parser_answers_each_argv_as_a_fresh_interpreter(fixture_args, capsys, monkeypatch):
+    # one process parses every argv with the same parser; each exit code and
+    # output equals that of a new interpreter, so no parse state carries over
+    # (COLUMNS fixes the width argparse wraps usage and help text to)
+    sequence = [
+        (fixture_args + ["--budget", "0", "--mode", "bogus"], 1),
+        (fixture_args + ["--sweep", "1", "--format", "json"], 1),
+        (["--help"], 0),
+        (fixture_args + ["--budget", "-5"], 2),
+        (fixture_args + ["--budget", "50%", "--format", "json", "--trace"], 0),
+        (fixture_args + ["--sweep", "0.05,0.25,1.0"], 0),
+        (fixture_args + ["--budget", "25%", "--format", "json"], 0),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv, code in sequence:
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "mvindex.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, captured.out, captured.err)
+
+
+# four more base indexes, on attributes the bundled file already indexes
+# (i5, i10, i4, i9); their ids sort after the bundled ids, so they lose every
+# tie to them and are never selected
+UNSELECTED_INDEXES = (
+    "index i90 on customers key cust_gender\n"
+    "index i91 on products key prod_category\n"
+    "index i92 on customers key cust_marital_status\n"
+    "index i93 on products key prod_name\n"
+)
+
+
+@pytest.mark.parametrize(
+    "refresh, bundled, appended",
+    [("0", (15, 45_496), None), ("0.5", (6, 334_735), (10, 205_651)), ("2", (6, 334_735), None)],
+)
+def test_unselected_candidates_move_a_selection_through_beta(fixture_args, tmp_path, capsys,
+                                                             refresh, bundled, appended):
+    # beta = |Q| * refresh / |O|: candidates that are never chosen still
+    # lower every penalty, and at refresh 0 there is no penalty to lower
+    candidates = tmp_path / "more.candidates"
+    candidates.write_text(Path(fixture_path(CANDIDATES_FILE)).read_text() + UNSELECTED_INDEXES)
+    selections = []
+    for path in (fixture_path(CANDIDATES_FILE), str(candidates)):
+        argv = fixture_args[:4] + ["--candidates", path, "--refresh-ratio", refresh,
+                                   "--budget", "100%", "--format", "json"]
+        assert main(argv) == 0
+        selections.append(json.loads(capsys.readouterr().out)["selection"])
+    for selection, (count, total) in zip(selections, (bundled, appended or bundled)):
+        assert (len(selection["objects"]), selection["total_cost_blocks"]) == (count, total)
+        assert not {"i90", "i91", "i92", "i93"} & set(selection["objects"])
+    if appended is None:
+        assert selections[1] == selections[0]
