@@ -27,26 +27,26 @@ with a zero penalty weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .candidates import IndexCandidate, ViewCandidate, make_view_index
 from .costmodel import Configuration, CostContext, QueryCosts
 from .errors import ValidationError
+from .record import Record
 
 MODE_NORMALIZED = "normalized"
 MODE_LITERAL = "literal"
 
 
-@dataclass(frozen=True)
-class ObjectiveParams:
-    refresh_ratio: float = 0.0
-    mode: str = MODE_NORMALIZED
+class ObjectiveParams(Record):
+    __slots__ = _fields = ("refresh_ratio", "mode")
 
-    def __post_init__(self):
-        if not math.isfinite(self.refresh_ratio) or self.refresh_ratio < 0:
-            raise ValidationError(f"refresh_ratio must be finite and >= 0, got {self.refresh_ratio}")
-        if self.mode not in (MODE_NORMALIZED, MODE_LITERAL):
-            raise ValidationError(f"unknown objective mode {self.mode!r}")
+    def __init__(self, refresh_ratio: float = 0.0, mode: str = MODE_NORMALIZED):
+        if not math.isfinite(refresh_ratio) or refresh_ratio < 0:
+            raise ValidationError(f"refresh_ratio must be finite and >= 0, got {refresh_ratio}")
+        if mode not in (MODE_NORMALIZED, MODE_LITERAL):
+            raise ValidationError(f"unknown objective mode {mode!r}")
+        self.refresh_ratio = refresh_ratio
+        self.mode = mode
 
 
 _NO_PENALTY = ObjectiveParams()  # what ``object_benefit`` scores with, at weight zero
@@ -57,8 +57,7 @@ def update_weight(params: ObjectiveParams, ctx: CostContext) -> float:
     return len(ctx.queries) * params.refresh_ratio / max(1, len(ctx.views) + len(ctx.indexes))
 
 
-@dataclass(slots=True)
-class SelectionObject:
+class SelectionObject(Record):
     """One scorable unit: a view, an index, or a view paired with an index on it.
 
     A pair carries the view and the physical index on it.  The facts a score
@@ -76,23 +75,31 @@ class SelectionObject:
     ``base_slots`` holds the ``(position, slot)`` of each offer at a plan
     table, which only a base index has.
 
-    No field is assigned after construction.  The class is not frozen: a
-    frozen dataclass sets each field through ``object.__setattr__``, which
-    took more than half the time of building an object.
+    Like every record, an object is not assigned after construction.
     """
 
-    id: str
-    kind: str  # "view" | "index" | "pair"
-    view: ViewCandidate | None
-    index: IndexCandidate | None
-    keys: Configuration
-    size: int
-    maintenance: int
-    parts: tuple[tuple[object, int], ...]
-    deps: tuple[tuple[object, int], ...]
-    offers: tuple
-    raised_by: Configuration
-    base_slots: tuple[tuple[int, int], ...]
+    __slots__ = _fields = (
+        "id", "kind", "view", "index", "keys", "size", "maintenance", "parts", "deps", "offers",
+        "raised_by", "base_slots",
+    )
+    __hash__ = None
+
+    def __init__(self, id: str, kind: str, view: ViewCandidate | None, index: IndexCandidate | None,
+                 keys: Configuration, size: int, maintenance: int, parts: tuple[tuple[object, int], ...],
+                 deps: tuple[tuple[object, int], ...], offers: tuple, raised_by: Configuration,
+                 base_slots: tuple[tuple[int, int], ...]):
+        self.id = id
+        self.kind = kind  # "view" | "index" | "pair"
+        self.view = view
+        self.index = index
+        self.keys = keys
+        self.size = size
+        self.maintenance = maintenance
+        self.parts = parts
+        self.deps = deps
+        self.offers = offers
+        self.raised_by = raised_by
+        self.base_slots = base_slots
 
     def members(self):
         if self.view is not None:

@@ -27,31 +27,34 @@ the queries and candidates together with their three usage matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 
 from .catalog import SchemaCatalog, strip_comment
 from .errors import ParseError, UnknownNameError, ValidationError
+from .record import Record
 from .workload import Attr, Query, Workload
 
 
-@dataclass(frozen=True)
-class ViewCandidate:
+class ViewCandidate(Record):
     """A pre-joined, pre-aggregated view over the fact table and some dimensions."""
 
-    id: str
-    joined_tables: frozenset[str]
-    join_pairs: tuple[tuple[Attr, Attr], ...]
-    group_by: tuple[Attr, ...]
-    aggregates: tuple[tuple[str, Attr], ...]
-    row_count: int  # estimated distinct groups
-    row_width: int  # group-by widths plus 8 bytes per aggregate
-    indexable: frozenset[Attr] | None = None  # None means every group_by attribute
-    _group_by_set: frozenset[Attr] = field(init=False, repr=False, compare=False)
+    _fields = ("id", "joined_tables", "join_pairs", "group_by", "aggregates", "row_count", "row_width",
+               "indexable")
+    __slots__ = _fields + ("_group_by_set",)
 
-    def __post_init__(self):
-        # set once: the usage rules and every pair's index check read it
-        object.__setattr__(self, "_group_by_set", frozenset(self.group_by))
+    def __init__(self, id: str, joined_tables: frozenset[str], join_pairs: tuple[tuple[Attr, Attr], ...],
+                 group_by: tuple[Attr, ...], aggregates: tuple[tuple[str, Attr], ...], row_count: int,
+                 row_width: int, indexable: frozenset[Attr] | None = None):
+        self.id = id
+        self.joined_tables = joined_tables
+        self.join_pairs = join_pairs
+        self.group_by = group_by
+        self.aggregates = aggregates
+        self.row_count = row_count  # estimated distinct groups
+        self.row_width = row_width  # group-by widths plus 8 bytes per aggregate
+        self.indexable = indexable  # None means every group_by attribute
+        # the usage rules and every pair's index check read it
+        self._group_by_set = frozenset(group_by)
 
     def group_by_set(self) -> frozenset[Attr]:
         return self._group_by_set
@@ -60,13 +63,15 @@ class ViewCandidate:
         return self._group_by_set if self.indexable is None else self.indexable
 
 
-@dataclass(frozen=True)
-class IndexCandidate:
+class IndexCandidate(Record):
     """Single-attribute B-tree index on a base table or on a view."""
 
-    id: str
-    attribute: Attr  # base attribute carrying width/cardinality stats
-    on_view: ViewCandidate | None = None  # the target view of an on-view index
+    __slots__ = _fields = ("id", "attribute", "on_view")
+
+    def __init__(self, id: str, attribute: Attr, on_view: ViewCandidate | None = None):
+        self.id = id
+        self.attribute = attribute  # base attribute carrying width/cardinality stats
+        self.on_view = on_view  # the target view of an on-view index
 
     @property
     def target(self) -> str:
@@ -256,8 +261,7 @@ def _query_index_rows(queries, base: list[IndexCandidate]) -> list[list[int]]:
     ]
 
 
-@dataclass(frozen=True)
-class UsageMatrices:
+class UsageMatrices(Record):
     """The queries and candidates of a workload with their three usage matrices.
 
     Each matrix is a tuple of rows, each row a ``bytes`` of the values 0 and
@@ -269,23 +273,23 @@ class UsageMatrices:
     ``views`` and ``indexes``, whose ids are derived once, on construction.
     """
 
-    queries: tuple[Query, ...]
-    views: tuple[ViewCandidate, ...]
-    indexes: tuple[IndexCandidate, ...]  # all index candidates
-    query_view: tuple[bytes, ...]  # [n_queries][n_views]
-    query_index: tuple[bytes, ...]  # [n_queries][n_base_indexes]
-    view_index: tuple[bytes, ...]  # [n_views][n_indexes]
-    query_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    view_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    index_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    base_index_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("queries", "views", "indexes", "query_view", "query_index", "view_index")
+    __slots__ = _fields + ("query_ids", "view_ids", "index_ids", "base_index_ids")
 
-    def __post_init__(self):
-        # plain fields, not properties: pairs() reads index_ids once per view row
-        object.__setattr__(self, "query_ids", tuple(q.id for q in self.queries))
-        object.__setattr__(self, "view_ids", tuple(v.id for v in self.views))
-        object.__setattr__(self, "index_ids", tuple(i.id for i in self.indexes))
-        object.__setattr__(self, "base_index_ids", tuple(i.id for i in self.indexes if i.is_base()))
+    def __init__(self, queries: tuple[Query, ...], views: tuple[ViewCandidate, ...],
+                 indexes: tuple[IndexCandidate, ...], query_view: tuple[bytes, ...],
+                 query_index: tuple[bytes, ...], view_index: tuple[bytes, ...]):
+        self.queries = queries
+        self.views = views
+        self.indexes = indexes  # all index candidates
+        self.query_view = query_view  # [n_queries][n_views]
+        self.query_index = query_index  # [n_queries][n_base_indexes]
+        self.view_index = view_index  # [n_views][n_indexes]
+        # plain slots, not properties: pairs() reads index_ids once per view row
+        self.query_ids = tuple(q.id for q in queries)
+        self.view_ids = tuple(v.id for v in views)
+        self.index_ids = tuple(i.id for i in indexes)
+        self.base_index_ids = tuple(i.id for i in indexes if i.is_base())
 
     def pairs(self) -> list[tuple[str, str]]:
         """(view id, index id) of every unit cell of the view-index matrix, row by row."""

@@ -1,7 +1,8 @@
 """Star-schema catalog: table and attribute statistics plus storage parameters.
 
 The catalog is the single source every size and cost computation reads.
-It is immutable after loading and safe to share across threads.
+Its records are not assigned after loading, so one catalog is safe to
+share across threads.
 
 Catalog file format (UTF-8, ``#`` starts a line comment)::
 
@@ -25,38 +26,40 @@ table must be declared ``fact``.  A declaration that breaks an invariant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ParseError, ValidationError
+from .record import Record
 
 DEFAULT_BLOCK_SIZE = 8192
 DEFAULT_BTREE_FANOUT = 200
 DEFAULT_ROWID_WIDTH = 10
 
 
-@dataclass(frozen=True)
-class AttributeStats:
+class AttributeStats(Record):
     """Distinct-value count and byte width of one attribute."""
 
-    name: str
-    cardinality: int
-    width: int
+    __slots__ = _fields = ("name", "cardinality", "width")
+
+    def __init__(self, name: str, cardinality: int, width: int):
+        self.name = name
+        self.cardinality = cardinality
+        self.width = width
 
 
-@dataclass(frozen=True)
-class TableStats:
+class TableStats(Record):
     """Row statistics for one base table."""
 
-    name: str
-    kind: str  # "fact" or "dimension"
-    row_count: int
-    row_width: int
-    attributes: tuple[AttributeStats, ...] = ()
-    # name -> the first attribute of that name, set once
-    _by_name: dict = field(init=False, repr=False, compare=False)
+    _fields = ("name", "kind", "row_count", "row_width", "attributes")
+    __slots__ = _fields + ("_by_name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", {a.name: a for a in reversed(self.attributes)})
+    def __init__(self, name: str, kind: str, row_count: int, row_width: int,
+                 attributes: tuple[AttributeStats, ...] = ()):
+        self.name = name
+        self.kind = kind  # "fact" or "dimension"
+        self.row_count = row_count
+        self.row_width = row_width
+        self.attributes = attributes
+        # name -> the first attribute of that name
+        self._by_name = {a.name: a for a in reversed(attributes)}
 
     def attribute(self, name: str) -> AttributeStats | None:
         return self._by_name.get(name)
@@ -70,18 +73,19 @@ class TableStats:
         return round(self.size_bytes / 2**20, 2)
 
 
-@dataclass(frozen=True)
-class SchemaCatalog:
+class SchemaCatalog(Record):
     """All tables of one star schema plus the storage-model parameters."""
 
-    tables: tuple[TableStats, ...]
-    block_size: int = DEFAULT_BLOCK_SIZE
-    btree_fanout: int = DEFAULT_BTREE_FANOUT
-    rowid_width: int = DEFAULT_ROWID_WIDTH
-    _by_name: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("tables", "block_size", "btree_fanout", "rowid_width")
+    __slots__ = _fields + ("_by_name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", {t.name: t for t in self.tables})
+    def __init__(self, tables: tuple[TableStats, ...], block_size: int = DEFAULT_BLOCK_SIZE,
+                 btree_fanout: int = DEFAULT_BTREE_FANOUT, rowid_width: int = DEFAULT_ROWID_WIDTH):
+        self.tables = tables
+        self.block_size = block_size
+        self.btree_fanout = btree_fanout
+        self.rowid_width = rowid_width
+        self._by_name = {t.name: t for t in tables}
 
     def table(self, name: str) -> TableStats:
         try:

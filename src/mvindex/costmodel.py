@@ -25,7 +25,6 @@ be distinct; selection names pairs ``v1+i8`` and re-targeted indexes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -33,6 +32,7 @@ from .catalog import SchemaCatalog, btree_height, table_blocks
 from .catalog import blocks as blocks_of
 from .candidates import IndexCandidate, UsageMatrices, ViewCandidate
 from .errors import ValidationError
+from .record import Record
 from .workload import Query
 
 COST_MODEL_ID = "blockscan-btree/1"
@@ -129,13 +129,15 @@ def _cheapest_selected(plan: tuple, config: Configuration) -> tuple[int, list, l
     return base, mins, indexed, view
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Per-query costs, chosen rewritings and their total for one configuration."""
 
-    per_query_cost: dict[str, int]
-    chosen_rewriting: dict[str, str]
-    total: int
+    __slots__ = _fields = ("per_query_cost", "chosen_rewriting", "total")
+
+    def __init__(self, per_query_cost: dict[str, int], chosen_rewriting: dict[str, str], total: int):
+        self.per_query_cost = per_query_cost
+        self.chosen_rewriting = chosen_rewriting
+        self.total = total
 
 
 class CostContext:

@@ -87,7 +87,6 @@ one, whose first skipped id does not fit under a smaller budget either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .benefit import (
@@ -101,42 +100,56 @@ from .benefit import (
 )
 from .costmodel import Configuration, CostContext, QueryCosts
 from .errors import InvalidBudgetError
+from .record import Record
 
 STOP_NO_POSITIVE_OBJECTIVE = "no_positive_objective"
 STOP_CANDIDATES_EXHAUSTED = "candidates_exhausted"
 STOP_BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-# Records are slots dataclasses, not frozen ones: nothing hashes them or
-# assigns to them, and a frozen dataclass sets each field through
-# ``object.__setattr__``, which took most of the time of building one.
-@dataclass(slots=True)
-class IterationRecord:
-    step: int
-    object_id: str
-    kind: str
-    objective: float
-    incremental_bytes: int
-    remaining_budget: int
-    workload_cost: int
-    skipped_unaffordable: tuple[str, ...] = ()
+# The selection records are not hashable, and, like every record, not
+# assigned after construction.
+class IterationRecord(Record):
+    __slots__ = _fields = (
+        "step", "object_id", "kind", "objective", "incremental_bytes", "remaining_budget",
+        "workload_cost", "skipped_unaffordable",
+    )
+    __hash__ = None
+
+    def __init__(self, step: int, object_id: str, kind: str, objective: float, incremental_bytes: int,
+                 remaining_budget: int, workload_cost: int, skipped_unaffordable: tuple[str, ...] = ()):
+        self.step = step
+        self.object_id = object_id
+        self.kind = kind
+        self.objective = objective
+        self.incremental_bytes = incremental_bytes
+        self.remaining_budget = remaining_budget
+        self.workload_cost = workload_cost
+        self.skipped_unaffordable = skipped_unaffordable
 
 
-@dataclass(slots=True)
-class SelectedMember:
-    id: str
-    kind: str  # "view" | "base_index" | "view_index"
-    bytes: int
+class SelectedMember(Record):
+    __slots__ = _fields = ("id", "kind", "bytes")
+    __hash__ = None
+
+    def __init__(self, id: str, kind: str, bytes: int):
+        self.id = id
+        self.kind = kind  # "view" | "base_index" | "view_index"
+        self.bytes = bytes
 
 
-@dataclass
-class SelectionResult:
-    config: Configuration
-    selected: list[SelectedMember]
-    used_bytes: int
-    iterations: list[IterationRecord]
-    stop_reason: str
-    final_cost: int = 0
+class SelectionResult(Record):
+    __slots__ = _fields = ("config", "selected", "used_bytes", "iterations", "stop_reason", "final_cost")
+    __hash__ = None
+
+    def __init__(self, config: Configuration, selected: list[SelectedMember], used_bytes: int,
+                 iterations: list[IterationRecord], stop_reason: str, final_cost: int = 0):
+        self.config = config
+        self.selected = selected
+        self.used_bytes = used_bytes
+        self.iterations = iterations
+        self.stop_reason = stop_reason
+        self.final_cost = final_cost
 
     def selected_ids(self) -> list[str]:
         return [m.id for m in self.selected]

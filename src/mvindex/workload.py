@@ -42,48 +42,57 @@ from __future__ import annotations
 
 import math
 import re
-import string
-from dataclasses import dataclass
 from itertools import islice
 
 from .catalog import SchemaCatalog, strip_comment
 from .errors import ParseError, UnknownNameError, ValidationError
+from .record import Record
 
 Attr = tuple[str, str]  # (table, attribute)
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(Record):
     """Equality of one attribute against a constant literal."""
 
-    table: str
-    attribute: str
-    constant: str
+    __slots__ = _fields = ("table", "attribute", "constant")
+
+    def __init__(self, table: str, attribute: str, constant: str):
+        self.table = table
+        self.attribute = attribute
+        self.constant = constant
 
     @property
     def attr(self) -> Attr:
         return (self.table, self.attribute)
 
 
-@dataclass(frozen=True)
-class Query:
-    id: str
-    select_attrs: tuple[Attr, ...]
-    aggregates: tuple[tuple[str, Attr], ...]  # (function, measure attribute)
-    joined_tables: frozenset[str]
-    join_pairs: tuple[tuple[Attr, Attr], ...]  # (fact attr, dimension attr)
-    predicates: tuple[Predicate, ...]
-    group_by: tuple[Attr, ...]
+class Query(Record):
+    __slots__ = _fields = (
+        "id", "select_attrs", "aggregates", "joined_tables", "join_pairs", "predicates", "group_by",
+    )
+
+    def __init__(self, id: str, select_attrs: tuple[Attr, ...], aggregates: tuple[tuple[str, Attr], ...],
+                 joined_tables: frozenset[str], join_pairs: tuple[tuple[Attr, Attr], ...],
+                 predicates: tuple[Predicate, ...], group_by: tuple[Attr, ...]):
+        self.id = id
+        self.select_attrs = select_attrs
+        self.aggregates = aggregates  # (function, measure attribute)
+        self.joined_tables = joined_tables
+        self.join_pairs = join_pairs  # (fact attr, dimension attr)
+        self.predicates = predicates
+        self.group_by = group_by
 
     def filter_group_attrs(self) -> frozenset[Attr]:
         """Attributes the query filters or groups on; drives index usability."""
         return frozenset(p.attr for p in self.predicates) | frozenset(self.group_by)
 
 
-@dataclass(frozen=True)
-class Workload:
-    queries: tuple[Query, ...]
-    refresh_ratio: float = 0.0
+class Workload(Record):
+    __slots__ = _fields = ("queries", "refresh_ratio")
+
+    def __init__(self, queries: tuple[Query, ...], refresh_ratio: float = 0.0):
+        self.queries = queries
+        self.refresh_ratio = refresh_ratio
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -124,7 +133,7 @@ _TOKEN_RE = _token_re(rf"{_NAME} (?: \.{_NAME} )?")
 _PLAIN_TOKEN_RE = _token_re(_NAME)
 
 _KEYWORDS = {"select", "from", "where", "and", "group", "by", "sum"}
-_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _PUNCT = frozenset("(),.;=:")
 
 

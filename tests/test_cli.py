@@ -6,11 +6,11 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import weakref
-from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -21,16 +21,16 @@ from hypothesis import strategies as st
 from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams
 from mvindex import cli
-from mvindex.candidates import UsageMatrices, build_matrices
-from mvindex.catalog import format_catalog
+from mvindex.candidates import UsageMatrices, build_matrices, format_candidates
+from mvindex.catalog import format_catalog, table_blocks
 from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
 from mvindex.costmodel import Configuration, CostContext
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
 from mvindex.selector import enumerate_objects, greedy_select
 from mvindex.jsonfmt import format_json
-from mvindex.workload import Workload, format_workload
+from mvindex.workload import Query, Workload, format_workload
 
-from util import load_synth, random_instance
+from util import load_synth, random_instance, with_random_candidates
 
 
 @pytest.fixture(scope="module")
@@ -774,7 +774,11 @@ def test_duplicated_workload_doubles_every_cost_and_selects_alike(seed, budget, 
     # are formatted text, so the parser reads what format_workload writes
     inst = random_instance(seed)
     queries = inst.workload.queries
-    doubled = Workload(queries + tuple(replace(q, id=f"again_{q.id}") for q in queries))
+    doubled = Workload(queries + tuple(
+        Query(f"again_{q.id}", q.select_attrs, q.aggregates, q.joined_tables, q.join_pairs, q.predicates,
+              q.group_by)
+        for q in queries
+    ))
     reports = []
     with tempfile.TemporaryDirectory() as tmp:
         schema = Path(tmp, "star.catalog")
@@ -805,6 +809,58 @@ def test_duplicated_workload_doubles_every_cost_and_selects_alike(seed, budget, 
         assert twice["costs"][side]["total"] == 2 * once["costs"][side]["total"]
         per_query = twice["costs"][side]["per_query"]
         assert {q.id: per_query[f"again_{q.id}"] for q in queries} == once["costs"][side]["per_query"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), budget=st.sampled_from(["100%", "25%", "5%"]))
+def test_a_query_no_fixed_candidate_serves_adds_its_scan_and_changes_no_selection(seed, budget):
+    # the appended query sums a foreign key, which no view carries, and
+    # neither filters nor groups, so no base index helps it: every
+    # configuration answers it by scanning its joined tables, and at refresh
+    # ratio 0 its count in the update weight is multiplied by zero
+    inst = with_random_candidates(random_instance(seed), seed)
+    catalog, rng = inst.catalog, random.Random(seed)
+    fact = catalog.fact_table
+    dims = [t for t in catalog.tables if t is not fact]
+    dims = rng.sample(dims, rng.randint(1, len(dims)))
+    unserved = Query(
+        "unserved", (), (("sum", (fact.name, f"fk{dims[0].name[3:]}")),),
+        frozenset({fact.name} | {t.name for t in dims}),
+        tuple(((fact.name, f"fk{t.name[3:]}"), (t.name, f"key{t.name[3:]}")) for t in dims), (), (),
+    )
+    scan = sum(table_blocks(t, catalog) for t in (fact, *dims))
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        schema, candidates = Path(tmp, "star.catalog"), Path(tmp, "star.candidates")
+        schema.write_text(format_catalog(catalog), encoding="utf-8")
+        candidates.write_text(format_candidates(inst.views, inst.indexes), encoding="utf-8")
+        appended = Workload(inst.workload.queries + (unserved,))
+        for name, workload in (("without", inst.workload), ("with", appended)):
+            path, out = Path(tmp, f"{name}.workload"), Path(tmp, f"{name}.json")
+            path.write_text(format_workload(workload), encoding="utf-8")
+            code = main([
+                "--schema", str(schema), "--workload", str(path), "--candidates", str(candidates),
+                "--refresh-ratio", "0", "--budget", budget, "--format", "json", "--trace", "--out", str(out),
+            ])
+            assert code == 0
+            reports.append(json.loads(out.read_text(encoding="utf-8")))
+    without, with_ = reports
+    matrices = with_["matrices"]
+    assert matrices["query_ids"][-1] == "unserved"
+    assert not any(matrices["query_view"][-1]) and not any(matrices["query_index"][-1])
+    for key in ("candidates", "budget_bytes"):
+        assert with_[key] == without[key], key
+    for key in ("objects", "selected", "stop_reason", "used_bytes"):
+        assert with_["selection"][key] == without["selection"][key], key
+    assert with_["selection"]["total_cost_blocks"] == without["selection"]["total_cost_blocks"] + scan
+    for it_without, it_with in zip(without["selection"]["iterations"], with_["selection"]["iterations"],
+                                   strict=True):
+        assert it_with == {**it_without, "workload_cost": it_without["workload_cost"] + scan}
+    for side in ("before", "after"):
+        assert with_["costs"][side]["total"] == without["costs"][side]["total"] + scan
+        per_query = dict(with_["costs"][side]["per_query"])
+        assert per_query.pop("unserved") == scan
+        assert per_query == without["costs"][side]["per_query"]
 
 
 # argv after the fixture's three input flags -> exit code; the schema and

@@ -1,17 +1,18 @@
 import random
-from dataclasses import replace
 from functools import partial
 from itertools import accumulate
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import mvindex.selector
 from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams, index_object, objective_value, view_object
 from mvindex.candidates import (
+    IndexCandidate,
+    ViewCandidate,
     build_matrices,
     generate_index_candidates,
     generate_view_candidates,
@@ -31,6 +32,7 @@ from mvindex.selector import (
     STOP_BUDGET_EXHAUSTED,
     STOP_CANDIDATES_EXHAUSTED,
     STOP_NO_POSITIVE_OBJECTIVE,
+    SelectionResult,
     enumerate_objects,
     greedy_core,
     greedy_select,
@@ -202,7 +204,13 @@ def test_random_instances_run_clean():
         )
 
 
-@settings(max_examples=150, deadline=None)
+# The property tests that compare with a full-rescore reference report a
+# failing example as drawn: every shrink step reruns the reference, so
+# shrinking one failure took minutes.  The same examples are drawn.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(
     seed=st.integers(0, 10**6),
     max_queries=st.integers(1, 24),
@@ -240,7 +248,7 @@ def test_incremental_greedy_matches_full_rescore(
         assert result.final_cost == expected.final_cost
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
 @given(
     seed=st.integers(0, 10**6),
     refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
@@ -566,7 +574,7 @@ def test_runs_on_one_context_equal_runs_on_fresh_ones(
     assert costs.base == costs.cost == [base for base, _, _, _ in empty]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
 @given(
     seed=st.integers(0, 10**6),
     refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
@@ -640,7 +648,8 @@ def test_resume_stops_at_the_first_step_that_skipped_an_id(workload, catalog):
             return greedy_select(ctx, budget, params, objects, resume), len(calls)
 
     result, calls = resumed(earlier)
-    cut, cut_calls = resumed(replace(earlier, iterations=earlier.iterations[:2]))
+    cut, cut_calls = resumed(SelectionResult(earlier.config, earlier.selected, earlier.used_bytes,
+                                             earlier.iterations[:2], earlier.stop_reason, earlier.final_cost))
     assert result == cut == greedy_select(ctx, budget, params)
     assert calls == cut_calls == 51
 
@@ -660,8 +669,10 @@ def test_candidates_whose_pair_ids_could_repeat_are_rejected(workload, catalog):
         load_candidates(text, catalog, "c.cand")
     # candidates built by a library caller meet the same rule in the context
     views, indexes = load_candidates(text.replace("+", ""), catalog)
-    views[1] = replace(views[1], id="a+b")
-    indexes[0] = replace(indexes[0], id="b+c")
+    v, i = views[1], indexes[0]
+    views[1] = ViewCandidate("a+b", v.joined_tables, v.join_pairs, v.group_by, v.aggregates, v.row_count,
+                             v.row_width, v.indexable)
+    indexes[0] = IndexCandidate("b+c", i.attribute, i.on_view)
     matrices = build_matrices(workload, views, indexes)
     with pytest.raises(ValidationError, match=r"'a\+b'"):
         CostContext(matrices, catalog)
