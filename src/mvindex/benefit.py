@@ -1,8 +1,8 @@
 """Interaction-aware benefit of adding a view or index, and the greedy objective.
 
 Both scores are computed in one function, ``objective_value``, from one
-``QueryCosts``: the configuration an object is scored against, that
-configuration's per-query costs, and the run's context.
+``QueryCosts``: the configuration an object is scored against and that
+configuration's per-query costs.
 The benefit of an object is the workload cost reduction it causes divided
 by storage bytes: a density in blocks per byte, a zero-size object floored
 at one byte.  The reduction is summed over the queries the object's
@@ -16,8 +16,9 @@ same interaction.
 
 The objective subtracts a maintenance penalty weighted by the expected
 update frequency: ``penalty_weight = |Q| * refresh_ratio / |O|``, where the
-run's ``CostContext`` (``costs.ctx``) gives |Q| (its queries) and |O| (its
-view and index candidates, at least one).
+run's ``CostContext`` gives |Q| (its queries) and |O| (its view and index
+candidates, at least one); ``update_weight`` computes it once per run, and
+``objective_value`` takes it as ``beta``.
 In the default ``normalized`` mode the penalty is divided by the object's
 size so both terms are per-byte densities; ``literal`` mode subtracts the
 raw block count instead.  The benefit, ``object_benefit``, is the objective
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .candidates import IndexCandidate, ViewCandidate, make_view_index
-from .costmodel import Configuration, CostContext, QueryCosts
+from .costmodel import Configuration, CostContext, QueryCosts, member_key
 from .errors import ValidationError
 from .record import Record
 
@@ -131,10 +132,10 @@ def view_object(v: ViewCandidate, ctx: CostContext) -> SelectionObject:
 
 
 def index_object(i: IndexCandidate, ctx: CostContext) -> SelectionObject:
+    facts = ctx.member_facts(member_key(i), i)
     if i.is_base():
-        return _object(i.id, "index", None, i, ctx.member_facts(i.id, i), ctx.paired.get(i.id, ()))
+        return _object(i.id, "index", None, i, facts, ctx.paired.get(i.id, ()))
     view = i.on_view
-    facts = ctx.member_facts((view.id, i.attribute), i)
     return _object(i.id, "index", None, i, facts, (ctx.member_facts(view.id, view)[0],))
 
 
@@ -147,7 +148,7 @@ def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> Select
             raise ValidationError(f"index {i.id} targets {i.target}, not view {v.id}")
         on_view = i
     facts = ctx.member_facts(v.id, v)
-    index_facts = ctx.member_facts((v.id, on_view.attribute), on_view)
+    index_facts = ctx.member_facts(member_key(on_view), on_view)
     return _object(f"{v.id}+{i.id}", "pair", v, on_view, facts, (), index_facts)
 
 
@@ -165,12 +166,12 @@ def object_benefit(obj: SelectionObject, costs: QueryCosts) -> float:
 
 
 def objective_value(
-    obj: SelectionObject, costs: QueryCosts, params: ObjectiveParams, beta: float | None = None
+    obj: SelectionObject, costs: QueryCosts, params: ObjectiveParams, beta: float
 ) -> float:
     """Benefit minus the maintenance penalty, in the configured mode.
 
-    ``beta`` is ``update_weight(params, costs.ctx)``, which a greedy run
-    computes once; it is computed here when not given.
+    ``beta`` is ``update_weight(params, ctx)`` for the run's context, which
+    a greedy run computes once.
     """
     before, after = costs.before_after(obj)
     denom, config = obj.size, costs.config
@@ -178,8 +179,6 @@ def objective_value(
         if key in config:
             denom += size
     gain = (before - after) / max(denom, 1)
-    if beta is None:
-        beta = update_weight(params, costs.ctx)
     if beta == 0.0:
         return gain
     if params.mode == MODE_LITERAL:

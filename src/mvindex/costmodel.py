@@ -365,28 +365,21 @@ class QueryCosts:
     the plan's fixed blocks plus those minima; ``cost``, ``query_cost``'s:
     the lesser of ``base`` and the cheapest selected view or on-view term.
     ``before_after`` and ``commit`` read a selection object's ``keys`` and
-    ``offers``, one member key's list, which objects share unchanged.  For
-    the empty configuration, which every greedy run starts from, the lists
-    are copies of the ones the context derives once: each ``mins`` row holds
-    the plan's table scans, and ``base`` and ``cost`` the joined-table scan.
+    ``offers``, one member key's list, which objects share unchanged.  A
+    state starts from the empty configuration, where every greedy run
+    starts: its lists are copies of the ones ``ctx`` derives once, each
+    ``mins`` row the plan's table scans, and ``base`` and ``cost`` the
+    joined-table scan.  Any other configuration is reached by committing
+    its members, and the state keeps no reference to ``ctx``.
     """
 
-    def __init__(self, ctx: CostContext, config: Configuration = Configuration()):
-        self.ctx = ctx
-        self.config = config
-        if not config:
-            # copies, rows too: ``commit`` changes them in place
-            mins, scans = ctx._empty_costs
-            self.mins = [row.copy() for row in mins]
-            self.base = scans.copy()
-            self.cost = scans.copy()
-            return
-        self.mins, self.base, self.cost = [], [], []
-        for q in ctx.queries:
-            base, mins, _, view = _cheapest_selected(ctx.plan(q), config)
-            self.mins.append(mins)
-            self.base.append(base)
-            self.cost.append(base if view is None else min(base, view[0]))
+    def __init__(self, ctx: CostContext):
+        self.config = Configuration()
+        # copies, rows too: ``commit`` changes them in place
+        mins, scans = ctx._empty_costs
+        self.mins = [row.copy() for row in mins]
+        self.base = scans.copy()
+        self.cost = scans.copy()
 
     def commit(self, obj) -> list[tuple[int, int]]:
         """Add the keys of ``obj``, a selection object; each query its offers

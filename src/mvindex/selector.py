@@ -73,13 +73,15 @@ context also derives once.  So the runs of a sweep over one object list,
 and the isolated runs over one family, repeat none of that set-up.
 
 A run can resume from an earlier run over the same objects, under any
-budget.  It copies the earlier run's leading steps while the step skipped
+budget.  It replays the earlier run's leading steps while the step skipped
 no id, budget is left and the step's commit still fits, and stops at the
 first step that fails any of them.  This is exact: a step that skipped no
 id committed the top-ranked object of a state both runs share, and the
-objective never reads the budget.  The copied steps get ``remaining_budget``
-recomputed for the new budget and are committed as chosen ones are; every
-object not yet fully selected is then scored and the loop goes on.  Budget
+objective never reads the budget.  A replayed step is committed and
+recorded by the one step a chosen object takes, so of the earlier record
+it reads only the object, objective and incremental bytes; its step
+number, remaining budget and workload cost are this run's.  Every object
+not yet fully selected is then scored and the loop goes on.  Budget
 percentages and sweeps resume from the unconstrained run they are measured
 against, which skips nothing, and each sweep fraction from the next larger
 one, whose first skipped id does not fit under a smaller budget either.
@@ -206,7 +208,21 @@ def greedy_core(
     costs = QueryCosts(ctx)
     selected: list[SelectedMember] = []
     iterations: list[IterationRecord] = []
-    used = 0
+    used = step = 0
+
+    def take(obj, objective, inc, skipped=()):
+        """Commit ``obj`` as the next step and record it; returns the
+        ``(position, slot)`` pairs of ``QueryCosts.commit``."""
+        nonlocal used, step
+        selected.extend(_member_records(obj, costs.config))
+        lowered = costs.commit(obj)
+        used += inc
+        step += 1
+        iterations.append(IterationRecord(
+            step, obj.id, obj.kind, objective, inc, budget_bytes - used, sum(costs.cost), skipped
+        ))
+        return lowered
+
     # the earlier run's leading steps that skipped no id and still fit
     replay = resume.iterations if resume is not None else []
     by_id = {o.id: o for o in objects} if replay else {}
@@ -214,18 +230,10 @@ def greedy_core(
         left = budget_bytes - used
         if it.skipped_unaffordable or left <= 0 or it.incremental_bytes > left:
             break
-        obj = by_id[it.object_id]
-        selected.extend(_member_records(obj, costs.config))
-        costs.commit(obj)
-        used += it.incremental_bytes
-        iterations.append(IterationRecord(
-            it.step, it.object_id, it.kind, it.objective, it.incremental_bytes,
-            budget_bytes - used, it.workload_cost,
-        ))
+        take(by_id[it.object_id], it.objective, it.incremental_bytes)
     # objects not yet fully selected; after a replay all are scored afresh
     remaining = {pos for pos, o in enumerate(objects) if not o.keys <= costs.config}
     raised = set(remaining)
-    step = len(iterations)
     # (-objective, incremental bytes, id, pos, step scored at) of each
     # positive score, in a heap that also holds outdated entries: an entry
     # is current while it is its object's entry in ``ranked``, and exact
@@ -279,11 +287,8 @@ def greedy_core(
 
         neg_value, inc, _, chosen_pos, _ = chosen
         obj = objects[chosen_pos]
-        selected.extend(_member_records(obj, costs.config))
-        for q, slot in costs.commit(obj):
+        for q, slot in take(obj, -neg_value, inc, tuple(entry[2] for entry in skipped)):
             raised.update(pos for s, pos in base_offers[q] if s != slot)
-        used += inc
-        step += 1
         for key in obj.keys:
             raised.update(readers_of_key[key])
         raised &= remaining
@@ -293,18 +298,6 @@ def greedy_core(
             raised.discard(pos)
             remaining.discard(pos)
             ranked.pop(pos, None)
-        iterations.append(
-            IterationRecord(
-                step=step,
-                object_id=obj.id,
-                kind=obj.kind,
-                objective=-neg_value,
-                incremental_bytes=inc,
-                remaining_budget=budget_bytes - used,
-                workload_cost=sum(costs.cost),
-                skipped_unaffordable=tuple(entry[2] for entry in skipped),
-            )
-        )
 
     return SelectionResult(
         config=costs.config,

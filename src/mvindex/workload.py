@@ -97,12 +97,6 @@ class Workload(Record):
     def __len__(self) -> int:
         return len(self.queries)
 
-    def query(self, qid: str) -> Query:
-        for q in self.queries:
-            if q.id == qid:
-                return q
-        raise KeyError(qid)
-
 
 def _token_re(name: str) -> re.Pattern:
     """The token pattern with ``name`` as its name alternative.

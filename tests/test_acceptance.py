@@ -6,10 +6,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the summary lines.
 import random
 import time
 
-import numpy as np
-
 from mvindex.baselines import enumerate_exhaustive_objects, exhaustive_select
-from mvindex.benefit import ObjectiveParams, object_benefit, objective_value
+from mvindex.benefit import ObjectiveParams, object_benefit, objective_value, update_weight
 from mvindex.candidates import build_matrices
 from mvindex.catalog import scale_catalog, format_catalog
 from mvindex.cli import make_parser, run_sweep
@@ -33,45 +31,36 @@ from util import brute_force_query_cost, log_uniform_budget, random_config, rand
 # v1..v7; columns: v1..v7 / i1..i12).  The query-index reference keeps the
 # original q5 row, which disagrees with the computed usability of q5 in two
 # cells; criterion 1 therefore checks that matrix on all rows except q5.
-REFERENCE_QV = np.array(
-    [
-        [1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1],
-        [0, 0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1],
-        [0, 1, 0, 0, 0, 1, 0],
-    ],
-    dtype=bool,
+REFERENCE_QV = (
+    (1, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0, 0),
+    (0, 0, 1, 0, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 1),
+    (0, 0, 1, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 1),
+    (0, 1, 0, 0, 0, 1, 0),
 )
 
-REFERENCE_QI = np.array(
-    [
-        [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0],
-        [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1],
-        [0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0],
-        [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    ],
-    dtype=bool,
+REFERENCE_QI = (
+    (0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0),
+    (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1),
+    (0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0),
+    (0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 )
 
-REFERENCE_VI = np.array(
-    [
-        [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1],
-        [1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0],
-        [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
-        [0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0],
-        [0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0],
-    ],
-    dtype=bool,
+REFERENCE_VI = (
+    (0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1),
+    (1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0),
+    (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+    (0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0),
+    (0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0),
 )
 
 
@@ -90,21 +79,21 @@ def test_criterion_1_matrix_reproduction():
     matrices = build_matrices(workload, views, indexes)
     elapsed = time.perf_counter() - start
 
-    # rows are bytes of 0/1; one int per cell, as the reference arrays hold
-    qv_ok = np.array_equal([list(r) for r in matrices.query_view], REFERENCE_QV)
-    vi_ok = np.array_equal([list(r) for r in matrices.view_index], REFERENCE_VI)
+    # rows are bytes of 0/1; one int per cell, as the reference rows hold
+    qv_ok = tuple(tuple(r) for r in matrices.query_view) == REFERENCE_QV
+    vi_ok = tuple(tuple(r) for r in matrices.view_index) == REFERENCE_VI
 
-    query_index = np.array([list(r) for r in matrices.query_index])
+    query_index = tuple(tuple(r) for r in matrices.query_index)
     q5_row = matrices.query_ids.index("q5")
-    mask = np.ones(len(matrices.query_ids), dtype=bool)
-    mask[q5_row] = False
-    qi_other_ok = np.array_equal(query_index[mask], REFERENCE_QI[mask])
-    matching_cells = int((query_index == REFERENCE_QI).sum())
+    qi_other_ok = len(query_index) == len(REFERENCE_QI) and all(
+        row == ref for k, (row, ref) in enumerate(zip(query_index, REFERENCE_QI)) if k != q5_row
+    )
+    matching_cells = sum(a == b for row, ref in zip(query_index, REFERENCE_QI) for a, b in zip(row, ref))
 
     deviations = [
         (matrices.base_index_ids[c])
         for c in range(len(matrices.base_index_ids))
-        if query_index[q5_row, c] != REFERENCE_QI[q5_row, c]
+        if query_index[q5_row][c] != REFERENCE_QI[q5_row][c]
     ]
 
     ok = qv_ok and vi_ok and qi_other_ok and matching_cells >= 84 and elapsed < 1.0
@@ -271,7 +260,8 @@ def test_criterion_5_objective_semantics():
 
     empty = QueryCosts(ctx)
     zero = ObjectiveParams(refresh_ratio=0.0)
-    exact = all(objective_value(o, empty, zero) == object_benefit(o, empty) for o in objects)
+    beta = update_weight(zero, ctx)
+    exact = all(objective_value(o, empty, zero, beta) == object_benefit(o, empty) for o in objects)
 
     # threshold above which no object scores positive on the first pass:
     # F <= 0  <=>  ratio >= benefit * size * |O| / (|Q| * maintenance)

@@ -19,7 +19,13 @@ from mvindex.costmodel import Configuration, CostContext, QueryCosts, object_siz
 from mvindex.errors import ValidationError
 from mvindex.selector import enumerate_objects
 
-from util import full_rescore_objective, random_config, random_instance, with_random_candidates
+from util import (
+    committed_costs,
+    full_rescore_objective,
+    random_config,
+    random_instance,
+    with_random_candidates,
+)
 
 
 class _FixedCosts:
@@ -76,7 +82,7 @@ def test_index_benefit_second_branch_base_candidate(indexes, ctx):
     # anything once v1 answers q1: zero saved blocks over a heavier denominator
     i8 = next(i for i in indexes if i.id == "i8")
     cfg = Configuration({"v1"})
-    got = object_benefit(index_object(i8, ctx), QueryCosts(ctx, cfg))
+    got = object_benefit(index_object(i8, ctx), committed_costs(ctx, cfg))
     assert got == 0.0
 
 
@@ -85,7 +91,7 @@ def test_index_benefit_second_branch_on_view(views, catalog, ctx):
     v1 = views[0]
     on_view = make_view_index("i8@v1", v1, ("times", "time_fiscal_year"), catalog)
     cfg = Configuration({"v1"})
-    got = object_benefit(index_object(on_view, ctx), QueryCosts(ctx, cfg))
+    got = object_benefit(index_object(on_view, ctx), committed_costs(ctx, cfg))
     denom = 7305 * 14 + 116_880
     assert got == pytest.approx(11 / denom, rel=1e-12)
 
@@ -105,7 +111,7 @@ def test_view_benefit_second_branch_denominator(views, indexes, catalog, ctx):
     # with the index, q1 costs 47638 + (1 + ceil(26/5)) = 47645
     saved = 47_645 - 15
     denom = object_size(v1, catalog) + object_size(i8, catalog)
-    got = object_benefit(view_object(v1, ctx), QueryCosts(ctx, cfg))
+    got = object_benefit(view_object(v1, ctx), committed_costs(ctx, cfg))
     assert got == pytest.approx(saved / denom, rel=1e-12)
     assert denom == 116_880 + 1461 * 14
 
@@ -115,7 +121,7 @@ def test_second_branch_reduces_to_first_when_unrelated(indexes, ctx):
     i4 = next(i for i in indexes if i.id == "i4")
     plain = object_benefit(index_object(i4, ctx), QueryCosts(ctx))
     cfg = Configuration({"v1"})  # VI[v1][i4] = 0
-    related = object_benefit(index_object(i4, ctx), QueryCosts(ctx, cfg))
+    related = object_benefit(index_object(i4, ctx), committed_costs(ctx, cfg))
     assert plain == related > 0.0
 
 
@@ -127,7 +133,7 @@ def test_benefit_never_negative(views, indexes, ctx):
             {v.id for v in views if rng.random() < 0.3}
             | {i.id for i in indexes if rng.random() < 0.3}
         )
-        costs = QueryCosts(ctx, cfg)
+        costs = committed_costs(ctx, cfg)
         for o in objects:
             if o.keys <= cfg:
                 continue
@@ -171,9 +177,10 @@ def test_objective_equals_benefit_without_refresh(ctx):
     params = ObjectiveParams(refresh_ratio=0.0)
     objects = enumerate_objects(ctx)
     costs = QueryCosts(ctx)
+    beta = update_weight(params, ctx)
     for o in objects:
         gain = object_benefit(o, costs)
-        value = objective_value(o, costs, params)
+        value = objective_value(o, costs, params, beta)
         assert value == gain
 
 
@@ -183,12 +190,12 @@ def test_objective_modes_penalize(views, catalog, ctx):
     assert obj.view is v1
     costs = QueryCosts(ctx)
     gain = object_benefit(obj, costs)
+    beta = update_weight(ObjectiveParams(refresh_ratio=0.5), ctx)
     for mode in ("normalized", "literal"):
         params = ObjectiveParams(refresh_ratio=0.5, mode=mode)
-        value = objective_value(obj, costs, params)
+        value = objective_value(obj, costs, params, beta)
         assert value < gain
-    lit = objective_value(obj, costs, ObjectiveParams(refresh_ratio=0.5, mode="literal"))
-    beta = update_weight(ObjectiveParams(refresh_ratio=0.5), ctx)
+    lit = objective_value(obj, costs, ObjectiveParams(refresh_ratio=0.5, mode="literal"), beta)
     assert lit == pytest.approx(gain - beta * obj.maintenance, rel=1e-12)
 
 
@@ -197,7 +204,8 @@ def test_argmax_stable_under_refresh_zero():
     objects = enumerate_objects(ctx)
     params = ObjectiveParams(refresh_ratio=0.0)
     costs = QueryCosts(ctx)
-    scored_f = [objective_value(o, costs, params) for o in objects]
+    beta = update_weight(params, ctx)
+    scored_f = [objective_value(o, costs, params, beta) for o in objects]
     scored_b = [object_benefit(o, costs) for o in objects]
     assert scored_f == scored_b
 
@@ -229,9 +237,10 @@ def test_touched_query_objective_equals_whole_workload_objective(
     objects = enumerate_objects(ctx)
     params = ObjectiveParams(refresh_ratio=refresh, mode=mode)
     config = random_config(random.Random(seed), inst)
-    costs = QueryCosts(ctx, config)
+    costs = committed_costs(ctx, config)
+    beta = update_weight(params, ctx)
     for obj in objects:
-        got = objective_value(obj, costs, params)
+        got = objective_value(obj, costs, params, beta)
         want = full_rescore_objective(obj, inst.queries, config, inst.matrices, inst.catalog,
                                       params, ctx)
         assert got == want

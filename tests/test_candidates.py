@@ -22,7 +22,8 @@ from util import random_instance, usable_view as oracle_usable_view, with_random
 
 
 def _single_query_workload(workload, qid):
-    return Workload(queries=(workload.query(qid),), refresh_ratio=0.0)
+    by_qid = {q.id: q for q in workload.queries}
+    return Workload(queries=(by_qid[qid],), refresh_ratio=0.0)
 
 
 def test_generate_view_for_q1(workload, catalog):
@@ -41,7 +42,8 @@ def test_generate_empty_workload(catalog):
 
 
 def test_generate_merges_same_join_signature(workload, catalog):
-    pair = Workload(queries=(workload.query("q2"), workload.query("q4")))
+    by_qid = {q.id: q for q in workload.queries}
+    pair = Workload(queries=(by_qid["q2"], by_qid["q4"]))
     views = generate_view_candidates(pair, catalog)
     assert len(views) == 1
     got = set(views[0].group_by)
@@ -92,12 +94,13 @@ def test_generated_view_candidates_cover_views(workload, catalog):
 
 def test_usable_view_fixture_cases(workload, views):
     by_id = {v.id: v for v in views}
-    assert usable_view(workload.query("q1"), by_id["v1"])
-    assert not usable_view(workload.query("q1"), by_id["v4"])
-    assert usable_view(workload.query("q5"), by_id["v7"])
-    assert usable_view(workload.query("q8"), by_id["v2"])
-    assert usable_view(workload.query("q8"), by_id["v6"])
-    assert not usable_view(workload.query("q2"), by_id["v5"])
+    by_qid = {q.id: q for q in workload.queries}
+    assert usable_view(by_qid["q1"], by_id["v1"])
+    assert not usable_view(by_qid["q1"], by_id["v4"])
+    assert usable_view(by_qid["q5"], by_id["v7"])
+    assert usable_view(by_qid["q8"], by_id["v2"])
+    assert usable_view(by_qid["q8"], by_id["v6"])
+    assert not usable_view(by_qid["q2"], by_id["v5"])
 
 
 def test_generated_view_usable_by_its_group(workload, catalog):
@@ -124,9 +127,10 @@ def test_generated_view_group_by_is_what_its_usable_queries_filter_or_group_on(
 
 def test_usable_index_fixture_cases(workload, indexes):
     by_id = {i.id: i for i in indexes}
-    assert usable_index(workload.query("q1"), by_id["i8"])
-    assert usable_index(workload.query("q2"), by_id["i1"])
-    assert not usable_index(workload.query("q8"), by_id["i1"])
+    by_qid = {q.id: q for q in workload.queries}
+    assert usable_index(by_qid["q1"], by_id["i8"])
+    assert usable_index(by_qid["q2"], by_id["i1"])
+    assert not usable_index(by_qid["q8"], by_id["i1"])
 
 
 def test_usable_index_rejects_view_target(workload, views, catalog):
@@ -134,8 +138,9 @@ def test_usable_index_rejects_view_target(workload, views, catalog):
 
     v1 = views[0]
     j = make_view_index("j1", v1, v1.group_by[0], catalog)
+    q1 = {q.id: q for q in workload.queries}["q1"]
     with pytest.raises(ValidationError):
-        usable_index(workload.query("q1"), j)
+        usable_index(q1, j)
 
 
 def test_build_matrices_empty(catalog):

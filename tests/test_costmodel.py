@@ -23,6 +23,7 @@ from mvindex.workload import Predicate, Query, Workload
 from util import (
     brute_force_query_cost,
     labelled_rewriting_cost,
+    plan_walk_costs,
     random_config,
     random_instance,
     walk_offers,
@@ -340,9 +341,8 @@ def test_commits_equal_a_fresh_build(seed, extra_candidates, order):
     for obj in order.sample(pool, order.randint(0, len(pool))):
         keys = costs.config | obj.keys
         costs.commit(obj)
-        fresh = QueryCosts(ctx, keys)
-        assert costs.config == fresh.config == keys
-        assert (costs.cost, costs.base, costs.mins) == (fresh.cost, fresh.base, fresh.mins), obj.id
+        assert costs.config == keys
+        assert (costs.mins, costs.base, costs.cost) == plan_walk_costs(ctx, keys), obj.id
         assert costs.cost == [ctx.query_cost(q, keys)[0] for q in ctx.queries]
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mvindex.selector
 from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
-from mvindex.benefit import ObjectiveParams, index_object, objective_value, view_object
+from mvindex.benefit import ObjectiveParams, index_object, objective_value, update_weight, view_object
 from mvindex.candidates import (
     IndexCandidate,
     ViewCandidate,
@@ -23,7 +23,6 @@ from mvindex.costmodel import (
     Configuration,
     CostContext,
     QueryCosts,
-    _cheapest_selected,
     object_size,
 )
 from mvindex.errors import InvalidBudgetError, ValidationError
@@ -32,6 +31,7 @@ from mvindex.selector import (
     STOP_BUDGET_EXHAUSTED,
     STOP_CANDIDATES_EXHAUSTED,
     STOP_NO_POSITIVE_OBJECTIVE,
+    IterationRecord,
     SelectionResult,
     enumerate_objects,
     greedy_core,
@@ -41,10 +41,12 @@ from mvindex.selector import (
 from mvindex.workload import load_workload
 
 from util import (
+    committed_costs,
     full_rescore_greedy,
     full_rescore_objective,
     load_synth,
     log_uniform_budget,
+    plan_walk_costs,
     random_instance,
     with_random_candidates,
 )
@@ -135,11 +137,12 @@ def test_trace_objectives_match_public_function(ctx):
 
     # replay: each recorded objective is the maximum over remaining objects
     objects = enumerate_objects(ctx)
+    beta = update_weight(params, ctx)
     config = Configuration()
     for it in res.iterations:
         remaining = [o for o in objects if not o.keys <= config]
-        costs = QueryCosts(ctx, config)
-        scores = {o.id: objective_value(o, costs, params) for o in remaining}
+        costs = committed_costs(ctx, config)
+        scores = {o.id: objective_value(o, costs, params, beta) for o in remaining}
         assert scores[it.object_id] == pytest.approx(it.objective, rel=1e-12)
         assert it.objective == pytest.approx(max(scores.values()), rel=1e-12)
         chosen = next(o for o in remaining if o.id == it.object_id)
@@ -266,6 +269,7 @@ def test_running_costs_score_every_remaining_object_as_objective_value(
     objects = enumerate_objects(ctx)
     budget = log_uniform_budget(random.Random(budget_seed), sum(o.size for o in objects) or 1)
     params = _params(refresh=refresh, mode=mode)
+    beta = update_weight(params, ctx)
     configs = []
 
     class CheckedCosts(QueryCosts):
@@ -296,11 +300,10 @@ def test_running_costs_score_every_remaining_object_as_objective_value(
             config = self.config
             configs.append(config)
             assert self.cost == [ctx.query_cost(q, config)[0] for q in ctx.queries]
-            fresh = QueryCosts(ctx, config)
+            assert (self.mins, self.base, self.cost) == plan_walk_costs(ctx, config)
             for o in objects:
                 if not o.keys <= config:
-                    got = objective_value(o, self, params)
-                    assert got == objective_value(o, fresh, params), o.id
+                    got = objective_value(o, self, params, beta)
                     assert got == full_rescore_objective(
                         o, inst.queries, config, inst.matrices, inst.catalog, params, ctx
                     ), o.id
@@ -569,9 +572,7 @@ def test_runs_on_one_context_equal_runs_on_fresh_ones(
         fresh = inst.context()
         assert call(fresh, enumerate_objects(fresh)) == result, k
     costs = QueryCosts(ctx)
-    empty = [_cheapest_selected(ctx.plan(q), Configuration()) for q in ctx.queries]
-    assert costs.mins == [mins for _, mins, _, _ in empty]
-    assert costs.base == costs.cost == [base for base, _, _, _ in empty]
+    assert (costs.mins, costs.base, costs.cost) == plan_walk_costs(ctx, Configuration())
 
 
 @settings(max_examples=20, deadline=None, phases=NO_SHRINK)
@@ -619,6 +620,25 @@ def test_resume_replays_only_leading_steps_that_skipped_nothing(ctx):
         assert greedy_select(ctx, budget, params, objects, earlier) == greedy_select(
             ctx, budget, params
         )
+
+
+def test_resume_records_replayed_steps_from_the_run(ctx):
+    # a resume the greedy loop did not produce, such as a hand-built one,
+    # may carry any step numbers and costs: a replayed step records this
+    # run's, as a chosen one does
+    objects = enumerate_objects(ctx)
+    params = _params()
+    fresh = greedy_select(ctx, 10**12, params, objects)
+    assert len(fresh.iterations) > 1 and not any(it.skipped_unaffordable for it in fresh.iterations)
+    rewritten = [
+        IterationRecord(it.step + 100, it.object_id, it.kind, it.objective, it.incremental_bytes,
+                        it.remaining_budget, it.workload_cost - 1)
+        for it in fresh.iterations
+    ]
+    hand_built = SelectionResult(fresh.config, fresh.selected, fresh.used_bytes, rewritten,
+                                 fresh.stop_reason, fresh.final_cost)
+    resumed = greedy_select(ctx, 10**12, params, objects, hand_built)
+    assert resumed == fresh
 
 
 def test_resume_stops_at_the_first_step_that_skipped_an_id(workload, catalog):
@@ -704,9 +724,9 @@ def test_equal_scores_break_by_incremental_bytes_then_id(workload, catalog):
     res = greedy_select(ctx, 10**12, params, objects)
     assert [it.object_id for it in res.iterations] == ["v", "v+ia"]
     config = Configuration({"v"})
-    costs = QueryCosts(ctx, config)
-    assert objective_value(by_id["v+ia"], costs, params) == objective_value(
-        by_id["v!+ia"], costs, params
+    costs, beta = committed_costs(ctx, config), update_weight(params, ctx)
+    assert objective_value(by_id["v+ia"], costs, params, beta) == objective_value(
+        by_id["v!+ia"], costs, params, beta
     )
     assert incremental_size(by_id["v+ia"], config) < incremental_size(by_id["v!+ia"], config)
     expected = full_rescore_greedy(objects, matrices, catalog, 10**12, params)

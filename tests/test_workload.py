@@ -35,7 +35,7 @@ def test_parse_q1_components(catalog):
 
 
 def test_parse_q8_components(workload):
-    q8 = workload.query("q8")
+    q8 = {q.id: q for q in workload.queries}["q8"]
     assert q8.predicates[0].attr == ("channels", "channel_class")
     assert q8.predicates[0].constant == "'Internet'"
     assert q8.group_by == (("channels", "channel_desc"),)
@@ -43,7 +43,7 @@ def test_parse_q8_components(workload):
 
 
 def test_q6_select_not_forced_into_group_by(workload):
-    q6 = workload.query("q6")
+    q6 = {q.id: q for q in workload.queries}["q6"]
     assert ("customers", "cust_marital_status") in q6.select_attrs
     assert q6.group_by == (("customers", "cust_first_name"),)
 

@@ -20,9 +20,18 @@ from mvindex.candidates import (
     make_base_index,
     make_view,
 )
+from mvindex.baselines import enumerate_exhaustive_objects
 from mvindex.benefit import MODE_LITERAL
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, validate_catalog
-from mvindex.costmodel import Configuration, CostContext, maintenance_cost, member_key, object_size
+from mvindex.costmodel import (
+    Configuration,
+    CostContext,
+    QueryCosts,
+    _cheapest_selected,
+    maintenance_cost,
+    member_key,
+    object_size,
+)
 from mvindex.selector import (
     STOP_BUDGET_EXHAUSTED,
     STOP_CANDIDATES_EXHAUSTED,
@@ -30,6 +39,7 @@ from mvindex.selector import (
     IterationRecord,
     SelectionResult,
     _member_records,
+    enumerate_objects,
     incremental_size,
 )
 from mvindex.errors import ParseError, UnknownNameError, ValidationError
@@ -351,6 +361,35 @@ def walk_offers(ctx: CostContext, keys: Configuration) -> tuple:
                     terms.append((blocks, key))
         offers.append((pos, slot, indexed, tuple(terms)))
     return tuple(offers)
+
+
+def plan_walk_costs(ctx: CostContext, config: Configuration) -> tuple[list, list, list]:
+    """``(mins, base, cost)`` of every query under ``config``, in the shape
+    of ``QueryCosts``, each from a walk over the query's whole plan
+    (``_cheapest_selected``, which ``query_cost`` reads): the from-scratch
+    reference that running costs committed to ``config`` equal."""
+    mins, base, cost = [], [], []
+    for q in ctx.queries:
+        q_base, q_mins, _, view = _cheapest_selected(ctx.plan(q), config)
+        mins.append(q_mins)
+        base.append(q_base)
+        cost.append(q_base if view is None else min(q_base, view[0]))
+    return mins, base, cost
+
+
+def committed_costs(ctx: CostContext, config: Configuration) -> QueryCosts:
+    """The running costs of ``config``: ``QueryCosts(ctx)`` with one
+    singleton object committed per key of ``config``, checked against
+    ``plan_walk_costs``.  Every key must be a member of the context's
+    objects, as ``random_config`` draws them."""
+    singletons = enumerate_exhaustive_objects(ctx, enumerate_objects(ctx))
+    by_key = {key: o for o in singletons for key in o.keys}
+    costs = QueryCosts(ctx)
+    for key in sorted(config, key=repr):
+        costs.commit(by_key[key])
+    assert costs.config == config
+    assert (costs.mins, costs.base, costs.cost) == plan_walk_costs(ctx, config)
+    return costs
 
 
 def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx) -> float:
