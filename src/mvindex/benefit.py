@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .candidates import IndexCandidate, ViewCandidate, make_view_index
-from .costmodel import Configuration, CostContext, QueryCosts, member_key
+from .costmodel import Configuration, CostContext, QueryCosts
 from .errors import ValidationError
 from .record import Record
 
@@ -71,24 +71,20 @@ class SelectionObject(Record):
     candidate whose selection adds its size to the benefit denominator: the
     base indexes a view pairs with and the views a base index pairs with
     (read from the view-index matrix), the view an on-view index is built
-    on.  Pairs have none.  ``raised_by`` holds the keys whose commit can raise
-    its score: its members and the ``need`` of each offered term.
-    ``base_slots`` holds the ``(position, slot)`` of each offer at a plan
-    table, which only a base index has.
+    on.  Pairs have none.  Who a commit can raise is not an object's fact:
+    the context derives it per object list (``CostContext.reader_index``).
 
     Like every record, an object is not assigned after construction.
     """
 
     __slots__ = _fields = (
         "id", "kind", "view", "index", "keys", "size", "maintenance", "parts", "deps", "offers",
-        "raised_by", "base_slots",
     )
     __hash__ = None
 
     def __init__(self, id: str, kind: str, view: ViewCandidate | None, index: IndexCandidate | None,
                  keys: Configuration, size: int, maintenance: int, parts: tuple[tuple[object, int], ...],
-                 deps: tuple[tuple[object, int], ...], offers: tuple, raised_by: Configuration,
-                 base_slots: tuple[tuple[int, int], ...]):
+                 deps: tuple[tuple[object, int], ...], offers: tuple):
         self.id = id
         self.kind = kind  # "view" | "index" | "pair"
         self.view = view
@@ -99,8 +95,6 @@ class SelectionObject(Record):
         self.parts = parts
         self.deps = deps
         self.offers = offers
-        self.raised_by = raised_by
-        self.base_slots = base_slots
 
     def members(self):
         if self.view is not None:
@@ -112,31 +106,27 @@ class SelectionObject(Record):
 def _object(oid: str, kind: str, view, index, facts: tuple, deps: tuple, index_facts=None):
     """An object from its first member's facts (``CostContext.member_facts``)
     and, for a pair, its index's."""
-    part, keys, maintenance, offers, raised_by, base_slots = facts
+    part, keys, maintenance, offers, _ = facts
     size = part[1]
     parts = (part,)
     if index_facts is not None:
-        index_part, index_keys, index_maintenance, _, index_raised_by, _ = index_facts
+        index_part, index_keys, index_maintenance, _, _ = index_facts
         parts = (part, index_part)
         keys = keys | index_keys
         size += index_part[1]
         maintenance += index_maintenance
-        raised_by = raised_by | index_raised_by
-    return SelectionObject(
-        oid, kind, view, index, keys, size, maintenance, parts, deps, offers, raised_by, base_slots
-    )
+    return SelectionObject(oid, kind, view, index, keys, size, maintenance, parts, deps, offers)
 
 
 def view_object(v: ViewCandidate, ctx: CostContext) -> SelectionObject:
-    return _object(v.id, "view", v, None, ctx.member_facts(v.id, v), ctx.paired.get(v.id, ()))
+    return _object(v.id, "view", v, None, ctx.member_facts(v), ctx.paired.get(v.id, ()))
 
 
 def index_object(i: IndexCandidate, ctx: CostContext) -> SelectionObject:
-    facts = ctx.member_facts(member_key(i), i)
+    facts = ctx.member_facts(i)
     if i.is_base():
         return _object(i.id, "index", None, i, facts, ctx.paired.get(i.id, ()))
-    view = i.on_view
-    return _object(i.id, "index", None, i, facts, (ctx.member_facts(view.id, view)[0],))
+    return _object(i.id, "index", None, i, facts, (ctx.member_facts(i.on_view)[0],))
 
 
 def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> SelectionObject:
@@ -147,8 +137,7 @@ def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> Select
         if i.target != v.id:
             raise ValidationError(f"index {i.id} targets {i.target}, not view {v.id}")
         on_view = i
-    facts = ctx.member_facts(v.id, v)
-    index_facts = ctx.member_facts(member_key(on_view), on_view)
+    facts, index_facts = ctx.member_facts(v), ctx.member_facts(on_view)
     return _object(f"{v.id}+{i.id}", "pair", v, on_view, facts, (), index_facts)
 
 

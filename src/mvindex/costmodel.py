@@ -206,8 +206,8 @@ class CostContext:
         for vid, iid in self.matrices.pairs():
             v, i = self.views[vid], self.indexes[iid]
             if i.is_base():
-                paired.setdefault(vid, []).append(self.member_facts(iid, i)[0])
-                paired.setdefault(iid, []).append(self.member_facts(vid, v)[0])
+                paired.setdefault(vid, []).append(self.member_facts(i)[0])
+                paired.setdefault(iid, []).append(self.member_facts(v)[0])
         return {cid: tuple(parts) for cid, parts in paired.items()}
 
     @cached_property
@@ -262,20 +262,20 @@ class CostContext:
             [self._scan[q.id] for q in self.queries],
         )
 
-    def member_facts(self, key, member) -> tuple:
-        """What a selection object reads of ``member``, a candidate whose
-        ``member_key`` is ``key``, derived once per key.
+    def member_facts(self, member) -> tuple:
+        """What a selection object reads of ``member``, a candidate, derived
+        once per ``member_key``.
 
-        ``(part, keys, maintenance, offers, raised_by, base_slots)``: ``part``
-        is ``(key, bytes)``, ``keys`` the key alone, ``maintenance`` its
-        maintenance blocks and ``offers`` its offer list.  ``raised_by`` is
-        ``keys`` plus the ``need`` of each offered term, the keys whose
-        selection can make a term usable, and ``base_slots`` the ``(position,
-        slot)`` of each offer at a plan table.  A view or base index is in many
-        selection objects (its singleton, its pairs, the dependencies of the
-        candidates it pairs with), and every member with one key has the same
-        facts.
+        ``(part, keys, maintenance, offers, raised_by)``: ``part`` is ``(key,
+        bytes)``, ``keys`` the key alone, ``maintenance`` its maintenance
+        blocks and ``offers`` its offer list.  ``raised_by`` is ``keys`` plus
+        the ``need`` of each offered term, the keys whose selection can make
+        a term usable, which ``reader_index`` reads.  A view or base index is
+        in many selection objects (its singleton, its pairs, the dependencies
+        of the candidates it pairs with), and every member with one key has
+        the same facts.
         """
+        key = member_key(member)
         facts = self._facts.get(key)
         if facts is None:
             catalog, offers = self.catalog, self.offers(key)
@@ -287,7 +287,6 @@ class CostContext:
                 maintenance_cost(member, catalog),
                 offers,
                 keys | needs if needs else keys,
-                tuple((pos, slot) for pos, slot, _, _ in offers if slot is not None),
             )
             self._facts[key] = facts
         return facts
@@ -297,23 +296,28 @@ class CostContext:
         objects built on this context, derived once per list.
 
         ``(readers_of_key, base_offers)``: ``readers_of_key`` maps each key
-        to the positions in ``objects`` of the objects whose ``raised_by``
-        holds it, and ``base_offers`` holds, per query position, ``(slot,
-        object position)`` for each of the objects' ``base_slots`` there.
-        The index is keyed by the ordered tuple of object ids: an object's
-        facts follow from its id on one context, and the positions from the
-        order.  Callers read it and never change it.
+        to the positions in ``objects`` of the objects with a member whose
+        ``raised_by`` (``member_facts``) holds it; a pair may be listed twice
+        under its view.  ``base_offers`` holds, per query position, ``(slot,
+        object position)`` for each offer of a base-index singleton there:
+        every offer of a base-index key is at a plan table.  The index is
+        keyed by the ordered tuple of object ids: an object's facts follow
+        from its id on one context, and the positions from the order.
+        Callers read it and never change it.
         """
         ids = tuple([o.id for o in objects])
         index = self._readers.get(ids)
         if index is None:
+            facts = self._facts  # every member of an object built here has its facts
             readers_of_key: dict[object, list[int]] = {}
             base_offers: list[list[tuple[int, int]]] = [[] for _ in self.queries]
             for pos, obj in enumerate(objects):
-                for key in obj.raised_by:
-                    readers_of_key.setdefault(key, []).append(pos)
-                for q, slot in obj.base_slots:
-                    base_offers[q].append((slot, pos))
+                for part_key, _ in obj.parts:
+                    for key in facts[part_key][4]:
+                        readers_of_key.setdefault(key, []).append(pos)
+                if obj.view is None and obj.index.is_base():
+                    for q, slot, _, _ in obj.offers:
+                        base_offers[q].append((slot, pos))
             index = self._readers[ids] = (readers_of_key, base_offers)
         return index
 

@@ -60,31 +60,32 @@ incremental bytes fall by at most the bytes committed since.  Selections
 and traces are identical to rescoring every object at every step, which
 the tests check against such a loop.
 
-A run derives no fact of its objects.  What it reads of an object is set
-when the object is built, from facts its context derives once per member
-key (``CostContext.member_facts``): besides what a score reads,
-``raised_by``, its members and the needs of its offered terms, the keys by
-which (i) reaches it, and ``base_slots``, the ``(position, slot)`` of a
-base index's offers, by which (ii) does.  The positions of the objects each
-key raises and, per query, the base indexes with their slots, are the
-context's ``reader_index``, derived once per object list, and a run's
-running costs start from copies of the empty configuration's, which the
-context also derives once.  So the runs of a sweep over one object list,
-and the isolated runs over one family, repeat none of that set-up.
+A run derives no fact of its objects.  What a score reads of an object
+is set when the object is built, from facts its context derives once per
+member key (``CostContext.member_facts``).  Who a commit can raise is the
+context's ``reader_index``, derived from those facts once per object list:
+per key, the positions of the objects it can raise by (i), each with a
+member that the key names or whose offered terms need it; and per query,
+the base-index singletons offered there, with their slots, for (ii).  A
+run's running costs start from copies of the empty configuration's, which
+the context also derives once.  So the runs of a sweep over one object
+list, and the isolated runs over one family, repeat none of that set-up.
 
 A run can resume from an earlier run over the same objects, under any
 budget.  It replays the earlier run's leading steps while the step skipped
-no id, budget is left and the step's commit still fits, and stops at the
+no id, budget is left and the step's object still fits, and stops at the
 first step that fails any of them.  This is exact: a step that skipped no
 id committed the top-ranked object of a state both runs share, and the
 objective never reads the budget.  A replayed step is committed and
-recorded by the one step a chosen object takes, so of the earlier record
-it reads only the object, objective and incremental bytes; its step
-number, remaining budget and workload cost are this run's.  Every object
-not yet fully selected is then scored and the loop goes on.  Budget
-percentages and sweeps resume from the unconstrained run they are measured
-against, which skips nothing, and each sweep fraction from the next larger
-one, whose first skipped id does not fit under a smaller budget either.
+recorded by the one step a chosen object takes, and its incremental bytes
+are derived from the running state, as a score's are, so of the earlier
+record it reads only the object id, the objective and whether the step
+skipped an id; its step number, bytes, remaining budget and workload cost
+are this run's.  Every object not yet fully selected is then scored and
+the loop goes on.  Budget percentages and sweeps resume from the
+unconstrained run they are measured against, which skips nothing, and
+each sweep fraction from the next larger one, whose first skipped id does
+not fit under a smaller budget either.
 """
 
 from __future__ import annotations
@@ -227,10 +228,11 @@ def greedy_core(
     replay = resume.iterations if resume is not None else []
     by_id = {o.id: o for o in objects} if replay else {}
     for it in replay:
-        left = budget_bytes - used
-        if it.skipped_unaffordable or left <= 0 or it.incremental_bytes > left:
+        obj, left = by_id[it.object_id], budget_bytes - used
+        inc = incremental_size(obj, costs.config)
+        if it.skipped_unaffordable or left <= 0 or inc > left:
             break
-        take(by_id[it.object_id], it.objective, it.incremental_bytes)
+        take(obj, it.objective, inc)
     # objects not yet fully selected; after a replay all are scored afresh
     remaining = {pos for pos, o in enumerate(objects) if not o.keys <= costs.config}
     raised = set(remaining)

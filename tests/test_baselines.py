@@ -13,7 +13,7 @@ from mvindex.benefit import ObjectiveParams, view_object
 from mvindex.candidates import build_matrices, generate_index_candidates, generate_view_candidates
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats
 from mvindex.costmodel import Configuration, CostContext
-from mvindex.errors import TooManyObjectsError
+from mvindex.errors import TooManyObjectsError, ValidationError
 from mvindex.selector import enumerate_objects, greedy_select
 from mvindex.workload import Query, Workload
 
@@ -36,6 +36,21 @@ def test_exhaustive_guard():
         objects = objects + objects
     with pytest.raises(TooManyObjectsError):
         exhaustive_select(inst.context(), objects[:21], 10**9, PARAMS)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda ctx: exhaustive_select(ctx, [next(o for o in enumerate_objects(ctx) if o.kind == "pair")],
+                                       10**9, PARAMS),
+         "exhaustive enumeration expects singleton objects"),
+        (lambda ctx: isolated_select("bogus", ctx, 10**9, PARAMS), "unknown isolated strategy 'bogus'"),
+    ],
+    ids=["exhaustive-pair", "isolated-bogus"],
+)
+def test_baselines_reject_what_they_cannot_run(ctx, run, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        run(ctx)
 
 
 def test_exhaustive_three_object_knapsack():

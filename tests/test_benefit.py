@@ -96,6 +96,12 @@ def test_index_benefit_second_branch_on_view(views, catalog, ctx):
     assert got == pytest.approx(11 / denom, rel=1e-12)
 
 
+def test_pair_rejects_an_index_on_another_view(views, catalog, ctx):
+    on_v1 = make_view_index("i8@v1", views[0], ("times", "time_fiscal_year"), catalog)
+    with pytest.raises(ValidationError, match=f"^index i8@v1 targets v1, not view {views[1].id}$"):
+        pair_object(views[1], on_v1, ctx)
+
+
 def test_index_benefit_unselected_view_scores_zero(views, catalog, ctx):
     v1 = views[0]
     on_view = make_view_index("i8@v1", v1, ("times", "time_fiscal_year"), catalog)

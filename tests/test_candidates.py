@@ -83,6 +83,11 @@ def test_index_candidates_support_above_workload(workload, catalog):
     assert generate_index_candidates(workload, [], catalog, 99) == []
 
 
+def test_index_candidates_reject_support_below_one(workload, catalog):
+    with pytest.raises(ValidationError, match="^min_support must be >= 1$"):
+        generate_index_candidates(workload, [], catalog, min_support=0)
+
+
 def test_generated_view_candidates_cover_views(workload, catalog):
     views = generate_view_candidates(workload, catalog)
     cands = generate_index_candidates(workload, views, catalog, 1)
@@ -250,10 +255,11 @@ def test_load_candidates_rejects_indexable_outside_group_by(catalog):
         "  tables sales\n  join sales.time_id = times.time_id\n  group_by sales.time_id\n",
         "  tables sales, times\n  group_by times.time_fiscal_year, times.time_fiscal_year\n",
         "  tables sales\n  group_by sales.time_id\n  agg sum(sales.amount_sold), sum(sales.amount_sold)\n",
+        "  tables sales, times\n  join sales.time_id = times.time_id\n  agg sum(sales.amount_sold)\n",
     ],
     ids=[
         "unknown-agg", "group-by-off-tables", "agg-off-tables", "join-off-tables",
-        "repeated-group-by", "repeated-agg",
+        "repeated-group-by", "repeated-agg", "no-group-by",
     ],
 )
 def test_load_candidates_rejects_views_with_wrong_attributes(catalog, body):

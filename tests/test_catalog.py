@@ -179,10 +179,20 @@ def test_validate_catalog_names_no_line_without_one():
     assert str(err.value) == "rowid_width must be >= 1"
 
 
-def test_parse_error_carries_line():
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("table f fact rows ten row_width 4\n", 1, "rows must be an integer, got 'ten'"),
+        ("# storage\nblock_size\n", 2, "expected: block_size <integer>"),
+        ("block_size 8192\nattr a card 1 width 4\n", 2, "attr line before any table line"),
+    ],
+    ids=["non-integer-rows", "bare-block-size", "attr-before-table"],
+)
+def test_parse_error_carries_line(text, line, message):
     with pytest.raises(ParseError) as err:
-        load_catalog("table f fact rows ten row_width 4\n")
-    assert "line 1" in str(err.value)
+        load_catalog(text, "c.cat")
+    assert (err.value.source, err.value.line) == ("c.cat", line)
+    assert str(err.value) == f"c.cat: line {line}: {message}"
 
 
 def test_unknown_directive():
@@ -227,6 +237,20 @@ def test_scale_catalog(catalog):
         for a in t.attributes:
             assert 1 <= a.cardinality <= t.row_count
     assert scaled.block_size == catalog.block_size
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda catalog: scale_catalog(catalog, 0), "scale factor must be >= 1"),
+        (lambda catalog: btree_height(0, catalog), "cardinality must be >= 1"),
+        (lambda catalog: blocks(-1, 4, catalog), "row_count must be >= 0"),
+    ],
+    ids=["scale-factor-0", "cardinality-0", "negative-rows"],
+)
+def test_block_math_rejects_out_of_range_arguments(catalog, call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(catalog)
 
 
 def test_btree_height(catalog):

@@ -312,18 +312,28 @@ def test_offers_equal_a_walk_over_every_plan(seed, extra_candidates):
 @given(seed=st.integers(0, 10**6), extra_candidates=st.booleans())
 def test_reader_facts_equal_a_walk_over_every_plan(seed, extra_candidates):
     # a commit can raise an object only through its members and the needs
-    # of its offered terms, or as a base index at a lowered table: the keys
-    # and (position, slot) pairs each object carries, derived once per key
+    # of its offered terms, or as a base index at a lowered table: the
+    # reader index of each object list lists exactly those keys and
+    # (position, slot) pairs
     inst = random_instance(seed=seed, max_tables=6, max_queries=12)
     if extra_candidates:
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
     objects = enumerate_objects(ctx)
-    for o in objects + enumerate_exhaustive_objects(ctx, objects):
-        walked = walk_offers(ctx, o.keys)
-        needs = {need for *_, terms in walked for _, need in terms if need is not None}
-        assert o.raised_by == o.keys | needs, o.id
-        assert o.base_slots == tuple((pos, slot) for pos, slot, *_ in walked if slot is not None), o.id
+    for objs in (objects, enumerate_exhaustive_objects(ctx, objects)):
+        readers: dict[object, set[int]] = {}
+        base_offers: list[list[tuple[int, int]]] = [[] for _ in ctx.queries]
+        for pos, o in enumerate(objs):
+            walked = walk_offers(ctx, o.keys)
+            needs = {need for *_, terms in walked for _, need in terms if need is not None}
+            for key in o.keys | needs:
+                readers.setdefault(key, set()).add(pos)
+            for q, slot, *_ in walked:
+                if slot is not None:
+                    base_offers[q].append((slot, pos))
+        readers_of_key, index_base_offers = ctx.reader_index(objs)
+        assert {key: set(ps) for key, ps in readers_of_key.items()} == readers
+        assert index_base_offers == base_offers
 
 
 @settings(max_examples=60, deadline=None)

@@ -61,7 +61,7 @@ RECORDS = [
      {"refresh_ratio": 0.0, "mode": "normalized"}, True),
     (SelectionObject, {"id": "v1", "kind": "view", "view": _VIEW, "index": None, "keys": frozenset({"v1"}),
                        "size": 17532, "maintenance": 3, "parts": (("v1", 17532),), "deps": (),
-                       "offers": (), "raised_by": frozenset({"v1"}), "base_slots": ()}, {}, False),
+                       "offers": ()}, {}, False),
     (IterationRecord, {"step": 1, "object_id": "v1", "kind": "view", "objective": 0.5,
                        "incremental_bytes": 17532, "remaining_budget": 100, "workload_cost": 40,
                        "skipped_unaffordable": ("i1",)}, {"skipped_unaffordable": ()}, False),

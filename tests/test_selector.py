@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import mvindex.selector
-from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
+from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, exhaustive_select, isolated_select
 from mvindex.benefit import ObjectiveParams, index_object, objective_value, update_weight, view_object
 from mvindex.candidates import (
     IndexCandidate,
@@ -108,9 +108,17 @@ def test_zero_budget(ctx):
     assert res.stop_reason == STOP_BUDGET_EXHAUSTED
 
 
-def test_negative_budget_rejected(ctx):
-    with pytest.raises(InvalidBudgetError):
-        greedy_select(ctx, -1, _params())
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda ctx: greedy_select(ctx, -1, _params()),
+        lambda ctx: exhaustive_select(ctx, [view_object(v, ctx) for v in ctx.views.values()], -1, _params()),
+    ],
+    ids=["greedy", "exhaustive"],
+)
+def test_negative_budget_rejected(ctx, run):
+    with pytest.raises(InvalidBudgetError, match="^budget must be >= 0, got -1$"):
+        run(ctx)
 
 
 def test_huge_refresh_ratio_selects_nothing(ctx):
@@ -624,21 +632,24 @@ def test_resume_replays_only_leading_steps_that_skipped_nothing(ctx):
 
 def test_resume_records_replayed_steps_from_the_run(ctx):
     # a resume the greedy loop did not produce, such as a hand-built one,
-    # may carry any step numbers and costs: a replayed step records this
-    # run's, as a chosen one does
+    # may carry any step numbers, bytes and costs: a replayed step records
+    # this run's, as a chosen one does, and fits its bytes as this run
+    # derives them, so a resume that claims no bytes breaks no budget
     objects = enumerate_objects(ctx)
     params = _params()
     fresh = greedy_select(ctx, 10**12, params, objects)
     assert len(fresh.iterations) > 1 and not any(it.skipped_unaffordable for it in fresh.iterations)
     rewritten = [
-        IterationRecord(it.step + 100, it.object_id, it.kind, it.objective, it.incremental_bytes,
+        IterationRecord(it.step + 100, it.object_id, it.kind, it.objective, 0,
                         it.remaining_budget, it.workload_cost - 1)
         for it in fresh.iterations
     ]
     hand_built = SelectionResult(fresh.config, fresh.selected, fresh.used_bytes, rewritten,
                                  fresh.stop_reason, fresh.final_cost)
-    resumed = greedy_select(ctx, 10**12, params, objects, hand_built)
-    assert resumed == fresh
+    for budget in (10**12, fresh.used_bytes // 2):
+        resumed = greedy_select(ctx, budget, params, objects, hand_built)
+        assert resumed == greedy_select(ctx, budget, params, objects), budget
+        assert resumed.used_bytes == sum(m.bytes for m in resumed.selected) <= budget
 
 
 def test_resume_stops_at_the_first_step_that_skipped_an_id(workload, catalog):

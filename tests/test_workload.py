@@ -328,6 +328,7 @@ _CHANNEL = (
         _CHANNEL + "1\u0662.5",
         _CHANNEL + "12.",
         _CHANNEL + "\u00b2",
+        _CHANNEL + "(",
         _Q.replace("times.time_id,", "times.time_id\u00e9,"),
         _Q.replace("sales, times", "sales, nowhere") + "; %",
         _Q.replace("sales, times", "sales, nowhere") + "; " + _Q + " @",
@@ -370,6 +371,7 @@ _CHANNEL = (
         _Q + " group by channels.channel_desc",
         _Q.replace("sales, times", "sales, times, sales"),
         _Q.replace("sales, times", "times").replace("sales.time_id", "times.time_id"),
+        _Q.replace("sales.time_id = times.time_id", "times.time_id = sales.time_id"),
         _Q.replace("sales.time_id = times.time_id", "times.time_id = times.time_id"),
         _Q.replace("sales.time_id = times.time_id", "sales.time_id = sales.time_id"),
         _Q.replace("sales.time_id = times.time_id",
