@@ -1,9 +1,11 @@
 """Score candidates with the benefit density and watch the greedy loop work.
 
 The benefit of an object is blocks saved per byte stored.  After each
-commit the selector rescores every object whose score the commit can
-change (those sharing a query or a member with it, or whose benefit
-denominator it grows), so an index can become attractive only after its
+commit the selector rescores at once only the objects whose score the
+commit can raise: those that hold or need a committed key, and the base
+indexes on a query whose base part it lowered at another table.  A grown
+denominator only lowers a score, so every other score stays an upper
+bound until it is popped.  An index can become attractive only after its
 view is in place: that is the interaction the composite (view + index)
 objects make explicit.  Every call takes the one CostContext built below;
 a score reads a QueryCosts, a configuration with its per-query costs.

@@ -42,6 +42,8 @@ SWEEP_STRATEGIES = {
     "indexes": "index-only",
     "simultaneous": "simultaneous",
 }
+# --mode of an isolated run -> the object family it keeps
+_ISOLATED_FAMILIES = {"view-only": VIEWS_ONLY, "index-only": INDEXES_ONLY}
 SWEEP_HEADER = "budget_fraction,strategy,total_cost_blocks,used_bytes,objects"
 # options a sweep sets for itself (every strategy, CSV, no trace) -> their
 # defaults; giving one with --sweep is a usage error, even at its default
@@ -71,6 +73,13 @@ class _Parser(argparse.ArgumentParser):
         for name, default in SWEEP_FIXED.items():
             if getattr(ns, name) is None:
                 setattr(ns, name, default)
+        # the rules argparse cannot state; ``main`` reports them as input errors
+        if ns.sweep is not None:
+            ns.sweep = _parse_sweep(ns.sweep)
+        elif ns.budget is None:
+            raise ParseError("--budget is required unless --sweep is given")
+        else:
+            ns.budget = _parse_budget(ns.budget)
         return ns
 
 
@@ -160,9 +169,10 @@ def _reference_space(ctx: CostContext, params: ObjectiveParams, objects: list) -
     return greedy_select(ctx, unconstrained, params, objects)
 
 
-def _parse_budget(text: str, reference_space) -> int:
-    """Bytes, or a finite percentage of ``reference_space()``, called only for a
-    percentage that is at least 0."""
+def _parse_budget(text: str) -> tuple[int | float, str | None]:
+    """``--budget`` as (bytes, None) or as (a finite percentage, its text);
+    either is at least 0.  ``run_advise`` scales a percentage by the
+    reference run's bytes."""
     text = text.strip()
     is_percent = text.endswith("%")
     try:
@@ -173,12 +183,7 @@ def _parse_budget(text: str, reference_space) -> int:
         raise ParseError(f"budget percentage {text!r} is not a finite number")
     if value < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {text!r}")
-    if not is_percent:
-        return value
-    budget = reference_space() * (value / 100.0)
-    if not math.isfinite(budget):
-        raise ParseError(f"budget percentage {text!r} gives a budget too large to represent")
-    return int(budget)
+    return value, text if is_percent else None
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -214,11 +219,7 @@ def _run_strategy(
     given), resuming from an earlier run of it."""
     if mode == "simultaneous":
         return greedy_select(ctx, budget, params, objects, resume)
-    if mode == "view-only":
-        return isolated_select(VIEWS_ONLY, ctx, budget, params, objects, resume)
-    if mode == "index-only":
-        return isolated_select(INDEXES_ONLY, ctx, budget, params, objects, resume)
-    raise AdvisorError(f"unhandled mode {mode!r}")
+    return isolated_select(_ISOLATED_FAMILIES[mode], ctx, budget, params, objects, resume)
 
 
 def _selection_payload(result: SelectionResult, trace: bool) -> dict:
@@ -245,13 +246,12 @@ def _selection_payload(result: SelectionResult, trace: bool) -> dict:
     return payload
 
 
-def run_advise(args) -> tuple[str, int]:
-    """Run one strategy and return (report text, exit code)."""
+def run_advise(args) -> str:
+    """Run one strategy and return its report text.  ``args`` come from the
+    CLI's parser, which has checked them and parsed ``--budget``."""
     params, ctx = _load_inputs(args)
     catalog, matrices = ctx.catalog, ctx.matrices
 
-    if args.budget is None:
-        raise ParseError("--budget is required unless --sweep is given")
     # exhaustive mode and a percentage budget's reference run share one object list
     objects = reference = None
     if args.mode == "exhaustive":
@@ -259,14 +259,16 @@ def run_advise(args) -> tuple[str, int]:
         exhaustive_objects = enumerate_exhaustive_objects(ctx, objects)
         check_exhaustive_limit(exhaustive_objects)
 
-    def reference_space():
-        nonlocal objects, reference
+    budget, percent_text = args.budget
+    if percent_text is not None:
         if objects is None:
             objects = enumerate_objects(ctx)
         reference = _reference_space(ctx, params, objects)
-        return reference.used_bytes
-
-    budget = _parse_budget(args.budget, reference_space)
+        budget = reference.used_bytes * (budget / 100.0)
+        if not math.isfinite(budget):
+            raise ParseError(
+                f"budget percentage {percent_text!r} gives a budget too large to represent")
+        budget = int(budget)
 
     before = workload_cost(ctx, Configuration())
 
@@ -330,8 +332,8 @@ def run_advise(args) -> tuple[str, int]:
     }
 
     if args.format == "json":
-        return format_json(report) + "\n", 0
-    return _format_text_report(report, matrices.base_index_ids), 0
+        return format_json(report) + "\n"
+    return _format_text_report(report, matrices.base_index_ids)
 
 
 def _format_text_report(report: dict, base_index_ids) -> str:
@@ -393,54 +395,51 @@ def _matrix_row(row: bytes) -> str:
     return "  " + join_values(" ", row)
 
 
-def run_sweep(args) -> tuple[str, int]:
-    """Run every strategy at each budget fraction; returns CSV.
+def run_sweep(args) -> str:
+    """Run every strategy at each of the parsed ``--sweep`` fractions; returns CSV.
 
     The fractions run from the largest down, each strategy resuming from its
     own run at the next larger fraction (the simultaneous one first from the
     reference run); the rows keep the order the fractions were given in.
     """
     params, ctx = _load_inputs(args)
-    fractions = _parse_sweep(args.sweep)
-
     objects = enumerate_objects(ctx)
     reference = _reference_space(ctx, params, objects)
     last = {"none": _no_selection(ctx.workload_total(Configuration())), "simultaneous": reference}
     results = {}
-    for fraction in sorted(set(fractions), reverse=True):
+    for fraction in sorted(set(args.sweep), reverse=True):
         budget = int(reference.used_bytes * fraction)
         for mode in SWEEP_STRATEGIES.values():
             if mode != "none":
                 last[mode] = _run_strategy(mode, ctx, objects, budget, params, last.get(mode))
             results[fraction, mode] = last[mode]
     rows = [SWEEP_HEADER]
-    for fraction in fractions:
+    for fraction in args.sweep:
         for strategy, mode in SWEEP_STRATEGIES.items():
             result = results[fraction, mode]
             ids = ";".join(result.selected_ids()) if result.selected else ""
             rows.append(f"{fraction},{strategy},{result.final_cost},{result.used_bytes},{ids}")
-    return "\n".join(rows) + "\n", 0
+    return "\n".join(rows) + "\n"
 
 
 def main(argv=None) -> int:
-    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) and return its exit
-    code.  It may be called any number of times in one process."""
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``); only here does an
+    outcome become an exit code.  Every argument is checked before ``--out``
+    is opened, and ``--out`` before any input is read.  It may be called any
+    number of times in one process."""
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        # the output is opened before any selection, so a bad --out fails at once
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-            text, code = run_sweep(args) if args.sweep is not None else run_advise(args)
-            out.write(text)
+            out.write(run_sweep(args) if args.sweep is not None else run_advise(args))
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code or 0)
     except InvalidBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AdvisorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -245,8 +245,11 @@ def test_scale_catalog(catalog):
         (lambda catalog: scale_catalog(catalog, 0), "scale factor must be >= 1"),
         (lambda catalog: btree_height(0, catalog), "cardinality must be >= 1"),
         (lambda catalog: blocks(-1, 4, catalog), "row_count must be >= 0"),
+        (lambda catalog: catalog.table("nope"), "unknown table 'nope'"),
+        (lambda catalog: SchemaCatalog(tuple(t for t in catalog.tables if t.kind != "fact")).fact_table,
+         "catalog has no fact table"),
     ],
-    ids=["scale-factor-0", "cardinality-0", "negative-rows"],
+    ids=["scale-factor-0", "cardinality-0", "negative-rows", "unknown-table", "no-fact-table"],
 )
 def test_block_math_rejects_out_of_range_arguments(catalog, call, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import importlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
@@ -477,9 +478,9 @@ def test_percentage_budget_selects_as_its_byte_count(percent, with_candidates, m
     if with_candidates:
         argv += ["--candidates", fixture_path(CANDIDATES_FILE)]
     parser = make_parser()
-    by_percent = json.loads(run_advise(parser.parse_args(argv + ["--budget", f"{percent}%"]))[0])
+    by_percent = json.loads(run_advise(parser.parse_args(argv + ["--budget", f"{percent}%"])))
     budget = str(by_percent["budget_bytes"])
-    by_bytes = json.loads(run_advise(parser.parse_args(argv + ["--budget", budget]))[0])
+    by_bytes = json.loads(run_advise(parser.parse_args(argv + ["--budget", budget])))
     assert by_bytes["budget_bytes"] == by_percent["budget_bytes"]
     assert by_bytes["selection"] == by_percent["selection"]
 
@@ -517,6 +518,7 @@ def bytes_as_lists(value):
 
 @settings(max_examples=150, deadline=None)
 @given(value=json_values)
+@example(value={"x": [math.nan, math.inf, -math.inf], "y": math.inf})
 def test_format_json_equals_indented_sorted_json_dumps(value):
     assert format_json(value) == json.dumps(bytes_as_lists(value), indent=2, sort_keys=True)
 
@@ -538,6 +540,17 @@ def test_format_json_writes_bools_and_subclasses_as_json_dumps():
         "ordered": collections.OrderedDict([("b", [1.5, "z"]), ("a", True)]),
     }
     assert format_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [({1: 2}, "keys must be str, not int"), ({"s": {1}}, "Object of type set is not JSON serializable")],
+    ids=["int-key", "set"],
+)
+def test_format_json_refuses_what_json_cannot_hold(value, message):
+    # json.dumps would write the key 1 as "1"; format_json takes str keys only
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        format_json(value)
 
 
 @pytest.mark.parametrize(
@@ -620,6 +633,32 @@ def test_out_naming_an_input_exits_1_and_leaves_it_unchanged(capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument --out: names the {flag} file" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["--budget", "5x"], 1, "--budget takes a byte count or a percentage N%, got '5x'"),
+        ([], 1, "--budget is required unless --sweep is given"),
+        (["--sweep", "0.5,2"], 1, "--sweep takes comma-separated fractions in (0, 1], got '2'"),
+        (["--budget", "-5"], 2, "budget must be >= 0, got '-5'"),
+        (["--budget", "nan%"], 1, "budget percentage 'nan%' is not a finite number"),
+    ],
+    ids=["malformed-budget", "no-budget", "sweep-above-1", "negative-budget", "nan-percentage"],
+)
+def test_argument_error_is_reported_before_out_is_opened_or_an_input_read(
+    tmp_path, capsys, args, code, message
+):
+    # the workload is missing: an argument checked after the inputs were read
+    # would report it instead, with exit 1, and --out would be left empty
+    out = tmp_path / "report.json"
+    out.write_bytes(b'{"kept": true}\n')
+    argv = ["--schema", fixture_path(CATALOG_FILE), "--workload", str(tmp_path / "missing"),
+            "--out", str(out)]
+    assert main(argv + args) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert out.read_bytes() == b'{"kept": true}\n'
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -97,6 +97,18 @@ def test_view_size_and_empty_view(catalog):
     assert object_size(v0, empty_cat) == 0
 
 
+@pytest.mark.parametrize(
+    "measure, message",
+    [(object_size, "cannot size object of type SelectionObject"),
+     (maintenance_cost, "cannot cost object of type SelectionObject")],
+    ids=["object_size", "maintenance_cost"],
+)
+def test_size_and_maintenance_reject_a_selection_object(ctx, catalog, measure, message):
+    # they measure a view or an index; a selection object is measured by its members
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        measure(enumerate_objects(ctx)[0], catalog)
+
+
 def test_maintenance_view(catalog, views):
     v1 = views[0]
     # re-read sales and times, rewrite the 15-block view

@@ -217,6 +217,10 @@ def test_parse_deterministic(catalog, workload):
 def test_format_parse_round_trip(workload, catalog):
     for q in workload.queries:
         assert parse_query(format_query(q), catalog) == q
+    # a table no join reaches is written after the joined ones
+    unjoined = parse_query("select sales.time_id from sales, channels where sales.time_id = 1", catalog)
+    assert "from channels, sales" in format_query(unjoined)
+    assert parse_query(format_query(unjoined), catalog) == unjoined
     again = load_workload(format_workload(workload), catalog)
     assert again == workload
 
