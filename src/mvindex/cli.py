@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -31,7 +32,7 @@ from .candidates import (
 from .catalog import load_catalog
 from .costmodel import COST_MODEL_ID, Configuration, CostContext, object_size, workload_cost
 from .errors import AdvisorError, InvalidBudgetError, ParseError
-from .jsonfmt import format_json, join_values
+from .jsonfmt import join_values, write_json
 from .selector import SelectionResult, enumerate_objects, greedy_select
 from .workload import load_workload
 
@@ -48,6 +49,16 @@ SWEEP_HEADER = "budget_fraction,strategy,total_cost_blocks,used_bytes,objects"
 # options a sweep sets for itself (every strategy, CSV, no trace) -> their
 # defaults; giving one with --sweep is a usage error, even at its default
 SWEEP_FIXED = {"mode": "simultaneous", "format": "text", "trace": False}
+_TEXT_BATCH = 64  # text report lines written as one piece
+
+
+class _Formatter(argparse.HelpFormatter):
+    # a formatter's sections point back at it; dropping them once the text is
+    # made lets reference counting free a usage error's formatter
+    def format_help(self):
+        text = super().format_help()
+        del self._root_section, self._current_section
+        return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,6 +98,7 @@ def make_parser() -> argparse.ArgumentParser:
     """A new parser of the CLI's arguments; ``main`` builds one per process."""
     p = _Parser(
         prog="mvindex",
+        formatter_class=_Formatter,
         description="Select materialized views and indexes for a star-schema workload "
         "under a storage budget.",
     )
@@ -246,9 +258,11 @@ def _selection_payload(result: SelectionResult, trace: bool) -> dict:
     return payload
 
 
-def run_advise(args) -> str:
-    """Run one strategy and return its report text.  ``args`` come from the
-    CLI's parser, which has checked them and parsed ``--budget``."""
+def run_advise(args, write) -> None:
+    """Run one strategy, then write its report through ``write``.  ``args``
+    come from the CLI's parser, which has checked them and parsed
+    ``--budget``.  Every input, budget and selection error is raised before
+    the first write; the report then goes out in pieces as it is formatted."""
     params, ctx = _load_inputs(args)
     catalog, matrices = ctx.catalog, ctx.matrices
 
@@ -332,62 +346,69 @@ def run_advise(args) -> str:
     }
 
     if args.format == "json":
-        return format_json(report) + "\n"
-    return _format_text_report(report, matrices.base_index_ids)
+        write_json(report, write)
+        write("\n")
+    else:
+        _format_text_report(report, matrices.base_index_ids, write)
 
 
-def _format_text_report(report: dict, base_index_ids) -> str:
-    """The report as text.  ``base_index_ids`` head the query-index columns:
-    that matrix holds the base indexes only, the report's ``index_ids`` all."""
-    lines = []
-    add = lines.append
-    add(f"cost model      {report['cost_model']}")
-    add(f"mode            {report['mode']}")
-    add(f"objective       {report['objective']}")
-    add(f"refresh ratio   {report['refresh_ratio']}")
-    add(f"budget bytes    {report['budget_bytes']}")
-    add("")
-    add("candidate views")
+def _format_text_report(report: dict, base_index_ids, write) -> None:
+    """Write the report as text through ``write``, ``_TEXT_BATCH`` lines at a
+    time.  ``base_index_ids`` head the query-index columns: that matrix
+    holds the base indexes only, the report's ``index_ids`` all."""
+    lines = _text_lines(report, base_index_ids)
+    while batch := list(itertools.islice(lines, _TEXT_BATCH)):
+        write("\n".join(batch) + "\n")
+
+
+def _text_lines(report: dict, base_index_ids):
+    """The text report's lines, in order, without their line breaks."""
+    yield f"cost model      {report['cost_model']}"
+    yield f"mode            {report['mode']}"
+    yield f"objective       {report['objective']}"
+    yield f"refresh ratio   {report['refresh_ratio']}"
+    yield f"budget bytes    {report['budget_bytes']}"
+    yield ""
+    yield "candidate views"
     for v in report["candidates"]["views"]:
-        add(f"  {v['id']:>6}  rows {v['rows']:>12}  bytes {v['bytes']:>14}  "
-            f"over {','.join(v['tables'])}")
-    add("candidate indexes")
+        yield (f"  {v['id']:>6}  rows {v['rows']:>12}  bytes {v['bytes']:>14}  "
+               f"over {','.join(v['tables'])}")
+    yield "candidate indexes"
     for i in report["candidates"]["indexes"]:
-        add(f"  {i['id']:>6}  on {i['target']:<12} key {i['attribute']:<32} bytes {i['bytes']:>12}")
-    add("")
+        yield f"  {i['id']:>6}  on {i['target']:<12} key {i['attribute']:<32} bytes {i['bytes']:>12}"
+    yield ""
     m = report["matrices"]
-    add("query-view matrix (rows: " + ",".join(m["query_ids"]) + "; cols: " + ",".join(m["view_ids"]) + ")")
-    lines += map(_matrix_row, m["query_view"])
-    add("query-index matrix (cols: " + ",".join(base_index_ids) + ")")
-    lines += map(_matrix_row, m["query_index"])
-    add("view-index matrix")
-    lines += map(_matrix_row, m["view_index"])
-    add("")
+    yield "query-view matrix (rows: " + ",".join(m["query_ids"]) + "; cols: " + ",".join(m["view_ids"]) + ")"
+    yield from map(_matrix_row, m["query_view"])
+    yield "query-index matrix (cols: " + ",".join(base_index_ids) + ")"
+    yield from map(_matrix_row, m["query_index"])
+    yield "view-index matrix"
+    yield from map(_matrix_row, m["view_index"])
+    yield ""
     sel = report["selection"]
-    add(f"selection stop reason: {sel['stop_reason']}")
-    add(f"selected objects ({len(sel['objects'])}): " + (", ".join(sel["objects"]) or "none"))
+    yield f"selection stop reason: {sel['stop_reason']}"
+    yield f"selected objects ({len(sel['objects'])}): " + (", ".join(sel["objects"]) or "none")
     for mrec in sel["selected"]:
-        add(f"  {mrec['id']:>10}  {mrec['kind']:<11} bytes {mrec['bytes']:>14}")
-    add(f"used bytes: {sel['used_bytes']}")
+        yield f"  {mrec['id']:>10}  {mrec['kind']:<11} bytes {mrec['bytes']:>14}"
+    yield f"used bytes: {sel['used_bytes']}"
     if "iterations" in sel:
-        add("trace")
+        yield "trace"
         for it in sel["iterations"]:
-            add(
+            yield (
                 f"  step {it['step']:>3}  {it['object']:<12} objective {it['objective']:.9g}  "
                 f"+{it['incremental_bytes']} B  remaining {it['remaining_budget']} B  "
                 f"cost {it['workload_cost']}"
             )
-    add("")
+    yield ""
     costs = report["costs"]
-    add("per-query cost (blocks)")
-    add(f"  {'query':>6} {'before':>12} {'after':>12}  rewriting")
+    yield "per-query cost (blocks)"
+    yield f"  {'query':>6} {'before':>12} {'after':>12}  rewriting"
     for qid in costs["before"]["per_query"]:
-        add(
+        yield (
             f"  {qid:>6} {costs['before']['per_query'][qid]:>12} "
             f"{costs['after']['per_query'][qid]:>12}  {costs['after']['rewriting'][qid]}"
         )
-    add(f"  {'total':>6} {costs['before']['total']:>12} {costs['after']['total']:>12}")
-    return "\n".join(lines) + "\n"
+    yield f"  {'total':>6} {costs['before']['total']:>12} {costs['after']['total']:>12}"
 
 
 def _matrix_row(row: bytes) -> str:
@@ -395,8 +416,9 @@ def _matrix_row(row: bytes) -> str:
     return "  " + join_values(" ", row)
 
 
-def run_sweep(args) -> str:
-    """Run every strategy at each of the parsed ``--sweep`` fractions; returns CSV.
+def run_sweep(args, write) -> None:
+    """Run every strategy at each of the parsed ``--sweep`` fractions, then
+    write the CSV through ``write``: every error is raised before it.
 
     The fractions run from the largest down, each strategy resuming from its
     own run at the next larger fraction (the simultaneous one first from the
@@ -419,18 +441,19 @@ def run_sweep(args) -> str:
             result = results[fraction, mode]
             ids = ";".join(result.selected_ids()) if result.selected else ""
             rows.append(f"{fraction},{strategy},{result.final_cost},{result.used_bytes},{ids}")
-    return "\n".join(rows) + "\n"
+    write("\n".join(rows) + "\n")
 
 
 def main(argv=None) -> int:
     """Run the CLI on ``argv`` (default ``sys.argv[1:]``); only here does an
     outcome become an exit code.  Every argument is checked before ``--out``
-    is opened, and ``--out`` before any input is read.  It may be called any
-    number of times in one process."""
+    is opened, and ``--out`` before any input is read.  The report goes to
+    ``out.write`` in pieces once the run has finished, so an error writes
+    nothing.  It may be called any number of times in one process."""
     try:
         args = _parser().parse_args(argv)
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-            out.write(run_sweep(args) if args.sweep is not None else run_advise(args))
+            (run_sweep if args.sweep is not None else run_advise)(args, out.write)
     except SystemExit as exc:  # argparse's usage errors and --help
         return int(exc.code or 0)
     except InvalidBudgetError as exc:

@@ -207,7 +207,9 @@ def test_criterion_4_sweep_behaviour(tmp_path):
             "--sweep", ",".join(str(f) for f in fractions),
         ]
     )
-    csv_text = run_sweep(args)
+    pieces = []
+    run_sweep(args, pieces.append)
+    csv_text = "".join(pieces)
 
     cost = {}
     for line in csv_text.strip().splitlines()[1:]:

@@ -28,7 +28,7 @@ from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
 from mvindex.costmodel import Configuration, CostContext
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
 from mvindex.selector import enumerate_objects, greedy_select
-from mvindex.jsonfmt import format_json
+from mvindex.jsonfmt import format_json, write_json
 from mvindex.workload import Query, Workload, format_workload
 
 from util import load_synth, random_instance, with_random_candidates
@@ -478,9 +478,15 @@ def test_percentage_budget_selects_as_its_byte_count(percent, with_candidates, m
     if with_candidates:
         argv += ["--candidates", fixture_path(CANDIDATES_FILE)]
     parser = make_parser()
-    by_percent = json.loads(run_advise(parser.parse_args(argv + ["--budget", f"{percent}%"])))
+
+    def report(budget):
+        pieces = []
+        run_advise(parser.parse_args(argv + ["--budget", budget]), pieces.append)
+        return json.loads("".join(pieces))
+
+    by_percent = report(f"{percent}%")
     budget = str(by_percent["budget_bytes"])
-    by_bytes = json.loads(run_advise(parser.parse_args(argv + ["--budget", budget])))
+    by_bytes = report(budget)
     assert by_bytes["budget_bytes"] == by_percent["budget_bytes"]
     assert by_bytes["selection"] == by_percent["selection"]
 
@@ -573,23 +579,34 @@ def test_json_report_equals_indented_sorted_json_dumps(fixture_args, capsys):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+class _Pieces(list):
+    """A stand-in for stdout that keeps each piece written to it."""
+
+    write = list.append
+
+
 def test_200_query_report_equals_indented_sorted_json_dumps(monkeypatch, tmp_path):
     synth = load_synth()
     catalog, workload = synth.instance_texts(synth.Shape(200, 10, 4, 4), 5)
     (tmp_path / "c").write_text(catalog)
     (tmp_path / "w").write_text(workload)
-    reports, matrices = [], []
-    monkeypatch.setattr(cli, "format_json", lambda report: reports.append(report) or format_json(report))
+    reports, matrices, pieces = [], [], _Pieces()
+    monkeypatch.setattr(cli, "write_json", lambda report, write: reports.append(report) or write_json(report, write))
     monkeypatch.setattr(cli, "build_matrices", lambda *a: matrices.append(build_matrices(*a)) or matrices[-1])
+    monkeypatch.setattr(sys, "stdout", pieces)
     argv = ["--schema", str(tmp_path / "c"), "--workload", str(tmp_path / "w"), "--min-support", "5",
-            "--mode", "none", "--budget", "0", "--format", "json", "--out", str(tmp_path / "out")]
+            "--mode", "none", "--budget", "0", "--format", "json"]
     assert main(argv) == 0
     [report], [built] = reports, matrices
     assert len(report["matrices"]["query_ids"]) == 200
     assert report["matrices"]["query_view"] is built.query_view  # written as built
     for name in ("query_view", "query_index", "view_index"):
         assert all(type(row) is bytes for row in report["matrices"][name])
-    assert format_json(report) == json.dumps(bytes_as_lists(report), indent=2, sort_keys=True)
+    text = "".join(pieces)
+    assert text == json.dumps(bytes_as_lists(report), indent=2, sort_keys=True) + "\n"
+    # written in bounded pieces as it is formatted, never as one string
+    assert len(pieces) > 1
+    assert max(map(len, pieces)) < len(text) / 4
 
 
 def test_cli_imports_without_numpy():
@@ -661,6 +678,38 @@ def test_argument_error_is_reported_before_out_is_opened_or_an_input_read(
     assert out.read_bytes() == b'{"kept": true}\n'
 
 
+@pytest.mark.parametrize("to_out", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("case", ["percentage-too-large", "unknown-table", "exhaustive-limit"])
+def test_error_raised_while_running_writes_no_byte(fixture_args, tmp_path, capsys, case, to_out):
+    # these are raised only after --out is opened: the report is written
+    # once the run has finished, so an error leaves the output empty
+    workload = tmp_path / "unknown.workload"
+    workload.write_text("q1: select sum(amount_sold) from nowhere where nowhere.x = 1;\n")
+    argv, message = {
+        "percentage-too-large": (
+            fixture_args + ["--budget=1e308%"],
+            "budget percentage '1e308%' gives a budget too large to represent",
+        ),
+        "unknown-table": (
+            ["--schema", fixture_path(CATALOG_FILE), "--workload", str(workload), "--budget", "50%"],
+            f"statement 1: {workload}: line 1: q1: unknown table 'nowhere'",
+        ),
+        "exhaustive-limit": (
+            fixture_args + ["--budget", "50%", "--mode", "exhaustive"],
+            "41 objects exceed the exhaustive limit of 20",
+        ),
+    }[case]
+    out = tmp_path / "report.txt"
+    if to_out:
+        out.write_bytes(b"an earlier report\n")
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    if to_out:
+        assert out.read_bytes() == b""
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("candidates", [False, True], ids=["generated", "candidates_file"])
 def test_min_support_below_one_exits_1(fixture_args, capsys, candidates, value):
@@ -686,8 +735,9 @@ def test_sweep_rejects_options_it_ignores(fixture_args, capsys, extra):
     assert f"not allowed with {extra[0]}" in captured.err
 
 
-# SHA-256 of bundled-fixture outputs, recorded before budgeted runs resumed
-# from the reference run; "fixture" adds the bundled candidates file
+# SHA-256 of bundled-fixture outputs; "fixture" adds the bundled candidates
+# file.  The JSON and sweep digests were recorded before budgeted runs resumed
+# from the reference run, the text ones before reports were written in pieces.
 PINNED_OUTPUTS = {
     ("fixture", "--budget", "25%", "--format", "json", "--trace"):
         "e8aa4bd4aee2cb1f2c7a68ebcd3f7e2398bce38a34971a5ca7792590edac4904",
@@ -709,6 +759,14 @@ PINNED_OUTPUTS = {
         "c08e70c46c48a890cd537a814a5cae324d62feaa80143f92908ae10aacb67494",
     ("generated", "--sweep", "0.05,0.25,0.5,1.0", "--refresh-ratio", "2"):
         "efed9b1fe13915bf521f33e2f2bdaf6ef070b7a1686ee1ee674993ecf5bd811a",
+    ("fixture", "--budget", "50%"):
+        "bd202b19e1c4376a0e41af65806c9d83213e4802cc66ea7c1b62a98407d8b0dd",
+    ("fixture", "--budget", "50%", "--trace"):
+        "bbc20af0079c6df1646a7faaf6a3166b99098f6b3177a074124e33b710a416e3",
+    ("fixture", "--mode", "none", "--budget", "0"):
+        "fb830c2b7077e28c645f3adf54dc68c60c884b1bac71a764881b675f16f9dd7a",
+    ("generated", "--budget", "25%"):
+        "cb0048970bac325ac367d7dc1e44c3ee965df526342335467edf6e349ec9c12d",
 }
 
 
@@ -903,9 +961,8 @@ def test_a_query_no_fixed_candidate_serves_adds_its_scan_and_changes_no_selectio
 
 
 # argv after the fixture's three input flags -> exit code; the schema and
-# missing-file cases replace the inputs.  A usage error and --help are left
-# out: they format text through argparse's HelpFormatter, which leaves 6
-# and 58 objects in reference cycles of its own on every call.
+# missing-file cases replace the inputs.  --help is left out: argparse's help
+# formatting leaves 58 objects in reference cycles of its own on every call.
 NO_CYCLE_CASES = {
     "json_trace": (["--budget", "50%", "--format", "json", "--trace"], 0),
     "text_report": (["--budget", "50%"], 0),
@@ -914,6 +971,7 @@ NO_CYCLE_CASES = {
     "negative_budget": (["--budget", "-5"], 2),
     "non_catalog_schema": (["--schema", fixture_path(WORKLOAD_FILE), "--budget", "0"], 1),
     "missing_input": (["--candidates", fixture_path("missing.candidates"), "--budget", "0"], 1),
+    "usage_error": (["--budget", "0", "--mode", "bogus"], 1),
 }
 
 
