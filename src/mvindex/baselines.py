@@ -17,8 +17,9 @@ from .selector import SelectionResult, _member_records, greedy_core
 
 EXHAUSTIVE_LIMIT = 20
 
-VIEWS_ONLY = "views_only"
-INDEXES_ONLY = "indexes_only"
+# the isolated strategies, under the names the CLI's --mode gives them
+VIEWS_ONLY = "view-only"
+INDEXES_ONLY = "index-only"
 # isolated strategy -> whether an object belongs to its family
 _FAMILIES = {
     VIEWS_ONLY: lambda o: o.kind == "view",

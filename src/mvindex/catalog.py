@@ -18,7 +18,7 @@ Catalog file format (UTF-8, ``#`` starts a line comment)::
       attr time_id card 1461 width 4
 
 Top-level parameters are optional, each set at most once, and default to
-the values above.
+the values above.  Every integer is at most ``MAX_CATALOG_INT`` (2^63 - 1).
 ``attr`` lines belong to the most recent ``table`` line.  Exactly one
 table must be declared ``fact``.  A declaration that breaks an invariant
 (``validate_catalog``) is reported at its line, as a syntax error is.
@@ -32,6 +32,9 @@ from .record import Record
 DEFAULT_BLOCK_SIZE = 8192
 DEFAULT_BTREE_FANOUT = 200
 DEFAULT_ROWID_WIDTH = 10
+# the largest integer a catalog may hold, far above any real warehouse: with
+# every number at it, costs, sizes and objectives stay finite as floats
+MAX_CATALOG_INT = 2**63 - 1
 
 
 class AttributeStats(Record):
@@ -139,16 +142,19 @@ def validate_catalog(catalog: SchemaCatalog, source: str | None = None, lines=No
     def fail(message, declaration=None):
         raise ValidationError(message, source, lines.get(declaration))
 
+    def bounded(value, low, what, declaration):
+        if value < low:
+            fail(f"{what} must be >= {low}", declaration)
+        if value > MAX_CATALOG_INT:
+            fail(f"{what} must be <= {MAX_CATALOG_INT}", declaration)
+
     facts = [k for k, t in enumerate(catalog.tables) if t.kind == "fact"]
     if len(facts) != 1:
         second = facts[1] if len(facts) > 1 else None
         fail(f"catalog must have exactly one fact table, found {len(facts)}", second)
-    if catalog.block_size < 512:
-        fail("block_size must be >= 512", "block_size")
-    if catalog.btree_fanout < 2:
-        fail("btree_fanout must be >= 2", "btree_fanout")
-    if catalog.rowid_width < 1:
-        fail("rowid_width must be >= 1", "rowid_width")
+    bounded(catalog.block_size, 512, "block_size", "block_size")
+    bounded(catalog.btree_fanout, 2, "btree_fanout", "btree_fanout")
+    bounded(catalog.rowid_width, 1, "rowid_width", "rowid_width")
     seen = set()
     for k, t in enumerate(catalog.tables):
         if t.name in seen:
@@ -156,22 +162,18 @@ def validate_catalog(catalog: SchemaCatalog, source: str | None = None, lines=No
         seen.add(t.name)
         if t.kind not in ("fact", "dimension"):
             fail(f"table {t.name!r}: kind must be fact or dimension", k)
-        if t.row_count < 0:
-            fail(f"table {t.name!r}: row_count must be >= 0", k)
-        if t.row_width < 1:
-            fail(f"table {t.name!r}: row_width must be >= 1", k)
+        bounded(t.row_count, 0, f"table {t.name!r}: row_count", k)
+        bounded(t.row_width, 1, f"table {t.name!r}: row_width", k)
         attr_names = set()
         for j, a in enumerate(t.attributes):
             if a.name in attr_names:
                 fail(f"table {t.name!r}: duplicate attribute {a.name!r}", (k, j))
             attr_names.add(a.name)
-            if a.cardinality < 1:
-                fail(f"{t.name}.{a.name}: cardinality must be >= 1", (k, j))
+            bounded(a.cardinality, 1, f"{t.name}.{a.name}: cardinality", (k, j))
             if t.row_count > 0 and a.cardinality > t.row_count:
                 fail(f"{t.name}.{a.name}: cardinality {a.cardinality} exceeds row_count "
                      f"{t.row_count}", (k, j))
-            if a.width < 1:
-                fail(f"{t.name}.{a.name}: width must be >= 1", (k, j))
+            bounded(a.width, 1, f"{t.name}.{a.name}: width", (k, j))
 
 
 def strip_comment(line: str) -> str:

@@ -15,8 +15,6 @@ import sys
 from contextlib import nullcontext
 
 from .baselines import (
-    INDEXES_ONLY,
-    VIEWS_ONLY,
     check_exhaustive_limit,
     enumerate_exhaustive_objects,
     exhaustive_select,
@@ -43,8 +41,6 @@ SWEEP_STRATEGIES = {
     "indexes": "index-only",
     "simultaneous": "simultaneous",
 }
-# --mode of an isolated run -> the object family it keeps
-_ISOLATED_FAMILIES = {"view-only": VIEWS_ONLY, "index-only": INDEXES_ONLY}
 SWEEP_HEADER = "budget_fraction,strategy,total_cost_blocks,used_bytes,objects"
 # options a sweep sets for itself (every strategy, CSV, no trace) -> their
 # defaults; giving one with --sweep is a usage error, even at its default
@@ -53,10 +49,13 @@ _TEXT_BATCH = 64  # text report lines written as one piece
 
 
 class _Formatter(argparse.HelpFormatter):
-    # a formatter's sections point back at it; dropping them once the text is
-    # made lets reference counting free a usage error's formatter
+    # a formatter's sections point back at it, and each section under the
+    # root points at the root, whose items hold that section's format_help:
+    # dropping the root's items and the formatter's sections once the text is
+    # made lets reference counting free the formatter and every section
     def format_help(self):
         text = super().format_help()
+        self._root_section.items.clear()
         del self._root_section, self._current_section
         return text
 
@@ -231,7 +230,7 @@ def _run_strategy(
     given), resuming from an earlier run of it."""
     if mode == "simultaneous":
         return greedy_select(ctx, budget, params, objects, resume)
-    return isolated_select(_ISOLATED_FAMILIES[mode], ctx, budget, params, objects, resume)
+    return isolated_select(mode, ctx, budget, params, objects, resume)
 
 
 def _selection_payload(result: SelectionResult, trace: bool) -> dict:

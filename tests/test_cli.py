@@ -23,7 +23,7 @@ from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, isolated_select
 from mvindex.benefit import ObjectiveParams
 from mvindex import cli
 from mvindex.candidates import UsageMatrices, build_matrices, format_candidates
-from mvindex.catalog import format_catalog, table_blocks
+from mvindex.catalog import MAX_CATALOG_INT, format_catalog, table_blocks
 from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
 from mvindex.costmodel import Configuration, CostContext
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
@@ -31,7 +31,7 @@ from mvindex.selector import enumerate_objects, greedy_select
 from mvindex.jsonfmt import format_json, write_json
 from mvindex.workload import Query, Workload, format_workload
 
-from util import load_synth, random_instance, with_random_candidates
+from util import load_synth, random_instance, run_console, with_random_candidates
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +186,7 @@ def test_mode_none_derives_nothing(capsys, monkeypatch, owner, name, refusal):
     assert report["selection"]["objects"] == []
     costs = report["costs"]
     assert costs["after"]["per_query"] == costs["before"]["per_query"]
+    assert costs["after"]["total"] == costs["before"]["total"]
     assert set(costs["after"]["rewriting"].values()) == {"base"}
 
 
@@ -408,21 +409,21 @@ _VIEW_BLOCK = (
 
 
 @pytest.mark.parametrize(
-    "text, bad_id",
+    "text, bad_id, line",
     [
-        (_VIEW_BLOCK.format("a+b"), "a+b"),
-        (_VIEW_BLOCK.format("v1") + "index v1 on times key time_fiscal_year\n", "v1"),
+        (_VIEW_BLOCK.format("a+b"), "a+b", 1),
+        (_VIEW_BLOCK.format("v1") + "index v1 on times key time_fiscal_year\n", "v1", 6),
     ],
     ids=["plus-in-view-id", "view-and-index-share-an-id"],
 )
-def test_candidate_id_selection_could_confuse_exits_1(tmp_path, capsys, text, bad_id):
+def test_candidate_id_selection_could_confuse_exits_1(tmp_path, capsys, text, bad_id, line):
     cand_file = tmp_path / "bad-id.candidates"
     cand_file.write_text(text)
     code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", fixture_path(WORKLOAD_FILE),
                  "--candidates", str(cand_file), "--budget", "50%"])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(bad_id) in err
+    assert err.startswith(f"error: {cand_file}: line {line}: ") and repr(bad_id) in err
     assert "Traceback" not in err
 
 
@@ -451,6 +452,49 @@ def test_invalid_catalog_declaration_error_names_its_file_and_line(tmp_path, cap
                  "--budget", "0"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {catalog}: line {line}: rowid_width must be >= 1\n"
+
+
+_SALES = "table sales fact rows 16260336 row_width 24"
+# catalog integer -> its fixture lines, changed with the value as {n}, and
+# the name its error gives it; a cardinality may not exceed its table's row
+# count, so sales' rows stay at the bound with it
+_CATALOG_INTS = {
+    "block_size": ({"block_size 8192": "block_size {n}"}, "block_size"),
+    "btree_fanout": ({"btree_fanout 200": "btree_fanout {n}"}, "btree_fanout"),
+    "rowid_width": ({"rowid_width 10": "rowid_width {n}"}, "rowid_width"),
+    "row_count": ({_SALES: "table sales fact rows {n} row_width 24"}, "table 'sales': row_count"),
+    "row_width": ({_SALES: "table sales fact rows 16260336 row_width {n}"}, "table 'sales': row_width"),
+    "cardinality": (
+        {_SALES: f"table sales fact rows {MAX_CATALOG_INT} row_width 24",
+         "  attr amount_sold card 100000 width 4": "  attr amount_sold card {n} width 4"},
+        "sales.amount_sold: cardinality",
+    ),
+    "width": ({"  attr time_id card 1461 width 4": "  attr time_id card 1461 width {n}"}, "sales.time_id: width"),
+}
+
+
+@pytest.mark.parametrize("field", _CATALOG_INTS)
+def test_catalog_integer_runs_at_the_bound_and_exits_1_above_it(tmp_path, capsys, field):
+    changes, name = _CATALOG_INTS[field]
+    plain = Path(fixture_path(CATALOG_FILE)).read_text().splitlines()
+    catalog = tmp_path / "bound.catalog"
+    argv = ["--schema", str(catalog), "--workload", fixture_path(WORKLOAD_FILE)]
+
+    def write_catalog(n):
+        lines = [changes.get(line, line).format(n=n) for line in plain]
+        catalog.write_text("\n".join(lines) + "\n")
+
+    write_catalog(MAX_CATALOG_INT)
+    assert main(argv + ["--budget", "50%", "--format", "json", "--trace"]) == 0
+    iterations = json.loads(capsys.readouterr().out)["selection"]["iterations"]
+    assert iterations and all(math.isfinite(it["objective"]) for it in iterations)
+    assert main(argv + ["--sweep", "0.05,0.25,1.0"]) == 0
+    assert capsys.readouterr().err == ""
+    write_catalog(MAX_CATALOG_INT + 1)
+    line = 1 + next(k for k, text in enumerate(plain) if "{n}" in changes.get(text, ""))
+    assert main(argv + ["--budget", "50%"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {catalog}: line {line}: {name} must be <= {MAX_CATALOG_INT}\n")
 
 
 @pytest.mark.parametrize("text", ["", "# comments only\n\n# and blank lines\n",
@@ -961,8 +1005,7 @@ def test_a_query_no_fixed_candidate_serves_adds_its_scan_and_changes_no_selectio
 
 
 # argv after the fixture's three input flags -> exit code; the schema and
-# missing-file cases replace the inputs.  --help is left out: argparse's help
-# formatting leaves 58 objects in reference cycles of its own on every call.
+# missing-file cases replace the inputs
 NO_CYCLE_CASES = {
     "json_trace": (["--budget", "50%", "--format", "json", "--trace"], 0),
     "text_report": (["--budget", "50%"], 0),
@@ -972,6 +1015,7 @@ NO_CYCLE_CASES = {
     "non_catalog_schema": (["--schema", fixture_path(WORKLOAD_FILE), "--budget", "0"], 1),
     "missing_input": (["--candidates", fixture_path("missing.candidates"), "--budget", "0"], 1),
     "usage_error": (["--budget", "0", "--mode", "bogus"], 1),
+    "help": (["--help"], 0),
 }
 
 
@@ -995,8 +1039,9 @@ def test_invocation_leaves_no_cyclic_garbage(fixture_args, capsys, case):
 
 
 def test_shared_parser_answers_each_argv_as_a_fresh_interpreter(fixture_args, capsys, monkeypatch):
-    # one process parses every argv with the same parser; each exit code and
-    # output equals that of a new interpreter, so no parse state carries over
+    # one process parses every argv with the same parser, the whole sequence
+    # 20 times over; each exit code and output equals that of a new
+    # interpreter, so no parse state carries over
     # (COLUMNS fixes the width argparse wraps usage and help text to)
     sequence = [
         (fixture_args + ["--budget", "0", "--mode", "bogus"], 1),
@@ -1008,14 +1053,12 @@ def test_shared_parser_answers_each_argv_as_a_fresh_interpreter(fixture_args, ca
         (fixture_args + ["--budget", "25%", "--format", "json"], 0),
     ]
     monkeypatch.setenv("COLUMNS", "80")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    for argv, code in sequence:
-        assert main(argv) == code
-        captured = capsys.readouterr()
-        fresh = subprocess.run([sys.executable, "-m", "mvindex.cli", *argv], env=env,
-                               capture_output=True, text=True, timeout=60)
-        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, captured.out, captured.err)
+    fresh = [run_console(argv) for argv, _ in sequence]
+    for _ in range(20):
+        for (argv, code), run in zip(sequence, fresh):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert (run.returncode, run.stdout.decode(), run.stderr.decode()) == (code, captured.out, captured.err)
 
 
 # four more base indexes, on attributes the bundled file already indexes

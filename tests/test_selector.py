@@ -431,7 +431,7 @@ def test_commit_rescores_base_indexes_at_another_lowered_table():
     matrices = build_matrices(workload, *load_candidates(_LOWERED_BASE_CANDIDATES, catalog))
     ctx = CostContext(matrices, catalog)
     res = greedy_select(ctx, 10**12, _params())
-    assert [it.object_id for it in res.iterations] == ["v1", "i2", "i1"]
+    assert [it.object_id for it in res.iterations] == res.selected_ids() == ["v1", "i2", "i1"]
     assert res.stop_reason == STOP_CANDIDATES_EXHAUSTED
     expected = full_rescore_greedy(enumerate_objects(ctx), matrices, catalog, 10**12, _params())
     assert res.iterations == expected.iterations

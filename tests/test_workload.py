@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvindex.catalog import load_catalog
@@ -264,10 +264,12 @@ _CODE_OFFSETS, _SEMICOLONS = _code_offsets(_FIXTURE_TEXT)
 
 
 @settings(max_examples=100, deadline=None)
-@given(offset=st.sampled_from(_CODE_OFFSETS), ch=st.sampled_from("@$!?"))
-def test_unexpected_character_names_its_line_and_column(catalog, offset, ch):
-    text = _FIXTURE_TEXT[:offset] + ch + _FIXTURE_TEXT[offset:]
-    line, column = _line_column(text, offset)
+@given(offset=st.sampled_from(_CODE_OFFSETS), ch=st.sampled_from("@$!?"), lead=st.just(""))
+# ahead of every statement, on an indented line behind a comment line
+@example(offset=0, ch="%", lead="# a stray character ahead of every statement\n  ")
+def test_unexpected_character_names_its_line_and_column(catalog, offset, ch, lead):
+    text = _FIXTURE_TEXT[:offset] + lead + ch + _FIXTURE_TEXT[offset:]
+    line, column = _line_column(text, offset + len(lead))
     with pytest.raises(ParseError) as err:
         load_workload(text, catalog, WORKLOAD_FILE)
     assert str(err.value) == f"{WORKLOAD_FILE}: line {line}, column {column}: unexpected character '{ch}'"
@@ -418,3 +420,12 @@ def _synth_texts(draw):
 def test_parser_equals_reference_parser_on_synthetic_workloads(texts):
     catalog_text, workload_text = texts
     _assert_parsed_as_oracle(workload_text, load_catalog(catalog_text))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("shape", [(200, 10, 4, 4), (400, 12, 4, 4)], ids=["200q", "400q"])
+def test_parser_equals_reference_parser_on_benchmark_size_workloads(shape, seed):
+    # the property tests above draw synthetic workloads of at most 12 queries
+    catalog_text, workload_text = _SYNTH.instance_texts(_SYNTH.Shape(*shape), seed)
+    catalog = load_catalog(catalog_text)
+    assert load_workload(workload_text, catalog) == oracle_load_workload(workload_text, catalog)

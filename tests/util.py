@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -486,6 +488,17 @@ def full_rescore_greedy(objects, matrices, catalog, budget_bytes, params):
         iterations=iterations,
         stop_reason=stop,
         final_cost=ctx.workload_total(config),
+    )
+
+
+def run_console(argv, **env) -> subprocess.CompletedProcess:
+    """``mvindex argv`` in a fresh interpreter, as the console script runs it:
+    ``python -m mvindex.cli`` on this checkout's ``src``, with ``env`` added to
+    the environment.  The result holds the exit code and the output bytes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "mvindex.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src), **env}, capture_output=True, timeout=120,
     )
 
 
