@@ -53,7 +53,7 @@ class ViewCandidate(Record):
         self.row_count = row_count  # estimated distinct groups
         self.row_width = row_width  # group-by widths plus 8 bytes per aggregate
         self.indexable = indexable  # None means every group_by attribute
-        # the usage rules and every pair's index check read it
+        # every pair's index check reads it, through indexable_attrs
         self._group_by_set = frozenset(group_by)
 
     def group_by_set(self) -> frozenset[Attr]:
@@ -206,29 +206,29 @@ def _query_view_rows(queries, views) -> list[list[int]]:
     """Per query, the positions of the views it can use (``usable_view``), in
     ascending order.
 
-    A table -> view positions map, each set held as the bits of an int,
-    gives the views that join every table of the query; only those are
-    tested for attributes and aggregates, on sets built once per query and
-    once per view.
+    Each joined table, group-by attribute and aggregate maps to the views
+    that hold it, as the bits of one int: bit ``c`` stands for ``views[c]``.
+    A query can use exactly the views in the AND of the masks of its
+    tables, the attributes it filters or groups on, and its aggregates, and
+    those are listed lowest bit first.  The three kinds of key never clash:
+    a table is a ``str``, an attribute a pair of them and an aggregate a
+    function name with an attribute.
     """
-    joining_views: dict[str, int] = {}
+    holding: dict[object, int] = {}
     for c, v in enumerate(views):
-        for t in v.joined_tables:
-            joining_views[t] = joining_views.get(t, 0) | 1 << c
-    offers = [(v.group_by_set(), frozenset(v.aggregates)) for v in views]
+        for key in (*v.joined_tables, *v.group_by, *v.aggregates):
+            holding[key] = holding.get(key, 0) | 1 << c
+    every = (1 << len(views)) - 1
     rows = []
     for q in queries:
-        attrs, aggs = q.filter_group_attrs(), frozenset(q.aggregates)
-        joining = (1 << len(views)) - 1
-        for t in q.joined_tables:
-            joining &= joining_views.get(t, 0)
+        usable = every
+        for key in (*q.joined_tables, *q.filter_group_attrs, *q.aggregates):
+            usable &= holding.get(key, 0)
         cols = []
-        while joining:
-            c = (joining & -joining).bit_length() - 1  # the lowest position left
-            joining &= joining - 1
-            v_attrs, v_aggs = offers[c]
-            if attrs <= v_attrs and aggs <= v_aggs:
-                cols.append(c)
+        while usable:
+            low = usable & -usable  # the lowest position left
+            cols.append(low.bit_length() - 1)
+            usable ^= low
         rows.append(cols)
     return rows
 
@@ -253,7 +253,7 @@ def _query_index_rows(queries, base: list[IndexCandidate]) -> list[list[int]]:
     return [
         [
             c
-            for attr in q.filter_group_attrs()
+            for attr in q.filter_group_attrs
             for c, table in columns.get(attr, ())
             if table in q.joined_tables
         ]
@@ -328,8 +328,9 @@ def build_matrices(
     enumerating the same physical on-view index twice).
 
     Each matrix is filled from per-row lists of its unit columns;
-    query-view rows test only the views that join the query's tables,
-    the other rows look their columns up by attribute or by view.
+    query-view rows are one AND of per-key view masks
+    (``_query_view_rows``), the other rows look their columns up by
+    attribute or by view.
     """
     queries = workload.queries
     base = [i for i in indexes if i.is_base()]

@@ -90,6 +90,8 @@ class _Parser(argparse.ArgumentParser):
             raise ParseError("--budget is required unless --sweep is given")
         else:
             ns.budget = _parse_budget(ns.budget)
+        if ns.refresh_ratio is not None:  # checked by the rule the run applies, raising here
+            ObjectiveParams(refresh_ratio=ns.refresh_ratio, mode=ns.objective)
         return ns
 
 

@@ -238,7 +238,7 @@ class CostContext:
                 for iid, blocks in options:
                     lists.setdefault(iid, []).append((pos, slot, blocks, ()))
             plan_views = []
-            q_attrs = q.filter_group_attrs()
+            q_attrs = q.filter_group_attrs
             all_divisor = math.prod(card for _, card in cards)
             for vid, vblocks, on_view in compress(view_access, view_row):
                 options = tuple(((vid, attr), _indexed(h, vblocks, all_divisor))

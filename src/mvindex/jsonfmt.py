@@ -11,6 +11,12 @@ its byte values.  When all of them are in 0..9, as the 0/1 cells of a
 matrix row are, the text comes from one ``translate`` pass and one
 ``replace`` instead of one ``repr`` per value; the type alone guarantees
 each value is an int in 0..255, so no cell is checked.
+A dict's heads, the ``"{"`` or ``","`` plus indent plus ``"key": `` text
+before each of its values, in sorted key order, are derived once per shape
+and call: a shape is the dict's key tuple, in insertion order, and its
+indent.  Every other dict of that shape, such as each candidate or
+iteration record of a report, reuses them, so it neither sorts its keys nor
+checks or encodes one.
 """
 
 from __future__ import annotations
@@ -36,12 +42,12 @@ def write_json(value, write) -> None:
     """Write ``format_json(value)`` through ``write``, in pieces of a bounded
     number of chunks (one ``bytes`` row may make a chunk long)."""
     out: list[str] = []
-    _write_json(value, "\n", out, write)
+    _write_json(value, "\n", out, write, {})
     if out:
         write("".join(out))
 
 
-def _write_json(value, newline: str, out: list[str], write) -> None:
+def _write_json(value, newline: str, out: list[str], write, shapes: dict) -> None:
     """Append ``value``'s text; ``newline`` is a line break plus the current indent.
 
     Containers and ``bytes`` are tested first: no value is both one of them
@@ -49,29 +55,31 @@ def _write_json(value, newline: str, out: list[str], write) -> None:
     written as.
     A container writes a child whose type is exactly ``str`` or ``int``
     itself, with no call; every other child, ``bool`` and subclasses
-    included, takes the branches below.  At the end of a container or a
-    ``bytes`` row, a buffer of more than ``_PIECE_CHUNKS`` chunks goes to
-    ``write`` and is emptied.
+    included, takes the branches below.  A dict reads its heads from
+    ``shapes``, which maps each shape met so far in this call to its inner
+    indent and heads (``_heads``).  At the end of a container or a ``bytes``
+    row, a buffer of more than ``_PIECE_CHUNKS`` chunks goes to ``write``
+    and is emptied.
     """
     if isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        shape = (tuple(value), newline)
+        heads = shapes.get(shape)
+        if heads is None:
+            heads = shapes[shape] = _heads(*shape)
+        inner, keyed = heads
+        for key, head in keyed:
             item = value[key]
             kind = type(item)
             if kind is str:
-                out.append(separator + _json_str(key) + ": " + _json_str(item))
+                out.append(head + _json_str(item))
             elif kind is int:
-                out.append(separator + _json_str(key) + ": " + int.__repr__(item))
+                out.append(head + int.__repr__(item))
             else:
-                out.append(separator + _json_str(key) + ": ")
-                _write_json(item, inner, out, write)
-            separator = "," + inner
+                out.append(head)
+                _write_json(item, inner, out, write, shapes)
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -87,7 +95,7 @@ def _write_json(value, newline: str, out: list[str], write) -> None:
                 out.append(separator + int.__repr__(item))
             else:
                 out.append(separator)
-                _write_json(item, inner, out, write)
+                _write_json(item, inner, out, write, shapes)
             separator = "," + inner
         out.append(newline + "]")
     elif isinstance(value, bytes):
@@ -99,6 +107,21 @@ def _write_json(value, newline: str, out: list[str], write) -> None:
     if len(out) > _PIECE_CHUNKS:
         write("".join(out))
         out.clear()
+
+
+def _heads(keys: tuple, newline: str) -> tuple[str, tuple[tuple[object, str], ...]]:
+    """The inner indent of a dict with ``keys`` at ``newline``, and each key in
+    sorted order with the text written before its value; a TypeError for a
+    key that is not a ``str``."""
+    inner = newline + "  "
+    separator = "{" + inner
+    keyed = []
+    for key in sorted(keys):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        keyed.append((key, separator + _json_str(key) + ": "))
+        separator = "," + inner
+    return inner, tuple(keyed)
 
 
 def join_values(separator: str, row: bytes) -> str:

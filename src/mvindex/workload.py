@@ -54,22 +54,19 @@ Attr = tuple[str, str]  # (table, attribute)
 class Predicate(Record):
     """Equality of one attribute against a constant literal."""
 
-    __slots__ = _fields = ("table", "attribute", "constant")
+    _fields = ("table", "attribute", "constant")
+    __slots__ = _fields + ("attr",)
 
     def __init__(self, table: str, attribute: str, constant: str):
         self.table = table
         self.attribute = attribute
         self.constant = constant
-
-    @property
-    def attr(self) -> Attr:
-        return (self.table, self.attribute)
+        self.attr: Attr = (table, attribute)  # derived, outside _fields: read as one pair
 
 
 class Query(Record):
-    __slots__ = _fields = (
-        "id", "select_attrs", "aggregates", "joined_tables", "join_pairs", "predicates", "group_by",
-    )
+    _fields = ("id", "select_attrs", "aggregates", "joined_tables", "join_pairs", "predicates", "group_by")
+    __slots__ = _fields + ("filter_group_attrs",)
 
     def __init__(self, id: str, select_attrs: tuple[Attr, ...], aggregates: tuple[tuple[str, Attr], ...],
                  joined_tables: frozenset[str], join_pairs: tuple[tuple[Attr, Attr], ...],
@@ -81,10 +78,9 @@ class Query(Record):
         self.join_pairs = join_pairs  # (fact attr, dimension attr)
         self.predicates = predicates
         self.group_by = group_by
-
-    def filter_group_attrs(self) -> frozenset[Attr]:
-        """Attributes the query filters or groups on; drives index usability."""
-        return frozenset(p.attr for p in self.predicates) | frozenset(self.group_by)
+        # derived: the attributes the query filters or groups on, which the
+        # usage rules and the plan pass read
+        self.filter_group_attrs = frozenset([*(p.attr for p in predicates), *group_by])
 
 
 class Workload(Record):

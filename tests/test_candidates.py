@@ -126,7 +126,7 @@ def test_generated_view_group_by_is_what_its_usable_queries_filter_or_group_on(
         inst = random_instance(seed)
         workload, catalog = inst.workload, inst.catalog
     for v in generate_view_candidates(workload, catalog):
-        attrs = [q.filter_group_attrs() for q in workload.queries if usable_view(q, v)]
+        attrs = [q.filter_group_attrs for q in workload.queries if usable_view(q, v)]
         assert frozenset().union(*attrs) == v.group_by_set()
 
 

@@ -1,13 +1,16 @@
 import codecs
 import collections
+import contextlib
 import enum
 import gc
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,7 +29,7 @@ from mvindex.candidates import UsageMatrices, build_matrices, format_candidates
 from mvindex.catalog import MAX_CATALOG_INT, format_catalog, table_blocks
 from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
 from mvindex.costmodel import Configuration, CostContext
-from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path
+from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path, fixture_text
 from mvindex.selector import enumerate_objects, greedy_select
 from mvindex.jsonfmt import format_json, write_json
 from mvindex.workload import Query, Workload, format_workload
@@ -497,6 +500,70 @@ def test_catalog_integer_runs_at_the_bound_and_exits_1_above_it(tmp_path, capsys
     assert (captured.out, captured.err) == ("", f"error: {catalog}: line {line}: {name} must be <= {MAX_CATALOG_INT}\n")
 
 
+# at and near the bound, and far above it, where a float of a cost overflows
+_NEAR_BOUND = st.one_of(
+    st.integers(MAX_CATALOG_INT - 2, MAX_CATALOG_INT + 2),
+    st.sampled_from([2**53 + 1, 2**62, MAX_CATALOG_INT // 2, 2**64, 10**315]),
+)
+
+
+@st.composite
+def near_bound_inputs(draw):
+    """Catalog and workload texts, the fixture's or a random instance's, with
+    some of the catalog's numbers, or all of them, moved to or near
+    ``MAX_CATALOG_INT``."""
+    seed = draw(st.none() | st.integers(0, 10_000))
+    if seed is None:
+        catalog, workload = fixture_text(CATALOG_FILE), fixture_text(WORKLOAD_FILE)
+    else:
+        inst = random_instance(seed)
+        catalog, workload = format_catalog(inst.catalog), format_workload(inst.workload)
+    lines = catalog.splitlines()
+    spots = [(k, m.span()) for k, line in enumerate(lines) if not line.lstrip().startswith("#")
+             for m in re.finditer(r"(?<!\S)\d+(?!\S)", line)]
+    if draw(st.booleans()):
+        value = draw(_NEAR_BOUND)
+        moved = {spot: value for spot in spots}
+    else:
+        chosen = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=6, unique=True))
+        moved = {spot: draw(_NEAR_BOUND) for spot in chosen}
+    for (k, (start, end)), value in sorted(moved.items(), reverse=True):
+        lines[k] = lines[k][:start] + str(value) + lines[k][end:]
+    return "\n".join(lines) + "\n", workload
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=near_bound_inputs(), refresh=st.sampled_from(["0", "2"]))
+def test_catalog_near_the_integer_bound_runs_or_exits_with_one_error(inputs, refresh):
+    # at the bound every cost, size and objective must stay finite; above it,
+    # or where a moved cardinality exceeds its table's rows, the run stops
+    # with one error line and writes no report
+    catalog, workload = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        schema, queries, output = Path(tmp, "star.catalog"), Path(tmp, "star.workload"), Path(tmp, "report.json")
+        schema.write_text(catalog, encoding="utf-8")
+        queries.write_text(workload, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--schema", str(schema), "--workload", str(queries), "--refresh-ratio", refresh,
+                         "--budget", "50%", "--format", "json", "--trace", "--out", str(output)])
+        out = output.read_text(encoding="utf-8")
+    if code != 0:
+        assert code in (1, 2)
+        assert out == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        return
+    assert err.getvalue() == ""
+    report = json.loads(out)
+    for side in ("before", "after"):
+        assert report["costs"][side]["total"] == sum(report["costs"][side]["per_query"].values())
+    selection = report["selection"]
+    assert selection["total_cost_blocks"] == report["costs"]["after"]["total"]
+    assert selection["used_bytes"] == sum(member["bytes"] for member in selection["selected"])
+    assert selection["used_bytes"] <= report["budget_bytes"]
+    assert all(math.isfinite(it["objective"]) for it in selection["iterations"])
+
+
 @pytest.mark.parametrize("text", ["", "# comments only\n\n# and blank lines\n",
                                   "refresh_ratio = 1\n"])
 def test_workload_without_statements_exits_1(tmp_path, capsys, text):
@@ -535,10 +602,31 @@ def test_percentage_budget_selects_as_its_byte_count(percent, with_candidates, m
     assert by_bytes["selection"] == by_percent["selection"]
 
 
+_SHARED_KEYS = ("a", "b", "\u00e9")
+
+
+@st.composite
+def _shared_key_dicts(draw, children):
+    """A list of records over one key set, each with its own insertion order;
+    a value may be another record of that key set, one indent deeper, so one
+    key set meets other insertion orders and other indents, as the records
+    of a report do."""
+    keys = draw(st.lists(st.sampled_from(_SHARED_KEYS), min_size=1, unique=True))
+
+    def record(depth):
+        return {
+            key: record(depth + 1) if depth < 2 and draw(st.booleans()) else draw(children)
+            for key in draw(st.permutations(keys))
+        }
+
+    return [record(0) for _ in range(draw(st.integers(1, 3)))]
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: (
         st.lists(children)
+        | _shared_key_dicts(children)
         | st.lists(children).map(tuple)
         | st.dictionaries(st.text(), children)
         | st.lists(st.integers() | st.booleans())
@@ -704,8 +792,11 @@ def test_out_naming_an_input_exits_1_and_leaves_it_unchanged(capsys, monkeypatch
         (["--sweep", "0.5,2"], 1, "--sweep takes comma-separated fractions in (0, 1], got '2'"),
         (["--budget", "-5"], 2, "budget must be >= 0, got '-5'"),
         (["--budget", "nan%"], 1, "budget percentage 'nan%' is not a finite number"),
+        (["--budget", "0", "--refresh-ratio", "-1"], 1, "refresh_ratio must be finite and >= 0, got -1.0"),
+        (["--sweep", "0.5", "--refresh-ratio", "nan"], 1, "refresh_ratio must be finite and >= 0, got nan"),
     ],
-    ids=["malformed-budget", "no-budget", "sweep-above-1", "negative-budget", "nan-percentage"],
+    ids=["malformed-budget", "no-budget", "sweep-above-1", "negative-budget", "nan-percentage",
+         "negative-refresh-ratio", "nan-refresh-ratio"],
 )
 def test_argument_error_is_reported_before_out_is_opened_or_an_input_read(
     tmp_path, capsys, args, code, message
