@@ -17,7 +17,7 @@ from mvindex.selector import enumerate_objects, greedy_select
 catalog = scale_catalog(sales_star_catalog(), 100)
 workload = sales_star_workload(catalog)
 views = generate_view_candidates(workload, catalog)
-indexes = generate_index_candidates(workload, views, catalog, min_support=1)
+indexes = generate_index_candidates(workload, views, min_support=1)
 ctx = CostContext(build_matrices(workload, views, indexes), catalog)
 params = ObjectiveParams(refresh_ratio=0.0)
 

@@ -22,7 +22,8 @@ A candidates file can inject fixed sets instead of generating them::
 view: the view-index matrix honours it, and an ``index ... on <view-id>``
 line, which declares an index candidate targeting a view instead of a base
 table, must key one of them.  ``build_matrices`` gives the stage's result:
-the queries and candidates together with their three usage matrices.
+the queries and candidates together with their three usage matrices, each
+row filled once, directly, as the ``bytes`` its readers take.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class ViewCandidate(Record):
 
     _fields = ("id", "joined_tables", "join_pairs", "group_by", "aggregates", "row_count", "row_width",
                "indexable")
-    __slots__ = _fields + ("_group_by_set",)
+    __slots__ = _fields + ("indexable_attrs",)
 
     def __init__(self, id: str, joined_tables: frozenset[str], join_pairs: tuple[tuple[Attr, Attr], ...],
                  group_by: tuple[Attr, ...], aggregates: tuple[tuple[str, Attr], ...], row_count: int,
@@ -53,14 +54,8 @@ class ViewCandidate(Record):
         self.row_count = row_count  # estimated distinct groups
         self.row_width = row_width  # group-by widths plus 8 bytes per aggregate
         self.indexable = indexable  # None means every group_by attribute
-        # every pair's index check reads it, through indexable_attrs
-        self._group_by_set = frozenset(group_by)
-
-    def group_by_set(self) -> frozenset[Attr]:
-        return self._group_by_set
-
-    def indexable_attrs(self) -> frozenset[Attr]:
-        return self._group_by_set if self.indexable is None else self.indexable
+        # derived, outside _fields: the attributes an index on the view may key
+        self.indexable_attrs = frozenset(group_by) if indexable is None else indexable
 
 
 class IndexCandidate(Record):
@@ -82,33 +77,27 @@ class IndexCandidate(Record):
         return self.on_view is None
 
 
-def view_stats(group_by: tuple[Attr, ...], aggregates, catalog: SchemaCatalog) -> tuple[int, int]:
-    """Estimated (row_count, row_width) of a view.
+def make_view(vid, joined_tables, join_pairs, group_by, aggregates, catalog, indexable=None):
+    """A view with its estimated size.
 
     Rows: product of group-by attribute cardinalities, capped at the fact
     table's row count (the standard distinct-group bound).  Width: sum of
     group-by attribute widths plus 8 bytes per aggregate.
     """
+    group_by, aggregates = tuple(group_by), tuple(aggregates)
     fact_rows = catalog.fact_table.row_count
-    prod = 1
-    width = 0
+    rows, width = 1, 8 * len(aggregates)
     for table, attr in group_by:
         stats = catalog.attribute(table, attr)
-        prod = min(prod * stats.cardinality, fact_rows)
+        rows = min(rows * stats.cardinality, fact_rows)
         width += stats.width
-    width += 8 * len(aggregates)
-    return min(prod, fact_rows), width
-
-
-def make_view(vid, joined_tables, join_pairs, group_by, aggregates, catalog, indexable=None):
-    rows, width = view_stats(tuple(group_by), tuple(aggregates), catalog)
     return ViewCandidate(
         id=vid,
         joined_tables=frozenset(joined_tables),
         join_pairs=tuple(join_pairs),
-        group_by=tuple(group_by),
-        aggregates=tuple(aggregates),
-        row_count=rows,
+        group_by=group_by,
+        aggregates=aggregates,
+        row_count=min(rows, fact_rows),
         row_width=width,
         indexable=frozenset(indexable) if indexable is not None else None,
     )
@@ -121,7 +110,7 @@ def make_base_index(iid: str, attr: Attr, catalog: SchemaCatalog) -> IndexCandid
 
 def make_view_index(iid: str, view: ViewCandidate, attr: Attr, catalog: SchemaCatalog) -> IndexCandidate:
     # the cost model keys an on-view index only on an indexable attribute
-    if attr not in view.indexable_attrs():
+    if attr not in view.indexable_attrs:
         raise ValidationError(f"index {iid}: {attr[0]}.{attr[1]} is not indexable on view {view.id}")
     catalog.attribute(*attr)
     return IndexCandidate(id=iid, attribute=attr, on_view=view)
@@ -152,21 +141,25 @@ def generate_view_candidates(workload: Workload, catalog: SchemaCatalog) -> list
 def generate_index_candidates(
     workload: Workload,
     views: list[ViewCandidate],
-    catalog: SchemaCatalog,
     min_support: int = 1,
 ) -> list[IndexCandidate]:
     """Attribute-support index mining.
 
     Base tables: one candidate per attribute used in at least ``min_support``
     queries' predicates or group-by lists.  Views: one candidate per
-    indexable group-by attribute with that support.  Ordering follows first
+    group-by attribute with that support.  Ordering follows first
     occurrence in the workload, then view order.
 
-    ``views`` must come from ``generate_view_candidates`` over the same
-    workload.  Then every group-by attribute of a view is one that some
-    query able to use the view filters or groups on: it comes from a member
-    query, which can use its own merged view, and any query that can use
-    the view filters and groups only on the view's group-by attributes.
+    Precondition: the workload was parsed against a catalog, and ``views``
+    come from ``generate_view_candidates`` over the same workload and
+    catalog.  Then every attribute resolves in that catalog, and no view
+    has an ``indexable`` set, so each of its group-by attributes is
+    indexable on it: the candidates are built directly, with none of
+    ``make_base_index``'s or ``make_view_index``'s checks.  Every group-by attribute of a view is
+    also one that some query able to use the view filters or groups on: it
+    comes from a member query, which can use its own merged view, and any
+    query that can use the view filters and groups only on the view's
+    group-by attributes.
     """
     if min_support < 1:
         raise ValidationError("min_support must be >= 1")
@@ -179,15 +172,12 @@ def generate_index_candidates(
     candidates = []
     for attr, users in support.items():
         if len(users) >= min_support:
-            candidates.append(make_base_index(f"i{len(candidates) + 1}", attr, catalog))
+            candidates.append(IndexCandidate(f"i{len(candidates) + 1}", attr))
 
     for view in views:
-        indexable = view.indexable_attrs()
         for attr in view.group_by:
-            if attr in indexable and len(support.get(attr, ())) >= min_support:
-                candidates.append(
-                    make_view_index(f"i{len(candidates) + 1}", view, attr, catalog)
-                )
+            if len(support.get(attr, ())) >= min_support:
+                candidates.append(IndexCandidate(f"i{len(candidates) + 1}", attr, view))
     return candidates
 
 
@@ -199,20 +189,20 @@ def usable_view(q: Query, v: ViewCandidate) -> bool:
     query's group-by and predicate attributes to appear in the view's
     group-by, and the query's aggregates to be carried by the view.
     """
-    return bool(_query_view_rows([q], [v])[0])
+    return bool(_query_view_rows([q], [v])[0][0])
 
 
-def _query_view_rows(queries, views) -> list[list[int]]:
-    """Per query, the positions of the views it can use (``usable_view``), in
-    ascending order.
+def _query_view_rows(queries, views) -> tuple[bytes, ...]:
+    """The query-view matrix: per query, a row with a 1 at each view it can
+    use (``usable_view``).
 
     Each joined table, group-by attribute and aggregate maps to the views
     that hold it, as the bits of one int: bit ``c`` stands for ``views[c]``.
     A query can use exactly the views in the AND of the masks of its
     tables, the attributes it filters or groups on, and its aggregates, and
-    those are listed lowest bit first.  The three kinds of key never clash:
-    a table is a ``str``, an attribute a pair of them and an aggregate a
-    function name with an attribute.
+    its row is filled directly from those bits.  The three kinds of key
+    never clash: a table is a ``str``, an attribute a pair of them and an
+    aggregate a function name with an attribute.
     """
     holding: dict[object, int] = {}
     for c, v in enumerate(views):
@@ -224,13 +214,13 @@ def _query_view_rows(queries, views) -> list[list[int]]:
         usable = every
         for key in (*q.joined_tables, *q.filter_group_attrs, *q.aggregates):
             usable &= holding.get(key, 0)
-        cols = []
+        row = bytearray(len(views))
         while usable:
             low = usable & -usable  # the lowest position left
-            cols.append(low.bit_length() - 1)
+            row[low.bit_length() - 1] = 1
             usable ^= low
-        rows.append(cols)
-    return rows
+        rows.append(bytes(row))
+    return tuple(rows)
 
 
 def usable_index(q: Query, i: IndexCandidate) -> bool:
@@ -241,31 +231,32 @@ def usable_index(q: Query, i: IndexCandidate) -> bool:
     """
     if not i.is_base():
         raise ValidationError(f"usable_index expects a base-table index, got {i.id} on {i.target}")
-    return bool(_query_index_rows([q], [i])[0])
+    return bool(_query_index_rows([q], [i])[0][0])
 
 
-def _query_index_rows(queries, base: list[IndexCandidate]) -> list[list[int]]:
-    """Per query, the positions of the base indexes it can use (``usable_index``),
-    looked up by the attributes the query filters or groups on."""
+def _query_index_rows(queries, base: list[IndexCandidate]) -> tuple[bytes, ...]:
+    """The query-index matrix: per query, a row with a 1 at each base index it
+    can use (``usable_index``), looked up by the attributes it filters or
+    groups on."""
     columns: dict[Attr, list[tuple[int, str]]] = {}
     for c, i in enumerate(base):
         columns.setdefault(i.attribute, []).append((c, i.target))
-    return [
-        [
-            c
-            for attr in q.filter_group_attrs
-            for c, table in columns.get(attr, ())
-            if table in q.joined_tables
-        ]
-        for q in queries
-    ]
+    rows = []
+    for q in queries:
+        row = bytearray(len(base))
+        for attr in q.filter_group_attrs:
+            for c, table in columns.get(attr, ()):
+                if table in q.joined_tables:
+                    row[c] = 1
+        rows.append(bytes(row))
+    return tuple(rows)
 
 
 class UsageMatrices(Record):
     """The queries and candidates of a workload with their three usage matrices.
 
     Each matrix is a tuple of rows, each row a ``bytes`` of the values 0 and
-    1, one per column: indexing a row gives an int, ``compress`` and ``sum``
+    1, one per column, filled directly by ``build_matrices``: indexing a row gives an int, ``compress`` and ``sum``
     read it as they would a tuple, and the report writes it in one pass
     (``jsonfmt``) with no check of each cell.
     ``query_index`` covers base-table candidates only; ``view_index``
@@ -303,17 +294,6 @@ class UsageMatrices(Record):
         return sum(map(sum, self.view_index))
 
 
-def _unit_rows(rows: list[list[int]], n_cols: int) -> tuple[bytes, ...]:
-    """0/1 rows, row r holding 1 exactly at the columns ``rows[r]`` lists."""
-    filled = []
-    for cols in rows:
-        row = bytearray(n_cols)
-        for c in cols:
-            row[c] = 1
-        filled.append(bytes(row))
-    return tuple(filled)
-
-
 def build_matrices(
     workload: Workload,
     views: list[ViewCandidate],
@@ -327,9 +307,9 @@ def build_matrices(
     candidate for the same (view, attribute) already exists (avoids
     enumerating the same physical on-view index twice).
 
-    Each matrix is filled from per-row lists of its unit columns;
-    query-view rows are one AND of per-key view masks
-    (``_query_view_rows``), the other rows look their columns up by
+    Each row is filled directly, one ``bytearray`` frozen as ``bytes``:
+    query-view rows from one AND of per-key view masks
+    (``_query_view_rows``), the other rows at the columns they look up by
     attribute or by view.
     """
     queries = workload.queries
@@ -343,21 +323,24 @@ def build_matrices(
         else:
             on_view.setdefault(i.target, []).append(c)
     dedicated = {(i.target, i.attribute) for i in indexes if not i.is_base()}
-    vi_rows = []
+    view_index = []
     for v in views:
-        cols = list(on_view.get(v.id, ()))
-        for attr in v.indexable_attrs():
+        row = bytearray(len(indexes))
+        for c in on_view.get(v.id, ()):
+            row[c] = 1
+        for attr in v.indexable_attrs:
             if (v.id, attr) not in dedicated:
-                cols += base_by_attr.get(attr, ())
-        vi_rows.append(cols)
+                for c in base_by_attr.get(attr, ()):
+                    row[c] = 1
+        view_index.append(bytes(row))
 
     return UsageMatrices(
         queries=tuple(queries),
         views=tuple(views),
         indexes=tuple(indexes),
-        query_view=_unit_rows(_query_view_rows(queries, views), len(views)),
-        query_index=_unit_rows(_query_index_rows(queries, base), len(base)),
-        view_index=_unit_rows(vi_rows, len(indexes)),
+        query_view=_query_view_rows(queries, views),
+        query_index=_query_index_rows(queries, base),
+        view_index=tuple(view_index),
     )
 
 

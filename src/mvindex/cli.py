@@ -166,7 +166,7 @@ def _load_inputs(args):
         views, indexes = load_candidates(_read_input(args.candidates), catalog, args.candidates)
     else:
         views = generate_view_candidates(workload, catalog)
-        indexes = generate_index_candidates(workload, views, catalog, args.min_support)
+        indexes = generate_index_candidates(workload, views, args.min_support)
     matrices = build_matrices(workload, views, indexes)
     refresh = args.refresh_ratio if args.refresh_ratio is not None else workload.refresh_ratio
     params = ObjectiveParams(refresh_ratio=refresh, mode=args.objective)

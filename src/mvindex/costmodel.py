@@ -222,7 +222,7 @@ class CostContext:
 
         base_access = [(i.id, i.target, height(i.attribute)) for i in matrices.indexes if i.is_base()]
         view_access = [(v.id, blocks_of(v.row_count, v.row_width, catalog),
-                        [(attr, height(attr)) for attr in sorted(v.indexable_attrs())])
+                        [(attr, height(attr)) for attr in sorted(v.indexable_attrs)])
                        for v in matrices.views]
         plans, lists = {}, {}
         rows = zip(self.queries, matrices.query_index, matrices.query_view)

@@ -115,7 +115,7 @@ def _uniform_instance(seed: int, n_dims: int):
         )
     workload = Workload(queries=tuple(queries))
     views = generate_view_candidates(workload, catalog)
-    indexes = generate_index_candidates(workload, views, catalog, min_support=99)
+    indexes = generate_index_candidates(workload, views, min_support=99)
     assert indexes == []
     matrices = build_matrices(workload, views, indexes)
     from util import Instance

@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvindex.candidates import (
+    ViewCandidate,
     build_matrices,
     format_candidates,
     generate_index_candidates,
     generate_view_candidates,
     load_candidates,
+    make_base_index,
     make_view,
+    make_view_index,
     usable_index,
     usable_view,
 )
@@ -18,7 +21,13 @@ from mvindex.errors import ParseError, UnknownNameError, ValidationError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
 from mvindex.workload import Workload
 
-from util import random_instance, usable_view as oracle_usable_view, with_random_candidates
+from util import (
+    random_instance,
+    usable_index as oracle_usable_index,
+    usable_view as oracle_usable_view,
+    view_index_cell,
+    with_random_candidates,
+)
 
 
 def _single_query_workload(workload, qid):
@@ -38,7 +47,7 @@ def test_generate_view_for_q1(workload, catalog):
 
 def test_generate_empty_workload(catalog):
     assert generate_view_candidates(Workload(queries=()), catalog) == []
-    assert generate_index_candidates(Workload(queries=()), [], catalog, 1) == []
+    assert generate_index_candidates(Workload(queries=()), [], 1) == []
 
 
 def test_generate_merges_same_join_signature(workload, catalog):
@@ -64,7 +73,7 @@ def test_view_row_estimate_capped_by_fact(workload, catalog):
 
 
 def test_index_candidates_min_support_one(workload, views, catalog):
-    cands = generate_index_candidates(workload, [], catalog, 1)
+    cands = generate_index_candidates(workload, [], 1)
     attrs = {c.attribute for c in cands}
     assert ("promotions", "promo_category") in attrs
     assert ("channels", "channel_class") in attrs
@@ -73,28 +82,39 @@ def test_index_candidates_min_support_one(workload, views, catalog):
 
 
 def test_index_candidates_min_support_two(workload, catalog):
-    cands = generate_index_candidates(workload, [], catalog, 2)
+    cands = generate_index_candidates(workload, [], 2)
     attrs = {c.attribute for c in cands}
     assert ("promotions", "promo_category") in attrs  # used by q2 and q4
     assert ("channels", "channel_class") not in attrs  # only q8
 
 
 def test_index_candidates_support_above_workload(workload, catalog):
-    assert generate_index_candidates(workload, [], catalog, 99) == []
+    assert generate_index_candidates(workload, [], 99) == []
 
 
 def test_index_candidates_reject_support_below_one(workload, catalog):
     with pytest.raises(ValidationError, match="^min_support must be >= 1$"):
-        generate_index_candidates(workload, [], catalog, min_support=0)
+        generate_index_candidates(workload, [], min_support=0)
 
 
-def test_generated_view_candidates_cover_views(workload, catalog):
+@pytest.mark.parametrize("seed", [None, *range(40)])
+def test_generated_indexes_are_what_the_validating_factories_build(workload, catalog, seed):
+    # generate_index_candidates builds its candidates directly: its
+    # precondition guarantees every check the factories make
+    if seed is not None:
+        inst = random_instance(seed)
+        workload, catalog = inst.workload, inst.catalog
     views = generate_view_candidates(workload, catalog)
-    cands = generate_index_candidates(workload, views, catalog, 1)
-    on_view = [c for c in cands if not c.is_base()]
-    assert on_view, "expected on-view index candidates"
-    for c in on_view:
-        assert c.attribute in c.on_view.group_by_set()
+    for min_support in (1, 2, 3):
+        cands = generate_index_candidates(workload, views, min_support)
+        if seed is None and min_support == 1:
+            assert any(not c.is_base() for c in cands), "expected on-view index candidates"
+        for c in cands:
+            if c.is_base():
+                assert c == make_base_index(c.id, c.attribute, catalog)
+            else:
+                assert any(c.on_view is v for v in views)
+                assert c == make_view_index(c.id, c.on_view, c.attribute, catalog)
 
 
 def test_usable_view_fixture_cases(workload, views):
@@ -127,7 +147,7 @@ def test_generated_view_group_by_is_what_its_usable_queries_filter_or_group_on(
         workload, catalog = inst.workload, inst.catalog
     for v in generate_view_candidates(workload, catalog):
         attrs = [q.filter_group_attrs for q in workload.queries if usable_view(q, v)]
-        assert frozenset().union(*attrs) == v.group_by_set()
+        assert frozenset().union(*attrs) == frozenset(v.group_by)
 
 
 def test_usable_index_fixture_cases(workload, indexes):
@@ -139,8 +159,6 @@ def test_usable_index_fixture_cases(workload, indexes):
 
 
 def test_usable_index_rejects_view_target(workload, views, catalog):
-    from mvindex.candidates import make_view_index
-
     v1 = views[0]
     j = make_view_index("j1", v1, v1.group_by[0], catalog)
     q1 = {q.id: q for q in workload.queries}["q1"]
@@ -161,7 +179,7 @@ def test_vi_requires_target_membership(matrices, views, indexes):
     for vpos, vid in enumerate(matrices.view_ids):
         for ipos, iid in enumerate(matrices.index_ids):
             if matrices.view_index[vpos][ipos]:
-                assert by_iid[iid].attribute in by_vid[vid].indexable_attrs()
+                assert by_iid[iid].attribute in by_vid[vid].indexable_attrs
 
 
 def test_vi_v7_i11(matrices):
@@ -375,6 +393,51 @@ def test_query_view_matrix_equals_usability_rule(seed, max_tables, extra):
     views = inst.views + list(_narrowed_views(inst.views, inst.catalog))
     expected = tuple(bytes(oracle_usable_view(q, v) for v in views) for q in inst.queries)
     assert build_matrices(inst.workload, views, inst.indexes).query_view == expected
+
+
+def _restricted_views(views, catalog):
+    """Per view, a copy whose ``indexable`` line keeps every other group-by
+    attribute, and on-view indexes on the copy keying every other of those,
+    so that both restrictions of the view-index rule decide some cells."""
+    restricted, on_view = [], []
+    for v in views:
+        r = make_view(f"{v.id}r", v.joined_tables, v.join_pairs, v.group_by, v.aggregates, catalog,
+                      indexable=v.group_by[::2])
+        restricted.append(r)
+        on_view += [make_view_index(f"{r.id}j{k}", r, a, catalog) for k, a in enumerate(v.group_by[::4])]
+    return restricted, on_view
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), max_tables=st.integers(2, 8), min_support=st.integers(1, 3),
+       extra=st.booleans(), restricted=st.booleans())
+def test_query_index_and_view_index_matrices_equal_usability_rules(seed, max_tables, min_support, extra,
+                                                                   restricted):
+    inst = random_instance(seed=seed, max_tables=max_tables, max_queries=30, min_support=min_support)
+    if extra:  # candidates no query shaped: base indexes sharing an attribute, views no query uses
+        inst = with_random_candidates(inst, seed)
+    views, indexes = inst.views, inst.indexes
+    if restricted:
+        more_views, more_indexes = _restricted_views(views, inst.catalog)
+        views, indexes = views + more_views, indexes + more_indexes
+    m = build_matrices(inst.workload, views, indexes)
+    base = [i for i in indexes if i.is_base()]
+    assert m.query_index == tuple(bytes(oracle_usable_index(q, i) for i in base) for q in inst.queries)
+    assert m.view_index == tuple(bytes(view_index_cell(v, i, indexes) for i in indexes) for v in views)
+
+
+def test_indexable_attrs_is_derived_and_takes_no_part_in_equality_hashing_or_repr(catalog):
+    # the bundled file plus a view whose indexable line keeps one of its two group-by attributes
+    text = fixture_text(CANDIDATES_FILE) + _VIEW_V1.replace("view v1", "view w1")
+    views, _ = load_candidates(text, catalog)
+    assert any(v.indexable is None for v in views) and any(v.indexable is not None for v in views)
+    for v in views:
+        assert v.indexable_attrs == (frozenset(v.group_by) if v.indexable is None else v.indexable)
+        twin = ViewCandidate(*(getattr(v, name) for name in ViewCandidate._fields))
+        twin.indexable_attrs = frozenset()
+        assert twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
+        assert "indexable_attrs" not in repr(v)
+    assert views[-1].id == "w1" and views[-1].indexable_attrs == {("sales", "time_id")}
 
 
 @settings(max_examples=60, deadline=None)

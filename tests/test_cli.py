@@ -349,7 +349,7 @@ def test_non_finite_refresh_ratio_exits_1(fixture_args, capsys, ratio):
 
 def test_overflowing_refresh_ratio_header_exits_1(tmp_path, capsys):
     workload = tmp_path / "overflow.workload"
-    workload.write_text("refresh_ratio = 1e400\n" + open(fixture_path(WORKLOAD_FILE)).read())
+    workload.write_text("refresh_ratio = 1e400\n" + Path(fixture_path(WORKLOAD_FILE)).read_text())
     code = main(["--schema", fixture_path(CATALOG_FILE), "--workload", str(workload),
                  "--sweep", "0.5"])
     assert code == 1

@@ -89,7 +89,7 @@ def test_workload_loader_returns_or_raises_advisor_error(catalog, text):
     with returns_or_names("fuzz.workload") as source:
         workload = load_workload(text, catalog, source)
         views = generate_view_candidates(workload, catalog)
-        indexes = generate_index_candidates(workload, views, catalog, 1)
+        indexes = generate_index_candidates(workload, views, 1)
         build_every_plan(workload, views, indexes, catalog)
 
 

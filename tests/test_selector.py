@@ -657,7 +657,7 @@ def test_resume_stops_at_the_first_step_that_skipped_an_id(workload, catalog):
     # step 3 that step still fits, yet the resumed run replays only steps 1
     # and 2 and scores from there, as a run resumed from those two does
     views = generate_view_candidates(workload, catalog)
-    indexes = generate_index_candidates(workload, views, catalog, 1)
+    indexes = generate_index_candidates(workload, views, 1)
     ctx = CostContext(build_matrices(workload, views, indexes), catalog)
     objects = enumerate_objects(ctx)
     params = _params()
@@ -788,7 +788,7 @@ def test_relabelled_instances_cost_and_select_alike(shape, row):
     for seed in range(12):
         catalog, workload = synth.star_instance(synth.Shape(*shape), seed)
         views = generate_view_candidates(workload, catalog)
-        indexes = generate_index_candidates(workload, views, catalog, 1)
+        indexes = generate_index_candidates(workload, views, 1)
         ctx = CostContext(build_matrices(workload, views, indexes), catalog)
         objects = enumerate_objects(ctx)
         params = _params(workload.refresh_ratio)

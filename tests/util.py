@@ -139,7 +139,7 @@ def random_instance(
 
     workload = Workload(queries=tuple(queries), refresh_ratio=0.0)
     views = generate_view_candidates(workload, catalog)
-    indexes = generate_index_candidates(workload, views, catalog, min_support)
+    indexes = generate_index_candidates(workload, views, min_support)
     matrices = build_matrices(workload, views, indexes)
     return Instance(catalog, workload, matrices)
 
@@ -214,6 +214,28 @@ def usable_view(q: Query, v: ViewCandidate) -> bool:
     )
 
 
+def usable_index(q: Query, i: IndexCandidate) -> bool:
+    """``candidates.usable_index`` written out from its docstring rule: the
+    indexed attribute is among the query's predicate or group-by attributes
+    and its table is joined by the query."""
+    q_attrs = {p.attr for p in q.predicates} | set(q.group_by)
+    return i.attribute in q_attrs and i.attribute[0] in q.joined_tables
+
+
+def view_index_cell(v: ViewCandidate, i: IndexCandidate, indexes: list[IndexCandidate]) -> bool:
+    """A view-index cell written out from the ``build_matrices`` docstring
+    rule: a view-targeted candidate pairs with exactly its view; a base
+    candidate pairs with every view whose indexable attributes (its
+    ``group_by`` when ``indexable`` is None) hold its attribute, unless a
+    view-targeted candidate in ``indexes`` holds that view and attribute."""
+    if i.on_view is not None:
+        return i.on_view.id == v.id
+    indexable = set(v.group_by) if v.indexable is None else set(v.indexable)
+    dedicated = any(j.on_view is not None and j.on_view.id == v.id and j.attribute == i.attribute
+                    for j in indexes)
+    return i.attribute in indexable and not dedicated
+
+
 def brute_force_query_cost(
     q: Query,
     config: Configuration,
@@ -253,7 +275,7 @@ def brute_force_query_cost(
         vb = _oracle_blocks(v.row_count, v.row_width, catalog)
         alternatives.append(vb)
         for vid, attr in (key for key in config if isinstance(key, tuple)):
-            if vid != v.id or attr not in q_attrs or attr not in v.indexable_attrs():
+            if vid != v.id or attr not in q_attrs or attr not in v.indexable_attrs:
                 continue
             alternatives.append(_oracle_indexed(attr, vb, q, catalog))
 
@@ -284,7 +306,7 @@ def labelled_rewriting_cost(
         if not on:
             return vb
         attr = tuple(on.split("."))
-        assert (vid, attr) in config and attr in q_attrs and attr in v.indexable_attrs(), label
+        assert (vid, attr) in config and attr in q_attrs and attr in v.indexable_attrs, label
         return _oracle_indexed(attr, vb, q, catalog)
 
     via = {}  # table -> the base index the label reads it through
