@@ -3,12 +3,10 @@
 Both scores are computed in one function, ``objective_value``, from one
 ``QueryCosts``: the configuration an object is scored against and that
 configuration's per-query costs.
-The benefit of an object is the workload cost reduction it causes divided
-by storage bytes: a density in blocks per byte, a zero-size object floored
-at one byte.  The reduction is summed over the queries the object's
-members can touch only (``QueryCosts.before_after``); every other query
-costs the same either way, so the integer reduction, and with it the
-density, equals the whole-workload difference.  When the object interacts
+The benefit of an object is the workload cost reduction it causes
+(``QueryCosts.saving``, an integer count of blocks) divided by storage
+bytes: a density in blocks per byte, a zero-size object floored at one
+byte.  When the object interacts
 with already-selected structures (an index related to selected views, or a
 view related to selected indexes), the denominator also counts those
 structures' sizes, which damps the density of piling more storage onto the
@@ -162,12 +160,11 @@ def objective_value(
     ``beta`` is ``update_weight(params, ctx)`` for the run's context, which
     a greedy run computes once.
     """
-    before, after = costs.before_after(obj)
     denom, config = obj.size, costs.config
     for key, size in obj.deps:
         if key in config:
             denom += size
-    gain = (before - after) / max(denom, 1)
+    gain = costs.saving(obj) / max(denom, 1)
     if beta == 0.0:
         return gain
     if params.mode == MODE_LITERAL:

@@ -97,24 +97,23 @@ def member_key(obj):
     return obj.id
 
 
-def _cheapest_selected(plan: tuple, config: Configuration) -> tuple[int, list, list, tuple | None]:
+def _cheapest_selected(plan: tuple, config: Configuration) -> tuple[int, list, tuple | None]:
     """The cheapest terms of a plan that ``config`` selects.
 
-    ``(base, mins, indexed, view)``: ``mins`` holds the cheapest selected
-    blocks of each plan table, ``base`` their sum with the plan's fixed
-    blocks, ``indexed`` the base indexes giving any of them, in table
-    order; ``view`` is ``(blocks, key)`` of the cheapest selected view or
-    on-view index term, or None.  The earlier term wins a tie.
+    ``(base, indexed, view)``: ``base`` is the plan's fixed blocks plus the
+    cheapest selected blocks of each plan table, ``indexed`` the base
+    indexes giving any of them, in table order; ``view`` is ``(blocks,
+    key)`` of the cheapest selected view or on-view index term, or None.
+    The earlier term wins a tie.
     """
     base, tables, views = plan
-    mins, indexed = [], []
+    indexed = []
     for scan, options in tables:
         best, best_iid = scan, None
         for iid, blocks in options:
             if blocks < best and iid in config:
                 best, best_iid = blocks, iid
         base += best
-        mins.append(best)
         if best_iid is not None:
             indexed.append(best_iid)
     view = None
@@ -126,7 +125,7 @@ def _cheapest_selected(plan: tuple, config: Configuration) -> tuple[int, list, l
         for key, blocks in options:
             if blocks < view[0] and key in config:
                 view = (blocks, key)
-    return base, mins, indexed, view
+    return base, indexed, view
 
 
 class CostReport(Record):
@@ -336,8 +335,8 @@ class CostContext:
         or on-view index term that names ``key``, where ``need`` is the one
         other key the term names, which must be selected too, or None.  A
         pair reads its view's list: its on-view index reaches only queries
-        its view reaches, and each term that needs the index is counted by
-        ``QueryCosts.before_after`` and ``commit`` once the pair is taken.
+        its view reaches, and ``QueryCosts.saving`` and ``commit`` count
+        each term that needs the index as usable once the pair is taken.
         """
         return self._plans_and_offers[1].get(key, ())
 
@@ -349,7 +348,7 @@ class CostContext:
         """
         if not config:
             return self._scan[q.id], "base"
-        cost, _, indexed, view = _cheapest_selected(self.plan(q), config)
+        cost, indexed, view = _cheapest_selected(self.plan(q), config)
         if view is not None and view[0] < cost:
             blocks, key = view
             if isinstance(key, str):
@@ -368,9 +367,10 @@ class QueryCosts:
     term of each plan table (its scan or a selected base index); ``base``,
     the plan's fixed blocks plus those minima; ``cost``, ``query_cost``'s:
     the lesser of ``base`` and the cheapest selected view or on-view term.
-    ``before_after`` and ``commit`` read a selection object's ``keys`` and
-    ``offers``, one member key's list, which objects share unchanged.  A
-    state starts from the empty configuration, where every greedy run
+    ``saving`` and ``commit`` read a selection object's ``keys`` and
+    ``offers``, one member key's list, which objects share unchanged; a
+    query no offer names costs the same with or without the object's keys.
+    A state starts from the empty configuration, where every greedy run
     starts: its lists are copies of the ones ``ctx`` derives once, each
     ``mins`` row the plan's table scans, and ``base`` and ``cost`` the
     joined-table scan.  Any other configuration is reached by committing
@@ -386,8 +386,8 @@ class QueryCosts:
         self.cost = scans.copy()
 
     def commit(self, obj) -> list[tuple[int, int]]:
-        """Add the keys of ``obj``, a selection object; each query its offers
-        name takes its cost after, as ``before_after`` finds it.
+        """Add the keys of ``obj``, a selection object: the summed ``cost``
+        falls by what ``saving(obj)`` returns just before.
 
         Returns the ``(position, slot)`` of each query whose ``base`` fell,
         with the plan table it fell at: at most one per query.
@@ -407,14 +407,15 @@ class QueryCosts:
             cost[pos] = best
         return lowered
 
-    def before_after(self, obj) -> tuple[int, int]:
-        """Summed cost of the queries ``obj``'s offers name, before and after
-        adding its keys; ``commit(obj)`` moves them to the costs after.
+    def saving(self, obj) -> int:
+        """Blocks the whole workload saves when the keys of ``obj``, a
+        selection object, are added to ``config``: ``ctx.workload_total``
+        of ``config`` minus that of ``config | obj.keys``.
 
-        A query's cost after is the least of its cost, its base part with the
-        offered table lowered and the offered terms whose ``need`` is None,
-        selected or one of ``obj.keys``; every other query keeps its cost, so
-        ``before - after`` is the whole-workload cost reduction.
+        Only the queries its offers name can change.  Each falls to the
+        least of its cost, its base part with the offered table lowered, and
+        the offered terms whose ``need`` is None, selected or one of
+        ``obj.keys``.
         """
         config, keys, mins, base, cost = self.config, obj.keys, self.mins, self.base, self.cost
         before = after = 0
@@ -429,7 +430,7 @@ class QueryCosts:
                 if blocks < best and (need is None or need in config or need in keys):
                     best = blocks
             after += best
-        return before, after
+        return before - after
 
 
 def workload_cost(ctx: CostContext, config: Configuration) -> CostReport:

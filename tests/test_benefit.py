@@ -29,14 +29,14 @@ from util import (
 
 
 class _FixedCosts:
-    """A ``QueryCosts`` stand-in whose cost before and after is given."""
+    """A ``QueryCosts`` stand-in whose saving is given."""
 
-    def __init__(self, before, after, config=Configuration()):
+    def __init__(self, saving, config=Configuration()):
         self.config = config
-        self._before_after = (before, after)
+        self._saving = saving
 
-    def before_after(self, obj):
-        return self._before_after
+    def saving(self, obj):
+        return self._saving
 
 
 def _sized(size, deps=()):
@@ -44,16 +44,16 @@ def _sized(size, deps=()):
 
 
 def test_benefit_direct_substitution():
-    # cost drop 1000 -> 400 over 100 bytes of storage
-    assert object_benefit(_sized(100), _FixedCosts(1000, 400)) == 6.0
-    assert object_benefit(_sized(100), _FixedCosts(1000, 1000)) == 0.0
+    # 600 blocks saved over 100 bytes of storage
+    assert object_benefit(_sized(100), _FixedCosts(600)) == 6.0
+    assert object_benefit(_sized(100), _FixedCosts(0)) == 0.0
     # a selected dependency joins the denominator, an unselected one does not
     deps = (("v1", 40), ("v2", 1000))
-    assert object_benefit(_sized(60, deps), _FixedCosts(1000, 400, Configuration({"v1"}))) == 6.0
+    assert object_benefit(_sized(60, deps), _FixedCosts(600, Configuration({"v1"}))) == 6.0
 
 
 def test_benefit_zero_size_floor():
-    assert object_benefit(_sized(0), _FixedCosts(10, 4)) == 6.0
+    assert object_benefit(_sized(0), _FixedCosts(6)) == 6.0
 
 
 def test_view_benefit_first_branch(views, ctx):

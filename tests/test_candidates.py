@@ -19,7 +19,7 @@ from mvindex.candidates import (
 )
 from mvindex.errors import ParseError, UnknownNameError, ValidationError
 from mvindex.fixtures import CANDIDATES_FILE, fixture_text
-from mvindex.workload import Workload
+from mvindex.workload import Predicate, Query, Workload
 
 from util import (
     random_instance,
@@ -164,6 +164,19 @@ def test_usable_index_rejects_view_target(workload, views, catalog):
     q1 = {q.id: q for q in workload.queries}["q1"]
     with pytest.raises(ValidationError):
         usable_index(q1, j)
+
+
+def test_usable_index_is_false_on_a_table_the_query_does_not_join(catalog):
+    # the parser rejects such a query, but ``Query`` is public and a
+    # hand-built one may filter on a table it does not join
+    pred = Predicate("times", "time_fiscal_year", "2000")
+    q = Query("q1", (), (("sum", ("sales", "amount_sold")),), frozenset({"sales"}), (), (pred,), ())
+    joined = Query("q2", (), q.aggregates, frozenset({"sales", "times"}),
+                   ((("sales", "time_id"), ("times", "time_id")),), (pred,), ())
+    i = make_base_index("i1", ("times", "time_fiscal_year"), catalog)
+    assert not usable_index(q, i) and not oracle_usable_index(q, i)
+    assert usable_index(joined, i) and oracle_usable_index(joined, i)
+    assert build_matrices(Workload(queries=(q, joined)), [], [i]).query_index == (b"\0", b"\1")
 
 
 def test_build_matrices_empty(catalog):
@@ -371,6 +384,25 @@ def test_dedicated_view_index_suppresses_base_pairing(workload, catalog):
     assert m.pair_count() == 1
 
 
+def test_indexable_lines_add_up(workload, catalog, indexes):
+    # two indexable lines load as one line listing both, and the
+    # view-index matrix pairs the view with a base index on either
+    head = (
+        "view v3\n  tables sales, customers, products\n"
+        "  join sales.cust_id = customers.cust_id\n  join sales.prod_id = products.prod_id\n"
+        "  group_by customers.cust_first_name, products.prod_name, customers.cust_gender\n"
+        "  agg sum(sales.amount_sold)\n"
+    )
+    two = head + "  indexable customers.cust_first_name\n  indexable customers.cust_gender\n"
+    one = head + "  indexable customers.cust_first_name, customers.cust_gender\n"
+    views, _ = load_candidates(two, catalog)
+    assert (views, []) == load_candidates(one, catalog)
+    assert views[0].indexable == {("customers", "cust_first_name"), ("customers", "cust_gender")}
+    m = build_matrices(workload, views, indexes)
+    assert sorted(m.pairs()) == [("v3", "i12"), ("v3", "i5")]  # not i9 on products.prod_name
+    assert m.view_index == tuple(bytes(view_index_cell(v, i, indexes) for i in indexes) for v in views)
+
+
 def _narrowed_views(views, catalog):
     """Per view, a copy that carries no aggregate and copies that join one
     dimension fewer (dropping its group-by attributes), so that each part of
@@ -473,12 +505,15 @@ def test_format_candidates_round_trips(seed, max_tables):
         # a view whose id extends a table name, with a base and an on-view index on one attribute
         "view salesv\n  tables sales\n  group_by sales.prod_id\n  agg sum(sales.amount_sold)\n"
         "index b1 on sales key prod_id\nindex j2 on salesv key sales.prod_id\n",
+        # a view with no agg line, which carries no aggregate, and an index on it
+        "view bare\n  tables sales\n  group_by sales.prod_id\nindex j3 on bare key sales.prod_id\n",
     ],
-    ids=["on-view-index", "base-and-on-view-index-on-one-attribute"],
+    ids=["on-view-index", "base-and-on-view-index-on-one-attribute", "view-without-aggregates"],
 )
 def test_format_candidates_round_trips_the_bundled_file(catalog, extra):
     # on-view indexes and indexable lists, which generated candidates lack
     views, indexes = load_candidates(fixture_text(CANDIDATES_FILE) + extra, catalog)
     assert any(v.indexable is not None for v in views)
     assert any(not i.is_base() for i in indexes)
+    assert any(not v.aggregates for v in views) == extra.startswith("view bare")
     assert load_candidates(format_candidates(views, indexes), catalog) == (views, indexes)

@@ -304,18 +304,20 @@ def test_offers_equal_a_walk_over_every_plan(seed, extra_candidates):
             assert o.offers is view_offers[o.view.id], o.id
         else:
             assert o.offers == walk_offers(ctx, o.keys), o.id
-    # a pair's score counts the terms that need its own index: its cost
-    # after is that of its keys added, over the queries a walk names
+    # a pair's score counts the terms that need its own index: its saving
+    # is that of its keys added, over the queries a walk names and over the
+    # whole workload alike
     rng = random.Random(seed)
     costs = QueryCosts(ctx)
     for _ in range(3):
         for o in pairs:
             walked = [ctx.queries[pos] for pos, *_ in walk_offers(ctx, o.keys)]
-            after = costs.config | o.keys
-            assert costs.before_after(o) == (
-                sum(ctx.query_cost(q, costs.config)[0] for q in walked),
-                sum(ctx.query_cost(q, after)[0] for q in walked),
+            config, after = costs.config, costs.config | o.keys
+            saving = costs.saving(o)
+            assert saving == sum(
+                ctx.query_cost(q, config)[0] - ctx.query_cost(q, after)[0] for q in walked
             ), o.id
+            assert saving == ctx.workload_total(config) - ctx.workload_total(after), o.id
         for o in rng.sample(pool, min(len(pool), 2)):
             costs.commit(o)
 

@@ -356,6 +356,10 @@ _CHANNEL = (
         _Q.replace("from sales", "from sales.x"),
         _Q.replace("sales, times", "sales, times.time_id"),
         _Q.replace("sum(amount_sold)", "sum(sales.amount_sold)"),
+        # ``sum`` with no parenthesis after it
+        "select sum amount_sold from sales",
+        "q7: select sum amount_sold from sales",
+        _Q.replace("sum(amount_sold)", "sum amount_sold"),
         "q1.x: " + _Q,
         "select.x: " + _Q,
         _Q.replace("times.time_id,", "times.time_id.x,"),

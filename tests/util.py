@@ -29,7 +29,6 @@ from mvindex.costmodel import (
     Configuration,
     CostContext,
     QueryCosts,
-    _cheapest_selected,
     maintenance_cost,
     member_key,
     object_size,
@@ -359,8 +358,8 @@ def walk_offers(ctx: CostContext, keys: Configuration) -> tuple:
     offers each query, in the shape of ``CostContext.offers``, from a walk
     over every query's whole plan checking each term against ``keys``; a
     term's ``need`` is None when ``keys`` holds it.  The reference that a
-    singleton's offer list equals, and whose queries a pair's
-    ``before_after`` is checked over."""
+    singleton's offer list equals, and whose queries a pair's ``saving``
+    is checked over."""
     offers = []
     for pos, q in enumerate(ctx.queries):
         _, tables, views = ctx.plan(q)
@@ -390,14 +389,22 @@ def walk_offers(ctx: CostContext, keys: Configuration) -> tuple:
 def plan_walk_costs(ctx: CostContext, config: Configuration) -> tuple[list, list, list]:
     """``(mins, base, cost)`` of every query under ``config``, in the shape
     of ``QueryCosts``, each from a walk over the query's whole plan
-    (``_cheapest_selected``, which ``query_cost`` reads): the from-scratch
-    reference that running costs committed to ``config`` equal."""
+    (``ctx.plan``) that takes the least selected term of each table and of
+    the views: the from-scratch reference that running costs committed to
+    ``config`` equal."""
     mins, base, cost = [], [], []
     for q in ctx.queries:
-        q_base, q_mins, _, view = _cheapest_selected(ctx.plan(q), config)
+        fixed, tables, views = ctx.plan(q)
+        q_mins = [min([scan] + [blocks for iid, blocks in options if iid in config])
+                  for scan, options in tables]
+        q_base = fixed + sum(q_mins)
+        terms = []
+        for vid, vblocks, options in views:
+            if vid in config:
+                terms += [vblocks] + [blocks for key, blocks in options if key in config]
         mins.append(q_mins)
         base.append(q_base)
-        cost.append(q_base if view is None else min(q_base, view[0]))
+        cost.append(min([q_base] + terms))
     return mins, base, cost
 
 
