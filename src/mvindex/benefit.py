@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .candidates import IndexCandidate, ViewCandidate, make_view_index
+from .candidates import IndexCandidate, ViewCandidate
 from .costmodel import Configuration, CostContext, QueryCosts
 from .errors import ValidationError
 from .record import Record
@@ -61,8 +61,8 @@ class SelectionObject(Record):
 
     A pair carries the view and the physical index on it.  The facts a score
     and a greedy run read never change during a run, so they are set once,
-    from the member facts of the run's context (``CostContext.member_facts``),
-    when the object is built: the member ``keys``, ``size`` and
+    when the object is built, from its members' facts, looked up by key in
+    ``CostContext.member_facts``: the member ``keys``, ``size`` and
     ``maintenance`` of all members, ``parts`` (key, bytes) per member, view
     first, and ``offers``, its first member's offer list (a pair shares its
     view's, see ``CostContext.offers``).  ``deps`` holds (key, bytes) per
@@ -105,38 +105,34 @@ def _object(oid: str, kind: str, view, index, facts: tuple, deps: tuple, index_f
     """An object from its first member's facts (``CostContext.member_facts``)
     and, for a pair, its index's."""
     part, keys, maintenance, offers, _ = facts
-    size = part[1]
-    parts = (part,)
-    if index_facts is not None:
-        index_part, index_keys, index_maintenance, _, _ = index_facts
-        parts = (part, index_part)
-        keys = keys | index_keys
-        size += index_part[1]
-        maintenance += index_maintenance
-    return SelectionObject(oid, kind, view, index, keys, size, maintenance, parts, deps, offers)
+    if index_facts is None:
+        return SelectionObject(oid, kind, view, index, keys, part[1], maintenance, (part,), deps, offers)
+    index_part, index_keys, index_maintenance, _, _ = index_facts
+    return SelectionObject(oid, kind, view, index, keys | index_keys, part[1] + index_part[1],
+                           maintenance + index_maintenance, (part, index_part), deps, offers)
 
 
 def view_object(v: ViewCandidate, ctx: CostContext) -> SelectionObject:
-    return _object(v.id, "view", v, None, ctx.member_facts(v), ctx.paired.get(v.id, ()))
+    return _object(v.id, "view", v, None, ctx.member_facts[v.id], ctx.paired.get(v.id, ()))
 
 
 def index_object(i: IndexCandidate, ctx: CostContext) -> SelectionObject:
-    facts = ctx.member_facts(i)
+    facts = ctx.member_facts
     if i.is_base():
-        return _object(i.id, "index", None, i, facts, ctx.paired.get(i.id, ()))
-    return _object(i.id, "index", None, i, facts, (ctx.member_facts(i.on_view)[0],))
+        return _object(i.id, "index", None, i, facts[i.id], ctx.paired.get(i.id, ()))
+    return _object(i.id, "index", None, i, facts[(i.target, i.attribute)], (facts[i.target][0],))
 
 
 def pair_object(v: ViewCandidate, i: IndexCandidate, ctx: CostContext) -> SelectionObject:
-    """View plus an index built on it; a base candidate is re-targeted onto the view."""
-    if i.is_base():
-        on_view = make_view_index(f"{i.id}@{v.id}", v, i.attribute, ctx.catalog)
-    else:
-        if i.target != v.id:
-            raise ValidationError(f"index {i.id} targets {i.target}, not view {v.id}")
-        on_view = i
-    facts, index_facts = ctx.member_facts(v), ctx.member_facts(on_view)
-    return _object(f"{v.id}+{i.id}", "pair", v, on_view, facts, (), index_facts)
+    """View plus an index built on it; a base candidate is re-targeted onto
+    the view as ``i@v``.  The attribute must be indexable on the view."""
+    on_view = IndexCandidate(f"{i.id}@{v.id}", i.attribute, v) if i.is_base() else i
+    if on_view.target != v.id:
+        raise ValidationError(f"index {i.id} targets {i.target}, not view {v.id}")
+    view_facts, index_facts = ctx.member_facts[v.id], ctx.member_facts.get((v.id, i.attribute))
+    if index_facts is None:
+        raise ValidationError(f"index {on_view.id}: {'.'.join(i.attribute)} is not indexable on view {v.id}")
+    return _object(f"{v.id}+{i.id}", "pair", v, on_view, view_facts, (), index_facts)
 
 
 def object_benefit(obj: SelectionObject, costs: QueryCosts) -> float:

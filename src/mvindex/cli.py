@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import math
 import os
@@ -450,7 +451,11 @@ def main(argv=None) -> int:
     outcome become an exit code.  Every argument is checked before ``--out``
     is opened, and ``--out`` before any input is read.  The report goes to
     ``out.write`` in pieces once the run has finished, so an error writes
-    nothing.  It may be called any number of times in one process."""
+    nothing.  It may be called any number of times in one process.  A call
+    leaves no cyclic garbage, so it pauses the cyclic collector, then leaves
+    it on or off as it found it."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _parser().parse_args(argv)
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
@@ -463,6 +468,9 @@ def main(argv=None) -> int:
     except (AdvisorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -50,6 +50,16 @@ def _indexed(height: int, blocks: int, divisor: int) -> int:
     return height + _ceil_div(blocks, min(divisor, _DIVISOR_CAP)) if blocks else 0
 
 
+def _index_bytes(rows: int, key_width: int, catalog: SchemaCatalog) -> int:
+    """Bytes of an index over ``rows`` rows: a key and a rowid per row."""
+    return rows * (key_width + catalog.rowid_width)
+
+
+def _refresh_blocks(source: int, nbytes: int, catalog: SchemaCatalog) -> int:
+    """Blocks a refresh moves: re-read ``source`` blocks, rewrite ``nbytes``."""
+    return source + _ceil_div(nbytes, catalog.block_size)
+
+
 def object_size(obj, catalog: SchemaCatalog) -> int:
     """Storage bytes of a candidate view or index.
 
@@ -59,12 +69,8 @@ def object_size(obj, catalog: SchemaCatalog) -> int:
     if isinstance(obj, ViewCandidate):
         return obj.row_count * obj.row_width
     if isinstance(obj, IndexCandidate):
-        key_width = catalog.attribute(*obj.attribute).width
-        if obj.is_base():
-            rows = catalog.table(obj.target).row_count
-        else:
-            rows = obj.on_view.row_count
-        return rows * (key_width + catalog.rowid_width)
+        rows = catalog.table(obj.target).row_count if obj.is_base() else obj.on_view.row_count
+        return _index_bytes(rows, catalog.attribute(*obj.attribute).width, catalog)
     raise ValidationError(f"cannot size object of type {type(obj).__name__}")
 
 
@@ -76,14 +82,12 @@ def maintenance_cost(obj, catalog: SchemaCatalog) -> int:
     """
     if isinstance(obj, ViewCandidate):
         source = sum(table_blocks(catalog.table(t), catalog) for t in sorted(obj.joined_tables))
-        return source + blocks_of(obj.row_count, obj.row_width, catalog)
-    if isinstance(obj, IndexCandidate):
-        if obj.is_base():
-            target = table_blocks(catalog.table(obj.target), catalog)
-        else:
-            target = blocks_of(obj.on_view.row_count, obj.on_view.row_width, catalog)
-        return target + _ceil_div(object_size(obj, catalog), catalog.block_size)
-    raise ValidationError(f"cannot cost object of type {type(obj).__name__}")
+    elif isinstance(obj, IndexCandidate):
+        target = catalog.table(obj.target) if obj.is_base() else obj.on_view
+        source = blocks_of(target.row_count, target.row_width, catalog)
+    else:
+        raise ValidationError(f"cannot cost object of type {type(obj).__name__}")
+    return _refresh_blocks(source, object_size(obj, catalog), catalog)
 
 
 Configuration = frozenset  # of member keys, see member_key
@@ -139,27 +143,33 @@ class CostReport(Record):
         self.total = total
 
 
+class _MemberFacts(dict):
+    """``CostContext.member_facts``: a missing key raises, naming it."""
+
+    def __missing__(self, key):
+        raise ValidationError(f"{key!r} is not a member key of this cost context")
+
+
 class CostContext:
     """Cost evaluator bound to one set of usage matrices and a catalog.
 
-    Every query's plan and every member key's offers come from one pass
-    over the query rows of the usage matrices, at the first ``plan``,
-    ``offers`` or ``query_cost`` with a non-empty configuration.  So one
-    context per invocation serves every scoring pass and selection run, and
-    a run that selects nothing derives neither.  Apart from what it derives
-    on first use the context is pure: the plans and offers; the empty
-    configuration's running costs, which each ``QueryCosts`` copies;
-    ``paired``; per member key, the ``member_facts`` that selection
-    objects are built from; and, per object list, the ``reader_index`` that
-    greedy runs over it read, so the runs of a sweep over one list build it
-    once.  None of these refers back to the context, so an invocation's
-    context is freed as soon as it ends, by reference counting.  It carries
-    its inputs (``queries``, ``views`` and ``indexes`` by id, read from
-    ``matrices``, and ``catalog``), so it is the one handle that scoring,
-    selection and reporting take.  It raises ``ValidationError`` for a view
-    or index id that repeats or holds ``+`` or ``@``.  The build reads each
-    query's joined tables for its scan; ``paired`` reads the view-index
-    cells of the usage matrices at its first use.
+    Every query's plan and every member key's facts (``member_facts``,
+    which selection objects are built from) come from one pass over the
+    candidates and the query rows of the usage matrices, at the first use
+    of either or a ``query_cost`` with a non-empty configuration.  So one
+    context per invocation serves every scoring pass and selection run,
+    and a run that selects nothing derives neither.  Apart from what it
+    derives on first use the context is pure: the plans and facts; the
+    empty configuration's running costs, which each ``QueryCosts`` copies;
+    ``paired``; and, per object list, the ``reader_index`` that greedy runs
+    over it read.  None of these refers back to the context, so it is freed
+    as soon as its invocation ends, by reference counting.  It carries its
+    inputs (``queries``, ``views`` and ``indexes`` by id, read from
+    ``matrices``, and ``catalog``), the one handle that scoring, selection
+    and reporting take.  It raises ``ValidationError`` for a view or index
+    id that repeats or holds ``+`` or ``@``.  The build reads each query's
+    joined tables for its scan; ``paired`` reads the view-index cells of
+    the usage matrices at its first use.
 
     A plan is ``(fixed, tables, views)``, every cost in blocks: ``fixed``
     sums the scans of the joined tables no usable base index reaches;
@@ -184,8 +194,6 @@ class CostContext:
         # query id -> blocks of scanning its joined tables, rewriting (a)
         self._scan = {q.id: sum(self._blocks_of_table[t] for t in q.joined_tables)
                       for q in self.queries}
-        # member key -> what a selection object reads of it, see member_facts
-        self._facts: dict[object, tuple] = {}
         # object ids in list order -> who a commit can raise, see reader_index
         self._readers: dict[tuple, tuple] = {}
 
@@ -201,28 +209,41 @@ class CostContext:
     def paired(self) -> dict[str, tuple]:
         """Candidate id -> ``(key, bytes)`` of each candidate it pairs with in
         the view-index matrix: a view's base indexes, a base index's views."""
-        paired: dict[str, list] = {}
+        facts, paired = self.member_facts, {}
         for vid, iid in self.matrices.pairs():
-            v, i = self.views[vid], self.indexes[iid]
-            if i.is_base():
-                paired.setdefault(vid, []).append(self.member_facts(i)[0])
-                paired.setdefault(iid, []).append(self.member_facts(v)[0])
+            if self.indexes[iid].is_base():
+                paired.setdefault(vid, []).append(facts[iid][0])
+                paired.setdefault(iid, []).append(facts[vid][0])
         return {cid: tuple(parts) for cid, parts in paired.items()}
 
     @cached_property
-    def _plans_and_offers(self) -> tuple[dict[str, tuple], dict[object, tuple]]:
-        """Every query's plan by id and every member key's offers, from one
-        pass over the query rows of the usage matrices."""
+    def _plans_and_offers(self) -> tuple[dict[str, tuple], _MemberFacts]:
+        """Every query's plan by id and every member key's facts, from one
+        pass over the candidates and the query rows of the usage matrices."""
         catalog, matrices, blocks_of_table = self.catalog, self.matrices, self._blocks_of_table
 
-        # per-candidate facts in matrix column order, read once per query that can use it
-        def height(attr):
-            return btree_height(catalog.attribute(*attr).cardinality, catalog)
+        # per member key: bytes, maintenance and the keys a term naming it can
+        # need; per candidate, in matrix column order, what a query reads of it
+        members, base_access, view_access = [], [], []
+        for i in matrices.indexes:
+            if i.is_base():
+                t, stats = i.target, catalog.attribute(*i.attribute)
+                nbytes = _index_bytes(catalog.table(t).row_count, stats.width, catalog)
+                members.append((i.id, nbytes, _refresh_blocks(blocks_of_table[t], nbytes, catalog), ()))
+                base_access.append((i.id, t, btree_height(stats.cardinality, catalog)))
+        for v in matrices.views:
+            vid, vrows, on_view_keys, on_view = v.id, v.row_count, [], []
+            vbytes, vblocks = vrows * v.row_width, blocks_of(vrows, v.row_width, catalog)
+            source = sum(blocks_of_table[t] for t in v.joined_tables)
+            members.append((vid, vbytes, _refresh_blocks(source, vbytes, catalog), on_view_keys))
+            for attr in sorted(v.indexable_attrs):
+                key, stats = (vid, attr), catalog.attribute(*attr)
+                nbytes = _index_bytes(vrows, stats.width, catalog)
+                members.append((key, nbytes, _refresh_blocks(vblocks, nbytes, catalog), (vid,)))
+                on_view_keys.append(key)
+                on_view.append((key, attr, btree_height(stats.cardinality, catalog)))
+            view_access.append((vid, vblocks, on_view))
 
-        base_access = [(i.id, i.target, height(i.attribute)) for i in matrices.indexes if i.is_base()]
-        view_access = [(v.id, blocks_of(v.row_count, v.row_width, catalog),
-                        [(attr, height(attr)) for attr in sorted(v.indexable_attrs)])
-                       for v in matrices.views]
         plans, lists = {}, {}
         rows = zip(self.queries, matrices.query_index, matrices.query_view)
         for pos, (q, index_row, view_row) in enumerate(rows):
@@ -240,15 +261,23 @@ class CostContext:
             q_attrs = q.filter_group_attrs
             all_divisor = math.prod(card for _, card in cards)
             for vid, vblocks, on_view in compress(view_access, view_row):
-                options = tuple(((vid, attr), _indexed(h, vblocks, all_divisor))
-                                for attr, h in on_view if attr in q_attrs)
+                options = tuple((key, _indexed(h, vblocks, all_divisor))
+                                for key, attr, h in on_view if attr in q_attrs)
                 plan_views.append((vid, vblocks, options))
                 terms = ((vblocks, None), *((blocks, key) for key, blocks in options))
                 lists.setdefault(vid, []).append((pos, None, None, terms))
                 for key, blocks in options:
                     lists.setdefault(key, []).append((pos, None, None, ((blocks, vid),)))
             plans[q.id] = (fixed, tables, tuple(plan_views))
-        return plans, {key: tuple(offers) for key, offers in lists.items()}
+
+        facts = _MemberFacts()
+        has_offers = lists.__contains__
+        for key, nbytes, maintenance, partners in members:
+            keys, offers = frozenset((key,)), tuple(lists.get(key, ()))
+            # a partner is a need of the key's terms exactly when both have offers
+            raised_by = keys.union(filter(has_offers, partners)) if offers and partners else keys
+            facts[key] = ((key, nbytes), keys, maintenance, offers, raised_by)
+        return plans, facts
 
     @cached_property
     def _empty_costs(self) -> tuple[list[list[int]], list[int]]:
@@ -261,34 +290,16 @@ class CostContext:
             [self._scan[q.id] for q in self.queries],
         )
 
-    def member_facts(self, member) -> tuple:
-        """What a selection object reads of ``member``, a candidate, derived
-        once per ``member_key``.
-
-        ``(part, keys, maintenance, offers, raised_by)``: ``part`` is ``(key,
-        bytes)``, ``keys`` the key alone, ``maintenance`` its maintenance
-        blocks and ``offers`` its offer list.  ``raised_by`` is ``keys`` plus
-        the ``need`` of each offered term, the keys whose selection can make
-        a term usable, which ``reader_index`` reads.  A view or base index is
-        in many selection objects (its singleton, its pairs, the dependencies
-        of the candidates it pairs with), and every member with one key has
-        the same facts.
-        """
-        key = member_key(member)
-        facts = self._facts.get(key)
-        if facts is None:
-            catalog, offers = self.catalog, self.offers(key)
-            keys = frozenset((key,))
-            needs = {need for _, _, _, terms in offers for _, need in terms if need is not None}
-            facts = (
-                (key, object_size(member, catalog)),
-                keys,
-                maintenance_cost(member, catalog),
-                offers,
-                keys | needs if needs else keys,
-            )
-            self._facts[key] = facts
-        return facts
+    @cached_property
+    def member_facts(self) -> _MemberFacts:
+        """Member key -> ``(part, keys, maintenance, offers, raised_by)`` for
+        every view, base index and ``(view id, attribute)`` per attribute in
+        a view's ``indexable_attrs``: ``part`` is ``(key, bytes)``, ``keys``
+        the key alone, bytes and maintenance blocks equal ``object_size`` and
+        ``maintenance_cost``, and ``raised_by`` is ``keys`` plus the ``need``
+        of each offered term, which ``reader_index`` reads.  Callers read it
+        and never change it; a key that is no member raises ``ValidationError``."""
+        return self._plans_and_offers[1]
 
     def reader_index(self, objects) -> tuple[dict[object, list[int]], list[list[tuple[int, int]]]]:
         """Who a commit can raise among ``objects``, a list of selection
@@ -307,7 +318,7 @@ class CostContext:
         ids = tuple([o.id for o in objects])
         index = self._readers.get(ids)
         if index is None:
-            facts = self._facts  # every member of an object built here has its facts
+            facts = self.member_facts
             readers_of_key: dict[object, list[int]] = {}
             base_offers: list[list[tuple[int, int]]] = [[] for _ in self.queries]
             for pos, obj in enumerate(objects):
@@ -338,7 +349,7 @@ class CostContext:
         its view reaches, and ``QueryCosts.saving`` and ``commit`` count
         each term that needs the index as usable once the pair is taken.
         """
-        return self._plans_and_offers[1].get(key, ())
+        return self.member_facts[key][3] if key in self.member_facts else ()
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
         """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label.

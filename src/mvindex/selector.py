@@ -61,15 +61,15 @@ and traces are identical to rescoring every object at every step, which
 the tests check against such a loop.
 
 A run derives no fact of its objects.  What a score reads of an object
-is set when the object is built, from facts its context derives once per
-member key (``CostContext.member_facts``).  Who a commit can raise is the
-context's ``reader_index``, derived from those facts once per object list:
-per key, the positions of the objects it can raise by (i), each with a
-member that the key names or whose offered terms need it; and per query,
-the base-index singletons offered there, with their slots, for (ii).  A
-run's running costs start from copies of the empty configuration's, which
-the context also derives once.  So the runs of a sweep over one object
-list, and the isolated runs over one family, repeat none of that set-up.
+is set when the object is built, from its members' facts, which the plan
+pass of its context derives by key (``CostContext.member_facts``).  Who
+a commit can raise is the context's ``reader_index``, derived from those
+facts once per object list: per key, the positions of the objects it
+can raise by (i), each with a member that the key names or whose offered
+terms need it; and per query, the base-index singletons offered there,
+with their slots, for (ii).  Runs start from copies of the empty
+configuration's running costs, also derived once, so the runs of a sweep
+over one object list, or of one isolated family, repeat none of it.
 
 A run can resume from an earlier run over the same objects, under any
 budget.  It replays the earlier run's leading steps while the step skipped

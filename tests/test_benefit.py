@@ -1,4 +1,5 @@
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,7 @@ from mvindex.benefit import (
     update_weight,
     view_object,
 )
-from mvindex.candidates import make_view_index
+from mvindex.candidates import build_matrices, make_base_index, make_view, make_view_index
 from mvindex.costmodel import Configuration, CostContext, QueryCosts, object_size
 from mvindex.errors import ValidationError
 from mvindex.selector import enumerate_objects
@@ -68,13 +69,41 @@ def test_view_benefit_zero_when_unused(views, ctx):
     assert object_benefit(view_object(v5, ctx), QueryCosts(ctx)) == 0.0
 
 
-def test_index_benefit_zero_when_useless(catalog, ctx):
+def test_index_benefit_zero_when_useless(workload, views, indexes, catalog):
     # an index that helps nothing scores exactly zero
-    from mvindex.candidates import make_base_index
-
     useless = make_base_index("ix", ("sales", "amount_sold"), catalog)
+    ctx = CostContext(build_matrices(workload, views, [*indexes, useless]), catalog)
     got = object_benefit(index_object(useless, ctx), QueryCosts(ctx))
     assert got == 0.0
+
+
+@pytest.mark.parametrize("case", ["base-index", "view", "on-view-index", "pair"])
+def test_objects_refuse_a_member_the_context_never_saw(views, indexes, catalog, ctx, case):
+    # a context derives the facts of its own members only and refuses any
+    # other key by name
+    v1 = views[0]
+    stranger = make_view("vx", v1.joined_tables, v1.join_pairs, v1.group_by, v1.aggregates, catalog)
+    base_index = make_base_index("ix", ("sales", "amount_sold"), catalog)
+    on_view = make_view_index("jx", stranger, stranger.group_by[0], catalog)
+    build, name = {
+        "base-index": (lambda: index_object(base_index, ctx), "'ix'"),
+        "view": (lambda: view_object(stranger, ctx), "'vx'"),
+        "on-view-index": (lambda: index_object(on_view, ctx), repr(("vx", on_view.attribute))),
+        "pair": (lambda: pair_object(stranger, indexes[0], ctx), "'vx'"),
+    }[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(name)} is not a member key of this cost context$"):
+        build()
+
+
+def test_pair_on_a_non_indexable_attribute_keeps_the_view_index_error(views, catalog, ctx):
+    # the re-targeted index i@v is built directly; an attribute the view
+    # does not offer for indexing is refused as make_view_index refuses it
+    v1 = views[0]
+    base = make_base_index("ix", ("sales", "amount_sold"), catalog)
+    with pytest.raises(ValidationError) as direct:
+        make_view_index(f"ix@{v1.id}", v1, base.attribute, catalog)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(direct.value))}$"):
+        pair_object(v1, base, ctx)
 
 
 def test_index_benefit_second_branch_base_candidate(indexes, ctx):
@@ -146,21 +175,18 @@ def test_benefit_never_negative(views, indexes, ctx):
             assert object_benefit(o, costs) >= 0.0
 
 
-def test_size_scaling_inverts_first_branch(views, matrices, catalog, monkeypatch):
+def test_size_scaling_inverts_first_branch(views, matrices, catalog):
+    # an object's size is its member's bytes in the context's facts, and the
+    # first-branch benefit divides the saving by it
     v1 = views[0]
-
-    def benefit():
-        # a fresh context each time: member sizes are computed once per context
-        ctx = CostContext(matrices, catalog)
-        return object_benefit(view_object(v1, ctx), QueryCosts(ctx))
-
-    base = benefit()
-
-    import mvindex.costmodel as costmodel_mod
-
-    real_size = costmodel_mod.object_size
-    monkeypatch.setattr(costmodel_mod, "object_size", lambda o, c: 3 * real_size(o, c))
-    assert benefit() == pytest.approx(base / 3, rel=1e-12)
+    ctx = CostContext(matrices, catalog)  # a fresh context: its facts change below
+    base = object_benefit(view_object(v1, ctx), QueryCosts(ctx))
+    (key, nbytes), *rest = ctx.member_facts[v1.id]
+    assert nbytes == object_size(v1, catalog)
+    ctx.member_facts[v1.id] = ((key, 3 * nbytes), *rest)
+    tripled = view_object(v1, ctx)
+    assert tripled.size == 3 * nbytes
+    assert object_benefit(tripled, QueryCosts(ctx)) == pytest.approx(base / 3, rel=1e-12)
 
 
 def test_update_weight(ctx):

@@ -1129,6 +1129,53 @@ def test_invocation_leaves_no_cyclic_garbage(fixture_args, capsys, case):
             gc.enable()
 
 
+def _noting_the_collector(run, seen):
+    """``run``, noting in ``seen`` whether the collector is on at each call."""
+    def noting(*args):
+        seen.append(gc.isenabled())
+        return run(*args)
+
+    return noting
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", NO_CYCLE_CASES)
+def test_main_leaves_the_collector_as_it_found_it(fixture_args, capsys, monkeypatch, case, enabled):
+    # main pauses the cyclic collector while it runs, whatever the outcome
+    flags, code = NO_CYCLE_CASES[case]
+    seen = []
+    for name in ("run_advise", "run_sweep"):
+        monkeypatch.setattr(cli, name, _noting_the_collector(getattr(cli, name), seen))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(fixture_args + flags) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert not any(seen)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_restores_the_collector_on_an_unexpected_error(fixture_args, monkeypatch, enabled):
+    seen = []
+
+    def broken(args, write):
+        seen.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "run_advise", broken)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="^unexpected$"):
+            main(fixture_args + ["--budget", "0"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+
+
 def test_shared_parser_answers_each_argv_as_a_fresh_interpreter(fixture_args, capsys, monkeypatch):
     # one process parses every argv with the same parser, the whole sequence
     # 20 times over; each exit code and output equals that of a new

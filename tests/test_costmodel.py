@@ -6,13 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvindex.baselines import enumerate_exhaustive_objects
-from mvindex.candidates import build_matrices, make_base_index, make_view
+from mvindex.candidates import (
+    build_matrices,
+    generate_index_candidates,
+    generate_view_candidates,
+    make_base_index,
+    make_view,
+    make_view_index,
+)
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, btree_height
 from mvindex.costmodel import (
     Configuration,
     CostContext,
     QueryCosts,
     maintenance_cost,
+    member_key,
     object_size,
     workload_cost,
 )
@@ -348,6 +356,50 @@ def test_reader_facts_equal_a_walk_over_every_plan(seed, extra_candidates):
         readers_of_key, index_base_offers = ctx.reader_index(objs)
         assert {key: set(ps) for key, ps in readers_of_key.items()} == readers
         assert index_base_offers == base_offers
+
+
+def _assert_member_facts_equal_the_oracle(ctx):
+    # every member's facts, derived in the plan pass, equal the sizing
+    # functions, a walk over every plan, and the key plus the needs of the
+    # terms walked; members are the views, the base indexes and (view id,
+    # attribute) per indexable attribute of a view, so each on-view
+    # candidate and each re-targeted index of a pair is one
+    catalog, facts = ctx.catalog, ctx.member_facts
+    members = {i.id: i for i in ctx.indexes.values() if i.is_base()}
+    for v in ctx.views.values():
+        members[v.id] = v
+        for attr in v.indexable_attrs:
+            members[(v.id, attr)] = make_view_index(f"j@{v.id}", v, attr, catalog)
+    assert facts.keys() == members.keys()
+    for key, member in members.items():
+        keys = frozenset((key,))
+        offers = walk_offers(ctx, keys)
+        needs = {need for *_, terms in offers for _, need in terms if need is not None}
+        expected = ((key, object_size(member, catalog)), keys, maintenance_cost(member, catalog), offers,
+                    keys | needs)
+        assert facts[key] == expected, key
+    for o in enumerate_objects(ctx):
+        for m, part in zip(o.members(), o.parts, strict=True):
+            assert part == facts[member_key(m)][0] == (member_key(m), object_size(m, catalog)), o.id
+
+
+@pytest.mark.parametrize("generated", [False, True], ids=["bundled", "generated"])
+def test_member_facts_equal_the_oracle_on_the_fixture(workload, candidates, catalog, generated):
+    views, indexes = candidates
+    if generated:
+        views = generate_view_candidates(workload, catalog)
+        indexes = generate_index_candidates(workload, views)
+    assert any(v.indexable is not None for v in views) is not generated
+    _assert_member_facts_equal_the_oracle(CostContext(build_matrices(workload, views, indexes), catalog))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), extra_candidates=st.booleans())
+def test_member_facts_equal_the_oracle(seed, extra_candidates):
+    inst = random_instance(seed=seed, max_tables=6, max_queries=12)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    _assert_member_facts_equal_the_oracle(inst.context())
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import random
-from functools import partial
+import sys
+from functools import cached_property, partial
 from itertools import accumulate
 from unittest import mock
 
@@ -64,6 +65,38 @@ def test_enumerate_counts_fixture(ctx):
     assert len(pairs) == 22
     assert len(objects) == 41
     assert len({o.id for o in objects}) == 41
+
+
+def _refuse(what):
+    def refuse(*args):
+        raise AssertionError(f"building the objects {what}")
+
+    return refuse
+
+
+def test_enumerate_derives_the_plan_pass_once(matrices, catalog, monkeypatch):
+    # every member's facts come from the one plan pass: building the objects,
+    # re-targeted pair indexes too, sizes no member, runs no key chain and
+    # re-checks no index; the pass runs once on a fresh context
+    for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "mvindex"]:
+        for name in ("object_size", "maintenance_cost", "member_key", "make_view_index"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse(f"called {name}"))
+    derive = CostContext.__dict__["_plans_and_offers"].func
+    derived = []
+
+    def counted(self):
+        derived.append(self)
+        return derive(self)
+
+    counting = cached_property(counted)
+    counting.__set_name__(CostContext, "_plans_and_offers")
+    monkeypatch.setattr(CostContext, "_plans_and_offers", counting)
+    ctx = CostContext(matrices, catalog)
+    objects = enumerate_objects(ctx)
+    assert any(o.kind == "pair" and o.index.id.endswith(f"@{o.view.id}") for o in objects)
+    assert len(objects) == 41
+    assert derived == [ctx]
 
 
 def test_enumerate_no_pairs_without_vi(workload, views, catalog):
