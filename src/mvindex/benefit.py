@@ -65,11 +65,10 @@ class SelectionObject(Record):
     ``CostContext.member_facts``: the member ``keys``, ``size`` and
     ``maintenance`` of all members, ``parts`` (key, bytes) per member, view
     first, and ``offers``, its first member's offer list (a pair shares its
-    view's, see ``CostContext.offers``).  ``deps`` holds (key, bytes) per
-    candidate whose selection adds its size to the benefit denominator: the
-    base indexes a view pairs with and the views a base index pairs with
-    (read from the view-index matrix), the view an on-view index is built
-    on.  Pairs have none.  Who a commit can raise is not an object's fact:
+    view's).  ``deps`` holds (key, bytes) per candidate whose selection
+    adds its size to the benefit denominator: the base indexes a view pairs
+    with and the views a base index pairs with (read from the view-index
+    matrix), the view an on-view index is built on.  Pairs have none.  Who a commit can raise is not an object's fact:
     the context derives it per object list (``CostContext.reader_index``).
 
     Like every record, an object is not assigned after construction.

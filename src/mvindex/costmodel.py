@@ -161,15 +161,16 @@ class CostContext:
     and a run that selects nothing derives neither.  Apart from what it
     derives on first use the context is pure: the plans and facts; the
     empty configuration's running costs, which each ``QueryCosts`` copies;
-    ``paired``; and, per object list, the ``reader_index`` that greedy runs
-    over it read.  None of these refers back to the context, so it is freed
-    as soon as its invocation ends, by reference counting.  It carries its
-    inputs (``queries``, ``views`` and ``indexes`` by id, read from
-    ``matrices``, and ``catalog``), the one handle that scoring, selection
-    and reporting take.  It raises ``ValidationError`` for a view or index
-    id that repeats or holds ``+`` or ``@``.  The build reads each query's
-    joined tables for its scan; ``paired`` reads the view-index cells of
-    the usage matrices at its first use.
+    ``pairs`` and ``paired``; and, per object list, the ``reader_index``
+    that greedy runs over it read.  None of these refers back to the
+    context, so it is freed as soon as its invocation ends, by reference
+    counting.  It carries its inputs (``queries``, ``views`` and
+    ``indexes`` by id, read from ``matrices``, and ``catalog``), the one
+    handle that scoring, selection and reporting take.  It raises
+    ``ValidationError`` for a view or index id that repeats or holds ``+``
+    or ``@``.  The build reads each query's joined tables for its scan;
+    ``pairs``, which ``paired`` and ``enumerate_objects`` read, walks the
+    view-index cells of the usage matrices once, at its first use.
 
     A plan is ``(fixed, tables, views)``, every cost in blocks: ``fixed``
     sums the scans of the joined tables no usable base index reaches;
@@ -179,8 +180,8 @@ class CostContext:
     is the btree descent plus the matching fraction of the target's blocks.
     ``query_cost`` takes the minimum over the terms whose keys the
     configuration holds, the earlier term on a tie, and names the winning
-    key; ``plan(q)`` reads a plan, ``offers(key)`` a member's list, and
-    ``QueryCosts`` is built on them.
+    key; ``plan(q)`` reads a plan, ``member_facts`` a member's offer list,
+    and ``QueryCosts`` is built on them.
     """
 
     def __init__(self, matrices: UsageMatrices, catalog: SchemaCatalog):
@@ -206,11 +207,16 @@ class CostContext:
             seen.add(id_)
 
     @cached_property
+    def pairs(self) -> list[tuple[str, str]]:
+        """``matrices.pairs()``: ``(view id, index id)`` per unit cell, row by row."""
+        return self.matrices.pairs()
+
+    @cached_property
     def paired(self) -> dict[str, tuple]:
         """Candidate id -> ``(key, bytes)`` of each candidate it pairs with in
         the view-index matrix: a view's base indexes, a base index's views."""
         facts, paired = self.member_facts, {}
-        for vid, iid in self.matrices.pairs():
+        for vid, iid in self.pairs:
             if self.indexes[iid].is_base():
                 paired.setdefault(vid, []).append(facts[iid][0])
                 paired.setdefault(iid, []).append(facts[vid][0])
@@ -298,7 +304,18 @@ class CostContext:
         the key alone, bytes and maintenance blocks equal ``object_size`` and
         ``maintenance_cost``, and ``raised_by`` is ``keys`` plus the ``need``
         of each offered term, which ``reader_index`` reads.  Callers read it
-        and never change it; a key that is no member raises ``ValidationError``."""
+        and never change it; a key that is no member raises ``ValidationError``.
+        ``offers`` is what selecting the key alone offers each query: one
+        ``(position, slot, blocks, terms)`` per query whose plan names the
+        key, in workload order, or ``()``; every other query costs the same
+        with or without it.  ``slot`` is the position in the plan's
+        ``tables`` of a base index key and ``blocks`` its indexed cost
+        there, or both are None.  ``terms`` holds ``(blocks, need)`` per view
+        or on-view index term that names the key, where ``need`` is the one
+        other key the term names, which must be selected too, or None.  A
+        pair reads its view's list: its on-view index reaches only queries
+        its view reaches, and ``QueryCosts.saving`` and ``commit`` count
+        each term that needs the index as usable once the pair is taken."""
         return self._plans_and_offers[1]
 
     def reader_index(self, objects) -> tuple[dict[object, list[int]], list[list[tuple[int, int]]]]:
@@ -334,22 +351,6 @@ class CostContext:
     def plan(self, q: Query) -> tuple:
         """The plan ``(fixed, tables, views)`` of ``q``, see the class docstring."""
         return self._plans_and_offers[0][q.id]
-
-    def offers(self, key) -> tuple:
-        """What selecting the member ``key`` alone offers each query.
-
-        One ``(position, slot, blocks, terms)`` per query whose plan names
-        ``key``, in workload order, or ``()``; every other query costs the
-        same with or without it.  ``slot`` is the position in the plan's
-        ``tables`` of a base index ``key`` and ``blocks`` its indexed cost
-        there, or both are None.  ``terms`` holds ``(blocks, need)`` per view
-        or on-view index term that names ``key``, where ``need`` is the one
-        other key the term names, which must be selected too, or None.  A
-        pair reads its view's list: its on-view index reaches only queries
-        its view reaches, and ``QueryCosts.saving`` and ``commit`` count
-        each term that needs the index as usable once the pair is taken.
-        """
-        return self.member_facts[key][3] if key in self.member_facts else ()
 
     def query_cost(self, q: Query, config: Configuration) -> tuple[int, str]:
         """Minimum block cost of answering ``q`` under ``config`` plus its rewriting label.

@@ -12,8 +12,8 @@ configuration and, per query, the cheapest selected term of each table of
 its plan, their sum with the plan's fixed blocks (the base part), and the
 cost, the lesser of the base part and the cheapest selected view or
 on-view index term.  Each object carries one member key's offer list,
-built once from the plans (``CostContext.offers``); a pair shares its
-view's.  Per query the key can touch, it holds a base index's indexed
+built once from the plans (``CostContext.member_facts``); a pair shares
+its view's.  Per query the key can touch, it holds a base index's indexed
 cost at that table and the view and on-view index terms naming the key,
 each with the other key it needs.  So an object's cost before is a
 lookup, and its cost after is the least of that cost, the base part with
@@ -163,9 +163,7 @@ def enumerate_objects(ctx: CostContext) -> list[SelectionObject]:
     one pair per unit cell of the view-index matrix."""
     objects = [view_object(v, ctx) for v in ctx.views.values()]
     objects += [index_object(i, ctx) for i in ctx.indexes.values()]
-    return objects + [
-        pair_object(ctx.views[vid], ctx.indexes[iid], ctx) for vid, iid in ctx.matrices.pairs()
-    ]
+    return objects + [pair_object(ctx.views[vid], ctx.indexes[iid], ctx) for vid, iid in ctx.pairs]
 
 
 def incremental_size(obj: SelectionObject, config: Configuration) -> int:

@@ -335,9 +335,15 @@ _VIEW_V1 = (
         (_VIEW_V1 + "index i1 on sales key prod_id\nindex j1 on v1 key times.time_fiscal_year\n", 9,
          ValidationError, "index j1: times.time_fiscal_year is not indexable on view v1"),
         ("index i1 on sales key nosuch\n", 2, ValidationError, "table 'sales' has no attribute 'nosuch'"),
+        # an agg opens with sum( and closes with ): either alone is refused
+        # before any name in it is looked up
+        ("view v1\n  tables sales\n  group_by sales.time_id\n  agg sum(sales.amount_sold\n", 5, ParseError,
+         "expected sum(table.attribute), got 'sum(sales.amount_sold'"),
+        ("view v1\n  tables sales\n  group_by sales.time_id\n  agg sales.amount_sold)\n", 5, ParseError,
+         "expected sum(table.attribute), got 'sales.amount_sold)'"),
     ],
     ids=["unknown-table", "no-fact-table", "no-tables-line", "unknown-target", "key-off-target",
-         "not-indexable", "unknown-attribute"],
+         "not-indexable", "unknown-attribute", "agg-without-close", "agg-without-sum"],
 )
 def test_load_candidates_names_the_line_of_an_unresolved_view_or_index(catalog, text, line, error,
                                                                       problem):

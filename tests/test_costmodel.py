@@ -10,11 +10,12 @@ from mvindex.candidates import (
     build_matrices,
     generate_index_candidates,
     generate_view_candidates,
+    load_candidates,
     make_base_index,
     make_view,
     make_view_index,
 )
-from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, btree_height
+from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, btree_height, load_catalog
 from mvindex.costmodel import (
     Configuration,
     CostContext,
@@ -26,7 +27,7 @@ from mvindex.costmodel import (
 )
 from mvindex.errors import ValidationError
 from mvindex.selector import enumerate_objects
-from mvindex.workload import Predicate, Query, Workload
+from mvindex.workload import Predicate, Query, Workload, load_workload
 
 from util import (
     brute_force_query_cost,
@@ -276,6 +277,63 @@ def test_label_names_a_selected_rewriting_of_the_returned_cost(seed, extra_candi
             args = (cfg, inst.views, inst.indexes, inst.catalog)
             assert labelled_rewriting_cost(q, label, *args) == cost
             assert brute_force_query_cost(q, *args) == cost
+
+
+# One table of 12 blocks, where terms of one query cost the same: qa reads
+# f through ia or ib, 1 + ceil(12 / 100) = 2 blocks each; qc reads v1 or v2,
+# 2 blocks each, or v1 through its index on f.a, 1 + ceil(2 / 10) = 2; qd
+# scans f or vk, 12 blocks each.
+_TIE_CATALOG = """\
+block_size 1000
+btree_fanout 10
+rowid_width 10
+table f fact rows 1000 row_width 12
+  attr k card 1000 width 4
+  attr a card 10 width 100
+  attr b card 10 width 4
+  attr m card 1000 width 4
+"""
+_TIE_WORKLOAD = """\
+qa: select f.a, sum(m) from f where f.a = 1 and f.b = 2 group by f.a;
+qc: select f.a, sum(m) from f where f.a = 1 group by f.a;
+qd: select f.k, sum(m) from f where f.k = 5 group by f.k;
+"""
+_TIE_CANDIDATES = [
+    "view v1\n  tables f\n  group_by f.a\n  agg sum(f.m)\n",
+    "view v2\n  tables f\n  group_by f.a\n  agg sum(f.m)\n",
+    "view vk\n  tables f\n  group_by f.k\n  agg sum(f.m)\n",
+    "index ia on f key a\n",
+    "index ib on f key b\n",
+]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["file-order", "reversed"])
+@pytest.mark.parametrize(
+    "qid, keys, tied, reorders",
+    [
+        ("qa", {"ia", "ib"}, ("base+indexes(ia)", "base+indexes(ib)"), True),
+        ("qc", {"v1", "v2"}, ("view v1", "view v2"), True),
+        ("qc", {"v1", ("v1", ("f", "a"))}, ("view v1", "view v1 + index on f.a"), False),
+        ("qd", {"vk"}, ("base", "view vk"), False),
+    ],
+    ids=["two-base-indexes", "two-views", "view-and-its-index", "base-and-view"],
+)
+def test_the_earlier_term_wins_a_tie(reverse, qid, keys, tied, reorders):
+    # two terms cost the same and the one earlier in the plan is named:
+    # reversing the candidate file reverses the order of the indexes on a
+    # table and of the views, not that of a view and its index or of the
+    # base tables and a view
+    catalog = load_catalog(_TIE_CATALOG)
+    workload = load_workload(_TIE_WORKLOAD, catalog)
+    blocks = _TIE_CANDIDATES[::-1] if reverse else _TIE_CANDIDATES
+    views, indexes = load_candidates("".join(blocks), catalog)
+    ctx = CostContext(build_matrices(workload, views, indexes), catalog)
+    q, config = next(q for q in ctx.queries if q.id == qid), Configuration(keys)
+    cost, label = ctx.query_cost(q, config)
+    for term in tied:
+        assert labelled_rewriting_cost(q, term, config, views, indexes, catalog) == cost, term
+    assert label == tied[reverse and reorders]
+    assert workload_cost(ctx, config).chosen_rewriting[qid] == label
 
 
 @settings(max_examples=80, deadline=None)

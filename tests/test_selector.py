@@ -13,6 +13,7 @@ from mvindex.baselines import INDEXES_ONLY, VIEWS_ONLY, exhaustive_select, isola
 from mvindex.benefit import ObjectiveParams, index_object, objective_value, update_weight, view_object
 from mvindex.candidates import (
     IndexCandidate,
+    UsageMatrices,
     ViewCandidate,
     build_matrices,
     generate_index_candidates,
@@ -97,6 +98,22 @@ def test_enumerate_derives_the_plan_pass_once(matrices, catalog, monkeypatch):
     assert any(o.kind == "pair" and o.index.id.endswith(f"@{o.view.id}") for o in objects)
     assert len(objects) == 41
     assert derived == [ctx]
+
+
+def test_enumerate_walks_the_view_index_pairs_once(matrices, catalog, monkeypatch):
+    # the singletons' pairing facts and the pair objects read one list
+    walk, walks = UsageMatrices.pairs, []
+
+    def counted(self):
+        walks.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(UsageMatrices, "pairs", counted)
+    ctx = CostContext(matrices, catalog)
+    objects = enumerate_objects(ctx)
+    assert [o.id for o in objects if o.kind == "pair"] == [f"{v}+{i}" for v, i in walk(matrices)]
+    assert enumerate_objects(ctx) == objects
+    assert len(walks) == 1 and walks[0] is matrices
 
 
 def test_enumerate_no_pairs_without_vi(workload, views, catalog):
@@ -415,7 +432,8 @@ def test_commit_rescores_objects_whose_denominator_it_changes(catalog):
     )
     matrices = build_matrices(workload, views, indexes)
     ctx = CostContext(matrices, catalog)
-    assert not {pos for pos, *_ in ctx.offers("v1")} & {pos for pos, *_ in ctx.offers("i1")}
+    offers = ctx.member_facts["v1"][3], ctx.member_facts["i1"][3]
+    assert not {pos for pos, *_ in offers[0]} & {pos for pos, *_ in offers[1]}
     res = greedy_select(ctx, 10**12, _params())
     assert [it.object_id for it in res.iterations] == ["v1", "i1"]
     expected = full_rescore_greedy(enumerate_objects(ctx), matrices, catalog, 10**12, _params())
@@ -685,6 +703,50 @@ def test_resume_records_replayed_steps_from_the_run(ctx):
         assert resumed.used_bytes == sum(m.bytes for m in resumed.selected) <= budget
 
 
+def _objective_calls(run):
+    """``run()`` and the number of objective calls the greedy loop made."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return objective_value(*args)
+
+    with mock.patch.object(mvindex.selector, "objective_value", counted):
+        return run(), len(calls)
+
+
+def test_resume_replays_every_step_that_fits_exactly(ctx):
+    # under a budget of exactly the bytes of the earlier run's first k
+    # steps, the k-th step fits with nothing left: all k are replayed and
+    # the budget is spent before anything is scored
+    objects = enumerate_objects(ctx)
+    params = _params()
+    earlier = greedy_select(ctx, 10**12, params, objects)
+    assert all(it.incremental_bytes > 0 and not it.skipped_unaffordable for it in earlier.iterations)
+    for k, budget in enumerate(accumulate(it.incremental_bytes for it in earlier.iterations), 1):
+        resumed, calls = _objective_calls(lambda: greedy_select(ctx, budget, params, objects, earlier))
+        assert calls == 0, k
+        assert len(resumed.iterations) == k and resumed.stop_reason == STOP_BUDGET_EXHAUSTED
+        assert resumed == greedy_select(ctx, budget, params, objects), k
+
+
+def test_resume_replays_no_step_once_the_budget_is_spent(ctx):
+    # a hand-built resume whose next record, once the budget is spent, names
+    # an object already fully selected: that step would add no bytes, yet
+    # with no budget left it is not replayed
+    objects = enumerate_objects(ctx)
+    params = _params()
+    earlier = greedy_select(ctx, 10**12, params, objects)
+    first = earlier.iterations[0]
+    again = IterationRecord(2, first.object_id, first.kind, first.objective, 0, 0, first.workload_cost)
+    hand_built = SelectionResult(earlier.config, earlier.selected, earlier.used_bytes, [first, again],
+                                 earlier.stop_reason, earlier.final_cost)
+    budget = first.incremental_bytes
+    resumed, calls = _objective_calls(lambda: greedy_select(ctx, budget, params, objects, hand_built))
+    assert [it.object_id for it in resumed.iterations] == [first.object_id] and calls == 0
+    assert resumed == greedy_select(ctx, budget, params, objects)
+
+
 def test_resume_stops_at_the_first_step_that_skipped_an_id(workload, catalog):
     # the earlier run's step 3 skipped ids; at the bytes committed through
     # step 3 that step still fits, yet the resumed run replays only steps 1
@@ -702,14 +764,7 @@ def test_resume_stops_at_the_first_step_that_skipped_an_id(workload, catalog):
     assert budget == 126_498
 
     def resumed(resume):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return objective_value(*args)
-
-        with mock.patch.object(mvindex.selector, "objective_value", counted):
-            return greedy_select(ctx, budget, params, objects, resume), len(calls)
+        return _objective_calls(lambda: greedy_select(ctx, budget, params, objects, resume))
 
     result, calls = resumed(earlier)
     cut, cut_calls = resumed(SelectionResult(earlier.config, earlier.selected, earlier.used_bytes,

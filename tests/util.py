@@ -355,11 +355,11 @@ def related_indexes(v: ViewCandidate, matrices: UsageMatrices) -> list[str]:
 
 def walk_offers(ctx: CostContext, keys: Configuration) -> tuple:
     """What adding ``keys``, one member or a view with an index on it,
-    offers each query, in the shape of ``CostContext.offers``, from a walk
-    over every query's whole plan checking each term against ``keys``; a
-    term's ``need`` is None when ``keys`` holds it.  The reference that a
-    singleton's offer list equals, and whose queries a pair's ``saving``
-    is checked over."""
+    offers each query, in the shape of a member's ``offers`` in
+    ``CostContext.member_facts``, from a walk over every query's whole plan
+    checking each term against ``keys``; a term's ``need`` is None when
+    ``keys`` holds it.  The reference that a singleton's offer list equals,
+    and whose queries a pair's ``saving`` is checked over."""
     offers = []
     for pos, q in enumerate(ctx.queries):
         _, tables, views = ctx.plan(q)
