@@ -81,16 +81,23 @@ recorded by the one step a chosen object takes, and its incremental bytes
 are derived from the running state, as a score's are, so of the earlier
 record it reads only the object id, the objective and whether the step
 skipped an id; its step number, bytes, remaining budget and workload cost
-are this run's.  Every object not yet fully selected is then scored and
-the loop goes on.  Budget percentages and sweeps resume from the
-unconstrained run they are measured against, which skips nothing, and
-each sweep fraction from the next larger one, whose first skipped id does
-not fit under a smaller budget either.
+are this run's.  After k replayed steps the loop goes on from the
+earlier run's scores at state k, which it logged: each entry it pushed,
+stamped with its step, and each removal.  Of the entries stamped at most
+k, the last of each object is that run's ranking at state k, exact where
+stamped k and, by the argument above, an upper bound elsewhere, so the
+resumed run rescores only what its own pops reach.  Where the earlier
+run carries no log, or did not rescore the objects raised at every state
+up to k (its scoring began after k, or ended before k), every object not
+yet fully selected is scored afresh.  Budget percentages and sweeps
+resume from the unconstrained run they are measured against, which skips
+nothing, and each sweep fraction from the next larger one, whose first
+skipped id does not fit under a smaller budget either.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .benefit import (
     ObjectiveParams,
@@ -142,17 +149,35 @@ class SelectedMember(Record):
 
 
 class SelectionResult(Record):
-    __slots__ = _fields = ("config", "selected", "used_bytes", "iterations", "stop_reason", "final_cost")
+    """What a run selected, and, for the greedy loop, how.
+
+    ``scorings`` is not a field, so equality, ``repr`` and every report
+    ignore it.  The greedy loop sets it to ``(objects, log, first, last)``:
+    its object list, and the log of its scorings in the order they were
+    made, each a pushed heap entry ``(-objective, incremental bytes, id,
+    position, step)`` or, where a score that was ranked fell to zero or
+    below, a removal ``(position, step)``.  The log holds the ranking at
+    every state from ``first`` through ``last``, the state its scoring
+    began at (or that of the log it inherited) and the last state whose
+    raised objects it rescored; ``last < first`` when there is none.  A run
+    resumed from this one reads it (see ``greedy_core``); every other
+    result carries ``None``.
+    """
+
+    _fields = ("config", "selected", "used_bytes", "iterations", "stop_reason", "final_cost")
+    __slots__ = _fields + ("scorings",)
     __hash__ = None
 
     def __init__(self, config: Configuration, selected: list[SelectedMember], used_bytes: int,
-                 iterations: list[IterationRecord], stop_reason: str, final_cost: int = 0):
+                 iterations: list[IterationRecord], stop_reason: str, final_cost: int = 0,
+                 scorings: tuple | None = None):
         self.config = config
         self.selected = selected
         self.used_bytes = used_bytes
         self.iterations = iterations
         self.stop_reason = stop_reason
         self.final_cost = final_cost
+        self.scorings = scorings
 
     def selected_ids(self) -> list[str]:
         return [m.id for m in self.selected]
@@ -195,8 +220,14 @@ def greedy_core(
 ) -> SelectionResult:
     """Greedy loop over an explicit object list (isolated strategies reuse it).
 
-    ``resume`` is an earlier run over the same ``objects``, under any
-    budget; its leading steps that skipped no id and still fit are replayed.
+    ``resume`` is an earlier run over the same ``objects`` and ``params``,
+    under any budget; its leading steps that skipped no id and still fit
+    are replayed.  If its ``scorings`` are over an equal object list and
+    cover the state the replay stops at, the run starts from its ranking
+    there and its log begins with the entries that ranking was read from;
+    otherwise (a hand-built, exhaustive or unselected result, another
+    object list, or a log that does not cover that state) it scores every
+    object not yet fully selected, and its log begins empty at that state.
     """
     if budget_bytes < 0:
         raise InvalidBudgetError(f"budget must be >= 0, got {budget_bytes}")
@@ -231,15 +262,33 @@ def greedy_core(
         if it.skipped_unaffordable or left <= 0 or inc > left:
             break
         take(obj, it.objective, inc)
-    # objects not yet fully selected; after a replay all are scored afresh
+    # objects not yet fully selected: ranked as the earlier run ranked them
+    # at this state if its log holds that ranking, else all scored afresh
     remaining = {pos for pos, o in enumerate(objects) if not o.keys <= costs.config}
-    raised = set(remaining)
     # (-objective, incremental bytes, id, pos, step scored at) of each
     # positive score, in a heap that also holds outdated entries: an entry
     # is current while it is its object's entry in ``ranked``, and exact
     # while it was scored at this step, else an upper bound
-    heap: list[tuple[float, int, str, int, int]] = []
-    ranked: dict[int, tuple[float, int, str, int, int]] = {}
+    earlier = resume.scorings if resume is not None else None
+    if earlier is not None and earlier[2] <= step <= earlier[3] and earlier[0] == objects:
+        # the earlier run's ranking at this state: its last entry per
+        # object among those stamped at most this step
+        entries = earlier[1]
+        end = len(entries)
+        while end and entries[end - 1][-1] > step:
+            end -= 1
+        log, first = entries[:end], earlier[2]
+        latest = {entry[-2]: entry for entry in log}
+        ranked = {pos: entry for pos, entry in latest.items() if len(entry) == 5 and pos in remaining}
+        heap = list(ranked.values())
+        heapify(heap)
+        raised = set()
+        last = step
+    else:
+        log, first, last = [], step, step - 1
+        ranked = {}
+        heap = []
+        raised = set(remaining)
     stop = None
     beta = update_weight(params, ctx)
 
@@ -247,10 +296,11 @@ def greedy_core(
         o = objects[pos]
         value = objective_value(o, costs, params, beta)
         if value > 0.0:
-            ranked[pos] = (-value, incremental_size(o, costs.config), o.id, pos, step)
-            heappush(heap, ranked[pos])
-        else:
-            ranked.pop(pos, None)
+            ranked[pos] = entry = (-value, incremental_size(o, costs.config), o.id, pos, step)
+            heappush(heap, entry)
+            log.append(entry)
+        elif ranked.pop(pos, None) is not None:
+            log.append((pos, step))
 
     while True:
         if budget_bytes - used <= 0:
@@ -263,6 +313,7 @@ def greedy_core(
         for pos in raised:
             score(pos)
         raised.clear()
+        last = step
 
         # the best affordable exact score; a bound on top is rescored, and
         # the better exact ones that do not fit go back
@@ -306,6 +357,7 @@ def greedy_core(
         iterations=iterations,
         stop_reason=stop,
         final_cost=sum(costs.cost),
+        scorings=(objects, log, first, last),
     )
 
 

@@ -646,7 +646,9 @@ def test_reader_index_follows_each_object_list_and_its_order(
 ):
     # the context derives one reader index per object list, by position: runs
     # on one context over the list, a shuffled copy and a family filtered
-    # from it select as each does on a fresh context and as the reference
+    # from it select as each does on a fresh context and as the reference.
+    # Scorings are by position too: a run over the shuffled copy resumed
+    # from the run over the list replays its steps but scores afresh
     inst = random_instance(seed=seed, max_tables=8, max_queries=16)
     if extra_candidates:
         inst = with_random_candidates(inst, seed)
@@ -667,6 +669,10 @@ def test_reader_index_follows_each_object_list_and_its_order(
         assert greedy_core(fresh, pick(enumerate_objects(fresh)), budget, params) == result, k
         expected = full_rescore_greedy(pick(objects), inst.matrices, inst.catalog, budget, params)
         assert result == expected, k
+    smaller = rng.randint(0, budget)
+    shuffled = lists[1](objects)
+    resumed = greedy_core(ctx, shuffled, smaller, params, results[0])
+    assert resumed == greedy_core(ctx, shuffled, smaller, params)
 
 
 def test_resume_replays_only_leading_steps_that_skipped_nothing(ctx):
@@ -750,7 +756,10 @@ def test_resume_replays_no_step_once_the_budget_is_spent(ctx):
 def test_resume_stops_at_the_first_step_that_skipped_an_id(workload, catalog):
     # the earlier run's step 3 skipped ids; at the bytes committed through
     # step 3 that step still fits, yet the resumed run replays only steps 1
-    # and 2 and scores from there, as a run resumed from those two does
+    # and 2 and goes on from there, as a run resumed from those two does.
+    # The hand-built cut carries no scorings, so its resume scores afresh;
+    # the resume from the earlier run starts from that run's ranking at
+    # step 2, whose exact scores already settle step 3
     views = generate_view_candidates(workload, catalog)
     indexes = generate_index_candidates(workload, views, 1)
     ctx = CostContext(build_matrices(workload, views, indexes), catalog)
@@ -770,7 +779,101 @@ def test_resume_stops_at_the_first_step_that_skipped_an_id(workload, catalog):
     cut, cut_calls = resumed(SelectionResult(earlier.config, earlier.selected, earlier.used_bytes,
                                              earlier.iterations[:2], earlier.stop_reason, earlier.final_cost))
     assert result == cut == greedy_select(ctx, budget, params)
-    assert calls == cut_calls == 51
+    assert cut_calls == 51 and calls == 0
+
+
+def _hand_built(result):
+    """A copy of ``result``'s records without its scorings."""
+    return SelectionResult(*result._values())
+
+
+def test_resume_scores_afresh_before_the_earlier_run_began_scoring(ctx):
+    # a run resumed from a hand-built copy replays k steps and scores from
+    # state k on, so its log holds no ranking at an earlier state: a run
+    # resumed from it at fewer steps scores afresh, as one resumed from a
+    # copy of it does, and selects as a fresh run
+    objects = enumerate_objects(ctx)
+    params = _params()
+    reference = greedy_select(ctx, 10**12, params, objects)
+    fits = list(accumulate(it.incremental_bytes for it in reference.iterations))
+    k = 5
+    later = greedy_select(ctx, fits[k - 1] + 1, params, objects, _hand_built(reference))
+    assert len(later.iterations) == k and later.scorings[2] == k
+    for budget in (fits[0] // 2, fits[0] + 1, fits[2] + 1):
+        resumed, calls = _objective_calls(lambda: greedy_select(ctx, budget, params, objects, later))
+        copied, copy_calls = _objective_calls(
+            lambda: greedy_select(ctx, budget, params, objects, _hand_built(later))
+        )
+        assert resumed == copied == greedy_select(ctx, budget, params), budget
+        assert resumed.selected and calls == copy_calls > 0, budget
+
+
+def test_resume_from_a_run_that_only_replayed_inherits_its_scorings(ctx):
+    # a sweep's whole fraction replays every step of the reference run and
+    # stops with no budget left, scoring nothing; it carries the reference
+    # run's ranking on, so a smaller fraction resumed from it rescores no
+    # more than one resumed from the reference, and less than a fresh one
+    objects = enumerate_objects(ctx)
+    params = _params()
+    reference = greedy_select(ctx, 10**12, params, objects)
+    whole, whole_calls = _objective_calls(
+        lambda: greedy_select(ctx, reference.used_bytes, params, objects, reference)
+    )
+    assert whole_calls == 0 and whole.stop_reason == STOP_BUDGET_EXHAUSTED
+    assert whole.selected == reference.selected
+    for fraction in (0.25, 0.05, 0.001):
+        budget = int(reference.used_bytes * fraction)
+        resumed, calls = _objective_calls(lambda: greedy_select(ctx, budget, params, objects, whole))
+        direct, direct_calls = _objective_calls(
+            lambda: greedy_select(ctx, budget, params, objects, reference)
+        )
+        copied, copy_calls = _objective_calls(
+            lambda: greedy_select(ctx, budget, params, objects, _hand_built(whole))
+        )
+        assert resumed == direct == copied == greedy_select(ctx, budget, params), fraction
+        assert calls == direct_calls < copy_calls, fraction
+
+
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+@given(
+    seed=st.integers(0, 10**6),
+    max_queries=st.integers(1, 24),
+    refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    extra_candidates=st.booleans(),
+    budget_seed=st.integers(0, 2**32 - 1),
+)
+def test_resume_from_a_greedy_run_scores_no_more_than_from_its_records(
+    seed, max_queries, refresh, extra_candidates, budget_seed
+):
+    # down a chain of decreasing budgets, each run resumed from the last one
+    # or from the run resumed from a hand-built copy of it (whose scorings
+    # begin where its replay stopped): the resume from the greedy result
+    # makes no more objective calls than the one from the copy, and both
+    # select as a fresh run
+    inst = random_instance(seed=seed, max_queries=max_queries)
+    if extra_candidates:
+        inst = with_random_candidates(inst, seed)
+    ctx = inst.context()
+    objects = enumerate_objects(ctx)
+    params = _params(refresh=refresh)
+    unconstrained = sum(o.size for o in objects) + 1
+    rng = random.Random(budget_seed)
+    strategies = [
+        partial(greedy_select, ctx),
+        partial(isolated_select, VIEWS_ONLY, ctx),
+        partial(isolated_select, INDEXES_ONLY, ctx),
+    ]
+    for select in strategies:
+        previous = select(unconstrained, params, objects)
+        budgets = {previous.used_bytes, *(log_uniform_budget(rng, unconstrained) for _ in range(4))}
+        for budget in sorted(budgets, reverse=True):
+            resumed, calls = _objective_calls(lambda: select(budget, params, objects, previous))
+            copied, copy_calls = _objective_calls(
+                lambda: select(budget, params, objects, _hand_built(previous))
+            )
+            assert resumed == copied == select(budget, params), budget
+            assert calls <= copy_calls, budget
+            previous = rng.choice([resumed, copied])
 
 
 def test_candidates_whose_pair_ids_could_repeat_are_rejected(workload, catalog):
