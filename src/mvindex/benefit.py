@@ -17,10 +17,9 @@ update frequency: ``penalty_weight = |Q| * refresh_ratio / |O|``, where the
 run's ``CostContext`` gives |Q| (its queries) and |O| (its view and index
 candidates, at least one); ``update_weight`` computes it once per run, and
 ``objective_value`` takes it as ``beta``.
-In the default ``normalized`` mode the penalty is divided by the object's
-size so both terms are per-byte densities; ``literal`` mode subtracts the
-raw block count instead.  The benefit, ``object_benefit``, is the objective
-with a zero penalty weight.
+The penalty is the object's maintenance blocks divided by its size, so both
+terms are per-byte densities: ``benefit - beta * maintenance / size``.  The
+benefit, ``object_benefit``, is the objective with a zero penalty weight.
 """
 
 from __future__ import annotations
@@ -32,23 +31,14 @@ from .costmodel import Configuration, CostContext, QueryCosts
 from .errors import ValidationError
 from .record import Record
 
-MODE_NORMALIZED = "normalized"
-MODE_LITERAL = "literal"
-
 
 class ObjectiveParams(Record):
-    __slots__ = _fields = ("refresh_ratio", "mode")
+    __slots__ = _fields = ("refresh_ratio",)
 
-    def __init__(self, refresh_ratio: float = 0.0, mode: str = MODE_NORMALIZED):
+    def __init__(self, refresh_ratio: float = 0.0):
         if not math.isfinite(refresh_ratio) or refresh_ratio < 0:
             raise ValidationError(f"refresh_ratio must be finite and >= 0, got {refresh_ratio}")
-        if mode not in (MODE_NORMALIZED, MODE_LITERAL):
-            raise ValidationError(f"unknown objective mode {mode!r}")
         self.refresh_ratio = refresh_ratio
-        self.mode = mode
-
-
-_NO_PENALTY = ObjectiveParams()  # what ``object_benefit`` scores with, at weight zero
 
 
 def update_weight(params: ObjectiveParams, ctx: CostContext) -> float:
@@ -144,16 +134,15 @@ def object_benefit(obj: SelectionObject, costs: QueryCosts) -> float:
     are unselected can still earn direct benefit on base tables; it scores
     zero only when it improves nothing.  Pairs use their combined size.
     """
-    return objective_value(obj, costs, _NO_PENALTY, 0.0)
+    return objective_value(obj, costs, 0.0)
 
 
-def objective_value(
-    obj: SelectionObject, costs: QueryCosts, params: ObjectiveParams, beta: float
-) -> float:
-    """Benefit minus the maintenance penalty, in the configured mode.
+def objective_value(obj: SelectionObject, costs: QueryCosts, beta: float) -> float:
+    """Benefit minus the maintenance penalty: ``object_benefit`` less
+    ``beta * maintenance / size``, with the size floored at one byte.
 
     ``beta`` is ``update_weight(params, ctx)`` for the run's context, which
-    a greedy run computes once.
+    a greedy run computes once; at zero the objective is the benefit.
     """
     denom, config = obj.size, costs.config
     for key, size in obj.deps:
@@ -162,6 +151,4 @@ def objective_value(
     gain = costs.saving(obj) / max(denom, 1)
     if beta == 0.0:
         return gain
-    if params.mode == MODE_LITERAL:
-        return gain - beta * obj.maintenance
     return gain - beta * obj.maintenance / max(obj.size, 1)

@@ -92,7 +92,7 @@ class _Parser(argparse.ArgumentParser):
         else:
             ns.budget = _parse_budget(ns.budget)
         if ns.refresh_ratio is not None:  # checked by the rule the run applies, raising here
-            ObjectiveParams(refresh_ratio=ns.refresh_ratio, mode=ns.objective)
+            ObjectiveParams(refresh_ratio=ns.refresh_ratio)
         return ns
 
 
@@ -121,7 +121,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="refresh-to-query ratio (default: workload header or 0)")
     p.add_argument("--min-support", type=int, default=1,
                    help="attribute support threshold for generated index candidates")
-    p.add_argument("--objective", choices=["normalized", "literal"], default="normalized")
     budget_or_sweep.add_argument("--sweep", help="comma-separated budget fractions in (0,1]")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=["text", "json"], help="report format (default: text)")
@@ -170,7 +169,7 @@ def _load_inputs(args):
         indexes = generate_index_candidates(workload, views, args.min_support)
     matrices = build_matrices(workload, views, indexes)
     refresh = args.refresh_ratio if args.refresh_ratio is not None else workload.refresh_ratio
-    params = ObjectiveParams(refresh_ratio=refresh, mode=args.objective)
+    params = ObjectiveParams(refresh_ratio=refresh)
     ctx = CostContext(matrices, catalog)
     return params, ctx
 
@@ -265,6 +264,18 @@ def run_advise(args, write) -> None:
     come from the CLI's parser, which has checked them and parsed
     ``--budget``.  Every input, budget and selection error is raised before
     the first write; the report then goes out in pieces as it is formatted."""
+    report, base_index_ids = _advise_report(args)
+    if args.format == "json":
+        write_json(report, write)
+        write("\n")
+    else:
+        _format_text_report(report, base_index_ids, write)
+
+
+def _advise_report(args) -> tuple[dict, tuple[str, ...]]:
+    """The report of one strategy's run, and the base index ids that head
+    its query-index columns.  The runs' results, with their scoring logs,
+    and the context end with this call, before the report is written."""
     params, ctx = _load_inputs(args)
     catalog, matrices = ctx.catalog, ctx.matrices
 
@@ -303,7 +314,7 @@ def run_advise(args, write) -> None:
     report = {
         "cost_model": COST_MODEL_ID,
         "mode": args.mode,
-        "objective": args.objective,
+        "objective": "normalized",  # the one objective, named in every report
         "refresh_ratio": params.refresh_ratio,
         "budget_bytes": budget,
         "candidates": {
@@ -346,12 +357,7 @@ def run_advise(args, write) -> None:
             },
         },
     }
-
-    if args.format == "json":
-        write_json(report, write)
-        write("\n")
-    else:
-        _format_text_report(report, matrices.base_index_ids, write)
+    return report, matrices.base_index_ids
 
 
 def _format_text_report(report: dict, base_index_ids, write) -> None:
@@ -428,21 +434,24 @@ def run_sweep(args, write) -> None:
     """
     params, ctx = _load_inputs(args)
     objects = enumerate_objects(ctx)
-    reference = _reference_space(ctx, params, objects)
-    last = {"none": _no_selection(ctx.workload_total(Configuration())), "simultaneous": reference}
-    results = {}
+    # each strategy's latest result only: an earlier one, with its scoring
+    # log, is freed once the next smaller fraction has resumed from it
+    last = {"none": _no_selection(ctx.workload_total(Configuration())),
+            "simultaneous": _reference_space(ctx, params, objects)}
+    space = last["simultaneous"].used_bytes
+    cells = {}  # (fraction, mode) -> the row's cost, bytes and ids
     for fraction in sorted(set(args.sweep), reverse=True):
-        budget = int(reference.used_bytes * fraction)
+        budget = int(space * fraction)
         for mode in SWEEP_STRATEGIES.values():
             if mode != "none":
                 last[mode] = _run_strategy(mode, ctx, objects, budget, params, last.get(mode))
-            results[fraction, mode] = last[mode]
+            result = last[mode]
+            ids = ";".join(result.selected_ids())
+            cells[fraction, mode] = f"{result.final_cost},{result.used_bytes},{ids}"
     rows = [SWEEP_HEADER]
     for fraction in args.sweep:
         for strategy, mode in SWEEP_STRATEGIES.items():
-            result = results[fraction, mode]
-            ids = ";".join(result.selected_ids()) if result.selected else ""
-            rows.append(f"{fraction},{strategy},{result.final_cost},{result.used_bytes},{ids}")
+            rows.append(f"{fraction},{strategy},{cells[fraction, mode]}")
     write("\n".join(rows) + "\n")
 
 

@@ -294,7 +294,7 @@ def greedy_core(
 
     def score(pos):
         o = objects[pos]
-        value = objective_value(o, costs, params, beta)
+        value = objective_value(o, costs, beta)
         if value > 0.0:
             ranked[pos] = entry = (-value, incremental_size(o, costs.config), o.id, pos, step)
             heappush(heap, entry)

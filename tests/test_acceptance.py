@@ -262,7 +262,7 @@ def test_criterion_5_objective_semantics():
     empty = QueryCosts(ctx)
     zero = ObjectiveParams(refresh_ratio=0.0)
     beta = update_weight(zero, ctx)
-    exact = all(objective_value(o, empty, zero, beta) == object_benefit(o, empty) for o in objects)
+    exact = all(objective_value(o, empty, beta) == object_benefit(o, empty) for o in objects)
 
     # threshold above which no object scores positive on the first pass:
     # F <= 0  <=>  ratio >= benefit * size * |O| / (|Q| * maintenance)

@@ -201,8 +201,6 @@ def test_objective_params_validation():
     for ratio in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             ObjectiveParams(refresh_ratio=ratio)
-    with pytest.raises(ValidationError):
-        ObjectiveParams(mode="bogus")
 
 
 def test_objective_equals_benefit_without_refresh(ctx):
@@ -212,23 +210,20 @@ def test_objective_equals_benefit_without_refresh(ctx):
     beta = update_weight(params, ctx)
     for o in objects:
         gain = object_benefit(o, costs)
-        value = objective_value(o, costs, params, beta)
+        value = objective_value(o, costs, beta)
         assert value == gain
 
 
-def test_objective_modes_penalize(views, catalog, ctx):
+def test_objective_penalizes_maintenance_per_byte(views, catalog, ctx):
     v1 = views[0]
     obj = enumerate_objects(ctx)[0]
     assert obj.view is v1
     costs = QueryCosts(ctx)
     gain = object_benefit(obj, costs)
     beta = update_weight(ObjectiveParams(refresh_ratio=0.5), ctx)
-    for mode in ("normalized", "literal"):
-        params = ObjectiveParams(refresh_ratio=0.5, mode=mode)
-        value = objective_value(obj, costs, params, beta)
-        assert value < gain
-    lit = objective_value(obj, costs, ObjectiveParams(refresh_ratio=0.5, mode="literal"), beta)
-    assert lit == pytest.approx(gain - beta * obj.maintenance, rel=1e-12)
+    value = objective_value(obj, costs, beta)
+    assert value < gain
+    assert value == gain - beta * obj.maintenance / max(obj.size, 1)
 
 
 def test_argmax_stable_under_refresh_zero():
@@ -237,7 +232,7 @@ def test_argmax_stable_under_refresh_zero():
     params = ObjectiveParams(refresh_ratio=0.0)
     costs = QueryCosts(ctx)
     beta = update_weight(params, ctx)
-    scored_f = [objective_value(o, costs, params, beta) for o in objects]
+    scored_f = [objective_value(o, costs, beta) for o in objects]
     scored_b = [object_benefit(o, costs) for o in objects]
     assert scored_f == scored_b
 
@@ -256,23 +251,20 @@ def test_pair_object_benefit_uses_combined_size(views, indexes, catalog, ctx):
 @given(
     seed=st.integers(0, 10**6),
     refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
-    mode=st.sampled_from(["normalized", "literal"]),
     extra_candidates=st.booleans(),
 )
-def test_touched_query_objective_equals_whole_workload_objective(
-    seed, refresh, mode, extra_candidates
-):
+def test_touched_query_objective_equals_whole_workload_objective(seed, refresh, extra_candidates):
     inst = random_instance(seed=seed, max_queries=20)
     if extra_candidates:
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
     objects = enumerate_objects(ctx)
-    params = ObjectiveParams(refresh_ratio=refresh, mode=mode)
+    params = ObjectiveParams(refresh_ratio=refresh)
     config = random_config(random.Random(seed), inst)
     costs = committed_costs(ctx, config)
     beta = update_weight(params, ctx)
     for obj in objects:
-        got = objective_value(obj, costs, params, beta)
+        got = objective_value(obj, costs, beta)
         want = full_rescore_objective(obj, inst.queries, config, inst.matrices, inst.catalog,
                                       params, ctx)
         assert got == want

@@ -30,7 +30,7 @@ from mvindex.catalog import MAX_CATALOG_INT, format_catalog, table_blocks
 from mvindex.cli import SWEEP_HEADER, main, make_parser, run_advise
 from mvindex.costmodel import Configuration, CostContext
 from mvindex.fixtures import CANDIDATES_FILE, CATALOG_FILE, WORKLOAD_FILE, fixture_path, fixture_text
-from mvindex.selector import enumerate_objects, greedy_select
+from mvindex.selector import SelectionResult, enumerate_objects, greedy_select
 from mvindex.jsonfmt import format_json, write_json
 from mvindex.workload import Query, Workload, format_workload
 
@@ -794,9 +794,10 @@ def test_out_naming_an_input_exits_1_and_leaves_it_unchanged(capsys, monkeypatch
         (["--budget", "nan%"], 1, "budget percentage 'nan%' is not a finite number"),
         (["--budget", "0", "--refresh-ratio", "-1"], 1, "refresh_ratio must be finite and >= 0, got -1.0"),
         (["--sweep", "0.5", "--refresh-ratio", "nan"], 1, "refresh_ratio must be finite and >= 0, got nan"),
+        (["--budget", "0", "--objective", "normalized"], 1, "unrecognized arguments: --objective normalized"),
     ],
     ids=["malformed-budget", "no-budget", "sweep-above-1", "negative-budget", "nan-percentage",
-         "negative-refresh-ratio", "nan-refresh-ratio"],
+         "negative-refresh-ratio", "nan-refresh-ratio", "no-objective-option"],
 )
 def test_argument_error_is_reported_before_out_is_opened_or_an_input_read(
     tmp_path, capsys, args, code, message
@@ -809,7 +810,9 @@ def test_argument_error_is_reported_before_out_is_opened_or_an_input_read(
             "--out", str(out)]
     assert main(argv + args) == code
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    # argparse's own errors print the usage first
+    usage = make_parser().format_usage() if message.startswith("unrecognized arguments") else ""
+    assert (captured.out, captured.err) == ("", f"{usage}error: {message}\n")
     assert out.read_bytes() == b'{"kept": true}\n'
 
 
@@ -886,6 +889,11 @@ PINNED_OUTPUTS = {
         "7c44a1fc34678d8e06143a47259fcc565f4c1363df2ae1a60674f71c633a8bc7",
     ("generated", "--budget", "100%", "--format", "json", "--trace"):
         "c48dde291ce7130328babe087e268a4dc38d98ba5d1b4738bece81755500e9c0",
+    # the trace's objectives under a maintenance penalty
+    ("fixture", "--budget", "50%", "--refresh-ratio", "2", "--format", "json", "--trace"):
+        "5d87bd9ae59e81a3c607cc88bd32e77864e7ff4b4188dba4876b0e717a3c4aac",
+    ("generated", "--budget", "50%", "--refresh-ratio", "2", "--format", "json", "--trace"):
+        "547dee749f00764a9d68b1c11a38843528fede68079fbbe27e56da43c8e68d82",
     ("fixture", "--sweep", "0.05,0.25,0.5,1.0", "--refresh-ratio", "0"):
         "f2bed2c2594d1738dd24cb3c499a69db8478ae9e5c01dac6f117345690f15e09",
     ("fixture", "--sweep", "0.05,0.25,0.5,1.0", "--refresh-ratio", "2"):
@@ -1174,6 +1182,35 @@ def test_main_restores_the_collector_on_an_unexpected_error(fixture_args, monkey
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False]
+
+
+@pytest.mark.parametrize(
+    "flags, most",
+    [
+        (["--budget", "50%", "--format", "json", "--trace"], 0),
+        (["--budget", "50%"], 0),
+        # each strategy's latest result, none of the larger fractions' ones
+        (["--sweep", "1.0,0.5,0.25,0.05"], len(cli.SWEEP_STRATEGIES)),
+    ],
+    ids=["advise-json", "advise-text", "sweep"],
+)
+def test_results_nothing_reads_are_freed_before_the_report_is_written(fixture_args, flags, most):
+    # a greedy result holds its run's scoring log; once the report is built
+    # only a sweep still reads results, and then only to resume from them
+    def live_results():
+        return sum(isinstance(o, SelectionResult) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_results()
+    seen = []
+
+    def write(piece):
+        if not seen:
+            seen.append(live_results() - before)
+
+    args = make_parser().parse_args(fixture_args + flags)
+    (cli.run_sweep if "--sweep" in flags else run_advise)(args, write)
+    assert seen[0] <= most
 
 
 def test_shared_parser_answers_each_argv_as_a_fresh_interpreter(fixture_args, capsys, monkeypatch):

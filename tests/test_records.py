@@ -57,8 +57,7 @@ RECORDS = [
                      "query_index": (b"\1",), "view_index": (b"\0",)}, {}, True),
     # hashable as a class, but its dict fields make ``hash`` raise, as they always did
     (CostReport, {"per_query_cost": {"q1": 3}, "chosen_rewriting": {"q1": "v1"}, "total": 3}, {}, False),
-    (ObjectiveParams, {"refresh_ratio": 1.5, "mode": "literal"},
-     {"refresh_ratio": 0.0, "mode": "normalized"}, True),
+    (ObjectiveParams, {"refresh_ratio": 1.5}, {"refresh_ratio": 0.0}, True),
     (SelectionObject, {"id": "v1", "kind": "view", "view": _VIEW, "index": None, "keys": frozenset({"v1"}),
                        "size": 17532, "maintenance": 3, "parts": (("v1", 17532),), "deps": (),
                        "offers": ()}, {}, False),

@@ -54,8 +54,8 @@ from util import (
 )
 
 
-def _params(refresh=0.0, mode="normalized"):
-    return ObjectiveParams(refresh_ratio=refresh, mode=mode)
+def _params(refresh=0.0):
+    return ObjectiveParams(refresh_ratio=refresh)
 
 
 def test_enumerate_counts_fixture(ctx):
@@ -200,7 +200,7 @@ def test_trace_objectives_match_public_function(ctx):
     for it in res.iterations:
         remaining = [o for o in objects if not o.keys <= config]
         costs = committed_costs(ctx, config)
-        scores = {o.id: objective_value(o, costs, params, beta) for o in remaining}
+        scores = {o.id: objective_value(o, costs, beta) for o in remaining}
         assert scores[it.object_id] == pytest.approx(it.objective, rel=1e-12)
         assert it.objective == pytest.approx(max(scores.values()), rel=1e-12)
         chosen = next(o for o in remaining if o.id == it.object_id)
@@ -276,12 +276,11 @@ NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
     seed=st.integers(0, 10**6),
     max_queries=st.integers(1, 24),
     refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
-    mode=st.sampled_from(["normalized", "literal"]),
     budget_seed=st.integers(0, 2**32 - 1),
     extra_candidates=st.booleans(),
 )
 def test_incremental_greedy_matches_full_rescore(
-    seed, max_queries, refresh, mode, budget_seed, extra_candidates
+    seed, max_queries, refresh, budget_seed, extra_candidates
 ):
     inst = random_instance(seed=seed, max_queries=max_queries)
     if extra_candidates:
@@ -290,7 +289,7 @@ def test_incremental_greedy_matches_full_rescore(
     objects = enumerate_objects(ctx)
     total = sum(o.size for o in objects) or 1
     budget = log_uniform_budget(random.Random(budget_seed), total)
-    params = _params(refresh=refresh, mode=mode)
+    params = _params(refresh=refresh)
     args = (inst.matrices, inst.catalog, budget, params)
     runs = [
         (greedy_select(ctx, budget, params), objects),
@@ -313,12 +312,11 @@ def test_incremental_greedy_matches_full_rescore(
 @given(
     seed=st.integers(0, 10**6),
     refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
-    mode=st.sampled_from(["normalized", "literal"]),
     budget_seed=st.integers(0, 2**32 - 1),
     extra_candidates=st.booleans(),
 )
 def test_running_costs_score_every_remaining_object_as_objective_value(
-    seed, refresh, mode, budget_seed, extra_candidates
+    seed, refresh, budget_seed, extra_candidates
 ):
     inst = random_instance(seed=seed, max_tables=8, max_queries=40)
     if extra_candidates:
@@ -326,7 +324,7 @@ def test_running_costs_score_every_remaining_object_as_objective_value(
     ctx = inst.context()
     objects = enumerate_objects(ctx)
     budget = log_uniform_budget(random.Random(budget_seed), sum(o.size for o in objects) or 1)
-    params = _params(refresh=refresh, mode=mode)
+    params = _params(refresh=refresh)
     beta = update_weight(params, ctx)
     configs = []
 
@@ -361,7 +359,7 @@ def test_running_costs_score_every_remaining_object_as_objective_value(
             assert (self.mins, self.base, self.cost) == plan_walk_costs(ctx, config)
             for o in objects:
                 if not o.keys <= config:
-                    got = objective_value(o, self, params, beta)
+                    got = objective_value(o, self, beta)
                     assert got == full_rescore_objective(
                         o, inst.queries, config, inst.matrices, inst.catalog, params, ctx
                     ), o.id
@@ -515,18 +513,17 @@ def test_commit_rescores_objects_with_a_term_that_needs_its_key(workload, catalo
     seed=st.integers(0, 10**6),
     max_queries=st.integers(1, 24),
     refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
-    mode=st.sampled_from(["normalized", "literal"]),
     extra_candidates=st.booleans(),
     headroom=st.one_of(st.just(0), st.integers(1, 10**3), st.integers(1, 10**12)),
 )
 def test_budget_at_or_above_unconstrained_use_selects_the_same(
-    seed, max_queries, refresh, mode, extra_candidates, headroom
+    seed, max_queries, refresh, extra_candidates, headroom
 ):
     inst = random_instance(seed=seed, max_queries=max_queries)
     if extra_candidates:
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
-    params = _params(refresh=refresh, mode=mode)
+    params = _params(refresh=refresh)
     unconstrained = sum(o.size for o in enumerate_objects(ctx)) + 1
     free = greedy_select(ctx, unconstrained, params)
     budget = free.used_bytes + headroom
@@ -553,19 +550,18 @@ def test_budget_at_or_above_unconstrained_use_selects_the_same(
     seed=st.integers(0, 10**6),
     max_queries=st.integers(1, 24),
     refresh=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
-    mode=st.sampled_from(["normalized", "literal"]),
     extra_candidates=st.booleans(),
     budget_seed=st.integers(0, 2**32 - 1),
 )
 def test_resumed_run_equals_fresh_run(
-    seed, max_queries, refresh, mode, extra_candidates, budget_seed
+    seed, max_queries, refresh, extra_candidates, budget_seed
 ):
     inst = random_instance(seed=seed, max_queries=max_queries)
     if extra_candidates:
         inst = with_random_candidates(inst, seed)
     ctx = inst.context()
     objects = enumerate_objects(ctx)
-    params = _params(refresh=refresh, mode=mode)
+    params = _params(refresh=refresh)
     unconstrained = sum(o.size for o in objects) + 1
     rng = random.Random(budget_seed)
     strategies = [
@@ -927,9 +923,7 @@ def test_equal_scores_break_by_incremental_bytes_then_id(workload, catalog):
     assert [it.object_id for it in res.iterations] == ["v", "v+ia"]
     config = Configuration({"v"})
     costs, beta = committed_costs(ctx, config), update_weight(params, ctx)
-    assert objective_value(by_id["v+ia"], costs, params, beta) == objective_value(
-        by_id["v!+ia"], costs, params, beta
-    )
+    assert objective_value(by_id["v+ia"], costs, beta) == objective_value(by_id["v!+ia"], costs, beta)
     assert incremental_size(by_id["v+ia"], config) < incremental_size(by_id["v!+ia"], config)
     expected = full_rescore_greedy(objects, matrices, catalog, 10**12, params)
     assert res.iterations == expected.iterations

@@ -23,7 +23,6 @@ from mvindex.candidates import (
     make_view,
 )
 from mvindex.baselines import enumerate_exhaustive_objects
-from mvindex.benefit import MODE_LITERAL
 from mvindex.catalog import AttributeStats, SchemaCatalog, TableStats, validate_catalog
 from mvindex.costmodel import (
     Configuration,
@@ -445,8 +444,6 @@ def full_rescore_objective(obj, queries, config, matrices, catalog, params, ctx)
     if beta == 0.0:
         return gain
     maintenance = sum(maintenance_cost(m, catalog) for m in members)
-    if params.mode == MODE_LITERAL:
-        return gain - beta * maintenance
     return gain - beta * maintenance / max(size, 1)
 
 
